@@ -98,9 +98,19 @@ def _build_surface(cfg: dict):
         raise ConfigError(str(exc)) from exc
 
 
+def _int_value(value, what) -> int:
+    """An integer setting; booleans and fractional numbers are config errors."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
+
+
 def _positive_int(cfg_value, flag_value, default, what) -> int:
     value = flag_value if flag_value is not None else cfg_value if cfg_value is not None else default
-    value = int(value)
+    value = _int_value(value, what)
     if value <= 0:
         raise ConfigError(f"{what} must be positive")
     return value
@@ -160,7 +170,9 @@ def cmd_rotsurf(args) -> int:
         v_range=tuple(section["v_range"]) if "v_range" in section else None,
         samples_u=_positive_int(section.get("samples_u"), args.samples_u, 128, "samples_u"),
         samples_v=_positive_int(section.get("samples_v"), args.samples_v, 128, "samples_v"),
-        n_curves=int(section.get("n_curves", args.n_curves if args.n_curves is not None else 8)),
+        n_curves=_int_value(
+            section.get("n_curves", args.n_curves if args.n_curves is not None else 8), "n_curves"
+        ),
     )
     try:
         spec.validate()

@@ -47,24 +47,21 @@ def _stamp(config: dict) -> str:
     return f"{TOOL} {_version()} config-sha256:{config_hash(config)}"
 
 
+def _block(line: str, rows) -> str:
+    """One formatted line per row; %.17g renders a float as fmt does."""
+    return (line * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def write_obj(path, mesh, config: dict) -> None:
     """OBJ with v vertices, f triangles, and l polylines for embedded curves."""
-    lines = [f"# {_stamp(config)}"]
-    for vert in mesh.vertices:
-        lines.append(f"v {fmt(vert[0])} {fmt(vert[1])} {fmt(vert[2])}")
+    parts = [f"# {_stamp(config)}\n", _block("v %.17g %.17g %.17g\n", mesh.vertices)]
+    parts += [_block("v %.17g %.17g %.17g\n", curve) for curve in mesh.polylines]
+    parts.append(_block("f %d %d %d\n", mesh.faces + 1))
     offset = len(mesh.vertices)
-    polyline_indices = []
     for curve in mesh.polylines:
-        idx = list(range(offset + 1, offset + 1 + len(curve)))
-        for vert in curve:
-            lines.append(f"v {fmt(vert[0])} {fmt(vert[1])} {fmt(vert[2])}")
-        polyline_indices.append(idx)
+        parts.append("l " + " ".join(map(str, range(offset + 1, offset + 1 + len(curve)))) + "\n")
         offset += len(curve)
-    for face in mesh.faces:
-        lines.append(f"f {face[0] + 1} {face[1] + 1} {face[2] + 1}")
-    for idx in polyline_indices:
-        lines.append("l " + " ".join(str(i) for i in idx))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("".join(parts))
 
 
 def write_csv(path, columns, rows, config: dict, footer_comments=()) -> None:

@@ -17,7 +17,13 @@ from scipy import integrate as _si
 
 from .errors import QuadratureError
 
-__all__ = ["integrate", "integrate_2d", "integrate_with_boundary", "gauss_segment"]
+__all__ = [
+    "integrate",
+    "integrate_2d",
+    "integrate_with_boundary",
+    "gauss_segment",
+    "gauss_segments",
+]
 
 BOUNDARY_WINDOW = 1e-4  # switch to the sqrt substitution within this distance of a bound
 
@@ -92,6 +98,40 @@ def gauss_segment(f, a: float, b: float, bounds=None) -> float:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     return half * float(sum(w * f(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS)))
+
+
+def gauss_segments(f, a: np.ndarray, b: np.ndarray, bounds) -> list[np.ndarray]:
+    """:func:`gauss_segment` over the segments [a_i, b_i] (a_i <= b_i) at once.
+
+    f maps an (n, 12) array of nodes to a tuple of integrand arrays (scalars
+    broadcast) and returns one array of n integrals per integrand.  Weighted
+    sums run over the nodes in gauss_segment's order, so each integral is
+    gauss_segment's to the last bit.  Segments in the boundary window of
+    ``bounds`` go through gauss_segment and its square-root substitution.
+    """
+    lo, hi = bounds
+    window = np.zeros(len(a), dtype=bool)
+    if math.isfinite(lo):
+        window |= (a - lo) < BOUNDARY_WINDOW * max(1.0, abs(lo))
+    if math.isfinite(hi):
+        window |= (hi - b) < BOUNDARY_WINDOW * max(1.0, abs(hi))
+    inner = ~window
+    half = 0.5 * (b[inner] - a[inner])
+    mid = 0.5 * (a[inner] + b[inner])
+    nodes = mid[:, None] + half[:, None] * _GL_NODES
+    results = []
+    for values in f(nodes):
+        values = np.broadcast_to(values, nodes.shape)
+        total = np.zeros(len(nodes))
+        for k, w in enumerate(_GL_WEIGHTS):
+            total = total + w * values[:, k]
+        out = np.empty(len(a))
+        out[inner] = half * total
+        results.append(out)
+    for i in np.flatnonzero(window).tolist():
+        for j, out in enumerate(results):
+            out[i] = gauss_segment(lambda t: f(t)[j], float(a[i]), float(b[i]), bounds)
+    return results
 
 
 def integrate_2d(f, u0: float, u1: float, v0: float, v1: float, tol: float = 1e-9):

@@ -23,6 +23,7 @@ away (a v-translation); ``c1_shift`` reintroduces it as a translation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import DomainViolationError, GeometryError
-from .quadrature import gauss_segment, integrate, integrate_with_boundary
+from .quadrature import gauss_segments, integrate, integrate_with_boundary
 from .surface import AnalyticFrameFields, SurfacePatch
 
 __all__ = [
@@ -57,10 +58,51 @@ CLAMP = 1e-12  # values of 1 - (r')^2 in [-CLAMP, 0] count as exact zeros
 ANCHOR_EPS = 1e-9
 
 
-def _sqrt1m(rp2_complement: float, context: str) -> float:
+def _sqrt1m(rp2_complement, v):
+    """sqrt(1 - r'^2) from 1 - r'^2 at v, for a float or elementwise on arrays."""
+    if isinstance(rp2_complement, np.ndarray):
+        bad = np.flatnonzero(rp2_complement < -CLAMP)
+        if bad.size:
+            raise DomainViolationError(f"(r')^2 exceeds 1 at v={np.ravel(v)[bad[0]]!r}")
+        return np.sqrt(np.maximum(rp2_complement, 0.0))
     if rp2_complement < -CLAMP:
-        raise DomainViolationError(f"(r')^2 exceeds 1 {context}")
+        raise DomainViolationError(f"(r')^2 exceeds 1 at v={v!r}")
     return math.sqrt(max(rp2_complement, 0.0))
+
+
+# Profiles take a float or an array.  On arrays they map the scalar libm
+# formula over the elements instead of calling numpy's ufuncs: np.cosh,
+# np.tanh and np.tan differ from math.* in the last bit on about 20%, 30%
+# and 0.5% of inputs (numpy 2.4, AVX-512), and numpy's array ``** 2`` is
+# d*d where a Python float's is libm pow (3 in 10k values differ).  So an
+# array evaluation equals the scalar one bit for bit, and every output
+# file is independent of how the evaluation is batched.
+
+
+def _elementwise(f, x):
+    if isinstance(x, np.ndarray):
+        return np.array(list(map(f, x.ravel().tolist()))).reshape(x.shape)
+    return f(x)
+
+
+def _pow2(x):
+    return x ** 2
+
+
+def _kernels(K_inf: float, r0: float):
+    """Scalar r(t) and A(t) of the family at the unshifted parameter t."""
+    root = math.sqrt(abs(K_inf))
+    if K_inf > 0.0:
+        return (
+            lambda t: r0 * math.sqrt(max(math.cos(root * t), 0.0)),
+            lambda t: -root * math.tan(root * t),
+        )
+    if K_inf < 0.0:
+        return (
+            lambda t: r0 * math.sqrt(math.cosh(root * t)),
+            lambda t: root * math.tanh(root * t),
+        )
+    return lambda t: r0 * math.sqrt(t), lambda t: 1.0 / t
 
 
 def domain_bound(K_inf: float, r0: float) -> tuple[float, float]:
@@ -98,44 +140,26 @@ def _check_domain(v: float, bounds: tuple[float, float], what: str):
 def r_family(K_inf: float, r0: float, v: float) -> float:
     """Profile radius of the constant-curvature family (integration constant 0)."""
     _check_domain(v, domain_bound(K_inf, r0), "r_family")
-    if K_inf > 0.0:
-        return r0 * math.sqrt(max(math.cos(math.sqrt(K_inf) * v), 0.0))
-    if K_inf < 0.0:
-        return r0 * math.sqrt(math.cosh(math.sqrt(-K_inf) * v))
-    return r0 * math.sqrt(v)
+    return _kernels(K_inf, r0)[0](v)
 
 
 def A_family(K_inf: float, v: float) -> float:
     """Tilt scalar A(v) solving K_inf = -A' - A^2 (integration constant 0)."""
-    if K_inf > 0.0:
-        root = math.sqrt(K_inf)
-        if abs(root * v) >= 0.5 * math.pi:
-            raise DomainViolationError(f"A_family: |v| = {abs(v)!r} reaches the tan pole")
-        return -root * math.tan(root * v)
-    if K_inf < 0.0:
-        root = math.sqrt(-K_inf)
-        return root * math.tanh(root * v)
-    if v <= 0.0:
+    if K_inf > 0.0 and abs(math.sqrt(K_inf) * v) >= 0.5 * math.pi:
+        raise DomainViolationError(f"A_family: |v| = {abs(v)!r} reaches the tan pole")
+    if K_inf == 0.0 and v <= 0.0:
         raise DomainViolationError("A_family: v must be positive when the curvature is 0")
-    return 1.0 / v
-
-
-def _dr_family(K_inf: float, r0: float, v: float) -> float:
-    # r' = r*A/2 since A = (ln r^2)' = 2 r'/r
-    return 0.5 * r_family(K_inf, r0, v) * A_family(K_inf, v)
-
-
-def _dA_family(K_inf: float, v: float) -> float:
-    return -K_inf - A_family(K_inf, v) ** 2
+    return _kernels(K_inf, 1.0)[1](v)
 
 
 @dataclass(frozen=True)
 class Profile:
     """Unit-speed generating-curve data for a surface of revolution.
 
-    kappa is the planar curvature a'b'' - a''b' of the generating curve,
-    used to pick chord lengths for exported polylines.  theta_c_closed,
-    when set, bypasses quadrature (straight-line and circular profiles).
+    r, dr, A and dA take a float or an array of v; kappa, the planar
+    curvature a'b'' - a''b' of the generating curve used to pick chord
+    lengths for exported polylines, takes a float.  theta_c_closed, when
+    set, bypasses quadrature (straight-line and circular profiles).
     """
 
     name: str
@@ -151,8 +175,13 @@ class Profile:
 
 
 def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
-    """Constant-curvature profile; c1_shift translates the profile parameter."""
+    """Constant-curvature profile; c1_shift translates the profile parameter.
+
+    The closures do not check the existence domain: callers check their
+    interval endpoints once (ThetaC, sample_generating_curve, validate).
+    """
     lo, hi = domain_bound(K_inf, r0)
+    r_t, A_t = _kernels(K_inf, r0)
     lo_s = lo - c1_shift
     hi_s = hi - c1_shift
     if K_inf == 0.0:
@@ -161,20 +190,21 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
         anchor = -c1_shift
 
     def r(v):
-        return r_family(K_inf, r0, v + c1_shift)
-
-    def dr(v):
-        return _dr_family(K_inf, r0, v + c1_shift)
+        return _elementwise(r_t, v + c1_shift)
 
     def A(v):
-        return A_family(K_inf, v + c1_shift)
+        return _elementwise(A_t, v + c1_shift)
+
+    def dr(v):
+        # r' = r*A/2 since A = (ln r^2)' = 2 r'/r
+        return 0.5 * r(v) * A(v)
 
     def dA(v):
-        return _dA_family(K_inf, v + c1_shift)
+        return -K_inf - _elementwise(_pow2, A(v))
 
     def kappa(v):
         rv = r(v)
-        s = _sqrt1m(1.0 - dr(v) ** 2, f"at v={v!r}")
+        s = _sqrt1m(1.0 - (0.5 * rv * A(v)) ** 2, v)
         if s == 0.0:
             return math.inf
         return (K_inf + 2.0 / (rv * rv)) * rv / (2.0 * s)
@@ -223,6 +253,13 @@ def circle_profile() -> Profile:
     )
 
 
+def _integrands(profile: Profile, t):
+    """theta' = sqrt(1 - r'^2)/r and c' = r sqrt(1 - r'^2)/2 at t (float or array)."""
+    r = profile.r(t)
+    s = _sqrt1m(1.0 - _elementwise(_pow2, profile.dr(t)), t)
+    return s / r, 0.5 * r * s
+
+
 class ThetaC:
     """Cached quadrature of theta(v) and c(v) from the profile anchor.
 
@@ -237,10 +274,10 @@ class ThetaC:
         self._cache: dict[float, tuple[float, float]] = {profile.anchor: (0.0, 0.0)}
 
     def _g_theta(self, t: float) -> float:
-        return _sqrt1m(1.0 - self.profile.dr(t) ** 2, f"at v={t!r}") / self.profile.r(t)
+        return _integrands(self.profile, t)[0]
 
     def _g_c(self, t: float) -> float:
-        return 0.5 * self.profile.r(t) * _sqrt1m(1.0 - self.profile.dr(t) ** 2, f"at v={t!r}")
+        return _integrands(self.profile, t)[1]
 
     def __call__(self, v: float) -> tuple[float, float]:
         hit = self._cache.get(v)
@@ -261,16 +298,9 @@ class ThetaC:
         return result
 
 
-_integrators: dict[tuple[float, float, float], ThetaC] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _integrator(K_inf: float, r0: float, c1_shift: float = 0.0) -> ThetaC:
-    key = (float(K_inf), float(r0), float(c1_shift))
-    found = _integrators.get(key)
-    if found is None:
-        found = ThetaC(family_profile(*key))
-        _integrators[key] = found
-    return found
+    return ThetaC(family_profile(float(K_inf), float(r0), float(c1_shift)))
 
 
 def theta_c_quadrature(K_inf: float, r0: float, v: float, tol: float = 1e-10) -> tuple[float, float]:
@@ -302,7 +332,7 @@ def _generating_point(profile: Profile, thetac: ThetaC, v: float):
     r = profile.r(v)
     rp = profile.dr(v)
     theta, c = thetac(v)
-    s = _sqrt1m(1.0 - rp * rp, f"at v={v!r}")
+    s = _sqrt1m(1.0 - rp * rp, v)
     ct, st = math.cos(theta), math.sin(theta)
     a, b = r * ct, r * st
     ap = rp * ct - s * st  # r*theta' = sqrt(1 - r'^2) for unit speed
@@ -395,10 +425,13 @@ class RotationSurfaceSpec:
                 f"v_range ({v0!r}, {v1!r}) not inside the existence domain "
                 f"({lo!r}, {hi!r}) of the K_inf={self.K_inf} family"
             )
-        for v in np.linspace(v0, v1, 257):
-            if profile.r(float(v)) <= 0.0:
-                raise DomainViolationError(f"profile radius vanishes at v={v!r}")
-            _sqrt1m(1.0 - profile.dr(float(v)) ** 2, f"at v={v!r}")
+        vs = np.linspace(v0, v1, 257)
+        r = profile.r(vs)
+        rp2_complement = 1.0 - _elementwise(_pow2, profile.dr(vs))
+        bad = np.flatnonzero((r <= 0.0) | (rp2_complement < -CLAMP))
+        if bad.size and r[bad[0]] <= 0.0:
+            raise DomainViolationError(f"profile radius vanishes at v={vs[bad[0]]!r}")
+        _sqrt1m(rp2_complement, vs)
 
 
 @dataclass
@@ -439,23 +472,17 @@ def sample_generating_curve(
     """
     if not (v0 < v1):
         raise ValueError("need v0 < v1")
-    thetac = ThetaC(profile)
-    theta0, c0 = thetac(v0)
-
-    def g_theta(t):
-        return _sqrt1m(1.0 - profile.dr(t) ** 2, f"at v={t!r}") / profile.r(t)
-
-    def g_c(t):
-        return 0.5 * profile.r(t) * _sqrt1m(1.0 - profile.dr(t) ** 2, f"at v={t!r}")
+    _check_domain(v0, profile.domain, profile.name)
+    _check_domain(v1, profile.domain, profile.name)
+    theta0, c0 = ThetaC(profile)(v0)
 
     span = v1 - v0
     dv_cap = span / 64.0
     dv_floor = span * 1e-9
     target = 0.6 * max_ratio
 
+    # Each step depends on the previous v, so the walk stays scalar.
     vs = [v0]
-    thetas = [theta0]
-    cs = [c0]
     v = v0
     while v < v1 - 1e-15 * max(1.0, abs(v1)):
         k_here = abs(profile.kappa(v))
@@ -463,41 +490,46 @@ def sample_generating_curve(
         k_ahead = abs(profile.kappa(min(v + dv, v1)))
         dv = min(dv, math.sqrt(12.0 * target / max(k_ahead, 1e-12)))
         dv = max(dv, dv_floor)
-        v_next = min(v + dv, v1)
-        thetas.append(thetas[-1] + gauss_segment(g_theta, v, v_next, profile.domain))
-        cs.append(cs[-1] + gauss_segment(g_c, v, v_next, profile.domain))
-        vs.append(v_next)
+        v = min(v + dv, v1)
+        vs.append(v)
         if len(vs) > max_points:
             raise GeometryError("generating-curve sampling exceeded the point budget")
-        v = v_next
+    vs = np.array(vs)
+    integrands = functools.partial(_integrands, profile)
 
-    def position(idx: int) -> np.ndarray:
-        r = profile.r(vs[idx])
-        return np.array([r * math.cos(thetas[idx]), r * math.sin(thetas[idx]), cs[idx]])
+    def positions(v, theta, c):
+        r = profile.r(v)
+        x, y = r * _elementwise(math.cos, theta), r * _elementwise(math.sin, theta)
+        return np.column_stack([x, y, c])
 
-    # Enforcement pass: bisect any chord still above 0.9 * max_ratio.
-    pts = [position(i) for i in range(len(vs))]
-    i = 0
-    while i < len(vs) - 1:
-        seg = np.vstack([pts[i], pts[i + 1]])
-        ratio = float(e3_chord_ratio(seg)[0])
-        if ratio > 0.9 * max_ratio and (vs[i + 1] - vs[i]) > dv_floor:
-            vm = 0.5 * (vs[i] + vs[i + 1])
-            theta_m = thetas[i] + gauss_segment(g_theta, vs[i], vm, profile.domain)
-            c_m = cs[i] + gauss_segment(g_c, vs[i], vm, profile.domain)
-            vs.insert(i + 1, vm)
-            thetas.insert(i + 1, theta_m)
-            cs.insert(i + 1, c_m)
-            pts.insert(i + 1, position(i + 1))
-            if len(vs) > max_points:
-                raise GeometryError("generating-curve refinement exceeded the point budget")
-        else:
-            i += 1
+    d_theta, d_c = gauss_segments(integrands, vs[:-1], vs[1:], profile.domain)
+    thetas = np.cumsum(np.concatenate(([theta0], d_theta)))
+    cs = np.cumsum(np.concatenate(([c0], d_c)))
+    pts = positions(vs, thetas, cs)
 
-    out = np.empty((len(vs), 4))
-    out[:, 0] = vs
-    out[:, 1:] = np.vstack(pts)
-    return out
+    # Enforcement pass, breadth first: bisect every chord still above
+    # 0.9 * max_ratio, then re-check only the halves.  A midpoint integrates
+    # from its left neighbour, so the points are those of a depth-first pass.
+    check = np.ones(len(vs) - 1, dtype=bool)
+    while True:
+        split = check & (e3_chord_ratio(pts) > 0.9 * max_ratio) & (np.diff(vs) > dv_floor)
+        left = np.flatnonzero(split)
+        if not left.size:
+            break
+        vm = 0.5 * (vs[left] + vs[left + 1])
+        d_theta, d_c = gauss_segments(integrands, vs[left], vm, profile.domain)
+        theta_m, c_m = thetas[left] + d_theta, cs[left] + d_c
+        vs = np.insert(vs, left + 1, vm)
+        thetas = np.insert(thetas, left + 1, theta_m)
+        cs = np.insert(cs, left + 1, c_m)
+        pts = np.insert(pts, left + 1, positions(vm, theta_m, c_m), axis=0)
+        if len(vs) > max_points:
+            raise GeometryError("generating-curve refinement exceeded the point budget")
+        check = np.zeros(len(vs) - 1, dtype=bool)
+        halves = left + np.arange(left.size)
+        check[halves] = check[halves + 1] = True
+
+    return np.column_stack([vs, pts])
 
 
 def _rotate_xy(points: np.ndarray, angle: float) -> np.ndarray:
@@ -514,32 +546,20 @@ def build_mesh(spec: RotationSurfaceSpec) -> Mesh:
     profile = family_profile(spec.K_inf, spec.r0, spec.c1_shift)
     thetac = ThetaC(profile)
     v0, v1 = spec.resolved_v_range()
-    us = np.linspace(0.0, 2.0 * math.pi, spec.samples_u)
-    vvs = np.linspace(v0, v1, spec.samples_v)
+    nu, nv = spec.samples_u, spec.samples_v
+    us = np.linspace(0.0, 2.0 * math.pi, nu)
+    vvs = np.linspace(v0, v1, nv)
 
-    rows = np.empty((spec.samples_v, 6))
-    vertices = np.empty((spec.samples_v * spec.samples_u, 3))
-    uv = np.empty((spec.samples_v * spec.samples_u, 2))
-    for j, v in enumerate(vvs):
-        v = float(v)
-        a, b, _, _, c, _ = _generating_point(profile, thetac, v)
-        theta, _ = thetac(v)
-        rows[j] = (v, profile.r(v), profile.dr(v), theta, c, profile.A(v))
-        cu = np.cos(us)
-        su = np.sin(us)
-        base = j * spec.samples_u
-        vertices[base : base + spec.samples_u, 0] = a * cu - b * su
-        vertices[base : base + spec.samples_u, 1] = b * cu + a * su
-        vertices[base : base + spec.samples_u, 2] = c
-        uv[base : base + spec.samples_u, 0] = us
-        uv[base : base + spec.samples_u, 1] = v
-
-    faces = []
-    for j in range(spec.samples_v - 1):
-        for i in range(spec.samples_u - 1):
-            k = j * spec.samples_u + i
-            faces.append((k, k + 1, k + spec.samples_u))
-            faces.append((k + 1, k + spec.samples_u + 1, k + spec.samples_u))
+    r, rp, A = profile.r(vvs), profile.dr(vvs), profile.A(vvs)
+    _sqrt1m(1.0 - rp * rp, vvs)
+    theta, c = np.array([thetac(v) for v in vvs.tolist()]).T
+    a, b = r * _elementwise(math.cos, theta), r * _elementwise(math.sin, theta)
+    cu, su = np.cos(us), np.sin(us)
+    x, y = np.outer(a, cu) - np.outer(b, su), np.outer(b, cu) + np.outer(a, su)
+    vertices = np.stack([x, y, np.repeat(c, nu).reshape(nv, nu)], axis=-1).reshape(-1, 3)
+    uv = np.column_stack([np.tile(us, nv), np.repeat(vvs, nu)])
+    k0 = (np.arange(nv - 1)[:, None] * nu + np.arange(nu - 1)).ravel()
+    faces = np.stack([k0, k0 + 1, k0 + nu, k0 + 1, k0 + nu + 1, k0 + nu], axis=1).reshape(-1, 3)
 
     polylines = []
     if spec.n_curves > 0:
@@ -549,8 +569,8 @@ def build_mesh(spec: RotationSurfaceSpec) -> Mesh:
 
     return Mesh(
         vertices=vertices,
-        faces=np.array(faces, dtype=int),
+        faces=faces,
         polylines=polylines,
         uv=uv,
-        profile_rows=rows,
+        profile_rows=np.column_stack([vvs, r, rp, theta, c, A]),
     )

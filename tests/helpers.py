@@ -1,10 +1,17 @@
-"""Shared test utilities: random expression corpus and FD oracles."""
+"""Shared test utilities: random expression corpus, FD oracles and the
+scalar reference implementations of the generating-curve sampler and the
+OBJ writer."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 from h1geom import expr as ex
+from h1geom.errors import DomainViolationError, GeometryError
+from h1geom.export import _stamp, fmt
+from h1geom.quadrature import gauss_segment
+from h1geom.rotsurf import CLAMP, ThetaC, e3_chord_ratio
 
 FUNCS_SAFE = ("sin", "cos", "tanh", "atan", "exp", "sinh", "cosh", "sqrt", "ln", "abs", "tan")
 
@@ -87,3 +94,98 @@ def loglog_slope(xs, ys):
     xs = np.log10(np.asarray(xs, dtype=float))
     ys = np.log10(np.abs(np.asarray(ys, dtype=float)))
     return float(np.polyfit(xs, ys, 1)[0])
+
+
+# ---------------------------------------------------------------------------
+# Scalar references: one point, one segment and one line at a time.  The
+# array code must reproduce them bit for bit.
+
+
+def _sqrt1m(rp2_complement, context):
+    if rp2_complement < -CLAMP:
+        raise DomainViolationError(f"(r')^2 exceeds 1 {context}")
+    return math.sqrt(max(rp2_complement, 0.0))
+
+
+def reference_sample_generating_curve(profile, v0, v1, max_ratio=1e-8, max_points=500_000):
+    """Point-by-point sampler with a depth-first bisection pass."""
+    if not (v0 < v1):
+        raise ValueError("need v0 < v1")
+    thetac = ThetaC(profile)
+    theta0, c0 = thetac(v0)
+
+    def g_theta(t):
+        return _sqrt1m(1.0 - profile.dr(t) ** 2, f"at v={t!r}") / profile.r(t)
+
+    def g_c(t):
+        return 0.5 * profile.r(t) * _sqrt1m(1.0 - profile.dr(t) ** 2, f"at v={t!r}")
+
+    span = v1 - v0
+    dv_cap = span / 64.0
+    dv_floor = span * 1e-9
+    target = 0.6 * max_ratio
+
+    vs = [v0]
+    thetas = [theta0]
+    cs = [c0]
+    v = v0
+    while v < v1 - 1e-15 * max(1.0, abs(v1)):
+        k_here = abs(profile.kappa(v))
+        dv = min(math.sqrt(12.0 * target / max(k_here, 1e-12)), dv_cap)
+        k_ahead = abs(profile.kappa(min(v + dv, v1)))
+        dv = min(dv, math.sqrt(12.0 * target / max(k_ahead, 1e-12)))
+        dv = max(dv, dv_floor)
+        v_next = min(v + dv, v1)
+        thetas.append(thetas[-1] + gauss_segment(g_theta, v, v_next, profile.domain))
+        cs.append(cs[-1] + gauss_segment(g_c, v, v_next, profile.domain))
+        vs.append(v_next)
+        if len(vs) > max_points:
+            raise GeometryError("generating-curve sampling exceeded the point budget")
+        v = v_next
+
+    def position(idx):
+        r = profile.r(vs[idx])
+        return np.array([r * math.cos(thetas[idx]), r * math.sin(thetas[idx]), cs[idx]])
+
+    pts = [position(i) for i in range(len(vs))]
+    i = 0
+    while i < len(vs) - 1:
+        seg = np.vstack([pts[i], pts[i + 1]])
+        ratio = float(e3_chord_ratio(seg)[0])
+        if ratio > 0.9 * max_ratio and (vs[i + 1] - vs[i]) > dv_floor:
+            vm = 0.5 * (vs[i] + vs[i + 1])
+            theta_m = thetas[i] + gauss_segment(g_theta, vs[i], vm, profile.domain)
+            c_m = cs[i] + gauss_segment(g_c, vs[i], vm, profile.domain)
+            vs.insert(i + 1, vm)
+            thetas.insert(i + 1, theta_m)
+            cs.insert(i + 1, c_m)
+            pts.insert(i + 1, position(i + 1))
+            if len(vs) > max_points:
+                raise GeometryError("generating-curve refinement exceeded the point budget")
+        else:
+            i += 1
+
+    out = np.empty((len(vs), 4))
+    out[:, 0] = vs
+    out[:, 1:] = np.vstack(pts)
+    return out
+
+
+def reference_write_obj(path, mesh, config):
+    """OBJ writer formatting one float with fmt and one line at a time."""
+    lines = [f"# {_stamp(config)}"]
+    for vert in mesh.vertices:
+        lines.append(f"v {fmt(vert[0])} {fmt(vert[1])} {fmt(vert[2])}")
+    offset = len(mesh.vertices)
+    polyline_indices = []
+    for curve in mesh.polylines:
+        idx = list(range(offset + 1, offset + 1 + len(curve)))
+        for vert in curve:
+            lines.append(f"v {fmt(vert[0])} {fmt(vert[1])} {fmt(vert[2])}")
+        polyline_indices.append(idx)
+        offset += len(curve)
+    for face in mesh.faces:
+        lines.append(f"f {face[0] + 1} {face[1] + 1} {face[2] + 1}")
+    for idx in polyline_indices:
+        lines.append("l " + " ".join(str(i) for i in idx))
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -309,6 +309,48 @@ def test_bad_config_exit(tmp_path, capsys):
     assert main(["curvature", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
 
 
+@pytest.mark.parametrize(
+    "section, what",
+    [
+        ({"n_curves": 2.7}, "n_curves"),
+        ({"n_curves": True}, "n_curves"),
+        ({"samples_u": 8.9}, "samples_u"),
+        ({"samples_v": False}, "samples_v"),
+        ({"samples_u": "many"}, "samples_u"),
+    ],
+)
+def test_rotsurf_rejects_non_integer_config(tmp_path, capsys, section, what):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"rotsurf": {"K_inf": 1.0, **section}}))
+    prefix = tmp_path / "mesh"
+    assert main(["rotsurf", "--config", str(config), "--out-prefix", str(prefix)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and what in err and "integer" in err
+    assert not prefix.with_suffix(".obj").exists()
+
+
+@pytest.mark.parametrize("grid", [{"nu": 2.7}, {"nv": True}, {"nu": 4, "nv": 3.5}])
+@pytest.mark.parametrize("command", ["curvature", "frames"])
+def test_grid_rejects_non_integer_config(tmp_path, capsys, grid, command):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"surface": {"kind": "plane"}, "grid": grid}))
+    out = tmp_path / "grid.csv"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "integer" in err
+    assert not out.exists()
+
+
+def test_integral_float_config_values_accepted(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps({"rotsurf": {"K_inf": 0.0, "samples_u": 6.0, "samples_v": 5, "n_curves": 2.0}})
+    )
+    prefix = tmp_path / "mesh"
+    assert main(["rotsurf", "--config", str(config), "--out-prefix", str(prefix)]) == 0
+    assert prefix.with_suffix(".obj").read_text().count("\nl ") == 2
+
+
 def test_parametric_surface_from_config(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(

@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
+import helpers
 import numpy as np
 import pytest
 
 from h1geom import catalog
-from h1geom.errors import DomainViolationError
+from h1geom.errors import DomainViolationError, GeometryError
+from h1geom.export import write_obj
 from h1geom.rotsurf import (
     A_family,
     RotationSurfaceSpec,
+    ThetaC,
     build_mesh,
     circle_profile,
     default_v_range,
@@ -21,6 +25,7 @@ from h1geom.rotsurf import (
     sample_generating_curve,
     theta_c_quadrature,
 )
+from h1geom.rotsurf import _integrator
 from h1geom.surface import adapted_frame, pushforward_frame
 
 
@@ -405,3 +410,141 @@ def test_c1_shift_translates_profile():
     lo, hi = shifted.domain
     blo, bhi = base.domain
     assert lo == pytest.approx(blo - 0.2) and hi == pytest.approx(bhi - 0.2)
+
+
+# ---------------------------------------------------------------------------
+# array pipeline against the scalar references
+
+
+def _edge_band(K, r0, c1_shift, end, width=0.3):
+    """A band whose outer segments lie in the square-root window at one domain end."""
+    lo, hi = family_profile(K, r0, c1_shift).domain
+    if end == "lo":
+        return lo + 1e-6 * max(1.0, abs(lo)), lo + width
+    return hi - width, hi - 1e-6 * max(1.0, abs(hi))
+
+
+def _kappa_underestimated(profile):
+    """The profile with kappa reported 0: every chord starts at span/64, so
+    the bisection pass does all the work, near the boundary window too."""
+    return dataclasses.replace(profile, kappa=lambda v: 0.0)
+
+
+SAMPLER_CASES = [
+    (1.0, 1.0, 0.0, None),
+    (0.0, 1.0, 0.0, None),
+    (-1.0, 1.0, 0.0, None),
+    (1.0, 1.0, 0.0, "lo"),
+    (1.0, 1.0, 0.0, "hi"),
+    (0.0, 1.0, 0.0, "lo"),
+    (-1.0, 1.0, 0.0, "lo"),
+    (-1.0, 1.0, 0.0, "hi"),
+    (2.5, 0.6, 0.3, None),
+    (-0.4, 1.0, -0.7, "hi"),
+    (0.0, 1.5, 0.3, "lo"),
+]
+
+
+@pytest.mark.parametrize("K, r0, c1_shift, end", SAMPLER_CASES)
+def test_sampler_matches_scalar_reference(K, r0, c1_shift, end):
+    profile = family_profile(K, r0, c1_shift)
+    if end is None:
+        v0, v1 = default_v_range(K, r0, c1_shift)
+        v1 = v0 + 0.25 * (v1 - v0)  # keeps the scalar reference quick
+    else:
+        v0, v1 = _edge_band(K, r0, c1_shift, end)
+    expected = helpers.reference_sample_generating_curve(profile, v0, v1)
+    got = sample_generating_curve(profile, v0, v1)
+    assert np.array_equal(got, expected)
+    assert np.max(e3_chord_ratio(got[:, 1:])) <= 1e-8
+
+
+@pytest.mark.parametrize("K, end", [(1.0, None), (0.0, "lo"), (-1.0, "hi"), (1.0, "lo")])
+def test_bisection_pass_matches_depth_first_reference(K, end):
+    base = family_profile(K, 1.0, 0.2)
+    profile = _kappa_underestimated(base)
+    v0, v1 = default_v_range(K, 1.0, 0.2) if end is None else _edge_band(K, 1.0, 0.2, end)
+    expected = helpers.reference_sample_generating_curve(profile, v0, v1, 1e-6)
+    got = sample_generating_curve(profile, v0, v1, 1e-6)
+    assert len(got) > 65  # the walk alone gives 65 points; bisection added the rest
+    assert np.array_equal(got, expected)
+    # bisection stops at chords of span * 1e-9; every longer chord meets the bound
+    longer = np.diff(got[:, 0]) > (v1 - v0) * 1e-9
+    assert np.max(e3_chord_ratio(got[:, 1:])[longer]) <= 0.9e-6
+
+
+@pytest.mark.parametrize("n_curves", [0, 8])
+@pytest.mark.parametrize("K, c1_shift", [(1.0, 0.0), (0.0, 0.3), (-1.0, -0.2)])
+def test_write_obj_matches_line_by_line_reference(tmp_path, K, c1_shift, n_curves):
+    spec = RotationSurfaceSpec(
+        K_inf=K, c1_shift=c1_shift, samples_u=12, samples_v=9, n_curves=n_curves,
+        curve_e3_ratio=1e-6,
+    )
+    mesh = build_mesh(spec)
+    config = {"K_inf": K, "n_curves": n_curves}
+    write_obj(tmp_path / "array.obj", mesh, config)
+    helpers.reference_write_obj(tmp_path / "reference.obj", mesh, config)
+    assert (tmp_path / "array.obj").read_bytes() == (tmp_path / "reference.obj").read_bytes()
+
+
+def test_write_obj_nonfinite_and_signed_zero(tmp_path):
+    mesh = build_mesh(RotationSurfaceSpec(K_inf=1.0, samples_u=4, samples_v=3, n_curves=0))
+    mesh.vertices[:4] = [
+        [math.nan, -0.0, math.inf],
+        [-math.inf, 1e-300, -1.5e300],
+        [0.1, 1 / 3, 2.0],
+        [5e-324, 1.0, -1.0],
+    ]
+    write_obj(tmp_path / "array.obj", mesh, {})
+    helpers.reference_write_obj(tmp_path / "reference.obj", mesh, {})
+    assert (tmp_path / "array.obj").read_bytes() == (tmp_path / "reference.obj").read_bytes()
+
+
+def test_mesh_matches_scalar_rows():
+    spec = RotationSurfaceSpec(K_inf=-1.0, c1_shift=0.4, samples_u=7, samples_v=11, n_curves=0)
+    mesh = build_mesh(spec)
+    profile = family_profile(-1.0, 1.0, 0.4)
+    thetac = ThetaC(profile)
+    for j, v in enumerate(np.linspace(*spec.resolved_v_range(), 11).tolist()):
+        theta, c = thetac(v)
+        expect = [v, profile.r(v), profile.dr(v), theta, c, profile.A(v)]
+        assert mesh.profile_rows[j].tolist() == expect
+        a, b = expect[1] * math.cos(theta), expect[1] * math.sin(theta)
+        for i, u in enumerate(np.linspace(0.0, 2.0 * math.pi, 7)):
+            cu, su = np.cos(u), np.sin(u)
+            assert mesh.vertices[j * 7 + i].tolist() == [a * cu - b * su, b * cu + a * su, c]
+    k = 2 * 7 + 3
+    assert mesh.faces[2 * (2 * 6 + 3)].tolist() == [k, k + 1, k + 7]
+    assert mesh.faces[2 * (2 * 6 + 3) + 1].tolist() == [k + 1, k + 8, k + 7]
+
+
+# ---------------------------------------------------------------------------
+# error paths of the array code
+
+
+def test_sampler_rejects_endpoint_past_domain():
+    profile = family_profile(1.0, 1.0)
+    lo, hi = profile.domain
+    with pytest.raises(DomainViolationError):
+        sample_generating_curve(profile, 0.0, hi + 1e-6)
+    with pytest.raises(DomainViolationError):
+        sample_generating_curve(profile, lo - 1e-6, 0.0)
+    with pytest.raises(DomainViolationError):
+        sample_generating_curve(family_profile(0.0, 1.0), 0.2, 1.0)
+
+
+def test_sampler_point_budget_in_walk_and_refinement():
+    profile = family_profile(1.0, 1.0)
+    with pytest.raises(GeometryError, match="sampling exceeded"):
+        sample_generating_curve(profile, -0.5, 0.5, max_points=10)
+    with pytest.raises(GeometryError, match="refinement exceeded"):
+        sample_generating_curve(_kappa_underestimated(profile), -0.5, 0.5, 1e-6, max_points=100)
+
+
+def test_integrator_cache_is_bounded():
+    _integrator.cache_clear()
+    for k in range(1000):
+        theta_c_quadrature(1.0 + k * 1e-3, 1.0, 0.0)  # anchor: no quadrature
+    info = _integrator.cache_info()
+    assert info.currsize <= info.maxsize
+    assert info.misses == 1000
