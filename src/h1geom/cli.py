@@ -24,7 +24,7 @@ from .export import write_csv, write_json_report, write_obj
 from .gaussbonnet import ParamRegion, convergence_study, gb_residual
 from .rotsurf import RotationSurfaceSpec, build_mesh, domain_bound
 from .selfcheck import run_identity_suite
-from .surface import frame_data, pushforward_frame
+from .surface import frame_data
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -171,7 +171,7 @@ def cmd_rotsurf(args) -> int:
         samples_u=_positive_int(section.get("samples_u"), args.samples_u, 128, "samples_u"),
         samples_v=_positive_int(section.get("samples_v"), args.samples_v, 128, "samples_v"),
         n_curves=_int_value(
-            section.get("n_curves", args.n_curves if args.n_curves is not None else 8), "n_curves"
+            args.n_curves if args.n_curves is not None else section.get("n_curves", 8), "n_curves"
         ),
     )
     try:
@@ -212,13 +212,26 @@ def cmd_rotsurf(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# curvature grid
+# curvature and frames grids
 
 
-def _grid(patch, nu, nv):
-    us = np.linspace(patch.u_range[0], patch.u_range[1], nu)
-    vs = np.linspace(patch.v_range[0], patch.v_range[1], nv)
-    return us, vs
+def _grid_rows(patch, nu, nv, char_tol, n_values, values):
+    """Rows u, v, x, y, z, *values(sample, fd), characteristic over the chart grid.
+
+    Characteristic points get NaN values and the flag 1.
+    """
+    rows = []
+    for v in np.linspace(patch.v_range[0], patch.v_range[1], nv).tolist():
+        for u in np.linspace(patch.u_range[0], patch.u_range[1], nu).tolist():
+            try:
+                sample, fd = frame_data(patch, u, v, tol=char_tol)
+            except GeometryError:
+                pos = patch.position(u, v)
+                rows.append([u, v, pos.x, pos.y, pos.z] + [math.nan] * n_values + [1])
+                continue
+            pos = sample.point
+            rows.append([u, v, pos.x, pos.y, pos.z, *values(sample, fd), 0])
+    return rows
 
 
 def cmd_curvature(args) -> int:
@@ -250,43 +263,23 @@ def cmd_curvature(args) -> int:
     columns += [f"k_n_{d[0]:g}_{d[1]:g}" for d in directions]
     columns.append("characteristic")
 
-    us, vs = _grid(patch, nu, nv)
-    rows = []
-    flagged = 0
-    for v in vs:
-        for u in us:
-            u, v = float(u), float(v)
-            pos = patch.position(u, v)
-            try:
-                sample, fd = frame_data(patch, u, v, tol=char_tol)
-            except GeometryError:
-                flagged += 1
-                rows.append(
-                    [u, v, pos.x, pos.y, pos.z]
-                    + [math.nan] * (4 + len(L_values) + len(directions))
-                    + [1]
-                )
-                continue
-            row = [u, v, pos.x, pos.y, pos.z, sample.alpha, sample.A]
-            row.append(k_inf(fd, sample.A))
-            row.append(k_gauss_map(fd))
-            row += [k_L(fd, sample.A, L) for L in L_values]
-            f_u, f_v = pushforward_frame(patch, u, v)
-            for du, dv in directions:
-                b = du * f_u.c3 + dv * f_v.c3
-                row.append(k_n(sample.A, b) if b != 0.0 else math.nan)
-            row.append(0)
-            rows.append(row)
+    def values(sample, fd):
+        A = sample.A
+        row = [sample.alpha, A, k_inf(fd, A), k_gauss_map(fd)]
+        row += [k_L(fd, A, L) for L in L_values]
+        for du, dv in directions:
+            b = du * sample.f_u_23[1] + dv * sample.f_v_23[1]  # f^3 of the direction
+            row.append(k_n(A, b) if b != 0.0 else math.nan)
+        return row
+
+    rows = _grid_rows(patch, nu, nv, char_tol, len(columns) - 6, values)
+    flagged = sum(row[-1] for row in rows)
     if flagged == len(rows):
         print("error: every grid point is characteristic", file=sys.stderr)
         return EXIT_NUMERIC
     write_csv(args.out, columns, rows, effective)
     print(f"wrote {args.out} ({len(rows)} rows, {flagged} characteristic)")
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# frames grid
 
 
 def cmd_frames(args) -> int:
@@ -307,25 +300,14 @@ def cmd_frames(args) -> int:
         "f1_c1", "f1_c2", "f2_c1", "f2_c2", "f3_c1", "f3_c2", "f3_c3",
         "dA_f2", "dA_f3", "dalpha_f2", "dalpha_f3", "characteristic",
     ]
-    us, vs = _grid(patch, nu, nv)
-    rows = []
-    for v in vs:
-        for u in us:
-            u, v = float(u), float(v)
-            pos = patch.position(u, v)
-            try:
-                sample, fd = frame_data(patch, u, v, tol=char_tol)
-            except GeometryError:
-                rows.append([u, v, pos.x, pos.y, pos.z] + [math.nan] * 13 + [1])
-                continue
-            rows.append(
-                [
-                    u, v, pos.x, pos.y, pos.z, sample.alpha, sample.A,
-                    sample.f1.c1, sample.f1.c2, sample.f2.c1, sample.f2.c2,
-                    sample.f3.c1, sample.f3.c2, sample.f3.c3,
-                    fd.dA_f2, fd.dA_f3, fd.dalpha_f2, fd.dalpha_f3, 0,
-                ]
-            )
+
+    def values(s, fd):
+        return [
+            s.alpha, s.A, s.f1.c1, s.f1.c2, s.f2.c1, s.f2.c2, s.f3.c1, s.f3.c2, s.f3.c3,
+            fd.dA_f2, fd.dA_f3, fd.dalpha_f2, fd.dalpha_f3,
+        ]
+
+    rows = _grid_rows(patch, nu, nv, char_tol, len(columns) - 6, values)
     write_csv(args.out, columns, rows, effective)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
@@ -380,6 +362,8 @@ def cmd_gauss_bonnet(args) -> int:
     threshold = args.threshold if args.threshold is not None else float(
         config.get("tolerances", {}).get("residual", 1e-8)
     )
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ConfigError(f"residual threshold must be positive and finite, got {threshold!r}")
     effective = {
         "command": "gauss-bonnet",
         "surface": surface_cfg,
@@ -429,6 +413,10 @@ def cmd_converge(args) -> int:
         point = (
             0.5 * (patch.u_range[0] + patch.u_range[1]),
             0.5 * (patch.v_range[0] + patch.v_range[1]),
+        )
+    if not patch.contains(*point):
+        raise ConfigError(
+            f"point {point!r} lies outside the chart u in {patch.u_range!r}, v in {patch.v_range!r}"
         )
     direction = (
         tuple(_parse_floats(args.direction, 2, "--direction"))

@@ -28,8 +28,7 @@ from .surface import (
     FrameDerivatives,
     SurfacePatch,
     adapted_frame,
-    frame_derivatives,
-    pushforward_frame,
+    frame_data,
     structure_identity_residual,
 )
 
@@ -178,12 +177,10 @@ def curvature_sample(
     u: float,
     v: float,
     L_values: Sequence[float] = (),
-    method: str = "auto",
     identity_tol: float = IDENTITY_TOL,
 ) -> CurvatureSample:
     """All curvature quantities at (u, v), with the structural identity re-checked."""
-    sample = adapted_frame(S, u, v)
-    fd = frame_derivatives(S, u, v, method)
+    sample, fd = frame_data(S, u, v)
     residual = structure_identity_residual(fd, sample.A)
     scale = max(1.0, sample.A * sample.A, abs(fd.dA_f2))
     if abs(residual) > identity_tol * scale:
@@ -208,7 +205,6 @@ def transverse_sample(
     t: float,
     h: float = 1e-4,
     velocity: Callable[[float], tuple[float, float]] | None = None,
-    method: str = "auto",
 ) -> TransverseCurveSample:
     """Build curve data at parameter t for a path t -> (u, v) on the patch.
 
@@ -221,30 +217,22 @@ def transverse_sample(
     """
     h_vel = 1e-6 * max(1.0, abs(t))
 
-    def components(tt: float) -> tuple[float, float]:
-        u, v = path(tt)
+    def components(tt: float, s: AdaptedFrameSample) -> tuple[float, float]:
         if velocity is not None:
             du, dv = velocity(tt)
         else:
             up, vp = path(tt + h_vel)
             um, vm = path(tt - h_vel)
             du, dv = (up - um) / (2.0 * h_vel), (vp - vm) / (2.0 * h_vel)
-        f_u, f_v = pushforward_frame(S, u, v)
-        s = adapted_frame(S, u, v)
-        # gamma' = du*f_u + dv*f_v; the f2 part is the horizontal dot with f2,
-        # the f3 part is the raw e3 coefficient (f3 has third coefficient 1).
-        p1 = f_u.c1 * s.f2.c1 + f_u.c2 * s.f2.c2
-        p2 = f_v.c1 * s.f2.c1 + f_v.c2 * s.f2.c2
-        a = du * p1 + dv * p2
-        b = du * f_u.c3 + dv * f_v.c3
+        # gamma' = du*f_u + dv*f_v on the basis (f2, f3)
+        a = du * s.f_u_23[0] + dv * s.f_v_23[0]
+        b = du * s.f_u_23[1] + dv * s.f_v_23[1]
         return a, b
 
-    a, b = components(t)
-    ap, bp = components(t + h)
-    am, bm = components(t - h)
-    u, v = path(t)
-    sample = adapted_frame(S, u, v)
-    fd = frame_derivatives(S, u, v, method)
+    sample, fd = frame_data(S, *path(t))
+    a, b = components(t, sample)
+    ap, bp = components(t + h, adapted_frame(S, *path(t + h)))
+    am, bm = components(t - h, adapted_frame(S, *path(t - h)))
     return TransverseCurveSample(
         t=t,
         a=a,

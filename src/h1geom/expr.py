@@ -28,8 +28,10 @@ __all__ = [
     "pretty",
     "evaluate",
     "eval_dual",
+    "eval_hyperdual",
     "eval_dual_t",
     "FUNCTIONS",
+    "MAX_DEPTH",
     "VARIABLES",
     "CONSTANTS",
 ]
@@ -39,6 +41,9 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "sqrt", "exp", "ln", "abs", "atan")
 
 SQRT_CLAMP = 1e-12  # arguments in [-SQRT_CLAMP, 0] are clamped to 0 before the domain check
+# Deepest nesting (parentheses, calls, signs, exponents) and deepest tree the
+# parser accepts; parsing and evaluation recurse once per level.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -170,6 +175,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -192,6 +198,15 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        _check_height(node)
+        return node
+
+    def nested(self, parse, pos: int) -> Expr:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+        node = parse()
+        self.depth -= 1
         return node
 
     def expr(self) -> Expr:
@@ -212,7 +227,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Unary(self.unary(), tok.pos)
+            return Unary(self.nested(self.unary, tok.pos), tok.pos)
         return self.power()
 
     def power(self) -> Expr:
@@ -221,7 +236,7 @@ class _Parser:
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             # right operand at unary level gives right associativity and 2^-3
-            node = Bin("^", node, self.unary(), tok.pos)
+            node = Bin("^", node, self.nested(self.unary, tok.pos), tok.pos)
         return node
 
     def atom(self) -> Expr:
@@ -231,7 +246,7 @@ class _Parser:
             return Num(float(tok.text), tok.pos)
         if tok.kind == "lparen":
             self.advance()
-            node = self.expr()
+            node = self.nested(self.expr, tok.pos)
             self.expect("rparen")
             return node
         if tok.kind == "ident":
@@ -239,7 +254,7 @@ class _Parser:
             name = tok.text
             if name in FUNCTIONS:
                 self.expect("lparen", "(")
-                arg = self.expr()
+                arg = self.nested(self.expr, tok.pos)
                 self.expect("rparen")
                 return Call(name, arg, tok.pos)
             if name in VARIABLES:
@@ -253,6 +268,22 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     return _Parser(text).parse()
+
+
+def _check_height(tree: Expr) -> None:
+    """ParseError if a node lies more than MAX_DEPTH edges below the root.
+
+    Operator chains such as u+u+...+u grow the tree without nesting; the
+    walk keeps its own stack.
+    """
+    stack = [(tree, 0)]
+    while stack:
+        node, height = stack.pop()
+        if height > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", node.pos)
+        for name in ("left", "right", "operand", "arg"):
+            if hasattr(node, name):
+                stack.append((getattr(node, name), height + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +339,23 @@ def pretty(e: Expr) -> str:
 # Dual numbers
 
 
-@dataclass(frozen=True)
 class Dual2:
-    """Value with exact first partials with respect to two active variables."""
+    """Value with exact first partials with respect to two active variables.
 
-    value: float
-    d_u: float = 0.0
-    d_v: float = 0.0
+    The parts are floats, or Dual2s with float parts: nested once, the value
+    part holds (f, f_u, f_v) and the partial parts (f_u, f_uu, f_uv) and
+    (f_v, f_vu, f_vv), a hyper-dual number carrying exact second partials
+    (Fike & Alonso, AIAA 2011-886).  Float parts see exactly the arithmetic
+    of the first-order rules, so a nested evaluation reproduces the value
+    and first partials of a first-order one bit for bit.
+    """
+
+    __slots__ = ("value", "d_u", "d_v")
+
+    def __init__(self, value, d_u=0.0, d_v=0.0):
+        self.value = value
+        self.d_u = d_u
+        self.d_v = d_v
 
     def __add__(self, o):
         return Dual2(self.value + o.value, self.d_u + o.d_u, self.d_v + o.d_v)
@@ -341,11 +382,49 @@ class Dual2:
             _ieee_div(self.d_v * o.value - self.value * o.d_v, den),
         )
 
-    def chain(self, value: float, slope: float) -> "Dual2":
+    def __pow__(self, p):
+        """Constant real power; float parts use libm pow, as ``float ** p`` does."""
+        slope = p * self.value ** (p - 1)
+        return Dual2(self.value**p, slope * self.d_u, slope * self.d_v)
+
+    # A plain number on the left acts as a constant.
+    def __radd__(self, c):
+        return Dual2(c + self.value, self.d_u, self.d_v)
+
+    def __rsub__(self, c):
+        return Dual2(c - self.value, -self.d_u, -self.d_v)
+
+    def __rmul__(self, c):
+        return Dual2(c * self.value, c * self.d_u, c * self.d_v)
+
+    def __rtruediv__(self, c):
+        return _const_like(self, c) / self
+
+    def chain(self, value, slope) -> "Dual2":
         return Dual2(value, slope * self.d_u, slope * self.d_v)
 
 
-def _ieee_div(a: float, b: float) -> float:
+_ZERO = Dual2(0.0)
+_ONE = Dual2(1.0)
+
+
+def _innermost(x) -> float:
+    while type(x) is Dual2:
+        x = x.value
+    return x
+
+
+def _const_like(x, c):
+    """The constant c with the nesting of x."""
+    if type(x) is Dual2:
+        zero = _const_like(x.value, 0.0)
+        return Dual2(_const_like(x.value, c), zero, zero)
+    return c
+
+
+def _ieee_div(a, b):
+    if type(b) is Dual2:
+        return a / b
     if b != 0.0:
         return a / b
     if a == 0.0 or math.isnan(a):
@@ -365,26 +444,34 @@ def _safe_pow(b: float, p: float) -> float:
         return math.inf if (b > 0.0 or even) else -math.inf
 
 
+def _pow(b, p: float, node: Expr):
+    """b ** p for a constant exponent p and a float or Dual2 base b."""
+    if type(b) is not Dual2:
+        return _safe_pow(b, p)
+    bv = _innermost(b)
+    if p == float(int(p)) and abs(p) < 1e15:
+        if p == 0.0:
+            return _const_like(b, 1.0)
+        slope = p * _pow(b.value, p - 1.0, node) if (bv != 0.0 or p >= 1.0) else math.inf
+    elif bv < 0.0:
+        raise ExprDomainError(f"negative base {bv!r} with non-integer exponent", node)
+    else:
+        slope = p * _pow(b.value, p - 1.0, node) if bv > 0.0 else (0.0 if p > 1.0 else math.inf)
+    return b.chain(_pow(b.value, p, node), slope)
+
+
 def _dual_pow(base: Dual2, expo: Dual2, node: Expr) -> Dual2:
     b, p = base.value, expo.value
-    if expo.d_u == 0.0 and expo.d_v == 0.0:
-        if p == float(int(p)) and abs(p) < 1e15:
-            n = int(p)
-            if n == 0:
-                return Dual2(1.0, 0.0, 0.0)
-            val = _safe_pow(b, float(n))
-            slope = n * _safe_pow(b, float(n - 1)) if (b != 0.0 or n >= 1) else math.inf
-            return base.chain(val, slope)
-        if b < 0.0:
-            raise ExprDomainError(f"negative base {b!r} with non-integer exponent", node)
-        val = _safe_pow(b, p)
-        slope = p * _safe_pow(b, p - 1.0) if b > 0.0 else (0.0 if p > 1.0 else math.inf)
-        return base.chain(val, slope)
-    if b <= 0.0:
-        raise ExprDomainError(f"non-positive base {b!r} with varying exponent", node)
-    val = _safe_pow(b, p)
-    du = val * (expo.d_u * math.log(b) + p * base.d_u / b)
-    dv = val * (expo.d_v * math.log(b) + p * base.d_v / b)
+    first = p if type(p) is Dual2 else expo  # the exponent's first partials
+    if first.d_u == 0.0 and first.d_v == 0.0:
+        return _pow(base, _innermost(p), node)
+    bv = _innermost(b)
+    if bv <= 0.0:
+        raise ExprDomainError(f"non-positive base {bv!r} with varying exponent", node)
+    val = _dual_pow(b, p, node) if type(b) is Dual2 else _safe_pow(b, p)
+    log_b = _apply("ln", b, node)
+    du = val * (expo.d_u * log_b + p * base.d_u / b)
+    dv = val * (expo.d_v * log_b + p * base.d_v / b)
     return Dual2(val, du, dv)
 
 
@@ -395,65 +482,71 @@ def _safe(fn, x: float) -> float:
         return math.copysign(math.inf, x) if fn in (math.sinh,) else math.inf
 
 
+# fn -> (its value at a float, its slope from x and the value f; x and f
+# are floats or Dual2s).  Only ln and sqrt have domain limits, checked in
+# _dual_call, so the slopes evaluate cos, sin, cosh and sinh without a node.
+_RULES = {
+    "sin": (math.sin, lambda x, f: _apply("cos", x)),
+    "cos": (math.cos, lambda x, f: -_apply("sin", x)),
+    "tan": (math.tan, lambda x, f: 1.0 + f * f),
+    "sinh": (lambda x: _safe(math.sinh, x), lambda x, f: _apply("cosh", x)),
+    "cosh": (lambda x: _safe(math.cosh, x), lambda x, f: _apply("sinh", x)),
+    "tanh": (math.tanh, lambda x, f: 1.0 - f * f),
+    "exp": (lambda x: _safe(math.exp, x), lambda x, f: f),
+    "ln": (math.log, lambda x, f: 1.0 / x),
+    "sqrt": (math.sqrt, lambda x, f: 0.5 / f),
+    "abs": (abs, lambda x, f: 0.0 if _innermost(x) == 0.0 else math.copysign(1.0, _innermost(x))),
+    "atan": (math.atan, lambda x, f: 1.0 / (1.0 + x * x)),
+}
+
+
+def _apply(fn: str, x, node: Expr = None):
+    """fn at a float, or at a Dual2 through the dual rules."""
+    if type(x) is Dual2:
+        return _dual_call(fn, x, node)
+    return _RULES[fn][0](x)
+
+
+def _zero_root_partial(d):
+    # sqrt at a zero root: a partial vanishes where the argument's does, else it is infinite
+    if type(d) is Dual2:
+        return Dual2(_zero_root_partial(d.value), _zero_root_partial(d.d_u), _zero_root_partial(d.d_v))
+    return 0.0 if d == 0.0 else math.copysign(math.inf, d)
+
+
 def _dual_call(fn: str, arg: Dual2, node: Expr) -> Dual2:
+    if fn not in _RULES:
+        raise EvalError(f"unknown function {fn!r}")
     x = arg.value
-    if fn == "sin":
-        return arg.chain(math.sin(x), math.cos(x))
-    if fn == "cos":
-        return arg.chain(math.cos(x), -math.sin(x))
-    if fn == "tan":
-        t = math.tan(x)
-        return arg.chain(t, 1.0 + t * t)
-    if fn == "sinh":
-        return arg.chain(_safe(math.sinh, x), _safe(math.cosh, x))
-    if fn == "cosh":
-        return arg.chain(_safe(math.cosh, x), _safe(math.sinh, x))
-    if fn == "tanh":
-        t = math.tanh(x)
-        return arg.chain(t, 1.0 - t * t)
-    if fn == "exp":
-        v = _safe(math.exp, x)
-        return arg.chain(v, v)
-    if fn == "ln":
-        if x <= 0.0:
-            raise ExprDomainError(f"ln of non-positive value {x!r}", node)
-        return arg.chain(math.log(x), 1.0 / x)
-    if fn == "sqrt":
-        if x < 0.0:
-            if x < -SQRT_CLAMP:
-                raise ExprDomainError(f"sqrt of negative value {x!r}", node)
-            x = 0.0
-        root = math.sqrt(x)
-        if root == 0.0:
-            du = 0.0 if arg.d_u == 0.0 else math.copysign(math.inf, arg.d_u)
-            dv = 0.0 if arg.d_v == 0.0 else math.copysign(math.inf, arg.d_v)
-            return Dual2(0.0, du, dv)
-        return arg.chain(root, 0.5 / root)
-    if fn == "abs":
-        sign = 0.0 if x == 0.0 else math.copysign(1.0, x)
-        return arg.chain(abs(x), sign)
-    if fn == "atan":
-        return arg.chain(math.atan(x), 1.0 / (1.0 + x * x))
-    raise EvalError(f"unknown function {fn!r}")
+    xv = _innermost(x)
+    if fn == "ln" and xv <= 0.0:
+        raise ExprDomainError(f"ln of non-positive value {xv!r}", node)
+    if fn == "sqrt" and xv <= 0.0:
+        if xv < -SQRT_CLAMP:
+            raise ExprDomainError(f"sqrt of negative value {xv!r}", node)
+        root = _dual_call("sqrt", x, node) if type(x) is Dual2 else 0.0  # clamped to 0
+        return Dual2(root, _zero_root_partial(arg.d_u), _zero_root_partial(arg.d_v))
+    f = _apply(fn, x, node)
+    return arg.chain(f, _RULES[fn][1](x, f))
 
 
-def _eval(e: Expr, bindings: dict[str, Dual2]) -> Dual2:
+def _eval(e: Expr, bindings: dict, const=Dual2):
     if isinstance(e, Num):
-        return Dual2(e.value)
+        return const(e.value)
     if isinstance(e, Const):
-        return Dual2(CONSTANTS[e.name])
+        return const(CONSTANTS[e.name])
     if isinstance(e, Var):
         try:
             return bindings[e.name]
         except KeyError:
             raise EvalError(f"unbound variable {e.name!r}") from None
     if isinstance(e, Unary):
-        return -_eval(e.operand, bindings)
+        return -_eval(e.operand, bindings, const)
     if isinstance(e, Call):
-        return _dual_call(e.fn, _eval(e.arg, bindings), e)
+        return _dual_call(e.fn, _eval(e.arg, bindings, const), e)
     if isinstance(e, Bin):
-        left = _eval(e.left, bindings)
-        right = _eval(e.right, bindings)
+        left = _eval(e.left, bindings, const)
+        right = _eval(e.right, bindings, const)
         if e.op == "+":
             return left + right
         if e.op == "-":
@@ -476,6 +569,17 @@ def evaluate(e: Expr, bindings: dict[str, float]) -> float:
 def eval_dual(e: Expr, u: float, v: float) -> Dual2:
     """Value and exact partials for an expression in the variables u and v."""
     return _eval(e, {"u": Dual2(float(u), 1.0, 0.0), "v": Dual2(float(v), 0.0, 1.0)})
+
+
+def eval_hyperdual(e: Expr, u: float, v: float) -> Dual2:
+    """Value, first and second partials in u and v as a nested Dual2.
+
+    The result's value part equals ``eval_dual(e, u, v)`` bit for bit; its
+    d_u and d_v parts are the first-order duals of f_u and f_v.
+    """
+    u, v = float(u), float(v)
+    seeds = {"u": Dual2(Dual2(u, 1.0, 0.0), _ONE, _ZERO), "v": Dual2(Dual2(v, 0.0, 1.0), _ZERO, _ONE)}
+    return _eval(e, seeds, lambda c: Dual2(Dual2(c), _ZERO, _ZERO))
 
 
 def eval_dual_t(e: Expr, t: float) -> Dual2:

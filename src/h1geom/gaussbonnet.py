@@ -99,9 +99,10 @@ def _region_prescan(S: SurfacePatch, R: ParamRegion, n: int = 21, tol: float = 1
                 )
 
 
-def _tangent_b(S: SurfacePatch, u: float, v: float, direction) -> float:
-    f_u, f_v = pushforward_frame(S, u, v)
-    return direction[0] * f_u.c3 + direction[1] * f_v.c3
+def _boundary_density(S: SurfacePatch, u: float, v: float, direction) -> float:
+    """A * f^3(gamma') for the boundary tangent gamma' = direction in (u, v)."""
+    sample = adapted_frame(S, u, v)
+    return sample.A * (direction[0] * sample.f_u_23[1] + direction[1] * sample.f_v_23[1])
 
 
 def _boundary_prescan(S: SurfacePatch, R: ParamRegion, n: int = 33):
@@ -119,21 +120,18 @@ def _boundary_prescan(S: SurfacePatch, R: ParamRegion, n: int = 33):
                 )
 
 
-def area_integral(
-    S: SurfacePatch, R: ParamRegion, tol: float = 1e-9, method: str = "auto"
-) -> float:
+def area_integral(S: SurfacePatch, R: ParamRegion, tol: float = 1e-9) -> float:
     """int_R K_inf dsigma pulled back to the chart (integrand K_inf * rho)."""
-    value, _ = _area_integral(S, R, tol, method)
-    return value
+    return _area_integral(S, R, tol)[0]
 
 
-def _area_integral(S, R, tol, method):
+def _area_integral(S, R, tol):
     if R.is_empty():
         return 0.0, 0.0
     _region_prescan(S, R)
 
     def integrand(u, v):
-        sample, fd = frame_data(S, u, v, method)
+        sample, fd = frame_data(S, u, v)
         return k_inf(fd, sample.A) * sample.area_density
 
     value, err = integrate_2d(integrand, R.u0, R.u1, R.v0, R.v1, tol)
@@ -157,9 +155,7 @@ def _boundary_integral(S, R, tol):
     for start, d, length in segments:
 
         def integrand(t, start=start, d=d):
-            u, v = start[0] + d[0] * t, start[1] + d[1] * t
-            sample = adapted_frame(S, u, v)
-            return sample.A * _tangent_b(S, u, v, d)
+            return _boundary_density(S, start[0] + d[0] * t, start[1] + d[1] * t, d)
 
         total += integrate(integrand, 0.0, length, per_piece)
         err_total += per_piece
@@ -182,9 +178,8 @@ def gb_residual(
     R: ParamRegion,
     area_tol: float = 1e-9,
     boundary_tol: float = 1e-10,
-    method: str = "auto",
 ) -> GBReport:
-    area, area_err = _area_integral(S, R, area_tol, method)
+    area, area_err = _area_integral(S, R, area_tol)
     boundary, boundary_err = _boundary_integral(S, R, boundary_tol)
     return GBReport(
         area_integral=area,
@@ -198,9 +193,7 @@ def gb_residual(
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def stokes_density_check(
-    S: SurfacePatch, u: float, v: float, h: float, method: str = "auto"
-) -> tuple[float, float]:
+def stokes_density_check(S: SurfacePatch, u: float, v: float, h: float) -> tuple[float, float]:
     """Both sides of d(A f^3) = (dA(f2) + A^2) f^2^f^3 on an h-square.
 
     The left side is the loop integral of A f^3 around [u, u+h] x [v, v+h]
@@ -215,11 +208,9 @@ def stokes_density_check(
         acc = 0.0
         for node, weight in zip(_GL8_NODES, _GL8_WEIGHTS):
             t = half + half * node
-            uu, vv = start[0] + d[0] * t, start[1] + d[1] * t
-            sample = adapted_frame(S, uu, vv)
-            acc += weight * sample.A * _tangent_b(S, uu, vv, d)
+            acc += weight * _boundary_density(S, start[0] + d[0] * t, start[1] + d[1] * t, d)
         lhs += half * acc
-    sample, fd = frame_data(S, u + 0.5 * h, v + 0.5 * h, method)
+    sample, fd = frame_data(S, u + 0.5 * h, v + 0.5 * h)
     rhs = (fd.dA_f2 + sample.A**2) * sample.area_density * h * h
     return lhs, rhs
 
@@ -279,14 +270,14 @@ class ConvergenceStudy:
     region: Optional[RegionConvergence]
 
 
-def _point_convergence(S, u, v, L_values, direction, method) -> PointConvergence:
-    sample, fd = frame_data(S, u, v, method)
+def _point_convergence(S, u, v, L_values, direction) -> PointConvergence:
+    sample, fd = frame_data(S, u, v)
     K_limit = k_inf(fd, sample.A)
     curve: Optional[TransverseCurveSample] = None
     k_n_limit = None
     if direction is not None:
         du, dv = direction
-        curve = transverse_sample(S, lambda t: (u + t * du, v + t * dv), 0.0, method=method)
+        curve = transverse_sample(S, lambda t: (u + t * du, v + t * dv), 0.0)
         k_n_limit = k_n(curve.A, curve.b)
     rows = []
     for L in L_values:
@@ -322,7 +313,7 @@ def _point_convergence(S, u, v, L_values, direction, method) -> PointConvergence
     )
 
 
-def _region_convergence(S, region, L_values, method, tol=1e-7) -> RegionConvergence:
+def _region_convergence(S, region, L_values, tol=1e-7) -> RegionConvergence:
     _region_prescan(S, region)
     _boundary_prescan(S, region)
     rows = []
@@ -330,7 +321,7 @@ def _region_convergence(S, region, L_values, method, tol=1e-7) -> RegionConverge
         root = math.sqrt(L)
 
         def area_integrand(u, v):
-            sample, fd = frame_data(S, u, v, method)
+            sample, fd = frame_data(S, u, v)
             sigma_L = math.sqrt(L + sample.A**2)
             return k_L(fd, sample.A, L) / root * sigma_L * sample.area_density
 
@@ -342,7 +333,7 @@ def _region_convergence(S, region, L_values, method, tol=1e-7) -> RegionConverge
 
             def integrand(t, start=start, d=d):
                 path = lambda s: (start[0] + d[0] * s, start[1] + d[1] * s)
-                c = transverse_sample(S, path, t, velocity=lambda s: d, method=method)
+                c = transverse_sample(S, path, t, velocity=lambda s: d)
                 speed = math.sqrt(c.a**2 + c.b**2 * (L + c.A**2))
                 return k_n_L(c, L) / root * speed
 
@@ -360,7 +351,6 @@ def convergence_study(
     L_values: Sequence[float],
     direction: Optional[tuple[float, float]] = (1.0, 0.0),
     region: Optional[ParamRegion] = None,
-    method: str = "auto",
 ) -> ConvergenceStudy:
     """Pointwise and (optionally) region-level L-sweep of the limit relations.
 
@@ -374,8 +364,7 @@ def convergence_study(
     if any(L <= 0 for L in L_sorted):
         raise ValueError("L values must be positive")
     studies = tuple(
-        _point_convergence(S, float(u), float(v), L_sorted, direction, method)
-        for u, v in points
+        _point_convergence(S, float(u), float(v), L_sorted, direction) for u, v in points
     )
-    region_rows = _region_convergence(S, region, L_sorted, method) if region is not None else None
+    region_rows = _region_convergence(S, region, L_sorted) if region is not None else None
     return ConvergenceStudy(points=studies, region=region_rows)

@@ -33,7 +33,8 @@ import numpy as np
 from . import expr as _expr
 from .errors import DomainViolationError, GeometryError
 from .quadrature import gauss_segments, integrate, integrate_with_boundary
-from .surface import AnalyticFrameFields, SurfacePatch
+from .expr import Dual2
+from .surface import SurfacePatch
 
 __all__ = [
     "Profile",
@@ -156,10 +157,11 @@ def A_family(K_inf: float, v: float) -> float:
 class Profile:
     """Unit-speed generating-curve data for a surface of revolution.
 
-    r, dr, A and dA take a float or an array of v; kappa, the planar
-    curvature a'b'' - a''b' of the generating curve used to pick chord
-    lengths for exported polylines, takes a float.  theta_c_closed, when
-    set, bypasses quadrature (straight-line and circular profiles).
+    r, dr and A take a float or an array of v; kappa, the planar curvature
+    a'b'' - a''b' of the generating curve, takes a float.  kappa gives the
+    chart's second partials and picks chord lengths for exported
+    polylines.  theta_c_closed, when set, bypasses quadrature
+    (straight-line and circular profiles).
     """
 
     name: str
@@ -168,7 +170,6 @@ class Profile:
     r: Callable[[float], float]
     dr: Callable[[float], float]
     A: Callable[[float], float]
-    dA: Callable[[float], float]
     kappa: Callable[[float], float]
     theta_c_closed: Optional[Callable[[float], tuple[float, float]]] = None
     K_inf: Optional[float] = None
@@ -199,9 +200,6 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
         # r' = r*A/2 since A = (ln r^2)' = 2 r'/r
         return 0.5 * r(v) * A(v)
 
-    def dA(v):
-        return -K_inf - _elementwise(_pow2, A(v))
-
     def kappa(v):
         rv = r(v)
         s = _sqrt1m(1.0 - (0.5 * rv * A(v)) ** 2, v)
@@ -216,7 +214,6 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
         r=r,
         dr=dr,
         A=A,
-        dA=dA,
         kappa=kappa,
         K_inf=K_inf,
     )
@@ -231,7 +228,6 @@ def line_profile() -> Profile:
         r=lambda v: v,
         dr=lambda v: 1.0,
         A=lambda v: 2.0 / v,
-        dA=lambda v: -2.0 / (v * v),
         kappa=lambda v: 0.0,
         theta_c_closed=lambda v: (0.0, 0.0),
     )
@@ -246,7 +242,6 @@ def circle_profile() -> Profile:
         r=lambda v: 1.0,
         dr=lambda v: 0.0,
         A=lambda v: 0.0,
-        dA=lambda v: 0.0,
         kappa=lambda v: 1.0,
         theta_c_closed=lambda v: (v, 0.5 * v),
         K_inf=0.0,
@@ -328,19 +323,6 @@ def horizontal_lift(a, b, t: float, tol: float = 1e-10) -> float:
 # Patches and meshes
 
 
-def _generating_point(profile: Profile, thetac: ThetaC, v: float):
-    r = profile.r(v)
-    rp = profile.dr(v)
-    theta, c = thetac(v)
-    s = _sqrt1m(1.0 - rp * rp, v)
-    ct, st = math.cos(theta), math.sin(theta)
-    a, b = r * ct, r * st
-    ap = rp * ct - s * st  # r*theta' = sqrt(1 - r'^2) for unit speed
-    bp = rp * st + s * ct
-    cp = 0.5 * r * s
-    return a, b, ap, bp, c, cp
-
-
 def rotation_patch(
     profile: Profile,
     v_range: tuple[float, float],
@@ -355,31 +337,39 @@ def rotation_patch(
         )
     thetac = ThetaC(profile)
 
-    def jet(u: float, v: float):
-        a, b, ap, bp, c, cp = _generating_point(profile, thetac, v)
+    def jet2(u: float, v: float):
+        # the generating curve (a, b, c)(v) and its first two derivatives
+        r = profile.r(v)
+        rp = profile.dr(v)
+        theta, c = thetac(v)
+        s = _sqrt1m(1.0 - rp * rp, v)
+        ct, st = math.cos(theta), math.sin(theta)
+        a, b = r * ct, r * st
+        ap = rp * ct - s * st  # r*theta' = sqrt(1 - r'^2) for unit speed
+        bp = rp * st + s * ct
+        cp = 0.5 * r * s
+        # unit speed: (a'', b'') = kappa (-b', a'), so c' = (a b' - b a')/2
+        # gives c'' = kappa (a a' + b b')/2 = kappa r r'/2
+        k = profile.kappa(v)
+        app, bpp, cpp = -k * bp, k * ap, 0.5 * k * r * rp
         cu, su = math.cos(u), math.sin(u)
-        pos = np.array([a * cu - b * su, b * cu + a * su, c])
-        du = np.array([-a * su - b * cu, -b * su + a * cu, 0.0])
-        dv = np.array([ap * cu - bp * su, bp * cu + ap * su, cp])
+        x, y = a * cu - b * su, b * cu + a * su
+        x_u, y_u = -a * su - b * cu, -b * su + a * cu
+        x_v, y_v = ap * cu - bp * su, bp * cu + ap * su
+        x_uv, y_uv = -ap * su - bp * cu, -bp * su + ap * cu
+        x_vv, y_vv = app * cu - bpp * su, bpp * cu + app * su
+        pos = (Dual2(x, x_u, x_v), Dual2(y, y_u, y_v), Dual2(float(c), 0.0, cp))
+        du = (Dual2(x_u, -x, x_uv), Dual2(y_u, -y, y_uv), Dual2(0.0, 0.0, 0.0))
+        dv = (Dual2(x_v, x_uv, x_vv), Dual2(y_v, y_uv, y_vv), Dual2(cp, 0.0, cpp))
         return pos, du, dv
 
-    def fields(u: float, v: float) -> AnalyticFrameFields:
-        return AnalyticFrameFields(
-            A=profile.A(v),
-            dA_du=0.0,
-            dA_dv=profile.dA(v),
-            dalpha_du=1.0,
-            dalpha_dv=profile.kappa(v),
-        )
-
     return SurfacePatch(
-        jet=jet,
+        jet2=jet2,
         u_range=(0.0, 2.0 * math.pi),
         v_range=tuple(v_range),
         orientation=1 if orientation >= 0 else -1,
         closed_u=True,
         name=name or profile.name,
-        frame_fields=fields,
     )
 
 

@@ -9,6 +9,7 @@ density identity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .hgroup import (
     volume_form,
 )
 from .gaussbonnet import stokes_density_check
-from .surface import adapted_frame, frame_derivatives, structure_identity_residual, xl_basis
+from .surface import adapted_frame, frame_data, structure_identity_residual, xl_basis
 
 __all__ = ["CheckResult", "run_identity_suite"]
 
@@ -133,35 +134,17 @@ def _check_metric_compat(rng) -> CheckResult:
 
 
 def _check_curvature_table(rng) -> CheckResult:
-    worst = 0.0
-    table = {
-        (1, 2, 1, 2): 0.75,
-        (1, 3, 1, 3): -0.25,
-        (2, 3, 2, 3): -0.25,
-    }
-    for L in (1.0, 10.0, 100.0):
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                for k in (1, 2, 3):
-                    for l in (1, 2, 3):
-                        value = riemann_component(L, i, j, k, l) / L
-                        expected = 0.0
-                        for (a, b, c, d), coeff in table.items():
-                            if (i, j, k, l) in (
-                                (a, b, c, d),
-                                (b, a, d, c),
-                                (c, d, a, b),
-                                (d, c, b, a),
-                            ):
-                                expected = coeff
-                            elif (i, j, k, l) in (
-                                (b, a, c, d),
-                                (a, b, d, c),
-                                (d, c, a, b),
-                                (c, d, b, a),
-                            ):
-                                expected = -coeff
-                        worst = max(worst, abs(value - expected))
+    # R_1212 = 3L/4, R_1313 = R_2323 = -L/4, their antisymmetric images, 0 elsewhere
+    table = {}
+    for (a, b), coeff in (((1, 2), 0.75), ((1, 3), -0.25), ((2, 3), -0.25)):
+        for (i, j), s_ij in (((a, b), 1.0), ((b, a), -1.0)):
+            for (k, l), s_kl in (((a, b), 1.0), ((b, a), -1.0)):
+                table[i, j, k, l] = s_ij * s_kl * coeff
+    worst = max(
+        abs(riemann_component(L, *idx) / L - table.get(idx, 0.0))
+        for L in (1.0, 10.0, 100.0)
+        for idx in itertools.product((1, 2, 3), repeat=4)
+    )
     return CheckResult("curvature tensor table", worst <= 1e-12, f"max residual {worst:.3e}")
 
 
@@ -182,8 +165,7 @@ def _check_frame_identity(rng) -> CheckResult:
         for _ in range(12):
             u = rng.uniform(*u_span)
             v = rng.uniform(*v_span)
-            sample = adapted_frame(patch, u, v)
-            fd = frame_derivatives(patch, u, v, method="fd")
+            sample, fd = frame_data(patch, u, v)
             worst = max(worst, abs(structure_identity_residual(fd, sample.A)))
     return CheckResult("adapted-frame identity", worst <= 1e-6, f"max residual {worst:.3e}")
 

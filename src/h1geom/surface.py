@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Callable
 
 from . import expr as _expr
+from .expr import Dual2
 from .errors import CharacteristicPointError, DegenerateParametrizationError
 from .hgroup import FrameVec, Point
 
@@ -29,7 +28,6 @@ __all__ = [
     "SurfacePatch",
     "AdaptedFrameSample",
     "FrameDerivatives",
-    "AnalyticFrameFields",
     "pushforward_frame",
     "characteristic_test",
     "adapted_frame",
@@ -43,44 +41,29 @@ __all__ = [
 ]
 
 CHARACTERISTIC_TOL = 1e-10
-FD_REL_STEP = 1e-5
-
-
-@dataclass(frozen=True)
-class AnalyticFrameFields:
-    """Closed-form A, alpha data for the orientation +1 frame of a patch.
-
-    Gradients are with respect to the chart coordinates (u, v); alpha is
-    only defined modulo 2*pi, so just its gradient is carried.
-    """
-
-    A: float
-    dA_du: float
-    dA_dv: float
-    dalpha_du: float
-    dalpha_dv: float
 
 
 @dataclass(frozen=True)
 class SurfacePatch:
-    """Immutable chart (u, v) -> H^1 with evaluable first partials.
+    """Immutable chart (u, v) -> H^1 with exact first and second partials.
 
-    jet(u, v) returns three length-3 arrays: the position and the two
-    coordinate partial derivatives.  frame_fields, when present, supplies
-    closed-form A/alpha data used instead of finite differences.
+    jet2(u, v) returns the position and the coordinate partials f_u, f_v as
+    three 3-tuples of first-order duals in (u, v); jet(u, v) their values.
     """
 
-    jet: Callable[[float, float], tuple]
+    jet2: Callable[[float, float], tuple]
     u_range: tuple[float, float]
     v_range: tuple[float, float]
     orientation: int = 1
     closed_u: bool = False
     name: str = "patch"
-    frame_fields: Optional[Callable[[float, float], AnalyticFrameFields]] = None
+
+    def jet(self, u: float, v: float) -> list[tuple[float, float, float]]:
+        """Position and coordinate partials as three float triples."""
+        return [(x.value, y.value, z.value) for x, y, z in self.jet2(u, v)]
 
     def position(self, u: float, v: float) -> Point:
-        pos = self.jet(u, v)[0]
-        return Point(float(pos[0]), float(pos[1]), float(pos[2]))
+        return Point(*(c.value for c in self.jet2(u, v)[0]))
 
     def contains(self, u: float, v: float) -> bool:
         return (
@@ -97,7 +80,9 @@ class AdaptedFrameSample:
     """Adapted frame data at one surface point.
 
     f2_uv and f3_uv express f2 and f3 as parameter-space directions
-    (coefficients on d/du, d/dv); area_density is f^2^f^3(f_u, f_v).
+    (coefficients on d/du, d/dv); f_u_23 and f_v_23 are the inverse, the
+    (f^2, f^3) coefficients of the coordinate tangents; area_density is
+    f^2^f^3(f_u, f_v).
     """
 
     point: Point
@@ -108,8 +93,9 @@ class AdaptedFrameSample:
     f3: FrameVec
     f2_uv: tuple[float, float]
     f3_uv: tuple[float, float]
+    f_u_23: tuple[float, float]
+    f_v_23: tuple[float, float]
     area_density: float
-    characteristic: bool = False
 
 
 @dataclass(frozen=True)
@@ -130,7 +116,7 @@ def structure_identity_residual(fd: FrameDerivatives, A: float) -> float:
 def pushforward_frame(S: SurfacePatch, u: float, v: float) -> tuple[FrameVec, FrameVec]:
     """Coordinate tangents f_u, f_v expressed on the left-invariant frame."""
     pos, du, dv = S.jet(u, v)
-    p = Point(float(pos[0]), float(pos[1]), float(pos[2]))
+    p = Point(*pos)
     return FrameVec.from_coordinates(p, du), FrameVec.from_coordinates(p, dv)
 
 
@@ -142,22 +128,49 @@ def characteristic_test(f_u: FrameVec, f_v: FrameVec, tol: float = CHARACTERISTI
     return abs(f_u.c3) <= tol * scale and abs(f_v.c3) <= tol * scale
 
 
-def adapted_frame(
-    S: SurfacePatch, u: float, v: float, tol: float = CHARACTERISTIC_TOL
-) -> AdaptedFrameSample:
-    f_u, f_v = pushforward_frame(S, u, v)
-    if characteristic_test(f_u, f_v, tol):
+# The frame core runs once over floats (adapted_frame) or over first-order
+# duals in (u, v) (frame_data), whose partials are then exact derivatives
+# of A and alpha.  Values follow the same IEEE operations either way.
+
+
+def _val(x) -> float:
+    return x.value if type(x) is Dual2 else x
+
+
+def _hypot(a, b):
+    norm = math.hypot(_val(a), _val(b))
+    if type(a) is not Dual2:
+        return norm
+    av, bv = a.value, b.value
+    return Dual2(norm, (av * a.d_u + bv * b.d_u) / norm, (av * a.d_v + bv * b.d_v) / norm)
+
+
+def _atan2(y, x):
+    angle = math.atan2(_val(y), _val(x))
+    if type(y) is not Dual2:
+        return angle
+    xv, yv = x.value, y.value
+    r2 = xv * xv + yv * yv
+    return Dual2(angle, (xv * y.d_u - yv * x.d_u) / r2, (xv * y.d_v - yv * x.d_v) / r2)
+
+
+def _frame(S: SurfacePatch, u, v, pos, du, dv, tol):
+    """Adapted frame from the jet (pos, du, dv), each a 3-tuple of one number type."""
+    # frame coefficients of f_u and f_v; c3 is e^3 applied to the tangent
+    f_u = (du[0], du[1], du[2] + 0.5 * (pos[1] * du[0] - pos[0] * du[1]))
+    f_v = (dv[0], dv[1], dv[2] + 0.5 * (pos[1] * dv[0] - pos[0] * dv[1]))
+    scale = max(abs(_val(c)) for c in (*f_u, *f_v))
+    if abs(_val(f_u[2])) <= tol * scale and abs(_val(f_v[2])) <= tol * scale:
         raise CharacteristicPointError(
             f"characteristic point of {S.name!r} at (u, v) = ({u!r}, {v!r})"
         )
-    p = f_u.base
-    scale = max(abs(c) for c in (*f_u.coefficients(), *f_v.coefficients()))
 
     # D n TS direction: the combination with vanishing third frame coefficient.
-    w1 = f_v.c3 * f_u.c1 - f_u.c3 * f_v.c1
-    w2 = f_v.c3 * f_u.c2 - f_u.c3 * f_v.c2
-    norm = math.hypot(w1, w2)
-    if norm <= 1e-14 * scale * scale:
+    q1, q2 = f_u[2], f_v[2]
+    w1 = q2 * f_u[0] - q1 * f_v[0]
+    w2 = q2 * f_u[1] - q1 * f_v[1]
+    norm = _hypot(w1, w2)
+    if _val(norm) <= 1e-14 * scale * scale:
         raise DegenerateParametrizationError(
             f"dependent coordinate tangents of {S.name!r} at (u, v) = ({u!r}, {v!r})"
         )
@@ -165,136 +178,71 @@ def adapted_frame(
     f1h = (f2h[1], -f2h[0])
 
     # A from least squares on f^1(f_u) = f^1(f_v) = 0.
-    h_dots = [t.c1 * f1h[0] + t.c2 * f1h[1] for t in (f_u, f_v)]
-    verts = [f_u.c3, f_v.c3]
-    A = (h_dots[0] * verts[0] + h_dots[1] * verts[1]) / (verts[0] ** 2 + verts[1] ** 2)
+    h1 = f_u[0] * f1h[0] + f_u[1] * f1h[1]
+    h2 = f_v[0] * f1h[0] + f_v[1] * f1h[1]
+    A = (h1 * q1 + h2 * q2) / (q1 ** 2 + q2 ** 2)
 
-    p1 = f_u.c1 * f2h[0] + f_u.c2 * f2h[1]
-    p2 = f_v.c1 * f2h[0] + f_v.c2 * f2h[1]
-    q1, q2 = f_u.c3, f_v.c3
+    p1 = f_u[0] * f2h[0] + f_u[1] * f2h[1]
+    p2 = f_v[0] * f2h[0] + f_v[1] * f2h[1]
     det = p1 * q2 - p2 * q1
-    if det * S.orientation < 0.0:
+    if _val(det) * S.orientation < 0.0:
         f2h = (-f2h[0], -f2h[1])
         f1h = (-f1h[0], -f1h[1])
         A = -A
         p1, p2, det = -p1, -p2, -det
-    if abs(det) <= 1e-14 * scale * scale:
+    if abs(_val(det)) <= 1e-14 * scale * scale:
         raise DegenerateParametrizationError(
             f"vanishing change-of-basis determinant of {S.name!r} at ({u!r}, {v!r})"
         )
-    alpha = math.atan2(-f2h[0], f2h[1])
+    alpha = _atan2(-f2h[0], f2h[1])
 
-    f1 = FrameVec(p, f1h[0], f1h[1], 0.0)
-    f2 = FrameVec(p, f2h[0], f2h[1], 0.0)
-    f3 = FrameVec(p, A * f1h[0], A * f1h[1], 1.0)
-    return AdaptedFrameSample(
+    p = Point(*map(_val, pos))
+    p1, p2, q1, q2, det, a, c, s = map(_val, (p1, p2, q1, q2, det, A, *f1h))
+    sample = AdaptedFrameSample(
         point=p,
-        alpha=alpha,
-        A=A,
-        f1=f1,
-        f2=f2,
-        f3=f3,
+        alpha=_val(alpha),
+        A=a,
+        f1=FrameVec(p, c, s, 0.0),
+        f2=FrameVec(p, -s, c, 0.0),  # f2h = (-f1h[1], f1h[0]) exactly
+        f3=FrameVec(p, a * c, a * s, 1.0),
         f2_uv=(q2 / det, -q1 / det),
         f3_uv=(-p2 / det, p1 / det),
+        f_u_23=(p1, q1),
+        f_v_23=(p2, q2),
         area_density=det,
-        characteristic=False,
     )
+    return sample, A, alpha
 
 
-def _wrap_angle_near(angle: float, reference: float) -> float:
-    while angle - reference > math.pi:
-        angle -= 2.0 * math.pi
-    while angle - reference < -math.pi:
-        angle += 2.0 * math.pi
-    return angle
-
-
-def _scalar_gradient(S, u, v, axis, h, lo, hi, center, tol):
-    """Central (or one-sided, at chart edges) differences of (A, alpha)."""
-
-    def sample(uu, vv):
-        s = adapted_frame(S, uu, vv, tol)
-        return s.A, _wrap_angle_near(s.alpha, center.alpha)
-
-    coord = u if axis == 0 else v
-    if S.closed_u and axis == 0:
-        lo, hi = -math.inf, math.inf
-    room_minus = coord - lo
-    room_plus = hi - coord
-    step = h
-
-    if min(room_minus, room_plus) > 1e-3 * h:
-        step = min(step, room_minus, room_plus)
-        if axis == 0:
-            a_p, al_p = sample(u + step, v)
-            a_m, al_m = sample(u - step, v)
-        else:
-            a_p, al_p = sample(u, v + step)
-            a_m, al_m = sample(u, v - step)
-        return (a_p - a_m) / (2.0 * step), (al_p - al_m) / (2.0 * step)
-
-    # Pinned to an edge: second-order one-sided stencil into the rectangle.
-    sign = 1.0 if room_plus >= room_minus else -1.0
-    step = min(h, (room_plus if sign > 0 else room_minus) / 2.0)
-    if step <= 0.0:
-        raise DegenerateParametrizationError("no room for a derivative stencil")
-    if axis == 0:
-        a1, al1 = sample(u + sign * step, v)
-        a2, al2 = sample(u + 2.0 * sign * step, v)
-    else:
-        a1, al1 = sample(u, v + sign * step)
-        a2, al2 = sample(u, v + 2.0 * sign * step)
-    a0, al0 = center.A, center.alpha
-    dA = sign * (-3.0 * a0 + 4.0 * a1 - a2) / (2.0 * step)
-    dal = sign * (-3.0 * al0 + 4.0 * al1 - al2) / (2.0 * step)
-    return dA, dal
-
-
-def frame_derivatives(
-    S: SurfacePatch,
-    u: float,
-    v: float,
-    method: str = "auto",
-    rel_step: float = FD_REL_STEP,
-    tol: float = CHARACTERISTIC_TOL,
-) -> FrameDerivatives:
-    """Directional derivatives of A and alpha along f2 and f3.
-
-    method 'analytic' uses the patch's closed-form fields, 'fd' central
-    finite differences of the sampled scalar fields, 'auto' prefers the
-    closed forms when the patch provides them.
-    """
-    if method not in ("auto", "fd", "analytic"):
-        raise ValueError(f"unknown derivative method {method!r}")
-    sample = adapted_frame(S, u, v, tol)
-    use_analytic = method == "analytic" or (method == "auto" and S.frame_fields is not None)
-    if use_analytic:
-        if S.frame_fields is None:
-            raise ValueError(f"patch {S.name!r} has no analytic frame fields")
-        fields = S.frame_fields(u, v)
-        flip = -1.0 if S.orientation < 0 else 1.0
-        grad_A = (flip * fields.dA_du, flip * fields.dA_dv)
-        grad_al = (fields.dalpha_du, fields.dalpha_dv)
-    else:
-        hu = rel_step * (S.u_range[1] - S.u_range[0])
-        hv = rel_step * (S.v_range[1] - S.v_range[0])
-        dA_du, dal_du = _scalar_gradient(S, u, v, 0, hu, *S.u_range, sample, tol)
-        dA_dv, dal_dv = _scalar_gradient(S, u, v, 1, hv, *S.v_range, sample, tol)
-        grad_A = (dA_du, dA_dv)
-        grad_al = (dal_du, dal_dv)
-    s2, s3 = sample.f2_uv, sample.f3_uv
-    return FrameDerivatives(
-        dA_f2=s2[0] * grad_A[0] + s2[1] * grad_A[1],
-        dA_f3=s3[0] * grad_A[0] + s3[1] * grad_A[1],
-        dalpha_f2=s2[0] * grad_al[0] + s2[1] * grad_al[1],
-        dalpha_f3=s3[0] * grad_al[0] + s3[1] * grad_al[1],
-    )
+def adapted_frame(
+    S: SurfacePatch, u: float, v: float, tol: float = CHARACTERISTIC_TOL
+) -> AdaptedFrameSample:
+    return _frame(S, u, v, *S.jet(u, v), tol)[0]
 
 
 def frame_data(
-    S: SurfacePatch, u: float, v: float, method: str = "auto", tol: float = CHARACTERISTIC_TOL
+    S: SurfacePatch, u: float, v: float, tol: float = CHARACTERISTIC_TOL
 ) -> tuple[AdaptedFrameSample, FrameDerivatives]:
-    return adapted_frame(S, u, v, tol), frame_derivatives(S, u, v, method, tol=tol)
+    """The adapted frame and the exact derivatives of A and alpha along f2, f3.
+
+    One evaluation of the second-order jet; the frame arithmetic over its
+    first-order duals gives exact gradients of A and alpha in (u, v).
+    """
+    sample, A, alpha = _frame(S, u, v, *S.jet2(u, v), tol)
+    s2, s3 = sample.f2_uv, sample.f3_uv
+    return sample, FrameDerivatives(
+        dA_f2=s2[0] * A.d_u + s2[1] * A.d_v,
+        dA_f3=s3[0] * A.d_u + s3[1] * A.d_v,
+        dalpha_f2=s2[0] * alpha.d_u + s2[1] * alpha.d_v,
+        dalpha_f3=s3[0] * alpha.d_u + s3[1] * alpha.d_v,
+    )
+
+
+def frame_derivatives(
+    S: SurfacePatch, u: float, v: float, tol: float = CHARACTERISTIC_TOL
+) -> FrameDerivatives:
+    """Directional derivatives of A and alpha along f2 and f3."""
+    return frame_data(S, u, v, tol)[1]
 
 
 def beta(L, A: float) -> float:
@@ -326,31 +274,36 @@ def _as_expr(e) -> _expr.Expr:
     return _expr.parse(e) if isinstance(e, str) else e
 
 
+def _split(d: Dual2) -> tuple[Dual2, Dual2, Dual2]:
+    """A nested dual as first-order duals of f, f_u and f_v.
+
+    The values come from the inner first-order part, so they are the
+    first-order jet bit for bit.
+    """
+    f = d.value
+    return f, Dual2(f.d_u, d.d_u.d_u, d.d_u.d_v), Dual2(f.d_v, d.d_v.d_u, d.d_v.d_v)
+
+
 def graph_patch(h, u_range=(-2.0, 2.0), v_range=(-2.0, 2.0), name=None, orientation=1):
     """Patch (u, v) -> (u, v, h(u, v)) for an expression or AST h."""
     tree = _as_expr(h)
 
-    def jet(u, v):
-        d = _expr.eval_dual(tree, u, v)
-        pos = np.array([u, v, d.value])
-        du = np.array([1.0, 0.0, d.d_u])
-        dv = np.array([0.0, 1.0, d.d_v])
-        return pos, du, dv
+    def jet2(u, v):
+        z, z_u, z_v = _split(_expr.eval_hyperdual(tree, u, v))
+        pos = (Dual2(float(u), 1.0, 0.0), Dual2(float(v), 0.0, 1.0), z)
+        return pos, (Dual2(1.0), Dual2(0.0), z_u), (Dual2(0.0), Dual2(1.0), z_v)
 
     label = name or f"graph({_expr.pretty(tree)})"
-    return SurfacePatch(jet, tuple(u_range), tuple(v_range), orientation, False, label)
+    return SurfacePatch(jet2, tuple(u_range), tuple(v_range), orientation, False, label)
 
 
 def parametric_patch(x, y, z, u_range, v_range, name=None, orientation=1, closed_u=False):
     """Patch from three coordinate expressions in u and v."""
     trees = tuple(_as_expr(e) for e in (x, y, z))
 
-    def jet(u, v):
-        ds = [_expr.eval_dual(t, u, v) for t in trees]
-        pos = np.array([d.value for d in ds])
-        du = np.array([d.d_u for d in ds])
-        dv = np.array([d.d_v for d in ds])
-        return pos, du, dv
+    def jet2(u, v):
+        parts = [_split(_expr.eval_hyperdual(t, u, v)) for t in trees]
+        return tuple(zip(*parts))
 
     label = name or "parametric"
-    return SurfacePatch(jet, tuple(u_range), tuple(v_range), orientation, closed_u, label)
+    return SurfacePatch(jet2, tuple(u_range), tuple(v_range), orientation, closed_u, label)

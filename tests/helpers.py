@@ -1,6 +1,6 @@
-"""Shared test utilities: random expression corpus, FD oracles and the
-scalar reference implementations of the generating-curve sampler and the
-OBJ writer."""
+"""Shared test utilities: random expression corpus, FD oracles (expression
+partials and frame derivatives) and the scalar reference implementations
+of the generating-curve sampler and the OBJ writer."""
 
 import math
 from pathlib import Path
@@ -12,6 +12,8 @@ from h1geom.errors import DomainViolationError, GeometryError
 from h1geom.export import _stamp, fmt
 from h1geom.quadrature import gauss_segment
 from h1geom.rotsurf import CLAMP, ThetaC, e3_chord_ratio
+from h1geom.hgroup import FrameVec, Point
+from h1geom.surface import CHARACTERISTIC_TOL, FrameDerivatives, adapted_frame
 
 FUNCS_SAFE = ("sin", "cos", "tanh", "atan", "exp", "sinh", "cosh", "sqrt", "ln", "abs", "tan")
 
@@ -88,6 +90,139 @@ def build_corpus(n, seed=20260808):
     if len(cases) < n:
         raise RuntimeError(f"could only build {len(cases)} of {n} corpus cases")
     return cases
+
+
+# ---------------------------------------------------------------------------
+# Finite-difference frame derivatives: an independent reference for the
+# exact jets, built from the float adapted frame alone.
+
+
+def _wrap_angle_near(angle, reference):
+    while angle - reference > math.pi:
+        angle -= 2.0 * math.pi
+    while angle - reference < -math.pi:
+        angle += 2.0 * math.pi
+    return angle
+
+
+def _scalar_gradient(S, u, v, axis, h, lo, hi, center, tol):
+    """Central (or one-sided, at chart edges) differences of (A, alpha)."""
+
+    def sample(uu, vv):
+        s = adapted_frame(S, uu, vv, tol)
+        return s.A, _wrap_angle_near(s.alpha, center.alpha)
+
+    coord = u if axis == 0 else v
+    if S.closed_u and axis == 0:
+        lo, hi = -math.inf, math.inf
+    room_minus = coord - lo
+    room_plus = hi - coord
+
+    def at(offset):
+        return sample(u + offset, v) if axis == 0 else sample(u, v + offset)
+
+    if min(room_minus, room_plus) > 1e-3 * h:
+        step = min(h, room_minus, room_plus)
+        (a_p, al_p), (a_m, al_m) = at(step), at(-step)
+        return (a_p - a_m) / (2.0 * step), (al_p - al_m) / (2.0 * step)
+
+    # Pinned to an edge: second-order one-sided stencil into the rectangle.
+    sign = 1.0 if room_plus >= room_minus else -1.0
+    step = min(h, (room_plus if sign > 0 else room_minus) / 2.0)
+    (a1, al1), (a2, al2) = at(sign * step), at(2.0 * sign * step)
+    a0, al0 = center.A, center.alpha
+    dA = sign * (-3.0 * a0 + 4.0 * a1 - a2) / (2.0 * step)
+    dal = sign * (-3.0 * al0 + 4.0 * al1 - al2) / (2.0 * step)
+    return dA, dal
+
+
+def fd_frame_derivatives(S, u, v, rel_step=1e-5, tol=CHARACTERISTIC_TOL):
+    """Directional derivatives of A and alpha from differences of adapted_frame."""
+    center = adapted_frame(S, u, v, tol)
+    hu = rel_step * (S.u_range[1] - S.u_range[0])
+    hv = rel_step * (S.v_range[1] - S.v_range[0])
+    grad_A, grad_al = zip(
+        _scalar_gradient(S, u, v, 0, hu, *S.u_range, center, tol),
+        _scalar_gradient(S, u, v, 1, hv, *S.v_range, center, tol),
+    )
+    s2, s3 = center.f2_uv, center.f3_uv
+    return FrameDerivatives(
+        dA_f2=s2[0] * grad_A[0] + s2[1] * grad_A[1],
+        dA_f3=s3[0] * grad_A[0] + s3[1] * grad_A[1],
+        dalpha_f2=s2[0] * grad_al[0] + s2[1] * grad_al[1],
+        dalpha_f3=s3[0] * grad_al[0] + s3[1] * grad_al[1],
+    )
+
+
+# ---------------------------------------------------------------------------
+# The float adapted frame as first written, on float jets computed apart
+# from the charts' second-order jets.  The frame values of the library must
+# equal it bit for bit.
+
+
+def reference_graph_jet(tree):
+    def jet(u, v):
+        d = ex.eval_dual(tree, u, v)
+        return (u, v, d.value), (1.0, 0.0, d.d_u), (0.0, 1.0, d.d_v)
+
+    return jet
+
+
+def reference_rotation_jet(profile):
+    thetac = ThetaC(profile)
+
+    def jet(u, v):
+        r, rp = profile.r(v), profile.dr(v)
+        theta, c = thetac(v)
+        s = _sqrt1m(1.0 - rp * rp, f"at v={v!r}")
+        ct, st = math.cos(theta), math.sin(theta)
+        a, b = r * ct, r * st
+        ap, bp = rp * ct - s * st, rp * st + s * ct
+        cu, su = math.cos(u), math.sin(u)
+        pos = (a * cu - b * su, b * cu + a * su, float(c))
+        du = (-a * su - b * cu, -b * su + a * cu, 0.0)
+        dv = (ap * cu - bp * su, bp * cu + ap * su, 0.5 * r * s)
+        return pos, du, dv
+
+    return jet
+
+
+def reference_adapted_frame(jet, u, v, orientation=1):
+    """(point, alpha, A, f1, f2, f3, f2_uv, f3_uv, area_density) as floats."""
+    pos, du, dv = jet(u, v)
+    p = Point(*pos)
+    f_u, f_v = FrameVec.from_coordinates(p, du), FrameVec.from_coordinates(p, dv)
+    w1 = f_v.c3 * f_u.c1 - f_u.c3 * f_v.c1
+    w2 = f_v.c3 * f_u.c2 - f_u.c3 * f_v.c2
+    norm = math.hypot(w1, w2)
+    f2h = (w1 / norm, w2 / norm)
+    f1h = (f2h[1], -f2h[0])
+    h_dots = [t.c1 * f1h[0] + t.c2 * f1h[1] for t in (f_u, f_v)]
+    verts = [f_u.c3, f_v.c3]
+    A = (h_dots[0] * verts[0] + h_dots[1] * verts[1]) / (verts[0] ** 2 + verts[1] ** 2)
+    p1 = f_u.c1 * f2h[0] + f_u.c2 * f2h[1]
+    p2 = f_v.c1 * f2h[0] + f_v.c2 * f2h[1]
+    q1, q2 = f_u.c3, f_v.c3
+    det = p1 * q2 - p2 * q1
+    if det * orientation < 0.0:
+        f2h = (-f2h[0], -f2h[1])
+        f1h = (-f1h[0], -f1h[1])
+        A = -A
+        p1, p2, det = -p1, -p2, -det
+    alpha = math.atan2(-f2h[0], f2h[1])
+    return (
+        pos, alpha, A, (f1h[0], f1h[1], 0.0), (f2h[0], f2h[1], 0.0), (A * f1h[0], A * f1h[1], 1.0),
+        (q2 / det, -q1 / det), (-p2 / det, p1 / det), det,
+    )
+
+
+def frame_values(s):
+    """The same tuple read off an AdaptedFrameSample."""
+    return (
+        (s.point.x, s.point.y, s.point.z), s.alpha, s.A,
+        (s.f1.c1, s.f1.c2, s.f1.c3), (s.f2.c1, s.f2.c2, s.f2.c3), (s.f3.c1, s.f3.c2, s.f3.c3),
+        s.f2_uv, s.f3_uv, s.area_density,
+    )
 
 
 def loglog_slope(xs, ys):

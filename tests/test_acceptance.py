@@ -81,7 +81,7 @@ def test_structure_identity_suite():
             for _ in range(85):
                 u = float(rng.uniform(*u_span))
                 v = float(rng.uniform(*v_span))
-                sample, fd = frame_data(patch, u, v, method="fd")
+                sample, fd = frame_data(patch, u, v)
                 residual = fd.dalpha_f3 + fd.dA_f2 + sample.A**2
                 assert abs(residual) <= 1e-6
                 count += 1
@@ -91,7 +91,7 @@ def test_structure_identity_suite():
 def test_curvatures_do_not_coincide():
     with criterion("K_inf = -2 and K = 4 on the plane at (1, 0, 0)"):
         patch = catalog.plane()
-        sample = curvature_sample(patch, 0.0, 1.0, method="fd")
+        sample = curvature_sample(patch, 0.0, 1.0)
         assert sample.K_inf == pytest.approx(-2.0, abs=1e-6)
         assert sample.K_gauss == pytest.approx(4.0, abs=1e-5)
         # hand-derived closed forms on the plane: A = 2/r, dA(f2) = -2/r^2,
@@ -107,7 +107,7 @@ def test_convergence_rates():
         budget_seconds=10.0,
     ):
         patch = catalog.plane()
-        sample, fd = frame_data(patch, 0.0, 1.0, method="fd")
+        sample, fd = frame_data(patch, 0.0, 1.0)
         K_limit = -fd.dA_f2 - sample.A**2
         errs_K = [abs(k_L(fd, sample.A, L) - K_limit) for L in L_SWEEP]
         assert helpers.loglog_slope(L_SWEEP, errs_K) == pytest.approx(-1.0, abs=0.05)
@@ -149,7 +149,7 @@ def test_constant_curvature_families():
             for _ in range(100):
                 u = float(rng.uniform(0.0, TWO_PI))
                 v = float(rng.uniform(v0 + 0.02 * width, v1 - 0.02 * width))
-                sample, fd = frame_data(patch, u, v, method="fd")
+                sample, fd = frame_data(patch, u, v)
                 assert -fd.dA_f2 - sample.A**2 == pytest.approx(K, abs=1e-6)
 
         # bisection oracle on (r')^2 = 1 with its own profile formulas

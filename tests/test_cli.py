@@ -176,8 +176,8 @@ def test_gauss_bonnet_presets(tmp_path):
 
 
 def test_gauss_bonnet_threshold_exit(tmp_path):
-    # an FD-pipeline rectangle leaves a tiny but nonzero residual, so a
-    # sub-floor threshold must fail with exit 3
+    # quadrature rounding leaves a tiny but nonzero residual (about 6e-17
+    # here), so a sub-floor threshold must fail with exit 3
     out = tmp_path / "gb.json"
     config = tmp_path / "cfg.json"
     config.write_text(
@@ -189,10 +189,10 @@ def test_gauss_bonnet_threshold_exit(tmp_path):
         )
     )
     code = main(
-        ["gauss-bonnet", "--config", str(config), "--threshold", "1e-16", "--out", str(out)]
+        ["gauss-bonnet", "--config", str(config), "--threshold", "1e-20", "--out", str(out)]
     )
     report = json.loads(out.read_text())
-    expected = 0 if abs(report["residual"]) <= 1e-16 else 3
+    expected = 0 if abs(report["residual"]) <= 1e-20 else 3
     assert code == expected == 3
 
 
@@ -375,3 +375,88 @@ def test_parametric_surface_from_config(tmp_path):
     at = {c: i for i, c in enumerate(columns)}
     for row in rows:
         assert row[at["K_inf"]] == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1e-8"])
+def test_gauss_bonnet_rejects_bad_threshold_flag(tmp_path, capsys, threshold):
+    out = tmp_path / "gb.json"
+    code = main(["gauss-bonnet", "--preset", "band-k1", f"--threshold={threshold}", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "threshold" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("residual", ["nan", 0.0, -1.0])
+def test_gauss_bonnet_rejects_bad_threshold_config(tmp_path, capsys, residual):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"tolerances": {"residual": residual}}))
+    out = tmp_path / "gb.json"
+    assert main(["gauss-bonnet", "--preset", "band-k1", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "threshold" in err
+    assert not out.exists()
+
+
+def test_converge_rejects_point_outside_chart(tmp_path, capsys):
+    out = tmp_path / "conv.csv"
+    code = main(["converge", "--surface", "paraboloid", "--point", "50,50", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "outside the chart" in err
+    assert not out.exists()
+
+
+def test_deeply_nested_expression_exits_1(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    h = "(" * 5000 + "u" + ")" * 5000
+    config.write_text(json.dumps({"surface": {"kind": "graph", "h": h}}))
+    out = tmp_path / "x.csv"
+    assert main(["curvature", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "nests deeper" in err
+    assert not out.exists()
+
+
+def test_n_curves_flag_overrides_config(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"rotsurf": {"K_inf": 0, "n_curves": 1, "samples_u": 4}}))
+    prefix = tmp_path / "mesh"
+    args = ["rotsurf", "--config", str(config), "--out-prefix", str(prefix)]
+    assert main(args + ["--n-curves", "3", "--samples-u", "5"]) == 0
+    _, _, rows, _ = read_csv(tmp_path / "mesh_profile.csv")
+    obj = prefix.with_suffix(".obj").read_text()
+    assert obj.count("\nl ") == 3
+    assert obj.count("\nv ") == 5 * len(rows) + sum(
+        len(line.split()) - 1 for line in obj.splitlines() if line.startswith("l ")
+    )
+    assert main(args) == 0
+    assert prefix.with_suffix(".obj").read_text().count("\nl ") == 1
+
+
+def test_gauss_bonnet_graph_rectangle_within_default_threshold(tmp_path):
+    # a benchmark rectangle whose finite-difference residual (1.02e-8) used
+    # to miss the 1e-8 default; exact derivatives leave rounding only
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps(
+            {
+                "surface": {
+                    "kind": "graph",
+                    "h": "0.383629*u^2 + -0.101786*v^2 + -0.419296*u*v"
+                    " + 0.225044*sin(-0.504825*u + 1.462483*v + 5.415041)",
+                    "u_range": [-2.5, 2.5],
+                    "v_range": [-2.5, 2.5],
+                },
+                "region": {
+                    "u": [0.4259280067572533, 1.303731613080383],
+                    "v": [-0.09801624149504606, 0.8698380910216004],
+                },
+            }
+        )
+    )
+    out = tmp_path / "gb.json"
+    assert main(["gauss-bonnet", "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert abs(report["residual"]) <= 1e-13
+    assert report["within_threshold"] is True

@@ -61,7 +61,7 @@ def test_k_gauss_map_examples():
 
 def test_curvatures_do_not_coincide_on_plane():
     patch = catalog.plane()
-    sample = curvature_sample(patch, 0.0, 1.0, L_values=(1.0,), method="fd")
+    sample = curvature_sample(patch, 0.0, 1.0, L_values=(1.0,))
     assert sample.K_inf == pytest.approx(-2.0, abs=1e-6)
     assert sample.K_gauss == pytest.approx(4.0, abs=1e-5)
     assert sample.K_L[0][1] == pytest.approx(-0.56, abs=1e-6)
@@ -72,7 +72,7 @@ def test_curvatures_do_not_coincide_on_plane():
 def test_curvature_sample_identity_guard():
     patch = catalog.paraboloid()
     with pytest.raises(GeometryError):
-        curvature_sample(patch, 0.9, 0.4, method="fd", identity_tol=1e-30)
+        curvature_sample(patch, 0.9, 0.4, identity_tol=1e-30)
 
 
 def test_k_n_values():

@@ -127,3 +127,72 @@ def test_sqrt_at_zero_has_finite_value():
     d = ex.eval_dual(ex.parse("sqrt(u*0)"), 1.0, 0.0)
     assert d.value == 0.0
     assert d.d_u == 0.0  # constant-zero argument carries no derivative
+
+
+def _parts(d):
+    return (d.value, d.d_u, d.d_v)
+
+
+def test_hyperdual_value_part_is_the_first_order_dual():
+    # bit for bit, including the sqrt-at-zero and constant-exponent branches
+    cases = helpers.build_corpus(200, seed=7)
+    extra = [(ex.parse(text), 1.0, 0.5) for text in ("sqrt(u*0)", "u^(v-v+2)", "2^u", "u^v", "abs(u-1)")]
+    for tree, u, v, *_ in list(cases) + extra:
+        first = ex.eval_dual(tree, u, v)
+        hyper = ex.eval_hyperdual(tree, u, v)
+        assert _parts(hyper.value) == _parts(first)
+        assert hyper.d_u.value == pytest.approx(first.d_u, rel=1e-14, abs=1e-300)
+        assert hyper.d_v.value == pytest.approx(first.d_v, rel=1e-14, abs=1e-300)
+
+
+def test_hyperdual_second_partials_against_fd():
+    cases = helpers.build_corpus(120, seed=11)
+    checked = 0
+    for tree, u, v, *_ in cases:
+        h = 1e-5
+        try:
+            plus_u, minus_u = ex.eval_dual(tree, u + h, v), ex.eval_dual(tree, u - h, v)
+            plus_v, minus_v = ex.eval_dual(tree, u, v + h), ex.eval_dual(tree, u, v - h)
+        except ex.EvalError:
+            continue
+        fd = (
+            (plus_u.d_u - minus_u.d_u) / (2 * h),
+            (plus_v.d_u - minus_v.d_u) / (2 * h),
+            (plus_v.d_v - minus_v.d_v) / (2 * h),
+        )
+        hyper = ex.eval_hyperdual(tree, u, v)
+        exact = (hyper.d_u.d_u, hyper.d_u.d_v, hyper.d_v.d_v)
+        if not all(math.isfinite(x) and abs(x) < 1e3 for x in fd + exact):
+            continue
+        assert hyper.d_v.d_u == pytest.approx(hyper.d_u.d_v, rel=1e-12, abs=1e-12)
+        for got, want in zip(exact, fd):
+            assert abs(got - want) <= 1e-4 * max(1.0, abs(want))
+        checked += 1
+    assert checked >= 80
+
+
+def test_hyperdual_hand_values():
+    d = ex.eval_hyperdual(ex.parse("u^2*v + sin(v)"), 2.0, 0.5)
+    assert _parts(d.value) == (2.0 + math.sin(0.5), 2.0, 4.0 + math.cos(0.5))
+    assert _parts(d.d_u) == (2.0, 1.0, 4.0)
+    assert _parts(d.d_v) == (4.0 + math.cos(0.5), 4.0, -math.sin(0.5))
+
+
+def test_parser_rejects_deep_nesting():
+    for text in ("(" * 5000 + "u" + ")" * 5000, "-" * 5000 + "u", "u" + "+u" * 5000):
+        with pytest.raises(ex.ParseError, match="nests deeper"):
+            ex.parse(text)
+    with pytest.raises(ex.ParseError):
+        ex.parse("sin(" * (ex.MAX_DEPTH + 1) + "u" + ")" * (ex.MAX_DEPTH + 1))
+
+
+def test_expression_at_the_depth_limit_evaluates():
+    depth = ex.MAX_DEPTH
+    assert ex.evaluate(ex.parse("(" * depth + "u" + ")" * depth), {"u": 0.25}) == 0.25
+    tree = ex.parse("sin(" * depth + "u" + ")" * depth)
+    value = 0.4
+    for _ in range(depth):
+        value = math.sin(value)
+    hyper = ex.eval_hyperdual(tree, 0.4, 0.0)
+    assert hyper.value.value == value
+    assert _parts(hyper.value) == _parts(ex.eval_dual(tree, 0.4, 0.0))

@@ -14,7 +14,7 @@ from h1geom.gaussbonnet import (
     stokes_density_check,
 )
 from h1geom.quadrature import integrate
-from h1geom.surface import adapted_frame
+from h1geom.surface import adapted_frame, graph_patch, parametric_patch
 
 TWO_PI = 2.0 * math.pi
 L_SWEEP = (1e2, 1e3, 1e4, 1e5, 1e6)
@@ -160,6 +160,35 @@ def test_rectangle_region_on_paraboloid():
     patch = catalog.paraboloid()
     report = gb_residual(patch, ParamRegion(0.5, 0.7, 0.5, 1.2), boundary_tol=1e-11)
     assert abs(report.residual) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "patch, region",
+    [
+        (catalog.paraboloid(), ParamRegion(1.0, 2.0, -1.0, -0.5)),
+        (
+            parametric_patch(
+                "(2+cos(v))*cos(u)", "(2+cos(v))*sin(u)", "sin(v)+0.3*sin(u)",
+                (0.0, TWO_PI), (-0.4, 0.4), closed_u=True,
+            ),
+            ParamRegion(0.0, TWO_PI, -0.4, 0.4, closed_u=True),
+        ),
+        (
+            graph_patch(
+                "0.383629*u^2 + -0.101786*v^2 + -0.419296*u*v + 0.225044*sin(-0.504825*u + 1.462483*v + 5.415041)",
+                (-2.5, 2.5),
+                (-2.5, 2.5),
+            ),
+            ParamRegion(0.42593, 1.30373, -0.09802, 0.86984),
+        ),
+    ],
+    ids=["paraboloid", "closed-parametric-band", "graph-rectangle"],
+)
+def test_residual_at_rounding_level_on_expression_charts(patch, region):
+    # exact derivatives leave only quadrature rounding in the residual
+    report = gb_residual(patch, region)
+    assert abs(report.residual) <= 1e-13
+    assert abs(report.area_integral) > 1e-2
 
 
 # ---------------------------------------------------------------------------

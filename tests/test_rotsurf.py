@@ -249,11 +249,10 @@ def test_pipeline_recovers_constant_curvature():
         for _ in range(25):
             u = float(rng.uniform(0, 2 * math.pi))
             v = float(rng.uniform(v0 + 0.05 * width, v1 - 0.05 * width))
-            s = adapted_frame(patch, u, v)
-            from h1geom.surface import frame_derivatives
+            from h1geom.surface import frame_data
 
-            fd = frame_derivatives(patch, u, v, method="fd")
-            assert -fd.dA_f2 - s.A**2 == pytest.approx(K, abs=1e-6)
+            s, fd = frame_data(patch, u, v)
+            assert -fd.dA_f2 - s.A**2 == pytest.approx(K, abs=1e-12)
 
 
 def test_corrected_alpha_gradient_matches_fd():

@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+import helpers
 from h1geom import catalog
 from h1geom.errors import CharacteristicPointError
 from h1geom.hgroup import coframe_eval, gl_inner
@@ -194,8 +196,7 @@ def test_rotation_tilt_matches_profile_log_derivative():
 
 def test_plane_polar_derivative_hand_values():
     patch = catalog.plane()
-    for method in ("analytic", "fd"):
-        fd = frame_derivatives(patch, 0.0, 1.0, method=method)
+    for fd in (frame_derivatives(patch, 0.0, 1.0), helpers.fd_frame_derivatives(patch, 0.0, 1.0)):
         assert fd.dA_f2 == pytest.approx(-2.0, abs=1e-6)
         assert fd.dalpha_f3 == pytest.approx(-2.0, abs=1e-6)
         assert fd.dalpha_f2 == pytest.approx(0.0, abs=1e-8)
@@ -208,9 +209,8 @@ def test_structure_identity_on_catalog():
         for _ in range(8):
             u = float(rng.uniform(*u_span))
             v = float(rng.uniform(*v_span))
-            s = adapted_frame(patch, u, v)
-            fd = frame_derivatives(patch, u, v, method="fd")
-            assert abs(structure_identity_residual(fd, s.A)) <= 1e-6
+            s, fd = frame_data(patch, u, v)
+            assert abs(structure_identity_residual(fd, s.A)) <= 1e-12 * max(1.0, s.A**2)
 
 
 def test_fd_matches_analytic_on_rotation_patches():
@@ -221,18 +221,141 @@ def test_fd_matches_analytic_on_rotation_patches():
         for _ in range(6):
             u = float(rng.uniform(0, 2 * math.pi))
             v = float(rng.uniform(*v_span))
-            fd = frame_derivatives(patch, u, v, method="fd")
-            an = frame_derivatives(patch, u, v, method="analytic")
+            fd = helpers.fd_frame_derivatives(patch, u, v)
+            exact = frame_derivatives(patch, u, v)
             for name in ("dA_f2", "dA_f3", "dalpha_f2", "dalpha_f3"):
-                got, want = getattr(fd, name), getattr(an, name)
+                got, want = getattr(fd, name), getattr(exact, name)
                 assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
 
 def test_constant_curvature_recovered_by_fd_pipeline():
     for K, v in ((1.0, 0.7), (0.0, 1.1), (-1.0, -1.3)):
         patch = catalog.constant_curvature(K)
-        s, fd = frame_data(patch, 2.2, v, method="fd")
+        s = adapted_frame(patch, 2.2, v)
+        fd = helpers.fd_frame_derivatives(patch, 2.2, v)
         assert -fd.dA_f2 - s.A**2 == pytest.approx(K, abs=1e-6)
+
+
+def _rotation_cases():
+    """(chart, A(v), dA/dv, kappa(v), K_inf or None, points) with closed forms.
+
+    On a rotation chart A depends on v only, and alpha = u + const along
+    each v-circle with dalpha/dv the profile curvature kappa.
+    """
+    from h1geom.rotsurf import A_family, circle_profile, default_v_range, family_profile, line_profile
+
+    for K in (1.0, 0.0, -1.0, 2.7, -3.1, 0.3):
+        for r0 in (0.5, 1.0, 1.9):
+            v0, v1 = default_v_range(K, r0)
+            A = functools.partial(A_family, K)
+            yield (
+                catalog.constant_curvature(K, r0), A, lambda v, A=A, K=K: -K - A(v) ** 2,
+                family_profile(K, r0).kappa, K, [(0.7, v0), (2.9, 0.5 * (v0 + v1)), (5.1, v1)],
+            )
+    yield (
+        catalog.plane(), lambda v: 2.0 / v, lambda v: -2.0 / (v * v), line_profile().kappa, None,
+        [(4.0, 0.3), (0.0, 1.0), (1.3, 7.5)],
+    )
+    yield catalog.cylinder(), lambda v: 0.0, lambda v: 0.0, circle_profile().kappa, 0.0, [(0.2, -3.0), (3.3, 0.4)]
+
+
+def test_exact_derivatives_match_rotation_closed_forms():
+    count = 0
+    for patch, A_of, dA_of, kappa, K, points in _rotation_cases():
+        for chart in (patch, patch.with_orientation(-1)):
+            flip = float(chart.orientation)
+            for u, v in points:
+                s, fd = frame_data(chart, u, v)
+                assert s.A == pytest.approx(flip * A_of(v), rel=1e-12, abs=1e-12)
+                grad_A, grad_al = (0.0, flip * dA_of(v)), (1.0, kappa(v))
+                want = {
+                    "dA_f2": s.f2_uv[0] * grad_A[0] + s.f2_uv[1] * grad_A[1],
+                    "dA_f3": s.f3_uv[0] * grad_A[0] + s.f3_uv[1] * grad_A[1],
+                    "dalpha_f2": s.f2_uv[0] * grad_al[0] + s.f2_uv[1] * grad_al[1],
+                    "dalpha_f3": s.f3_uv[0] * grad_al[0] + s.f3_uv[1] * grad_al[1],
+                }
+                for name, expected in want.items():
+                    assert abs(getattr(fd, name) - expected) <= 1e-12 * max(1.0, abs(expected))
+                if K is not None:
+                    assert -fd.dA_f2 - s.A**2 == pytest.approx(K, abs=1e-12 * max(1.0, s.A**2))
+                count += 1
+    assert count == 2 * (6 * 3 * 3 + 3 + 2)
+
+
+def test_plane_exact_hand_values_at_4_03():
+    # radius 0.3: A = 2/r, dA(f2) = dalpha(f3) = -2/r^2
+    for sign in (1, -1):
+        s, fd = frame_data(catalog.plane(orientation=sign), 4.0, 0.3)
+        assert s.A == pytest.approx(sign * 2.0 / 0.3, rel=1e-14)
+        assert fd.dA_f2 == pytest.approx(-2.0 / 0.09, rel=1e-13)
+        assert fd.dalpha_f3 == pytest.approx(-2.0 / 0.09, rel=1e-13)
+        assert abs(fd.dA_f3) <= 1e-12 and abs(fd.dalpha_f2) <= 1e-12
+
+
+def test_exact_derivatives_match_fd_reference_on_expression_charts():
+    charts = [
+        (catalog.paraboloid(), (0.3, 1.9), (0.3, 1.9)),
+        (
+            graph_patch("0.38*u^2 - 0.1*v^2 - 0.42*u*v + 0.23*sin(-0.5*u + 1.46*v + 5.4)", (-2.5, 2.5), (-2.5, 2.5)),
+            (0.45, 1.3),
+            (-0.09, 0.86),
+        ),
+        (
+            parametric_patch(
+                "(2+cos(v))*cos(u)", "(2+cos(v))*sin(u)", "sin(v)+0.3*sin(u)",
+                (0.0, 2 * math.pi), (-0.4, 0.4), closed_u=True,
+            ),
+            (0.0, 2 * math.pi),
+            (-0.35, 0.35),
+        ),
+    ]
+    rng = np.random.default_rng(RNG_SEED + 5)
+    for patch, u_span, v_span in charts:
+        for _ in range(10):
+            u = float(rng.uniform(*u_span))
+            v = float(rng.uniform(*v_span))
+            s, exact = frame_data(patch, u, v)
+            fd = helpers.fd_frame_derivatives(patch, u, v)
+            for name in ("dA_f2", "dA_f3", "dalpha_f2", "dalpha_f3"):
+                got, want = getattr(exact, name), getattr(fd, name)
+                assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
+            assert abs(structure_identity_residual(exact, s.A)) <= 1e-12 * max(1.0, s.A**2)
+
+
+def test_frame_values_match_the_float_reference_bit_for_bit():
+    # the float frame and the dual pass both reproduce the frame as first
+    # written, on jets computed apart; repr keeps the sign of zero
+    from h1geom.expr import parse
+    from h1geom.rotsurf import family_profile, line_profile
+
+    h = "0.38*u^2 - 0.1*v^2 - 0.42*u*v + 0.23*sin(-0.5*u + 1.46*v + 5.4)"
+    charts = [(graph_patch(h, (-2.5, 2.5), (-2.5, 2.5)), helpers.reference_graph_jet(parse(h)))]
+    charts.append((catalog.paraboloid(), helpers.reference_graph_jet(parse("(u^2+v^2)/2"))))
+    charts.append((catalog.plane(), helpers.reference_rotation_jet(line_profile())))
+    for K in (1.0, 0.0, -1.0, 2.7, -3.1):
+        charts.append((catalog.constant_curvature(K), helpers.reference_rotation_jet(family_profile(K, 1.0))))
+    rng = np.random.default_rng(RNG_SEED + 7)
+    for patch, jet in charts:
+        for chart in (patch, patch.with_orientation(-1)):
+            for _ in range(60):
+                u = float(rng.uniform(*chart.u_range))
+                v = float(rng.uniform(*chart.v_range))
+                try:
+                    want = repr(helpers.reference_adapted_frame(jet, u, v, chart.orientation))
+                except ZeroDivisionError:  # characteristic
+                    continue
+                assert repr(helpers.frame_values(adapted_frame(chart, u, v))) == want
+                assert repr(helpers.frame_values(frame_data(chart, u, v)[0])) == want
+
+
+def test_frame_data_sample_equals_adapted_frame():
+    # the dual pass reproduces the float frame bit for bit
+    rng = np.random.default_rng(RNG_SEED + 6)
+    for patch, u_span, v_span in catalog_samples():
+        for _ in range(5):
+            u = float(rng.uniform(*u_span))
+            v = float(rng.uniform(*v_span))
+            assert frame_data(patch, u, v)[0] == adapted_frame(patch, u, v)
 
 
 def test_orientation_flip():
@@ -323,10 +446,3 @@ def test_parametric_patch_jet():
     s = adapted_frame(patch, 0.7, 0.1)
     assert s.A == pytest.approx(0.0, abs=1e-12)
 
-
-def test_frame_derivatives_method_validation():
-    patch = catalog.paraboloid()
-    with pytest.raises(ValueError):
-        frame_derivatives(patch, 0.5, 0.5, method="nope")
-    with pytest.raises(ValueError):
-        frame_derivatives(patch, 0.5, 0.5, method="analytic")  # no closed forms
