@@ -339,6 +339,7 @@ def pretty(e: Expr) -> str:
 # Dual numbers
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Dual2:
     """Value with exact first partials with respect to two active variables.
 
@@ -348,14 +349,14 @@ class Dual2:
     (Fike & Alonso, AIAA 2011-886).  Float parts see exactly the arithmetic
     of the first-order rules, so a nested evaluation reproduces the value
     and first partials of a first-order one bit for bit.
+
+    Not frozen, because a frozen dataclass constructs about twice as slowly;
+    nothing assigns to a Dual2 after construction, so it hashes by value.
     """
 
-    __slots__ = ("value", "d_u", "d_v")
-
-    def __init__(self, value, d_u=0.0, d_v=0.0):
-        self.value = value
-        self.d_u = d_u
-        self.d_v = d_v
+    value: float
+    d_u: float = 0.0
+    d_v: float = 0.0
 
     def __add__(self, o):
         return Dual2(self.value + o.value, self.d_u + o.d_u, self.d_v + o.d_v)
@@ -460,10 +461,17 @@ def _pow(b, p: float, node: Expr):
     return b.chain(_pow(b.value, p, node), slope)
 
 
+def _is_zero(d) -> bool:
+    if type(d) is Dual2:
+        return _is_zero(d.value) and _is_zero(d.d_u) and _is_zero(d.d_v)
+    return d == 0.0
+
+
 def _dual_pow(base: Dual2, expo: Dual2, node: Expr) -> Dual2:
     b, p = base.value, expo.value
-    first = p if type(p) is Dual2 else expo  # the exponent's first partials
-    if first.d_u == 0.0 and first.d_v == 0.0:
+    # a constant exponent only if every partial, at every nesting level, is zero:
+    # 2^(v^2) at v = 0 has a zero gradient but a nonzero second partial
+    if _is_zero(expo.d_u) and _is_zero(expo.d_v):
         return _pow(base, _innermost(p), node)
     bv = _innermost(b)
     if bv <= 0.0:

@@ -38,6 +38,7 @@ __all__ = [
     "group_inv",
     "frame_at",
     "coframe_eval",
+    "e3_coefficient",
     "volume_form",
     "gl_inner",
     "frame_to_gl_basis",
@@ -110,7 +111,15 @@ class FrameVec:
     def from_coordinates(cls, base: Point, vec) -> "FrameVec":
         """Inverse of :meth:`to_coordinates`; c3 is e^3 applied to the vector."""
         vx, vy, vz = (float(vec[0]), float(vec[1]), float(vec[2]))
-        return cls(base, vx, vy, vz + 0.5 * (base.y * vx - base.x * vy))
+        return cls(base, vx, vy, e3_coefficient(base.x, base.y, vx, vy, vz))
+
+
+def e3_coefficient(x, y, vx, vy, vz):
+    """e^3 at a point with coordinates (x, y, .) applied to the vector (vx, vy, vz).
+
+    Plain arithmetic, so the arguments may be floats or dual numbers.
+    """
+    return vz + 0.5 * (y * vx - x * vy)
 
 
 def group_mul(p: Point, q: Point) -> Point:
@@ -142,7 +151,7 @@ def coframe_eval(index: int, p: Point, vec) -> float:
     if index == 2:
         return vy
     if index == 3:
-        return vz + 0.5 * (p.y * vx - p.x * vy)
+        return e3_coefficient(p.x, p.y, vx, vy, vz)
     raise ValueError(f"coframe index must be 1, 2 or 3, got {index}")
 
 

@@ -22,7 +22,7 @@ from typing import Callable
 from . import expr as _expr
 from .expr import Dual2
 from .errors import CharacteristicPointError, DegenerateParametrizationError
-from .hgroup import FrameVec, Point
+from .hgroup import FrameVec, Point, e3_coefficient
 
 __all__ = [
     "SurfacePatch",
@@ -66,10 +66,10 @@ class SurfacePatch:
         return Point(*(c.value for c in self.jet2(u, v)[0]))
 
     def contains(self, u: float, v: float) -> bool:
+        """True iff (u, v) lies in the chart; a chart closed in u takes any u."""
         return (
-            self.u_range[0] <= u <= self.u_range[1]
-            and self.v_range[0] <= v <= self.v_range[1]
-        )
+            self.closed_u or self.u_range[0] <= u <= self.u_range[1]
+        ) and self.v_range[0] <= v <= self.v_range[1]
 
     def with_orientation(self, sign: int) -> "SurfacePatch":
         return replace(self, orientation=1 if sign >= 0 else -1)
@@ -157,8 +157,8 @@ def _atan2(y, x):
 def _frame(S: SurfacePatch, u, v, pos, du, dv, tol):
     """Adapted frame from the jet (pos, du, dv), each a 3-tuple of one number type."""
     # frame coefficients of f_u and f_v; c3 is e^3 applied to the tangent
-    f_u = (du[0], du[1], du[2] + 0.5 * (pos[1] * du[0] - pos[0] * du[1]))
-    f_v = (dv[0], dv[1], dv[2] + 0.5 * (pos[1] * dv[0] - pos[0] * dv[1]))
+    f_u = (du[0], du[1], e3_coefficient(pos[0], pos[1], *du))
+    f_v = (dv[0], dv[1], e3_coefficient(pos[0], pos[1], *dv))
     scale = max(abs(_val(c)) for c in (*f_u, *f_v))
     if abs(_val(f_u[2])) <= tol * scale and abs(_val(f_v[2])) <= tol * scale:
         raise CharacteristicPointError(

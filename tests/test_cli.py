@@ -407,6 +407,15 @@ def test_converge_rejects_point_outside_chart(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_converge_takes_any_u_on_a_chart_closed_in_u(tmp_path):
+    # rotation charts are periodic in u; v is still bounded
+    for point in ("7,1", "-1,1"):
+        out = tmp_path / f"conv{point}.csv"
+        assert main(["converge", "--surface", "plane", f"--point={point}", "--out", str(out)]) == 0
+        assert out.exists()
+    assert main(["converge", "--surface", "plane", "--point", "7,50", "--out", str(tmp_path / "x.csv")]) == 1
+
+
 def test_deeply_nested_expression_exits_1(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     h = "(" * 5000 + "u" + ")" * 5000

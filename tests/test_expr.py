@@ -176,6 +176,22 @@ def test_hyperdual_hand_values():
     assert _parts(d.value) == (2.0 + math.sin(0.5), 2.0, 4.0 + math.cos(0.5))
     assert _parts(d.d_u) == (2.0, 1.0, 4.0)
     assert _parts(d.d_v) == (4.0 + math.cos(0.5), 4.0, -math.sin(0.5))
+    # the exponent's gradient vanishes at these points but its Hessian does not
+    d = ex.eval_hyperdual(ex.parse("2^(v^2)+u*v"), 1.0, 0.0)
+    assert _parts(d.value) == (1.0, 0.0, 1.0)
+    assert _parts(d.d_u) == (0.0, 0.0, 1.0)
+    assert _parts(d.d_v) == (1.0, 1.0, 2.0 * math.log(2.0))
+    d = ex.eval_hyperdual(ex.parse("e^(u*v)"), 0.0, 0.0)
+    assert (d.d_u.d_u, d.d_u.d_v, d.d_v.d_v) == (0.0, 1.0, 0.0)
+    d = ex.eval_hyperdual(ex.parse("(u+2)^(u^2+v^2)"), 0.0, 0.0)
+    assert (d.d_u.d_u, d.d_u.d_v, d.d_v.d_v) == (2.0 * math.log(2.0), 0.0, 2.0 * math.log(2.0))
+
+
+def test_dual2_compares_and_hashes_by_value():
+    assert ex.Dual2(1.0) == ex.Dual2(1.0, 0.0, 0.0)
+    assert ex.Dual2(1.0, 2.0) != ex.Dual2(1.0)
+    assert hash(ex.Dual2(0.5, 1.0, 2.0)) == hash(ex.Dual2(0.5, 1.0, 2.0))
+    assert repr(ex.Dual2(1.0, 2.0, 3.0)) == "Dual2(value=1.0, d_u=2.0, d_v=3.0)"
 
 
 def test_parser_rejects_deep_nesting():

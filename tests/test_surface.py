@@ -308,6 +308,8 @@ def test_exact_derivatives_match_fd_reference_on_expression_charts():
             (0.0, 2 * math.pi),
             (-0.35, 0.35),
         ),
+        # on v = 0 the exponent v^2 has a zero gradient and a nonzero second partial
+        (graph_patch("2^(v^2) + u*v", (-2.0, 2.0), (-2.0, 2.0)), (0.5, 1.7), (0.0, 0.0)),
     ]
     rng = np.random.default_rng(RNG_SEED + 5)
     for patch, u_span, v_span in charts:
