@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, catalog
-from .curvature import k_gauss_map, k_inf, k_L, k_n
+from .batch import first_failure
+from .curvature import k_gauss_map, k_inf, k_L
 from .errors import GeometryError
 from .expr import EvalError, ParseError
 from .export import write_csv, write_json_report, write_obj
@@ -215,23 +216,21 @@ def cmd_rotsurf(args) -> int:
 # curvature and frames grids
 
 
-def _grid_rows(patch, nu, nv, char_tol, n_values, values):
+def _grid_rows(patch, nu, nv, char_tol, values):
     """Rows u, v, x, y, z, *values(sample, fd), characteristic over the chart grid.
 
-    Characteristic points get NaN values and the flag 1.
+    One batched frame_data call over the grid, v outer and u inner, with the
+    errors of a point-by-point scan.  Characteristic points get NaN values
+    and the flag 1.
     """
-    rows = []
-    for v in np.linspace(patch.v_range[0], patch.v_range[1], nv).tolist():
-        for u in np.linspace(patch.u_range[0], patch.u_range[1], nu).tolist():
-            try:
-                sample, fd = frame_data(patch, u, v, tol=char_tol)
-            except GeometryError:
-                pos = patch.position(u, v)
-                rows.append([u, v, pos.x, pos.y, pos.z] + [math.nan] * n_values + [1])
-                continue
-            pos = sample.point
-            rows.append([u, v, pos.x, pos.y, pos.z, *values(sample, fd), 0])
-    return rows
+    u = np.tile(np.linspace(patch.u_range[0], patch.u_range[1], nu), nv)
+    v = np.repeat(np.linspace(patch.v_range[0], patch.v_range[1], nv), nu)
+    sample, fd, singular = first_failure(
+        lambda lo, hi: frame_data(patch, u[lo:hi], v[lo:hi], tol=char_tol), len(u)
+    )
+    with np.errstate(all="ignore"):
+        cells = [np.where(singular, math.nan, x) for x in values(sample, fd)]
+    return np.column_stack(np.broadcast_arrays(u, v, *sample.point, *cells, singular.astype(float)))
 
 
 def cmd_curvature(args) -> int:
@@ -269,11 +268,11 @@ def cmd_curvature(args) -> int:
         row += [k_L(fd, A, L) for L in L_values]
         for du, dv in directions:
             b = du * sample.f_u_23[1] + dv * sample.f_v_23[1]  # f^3 of the direction
-            row.append(k_n(A, b) if b != 0.0 else math.nan)
+            row.append(np.where(b != 0.0, A * np.copysign(1.0, b), math.nan))  # k_n = A sign(b)
         return row
 
-    rows = _grid_rows(patch, nu, nv, char_tol, len(columns) - 6, values)
-    flagged = sum(row[-1] for row in rows)
+    rows = _grid_rows(patch, nu, nv, char_tol, values)
+    flagged = int(rows[:, -1].sum())
     if flagged == len(rows):
         print("error: every grid point is characteristic", file=sys.stderr)
         return EXIT_NUMERIC
@@ -303,11 +302,11 @@ def cmd_frames(args) -> int:
 
     def values(s, fd):
         return [
-            s.alpha, s.A, s.f1.c1, s.f1.c2, s.f2.c1, s.f2.c2, s.f3.c1, s.f3.c2, s.f3.c3,
+            s.alpha, s.A, *s.f1[:2], *s.f2[:2], *s.f3,
             fd.dA_f2, fd.dA_f3, fd.dalpha_f2, fd.dalpha_f3,
         ]
 
-    rows = _grid_rows(patch, nu, nv, char_tol, len(columns) - 6, values)
+    rows = _grid_rows(patch, nu, nv, char_tol, values)
     write_csv(args.out, columns, rows, effective)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .batch import power
 from .errors import GeometryError, NonTransverseError
 from .surface import (
     AdaptedFrameSample,
@@ -51,13 +52,13 @@ IDENTITY_TOL = 1e-5
 
 
 def k_L(fd: FrameDerivatives, A: float, L: float) -> float:
-    """Gaussian curvature of the surface in the metric g_L."""
+    """Gaussian curvature of the surface in the metric g_L (A and fd may hold arrays)."""
     L = float(L)
     if L <= 0.0:
         raise ValueError("metric parameter must be positive")
     den = L + A * A
     wedge = fd.dalpha_f3 * fd.dA_f2 - fd.dalpha_f2 * fd.dA_f3
-    return L / den**2 * wedge - L * L / den**2 * fd.dA_f2 - L / den * A * A
+    return L / power(den, 2) * wedge - L * L / power(den, 2) * fd.dA_f2 - L / den * A * A
 
 
 def k_inf(fd: FrameDerivatives, A: float) -> float:

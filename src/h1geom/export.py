@@ -13,6 +13,8 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 __all__ = ["fmt", "config_hash", "write_obj", "write_csv", "write_json_report"]
 
 TOOL = "h1geom"
@@ -65,12 +67,16 @@ def write_obj(path, mesh, config: dict) -> None:
 
 
 def write_csv(path, columns, rows, config: dict, footer_comments=()) -> None:
-    lines = [f"# {_stamp(config)}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt(cell) for cell in row))
-    for comment in footer_comments:
-        lines.append(f"# {comment}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """CSV of numeric rows (a 2-d array or a list of rows), formatted in one block.
+
+    Cells print as fmt prints floats; None prints nan, and integer cells
+    (flags) print as their float value, so 0 and 1 read 0 and 1.
+    """
+    table = np.array(rows, dtype=float).reshape(len(rows), len(columns))
+    parts = [f"# {_stamp(config)}\n", ",".join(columns) + "\n"]
+    parts.append(_block(",".join(["%.17g"] * len(columns)) + "\n", table))
+    parts += [f"# {comment}\n" for comment in footer_comments]
+    Path(path).write_text("".join(parts))
 
 
 def write_json_report(path, payload: dict, config: dict) -> None:

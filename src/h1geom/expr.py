@@ -18,6 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
+from .batch import elementwise, power
+
 __all__ = [
     "Expr",
     "Dual2",
@@ -352,11 +356,17 @@ class Dual2:
 
     Not frozen, because a frozen dataclass constructs about twice as slowly;
     nothing assigns to a Dual2 after construction, so it hashes by value.
+
+    The float parts may also be one-dimensional arrays over a batch of
+    points (see ``h1geom.batch``); the rules then hold point by point, and
+    ``__array_ufunc__ = None`` makes ``array * dual`` use the dual rules.
     """
 
     value: float
     d_u: float = 0.0
     d_v: float = 0.0
+
+    __array_ufunc__ = None
 
     def __add__(self, o):
         return Dual2(self.value + o.value, self.d_u + o.d_u, self.d_v + o.d_v)
@@ -375,18 +385,18 @@ class Dual2:
         )
 
     def __truediv__(self, o):
-        val = _ieee_div(self.value, o.value)
+        val = ieee_div(self.value, o.value)
         den = o.value * o.value
         return Dual2(
             val,
-            _ieee_div(self.d_u * o.value - self.value * o.d_u, den),
-            _ieee_div(self.d_v * o.value - self.value * o.d_v, den),
+            ieee_div(self.d_u * o.value - self.value * o.d_u, den),
+            ieee_div(self.d_v * o.value - self.value * o.d_v, den),
         )
 
     def __pow__(self, p):
         """Constant real power; float parts use libm pow, as ``float ** p`` does."""
-        slope = p * self.value ** (p - 1)
-        return Dual2(self.value**p, slope * self.d_u, slope * self.d_v)
+        slope = p * power(self.value, p - 1)
+        return Dual2(power(self.value, p), slope * self.d_u, slope * self.d_v)
 
     # A plain number on the left acts as a constant.
     def __radd__(self, c):
@@ -423,14 +433,14 @@ def _const_like(x, c):
     return c
 
 
-def _ieee_div(a, b):
-    if type(b) is Dual2:
-        return a / b
-    if b != 0.0:
-        return a / b
-    if a == 0.0 or math.isnan(a):
-        return math.nan
-    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+def ieee_div(a, b):
+    """a / b with IEEE results (inf, nan) where Python's float division raises."""
+    try:
+        return a / b  # Dual2 and numpy arrays divide by zero as IEEE does
+    except ZeroDivisionError:
+        if a == 0.0 or math.isnan(a):
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 def _safe_pow(b: float, p: float) -> float:
@@ -445,25 +455,80 @@ def _safe_pow(b: float, p: float) -> float:
         return math.inf if (b > 0.0 or even) else -math.inf
 
 
+# Branches that depend on values are taken per point on a batch: where the
+# points of a batch disagree on a branch, _split evaluates the function
+# again on each group of points, so a branch never sees, or raises for, a
+# point that takes the other one.
+
+
+def _any(mask) -> bool:
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
+
+
+def _first(x, mask) -> float:
+    """The value of x at the first point where mask holds (x itself for a float)."""
+    return float(x[np.flatnonzero(mask)[0]]) if isinstance(mask, np.ndarray) else x
+
+
+def _uniform(cond):
+    """cond as one bool, or None on a batch whose points disagree."""
+    if isinstance(cond, np.ndarray):
+        return True if cond.all() else (False if not cond.any() else None)
+    return cond
+
+
+def _take(x, idx):
+    """The points idx of a batch value; float parts are shared by every point."""
+    if type(x) is Dual2:
+        return Dual2(_take(x.value, idx), _take(x.d_u, idx), _take(x.d_v, idx))
+    return x[idx] if isinstance(x, np.ndarray) else x
+
+
+def _merge(n: int, pieces):
+    """Scatter (indices, value) pieces of one Dual2 nesting into arrays of n points."""
+    if type(pieces[0][1]) is Dual2:
+        return Dual2(
+            *(_merge(n, [(idx, getattr(x, part)) for idx, x in pieces]) for part in ("value", "d_u", "d_v"))
+        )
+    out = np.empty(n)
+    for idx, x in pieces:
+        out[idx] = x
+    return out
+
+
+def _split(groups, f, *args):
+    """f(*args) evaluated apart on each group of points of a batch (an integer label per point)."""
+    pieces = []
+    for label in np.unique(groups).tolist():
+        idx = np.flatnonzero(groups == label)
+        pieces.append((idx, f(*(_take(a, idx) for a in args))))
+    return _merge(len(groups), pieces)
+
+
 def _pow(b, p: float, node: Expr):
-    """b ** p for a constant exponent p and a float or Dual2 base b."""
+    """b ** p for a constant exponent p and a float, array or Dual2 base b."""
     if type(b) is not Dual2:
-        return _safe_pow(b, p)
+        return _safe_pow(b, p) if type(b) is float else elementwise(_safe_pow, b, p)
     bv = _innermost(b)
     if p == float(int(p)) and abs(p) < 1e15:
         if p == 0.0:
             return _const_like(b, 1.0)
-        slope = p * _pow(b.value, p - 1.0, node) if (bv != 0.0 or p >= 1.0) else math.inf
-    elif bv < 0.0:
-        raise ExprDomainError(f"negative base {bv!r} with non-integer exponent", node)
+        regular, other_slope = p >= 1.0 or bv != 0.0, math.inf
+    elif _any(bv < 0.0):
+        raise ExprDomainError(f"negative base {_first(bv, bv < 0.0)!r} with non-integer exponent", node)
     else:
-        slope = p * _pow(b.value, p - 1.0, node) if bv > 0.0 else (0.0 if p > 1.0 else math.inf)
+        regular, other_slope = bv > 0.0, (0.0 if p > 1.0 else math.inf)
+    if type(regular) is not bool:  # a batch
+        if _uniform(regular) is None:
+            return _split(regular, lambda b: _pow(b, p, node), b)
+        regular = _uniform(regular)
+    slope = p * _pow(b.value, p - 1.0, node) if regular else other_slope
     return b.chain(_pow(b.value, p, node), slope)
 
 
-def _is_zero(d) -> bool:
+def _is_zero(d):
     if type(d) is Dual2:
-        return _is_zero(d.value) and _is_zero(d.d_u) and _is_zero(d.d_v)
+        return _is_zero(d.value) & _is_zero(d.d_u) & _is_zero(d.d_v)
     return d == 0.0
 
 
@@ -471,12 +536,22 @@ def _dual_pow(base: Dual2, expo: Dual2, node: Expr) -> Dual2:
     b, p = base.value, expo.value
     # a constant exponent only if every partial, at every nesting level, is zero:
     # 2^(v^2) at v = 0 has a zero gradient but a nonzero second partial
-    if _is_zero(expo.d_u) and _is_zero(expo.d_v):
-        return _pow(base, _innermost(p), node)
+    constant = _is_zero(expo.d_u) & _is_zero(expo.d_v)
+    if type(constant) is not bool:  # a batch
+        if _uniform(constant) is None:
+            return _split(constant, lambda base, expo: _dual_pow(base, expo, node), base, expo)
+        constant = _uniform(constant)
+    if constant:
+        p = _innermost(p)
+        if type(p) is not float:
+            # a varying exponent whose partials vanish at these points: one constant each
+            values, group = np.unique(p, return_inverse=True)
+            return _split(group, lambda base, k: _pow(base, values[k[0]].item(), node), base, group)
+        return _pow(base, p, node)
     bv = _innermost(b)
-    if bv <= 0.0:
-        raise ExprDomainError(f"non-positive base {bv!r} with varying exponent", node)
-    val = _dual_pow(b, p, node) if type(b) is Dual2 else _safe_pow(b, p)
+    if _any(bv <= 0.0):
+        raise ExprDomainError(f"non-positive base {_first(bv, bv <= 0.0)!r} with varying exponent", node)
+    val = _dual_pow(b, p, node) if type(b) is Dual2 else elementwise(_safe_pow, b, p)
     log_b = _apply("ln", b, node)
     du = val * (expo.d_u * log_b + p * base.d_u / b)
     dv = val * (expo.d_v * log_b + p * base.d_v / b)
@@ -491,7 +566,7 @@ def _safe(fn, x: float) -> float:
 
 
 # fn -> (its value at a float, its slope from x and the value f; x and f
-# are floats or Dual2s).  Only ln and sqrt have domain limits, checked in
+# are floats, arrays or Dual2s).  Only ln and sqrt have domain limits, checked in
 # _dual_call, so the slopes evaluate cos, sin, cosh and sinh without a node.
 _RULES = {
     "sin": (math.sin, lambda x, f: _apply("cos", x)),
@@ -503,23 +578,32 @@ _RULES = {
     "exp": (lambda x: _safe(math.exp, x), lambda x, f: f),
     "ln": (math.log, lambda x, f: 1.0 / x),
     "sqrt": (math.sqrt, lambda x, f: 0.5 / f),
-    "abs": (abs, lambda x, f: 0.0 if _innermost(x) == 0.0 else math.copysign(1.0, _innermost(x))),
+    "abs": (abs, lambda x, f: elementwise(_abs_slope, _innermost(x))),
     "atan": (math.atan, lambda x, f: 1.0 / (1.0 + x * x)),
 }
 
 
+def _abs_slope(x: float) -> float:
+    return 0.0 if x == 0.0 else math.copysign(1.0, x)
+
+
 def _apply(fn: str, x, node: Expr = None):
-    """fn at a float, or at a Dual2 through the dual rules."""
+    """fn at a float or an array, or at a Dual2 through the dual rules."""
     if type(x) is Dual2:
         return _dual_call(fn, x, node)
-    return _RULES[fn][0](x)
+    f = _RULES[fn][0]
+    return f(x) if type(x) is float else elementwise(f, x)
+
+
+def _zero_root_slope(d: float) -> float:
+    # sqrt at a zero root: a partial vanishes where the argument's does, else it is infinite
+    return 0.0 if d == 0.0 else math.copysign(math.inf, d)
 
 
 def _zero_root_partial(d):
-    # sqrt at a zero root: a partial vanishes where the argument's does, else it is infinite
     if type(d) is Dual2:
         return Dual2(_zero_root_partial(d.value), _zero_root_partial(d.d_u), _zero_root_partial(d.d_v))
-    return 0.0 if d == 0.0 else math.copysign(math.inf, d)
+    return elementwise(_zero_root_slope, d)
 
 
 def _dual_call(fn: str, arg: Dual2, node: Expr) -> Dual2:
@@ -527,11 +611,14 @@ def _dual_call(fn: str, arg: Dual2, node: Expr) -> Dual2:
         raise EvalError(f"unknown function {fn!r}")
     x = arg.value
     xv = _innermost(x)
-    if fn == "ln" and xv <= 0.0:
-        raise ExprDomainError(f"ln of non-positive value {xv!r}", node)
-    if fn == "sqrt" and xv <= 0.0:
-        if xv < -SQRT_CLAMP:
-            raise ExprDomainError(f"sqrt of negative value {xv!r}", node)
+    if fn == "ln" and _any(xv <= 0.0):
+        raise ExprDomainError(f"ln of non-positive value {_first(xv, xv <= 0.0)!r}", node)
+    if fn == "sqrt" and _any(xv <= 0.0):
+        if _any(xv < -SQRT_CLAMP):
+            raise ExprDomainError(f"sqrt of negative value {_first(xv, xv < -SQRT_CLAMP)!r}", node)
+        clamped = xv <= 0.0
+        if _uniform(clamped) is None:
+            return _split(clamped, lambda arg: _dual_call(fn, arg, node), arg)
         root = _dual_call("sqrt", x, node) if type(x) is Dual2 else 0.0  # clamped to 0
         return Dual2(root, _zero_root_partial(arg.d_u), _zero_root_partial(arg.d_v))
     f = _apply(fn, x, node)
@@ -583,11 +670,17 @@ def eval_hyperdual(e: Expr, u: float, v: float) -> Dual2:
     """Value, first and second partials in u and v as a nested Dual2.
 
     The result's value part equals ``eval_dual(e, u, v)`` bit for bit; its
-    d_u and d_v parts are the first-order duals of f_u and f_v.
+    d_u and d_v parts are the first-order duals of f_u and f_v.  u and v may
+    be arrays over a batch of points; a domain error at any point raises.
     """
-    u, v = float(u), float(v)
+    u, v = as_coordinate(u), as_coordinate(v)
     seeds = {"u": Dual2(Dual2(u, 1.0, 0.0), _ONE, _ZERO), "v": Dual2(Dual2(v, 0.0, 1.0), _ZERO, _ONE)}
     return _eval(e, seeds, lambda c: Dual2(Dual2(c), _ZERO, _ZERO))
+
+
+def as_coordinate(x):
+    """A float, or a float array for a batch of points."""
+    return np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
 
 
 def eval_dual_t(e: Expr, t: float) -> Dual2:

@@ -20,10 +20,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .batch import elementwise, first_failure
 from .curvature import TransverseCurveSample, ds_L_density, k_L, k_inf, k_n, k_n_L, transverse_sample
 from .errors import CharacteristicPointError, NonTransverseError
-from .quadrature import integrate, integrate_2d
-from .surface import SurfacePatch, adapted_frame, characteristic_test, frame_data, pushforward_frame
+from .quadrature import _integrate, integrate, integrate_2d
+from .surface import SurfacePatch, adapted_frame, characteristic_test, frame_data, tangent_coefficients
 
 __all__ = [
     "ParamRegion",
@@ -47,8 +48,9 @@ class ParamRegion:
     """Axis-aligned parameter rectangle, optionally closed in u.
 
     For closed_u regions u spans a full period and the boundary reduces to
-    the two v = const circles with opposite orientations.  orientation -1
-    integrates over the oppositely oriented chain.
+    the two v = const circles with opposite orientations; the chart must be
+    closed in u and the region span its u_range (_check_period).
+    orientation -1 integrates over the oppositely oriented chain.
     """
 
     u0: float
@@ -89,14 +91,34 @@ def _segments(R: ParamRegion):
     return [piece for piece in pieces if piece[2] > 0.0]
 
 
+def _check_period(S: SurfacePatch, R: ParamRegion) -> None:
+    """ValueError unless a region closed in u spans a full period of a chart closed in u."""
+    if not R.closed_u:
+        return
+    if not S.closed_u:
+        raise ValueError(f"region is closed in u but the chart {S.name!r} is not")
+    period = S.u_range[1] - S.u_range[0]
+    if not math.isclose(R.u1 - R.u0, period, rel_tol=1e-12):
+        raise ValueError(
+            f"region closed in u spans u in [{R.u0!r}, {R.u1!r}], not the period "
+            f"{period!r} of the chart's u range {S.u_range!r}"
+        )
+
+
 def _region_prescan(S: SurfacePatch, R: ParamRegion, n: int = 21, tol: float = 1e-10):
-    for u in np.linspace(R.u0, R.u1, n):
-        for v in np.linspace(R.v0, R.v1, n):
-            f_u, f_v = pushforward_frame(S, float(u), float(v))
-            if characteristic_test(f_u, f_v, tol):
-                raise CharacteristicPointError(
-                    f"characteristic point inside the region at ({u!r}, {v!r})"
-                )
+    """Refuse a characteristic point on the n x n grid of the region (u outer, v inner)."""
+    u = np.repeat(np.linspace(R.u0, R.u1, n), n)
+    v = np.tile(np.linspace(R.v0, R.v1, n), n)
+
+    def scan(lo, hi):
+        hits = np.flatnonzero(characteristic_test(*tangent_coefficients(S, u[lo:hi], v[lo:hi]), tol))
+        if hits.size:
+            k = lo + hits[0]
+            raise CharacteristicPointError(
+                f"characteristic point inside the region at ({u[k]!r}, {v[k]!r})"
+            )
+
+    first_failure(scan, len(u))
 
 
 def _boundary_density(S: SurfacePatch, u: float, v: float, direction) -> float:
@@ -106,18 +128,34 @@ def _boundary_density(S: SurfacePatch, u: float, v: float, direction) -> float:
 
 
 def _boundary_prescan(S: SurfacePatch, R: ParamRegion, n: int = 33):
+    """Refuse a boundary tangent without an f3 component, at n points per piece."""
+    u, v, d0, d1 = [], [], [], []
     for start, d, length in _segments(R):
-        for t in np.linspace(0.0, length, n):
-            u, v = start[0] + d[0] * float(t), start[1] + d[1] * float(t)
-            f_u, f_v = pushforward_frame(S, u, v)
-            b = d[0] * f_u.c3 + d[1] * f_v.c3
-            speed = math.hypot(
-                *(d[0] * np.array([f_u.c1, f_u.c2, f_u.c3]) + d[1] * np.array([f_v.c1, f_v.c2, f_v.c3]))
+        t = np.linspace(0.0, length, n)
+        u.append(start[0] + d[0] * t)
+        v.append(start[1] + d[1] * t)
+        d0.append(np.full(n, d[0]))
+        d1.append(np.full(n, d[1]))
+    if not u:
+        return
+    u, v, d0, d1 = map(np.concatenate, (u, v, d0, d1))
+
+    def scan(lo, hi):
+        f_u, f_v = tangent_coefficients(S, u[lo:hi], v[lo:hi])
+        a, b = d0[lo:hi], d1[lo:hi]
+        with np.errstate(all="ignore"):
+            tangent = [a * cu + b * cv for cu, cv in zip(f_u, f_v)]
+            speed = elementwise(math.hypot, *tangent)
+            # Python's max(speed, 1e-300), NaN included
+            floor = TRANSVERSALITY_TOL * np.where(1e-300 > speed, 1e-300, speed)
+        hits = np.flatnonzero(abs(tangent[2]) < floor)
+        if hits.size:
+            k = lo + hits[0]
+            raise NonTransverseError(
+                f"boundary tangent loses its f3 component at ({float(u[k])!r}, {float(v[k])!r})"
             )
-            if abs(b) < TRANSVERSALITY_TOL * max(speed, 1e-300):
-                raise NonTransverseError(
-                    f"boundary tangent loses its f3 component at ({u!r}, {v!r})"
-                )
+
+    first_failure(scan, len(u))
 
 
 def area_integral(S: SurfacePatch, R: ParamRegion, tol: float = 1e-9) -> float:
@@ -126,6 +164,7 @@ def area_integral(S: SurfacePatch, R: ParamRegion, tol: float = 1e-9) -> float:
 
 
 def _area_integral(S, R, tol):
+    _check_period(S, R)
     if R.is_empty():
         return 0.0, 0.0
     _region_prescan(S, R)
@@ -145,6 +184,8 @@ def boundary_integral(S: SurfacePatch, R: ParamRegion, tol: float = 1e-10) -> fl
 
 
 def _boundary_integral(S, R, tol):
+    """The boundary integral and the sum of QUADPACK's estimates over its pieces."""
+    _check_period(S, R)
     if R.is_empty():
         return 0.0, 0.0
     _boundary_prescan(S, R)
@@ -157,8 +198,9 @@ def _boundary_integral(S, R, tol):
         def integrand(t, start=start, d=d):
             return _boundary_density(S, start[0] + d[0] * t, start[1] + d[1] * t, d)
 
-        total += integrate(integrand, 0.0, length, per_piece)
-        err_total += per_piece
+        value, err = _integrate(integrand, 0.0, length, per_piece)
+        total += value
+        err_total += err
     return total, err_total
 
 
@@ -314,6 +356,7 @@ def _point_convergence(S, u, v, L_values, direction) -> PointConvergence:
 
 
 def _region_convergence(S, region, L_values, tol=1e-7) -> RegionConvergence:
+    _check_period(S, region)
     _region_prescan(S, region)
     _boundary_prescan(S, region)
     rows = []

@@ -39,6 +39,7 @@ __all__ = [
     "frame_at",
     "coframe_eval",
     "e3_coefficient",
+    "require_finite",
     "volume_form",
     "gl_inner",
     "frame_to_gl_basis",
@@ -58,7 +59,7 @@ class Point:
     def __post_init__(self):
         for name in ("x", "y", "z"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite coordinate {name}={getattr(self, name)!r}")
+                raise _nonfinite_coordinate(name, getattr(self, name))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
@@ -97,7 +98,7 @@ class FrameVec:
     def __post_init__(self):
         for name in ("c1", "c2", "c3"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite frame coefficient {name}")
+                raise _nonfinite_coefficient(name)
 
     def coefficients(self) -> np.ndarray:
         return np.array([self.c1, self.c2, self.c3], dtype=float)
@@ -112,6 +113,32 @@ class FrameVec:
         """Inverse of :meth:`to_coordinates`; c3 is e^3 applied to the vector."""
         vx, vy, vz = (float(vec[0]), float(vec[1]), float(vec[2]))
         return cls(base, vx, vy, e3_coefficient(base.x, base.y, vx, vy, vz))
+
+
+def _nonfinite_coordinate(name: str, value: float) -> ValueError:
+    return ValueError(f"non-finite coordinate {name}={value!r}")
+
+
+def _nonfinite_coefficient(name: str) -> ValueError:
+    return ValueError(f"non-finite frame coefficient {name}")
+
+
+def require_finite(point, vectors=(), where=True) -> None:
+    """The finiteness checks of Point and FrameVec over a batch of points.
+
+    point is an (x, y, z) triple and each vector a (c1, c2, c3) triple, of
+    arrays or floats; vectors are checked only where ``where`` holds.  If a
+    check fails at any point, raises what Point(*point), then FrameVec(p, *c)
+    for each vector in turn, raise at a point where it fails.
+    """
+    for name, x in zip(("x", "y", "z"), point):
+        bad = ~np.isfinite(x)
+        if bad.any():
+            raise _nonfinite_coordinate(name, float(np.ravel(x)[np.flatnonzero(bad)[0]]))
+    for vector in vectors:
+        for name, c in zip(("c1", "c2", "c3"), vector):
+            if (~np.isfinite(c) & where).any():
+                raise _nonfinite_coefficient(name)
 
 
 def e3_coefficient(x, y, vx, vy, vz):

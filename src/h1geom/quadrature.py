@@ -32,8 +32,13 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive integral of f over [a, b] to absolute tolerance tol."""
+    return _integrate(f, a, b, tol)[0]
+
+
+def _integrate(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    """:func:`integrate` with QUADPACK's error estimate: (value, estimate)."""
     if a == b:
-        return 0.0
+        return 0.0, 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _si.IntegrationWarning)
         value, err = _si.quad(f, a, b, epsabs=tol, epsrel=max(tol, 1e-13), limit=200)
@@ -41,7 +46,7 @@ def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
         raise QuadratureError(
             f"integral over [{a!r}, {b!r}] did not converge (estimate {err:.3e})"
         )
-    return value
+    return value, err
 
 
 def integrate_with_boundary(f, a: float, b: float, bounds, tol: float = 1e-10) -> float:

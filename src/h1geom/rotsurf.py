@@ -32,6 +32,7 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import DomainViolationError, GeometryError
+from .batch import elementwise, power
 from .quadrature import gauss_segments, integrate, integrate_with_boundary
 from .expr import Dual2
 from .surface import SurfacePatch
@@ -72,22 +73,9 @@ def _sqrt1m(rp2_complement, v):
 
 
 # Profiles take a float or an array.  On arrays they map the scalar libm
-# formula over the elements instead of calling numpy's ufuncs: np.cosh,
-# np.tanh and np.tan differ from math.* in the last bit on about 20%, 30%
-# and 0.5% of inputs (numpy 2.4, AVX-512), and numpy's array ``** 2`` is
-# d*d where a Python float's is libm pow (3 in 10k values differ).  So an
-# array evaluation equals the scalar one bit for bit, and every output
-# file is independent of how the evaluation is batched.
-
-
-def _elementwise(f, x):
-    if isinstance(x, np.ndarray):
-        return np.array(list(map(f, x.ravel().tolist()))).reshape(x.shape)
-    return f(x)
-
-
-def _pow2(x):
-    return x ** 2
+# formula over the elements (batch.elementwise), so an array evaluation
+# equals the scalar one bit for bit, and every output file is independent
+# of how the evaluation is batched.
 
 
 def _kernels(K_inf: float, r0: float):
@@ -191,10 +179,10 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
         anchor = -c1_shift
 
     def r(v):
-        return _elementwise(r_t, v + c1_shift)
+        return elementwise(r_t, v + c1_shift)
 
     def A(v):
-        return _elementwise(A_t, v + c1_shift)
+        return elementwise(A_t, v + c1_shift)
 
     def dr(v):
         # r' = r*A/2 since A = (ln r^2)' = 2 r'/r
@@ -251,7 +239,7 @@ def circle_profile() -> Profile:
 def _integrands(profile: Profile, t):
     """theta' = sqrt(1 - r'^2)/r and c' = r sqrt(1 - r'^2)/2 at t (float or array)."""
     r = profile.r(t)
-    s = _sqrt1m(1.0 - _elementwise(_pow2, profile.dr(t)), t)
+    s = _sqrt1m(1.0 - power(profile.dr(t), 2), t)
     return s / r, 0.5 * r * s
 
 
@@ -337,8 +325,8 @@ def rotation_patch(
         )
     thetac = ThetaC(profile)
 
-    def jet2(u: float, v: float):
-        # the generating curve (a, b, c)(v) and its first two derivatives
+    def curve(v: float):
+        """The generating curve (a, b, c)(v) and its first two derivatives."""
         r = profile.r(v)
         rp = profile.dr(v)
         theta, c = thetac(v)
@@ -351,14 +339,23 @@ def rotation_patch(
         # unit speed: (a'', b'') = kappa (-b', a'), so c' = (a b' - b a')/2
         # gives c'' = kappa (a a' + b b')/2 = kappa r r'/2
         k = profile.kappa(v)
-        app, bpp, cpp = -k * bp, k * ap, 0.5 * k * r * rp
-        cu, su = math.cos(u), math.sin(u)
+        return a, b, float(c), ap, bp, cp, -k * bp, k * ap, 0.5 * k * r * rp
+
+    def jet2(u, v):
+        if isinstance(v, np.ndarray):
+            # the profile, its quadrature included, stays scalar: once per distinct v
+            distinct, at = np.unique(v, return_inverse=True)
+            a, b, c, ap, bp, cp, app, bpp, cpp = np.array([curve(x) for x in distinct.tolist()]).T[:, at]
+            cu, su = elementwise(math.cos, u), elementwise(math.sin, u)
+        else:
+            a, b, c, ap, bp, cp, app, bpp, cpp = curve(v)
+            cu, su = math.cos(u), math.sin(u)
         x, y = a * cu - b * su, b * cu + a * su
         x_u, y_u = -a * su - b * cu, -b * su + a * cu
         x_v, y_v = ap * cu - bp * su, bp * cu + ap * su
         x_uv, y_uv = -ap * su - bp * cu, -bp * su + ap * cu
         x_vv, y_vv = app * cu - bpp * su, bpp * cu + app * su
-        pos = (Dual2(x, x_u, x_v), Dual2(y, y_u, y_v), Dual2(float(c), 0.0, cp))
+        pos = (Dual2(x, x_u, x_v), Dual2(y, y_u, y_v), Dual2(c, 0.0, cp))
         du = (Dual2(x_u, -x, x_uv), Dual2(y_u, -y, y_uv), Dual2(0.0, 0.0, 0.0))
         dv = (Dual2(x_v, x_uv, x_vv), Dual2(y_v, y_uv, y_vv), Dual2(cp, 0.0, cpp))
         return pos, du, dv
@@ -417,7 +414,7 @@ class RotationSurfaceSpec:
             )
         vs = np.linspace(v0, v1, 257)
         r = profile.r(vs)
-        rp2_complement = 1.0 - _elementwise(_pow2, profile.dr(vs))
+        rp2_complement = 1.0 - power(profile.dr(vs), 2)
         bad = np.flatnonzero((r <= 0.0) | (rp2_complement < -CLAMP))
         if bad.size and r[bad[0]] <= 0.0:
             raise DomainViolationError(f"profile radius vanishes at v={vs[bad[0]]!r}")
@@ -489,7 +486,7 @@ def sample_generating_curve(
 
     def positions(v, theta, c):
         r = profile.r(v)
-        x, y = r * _elementwise(math.cos, theta), r * _elementwise(math.sin, theta)
+        x, y = r * elementwise(math.cos, theta), r * elementwise(math.sin, theta)
         return np.column_stack([x, y, c])
 
     d_theta, d_c = gauss_segments(integrands, vs[:-1], vs[1:], profile.domain)
@@ -543,7 +540,7 @@ def build_mesh(spec: RotationSurfaceSpec) -> Mesh:
     r, rp, A = profile.r(vvs), profile.dr(vvs), profile.A(vvs)
     _sqrt1m(1.0 - rp * rp, vvs)
     theta, c = np.array([thetac(v) for v in vvs.tolist()]).T
-    a, b = r * _elementwise(math.cos, theta), r * _elementwise(math.sin, theta)
+    a, b = r * elementwise(math.cos, theta), r * elementwise(math.sin, theta)
     cu, su = np.cos(us), np.sin(us)
     x, y = np.outer(a, cu) - np.outer(b, su), np.outer(b, cu) + np.outer(a, su)
     vertices = np.stack([x, y, np.repeat(c, nu).reshape(nv, nu)], axis=-1).reshape(-1, 3)

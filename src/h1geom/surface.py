@@ -19,16 +19,20 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
+import numpy as np
+
 from . import expr as _expr
+from .batch import elementwise
 from .expr import Dual2
 from .errors import CharacteristicPointError, DegenerateParametrizationError
-from .hgroup import FrameVec, Point, e3_coefficient
+from .hgroup import FrameVec, Point, e3_coefficient, require_finite
 
 __all__ = [
     "SurfacePatch",
     "AdaptedFrameSample",
     "FrameDerivatives",
     "pushforward_frame",
+    "tangent_coefficients",
     "characteristic_test",
     "adapted_frame",
     "frame_derivatives",
@@ -49,6 +53,8 @@ class SurfacePatch:
 
     jet2(u, v) returns the position and the coordinate partials f_u, f_v as
     three 3-tuples of first-order duals in (u, v); jet(u, v) their values.
+    Both also take one-dimensional arrays of u and v, a batch of points;
+    parts that do not vary over the batch may stay floats.
     """
 
     jet2: Callable[[float, float], tuple]
@@ -83,6 +89,10 @@ class AdaptedFrameSample:
     (coefficients on d/du, d/dv); f_u_23 and f_v_23 are the inverse, the
     (f^2, f^3) coefficients of the coordinate tangents; area_density is
     f^2^f^3(f_u, f_v).
+
+    For a batch of points (frame_data over arrays) the fields are arrays,
+    and point, f1, f2 and f3 are (x, y, z) and (c1, c2, c3) triples of
+    arrays instead of a Point and FrameVecs, which hold one point each.
     """
 
     point: Point
@@ -120,33 +130,77 @@ def pushforward_frame(S: SurfacePatch, u: float, v: float) -> tuple[FrameVec, Fr
     return FrameVec.from_coordinates(p, du), FrameVec.from_coordinates(p, dv)
 
 
-def characteristic_test(f_u: FrameVec, f_v: FrameVec, tol: float = CHARACTERISTIC_TOL) -> bool:
-    """True iff both tangents are horizontal to tolerance (tangent plane = D)."""
-    scale = max(
-        abs(f_u.c1), abs(f_u.c2), abs(f_u.c3), abs(f_v.c1), abs(f_v.c2), abs(f_v.c3)
-    )
-    return abs(f_u.c3) <= tol * scale and abs(f_v.c3) <= tol * scale
+def tangent_coefficients(S: SurfacePatch, u, v):
+    """pushforward_frame over a batch: the frame coefficient triples of f_u, f_v.
+
+    Raises the ValueError that pushforward_frame raises for a non-finite
+    position or tangent, if it does so at any point of the batch.
+    """
+    with np.errstate(all="ignore"):
+        pos, du, dv = S.jet(u, v)
+        f_u = (du[0], du[1], e3_coefficient(pos[0], pos[1], *du))
+        f_v = (dv[0], dv[1], e3_coefficient(pos[0], pos[1], *dv))
+    require_finite(pos, (f_u, f_v))
+    return f_u, f_v
+
+
+def _characteristic(f_u, f_v, tol, batch):
+    """The characteristic test on coefficient triples (of numbers or duals), and its scale.
+
+    scale is Python's max of the six |coefficients|; on a batch it is taken
+    point by point with the same rule (a NaN counts only in first place).
+    """
+    coefficients = [abs(_val(c)) for c in (*f_u, *f_v)]
+    if batch:
+        scale = coefficients[0]
+        for c in coefficients[1:]:
+            scale = np.where(c > scale, c, scale)
+    else:
+        scale = max(coefficients)
+    return (coefficients[2] <= tol * scale) & (coefficients[5] <= tol * scale), scale
+
+
+def characteristic_test(f_u, f_v, tol: float = CHARACTERISTIC_TOL):
+    """True iff both tangents are horizontal to tolerance (tangent plane = D).
+
+    f_u and f_v are FrameVecs, or coefficient triples over a batch
+    (tangent_coefficients), on which the test is a mask.
+    """
+    if isinstance(f_u, FrameVec):
+        return _characteristic((f_u.c1, f_u.c2, f_u.c3), (f_v.c1, f_v.c2, f_v.c3), tol, False)[0]
+    return _characteristic(f_u, f_v, tol, True)[0]
 
 
 # The frame core runs once over floats (adapted_frame) or over first-order
 # duals in (u, v) (frame_data), whose partials are then exact derivatives
-# of A and alpha.  Values follow the same IEEE operations either way.
+# of A and alpha.  Values follow the same IEEE operations either way, and
+# the same again when the floats are arrays over a batch of points.
 
 
 def _val(x) -> float:
     return x.value if type(x) is Dual2 else x
 
 
+def _libm(f, x, y):
+    # the pairs (x, y) of a batch come as arrays together
+    return elementwise(f, x, y) if isinstance(x, np.ndarray) else f(x, y)
+
+
 def _hypot(a, b):
-    norm = math.hypot(_val(a), _val(b))
+    norm = _libm(math.hypot, _val(a), _val(b))
     if type(a) is not Dual2:
         return norm
     av, bv = a.value, b.value
-    return Dual2(norm, (av * a.d_u + bv * b.d_u) / norm, (av * a.d_v + bv * b.d_v) / norm)
+    # a zero norm gives infinite partials; _frame then refuses the point
+    return Dual2(
+        norm,
+        _expr.ieee_div(av * a.d_u + bv * b.d_u, norm),
+        _expr.ieee_div(av * a.d_v + bv * b.d_v, norm),
+    )
 
 
 def _atan2(y, x):
-    angle = math.atan2(_val(y), _val(x))
+    angle = _libm(math.atan2, _val(y), _val(x))
     if type(y) is not Dual2:
         return angle
     xv, yv = x.value, y.value
@@ -154,13 +208,26 @@ def _atan2(y, x):
     return Dual2(angle, (xv * y.d_u - yv * x.d_u) / r2, (xv * y.d_v - yv * x.d_v) / r2)
 
 
+def _nan_where(mask, x):
+    """x with NaN at the masked points of a batch, in every Dual2 part."""
+    if type(x) is Dual2:
+        return Dual2(_nan_where(mask, x.value), _nan_where(mask, x.d_u), _nan_where(mask, x.d_v))
+    return np.where(mask, math.nan, x)
+
+
 def _frame(S: SurfacePatch, u, v, pos, du, dv, tol):
-    """Adapted frame from the jet (pos, du, dv), each a 3-tuple of one number type."""
+    """Adapted frame from the jet (pos, du, dv), each a 3-tuple of one number type.
+
+    Returns (sample, A, alpha, singular).  At one point a characteristic or
+    degenerate point raises and singular is False; on a batch singular
+    marks those points, whose values are undefined.
+    """
+    batch = isinstance(u, np.ndarray)
     # frame coefficients of f_u and f_v; c3 is e^3 applied to the tangent
     f_u = (du[0], du[1], e3_coefficient(pos[0], pos[1], *du))
     f_v = (dv[0], dv[1], e3_coefficient(pos[0], pos[1], *dv))
-    scale = max(abs(_val(c)) for c in (*f_u, *f_v))
-    if abs(_val(f_u[2])) <= tol * scale and abs(_val(f_v[2])) <= tol * scale:
+    characteristic, scale = _characteristic(f_u, f_v, tol, batch)
+    if not batch and characteristic:
         raise CharacteristicPointError(
             f"characteristic point of {S.name!r} at (u, v) = ({u!r}, {v!r})"
         )
@@ -170,48 +237,66 @@ def _frame(S: SurfacePatch, u, v, pos, du, dv, tol):
     w1 = q2 * f_u[0] - q1 * f_v[0]
     w2 = q2 * f_u[1] - q1 * f_v[1]
     norm = _hypot(w1, w2)
-    if _val(norm) <= 1e-14 * scale * scale:
+    dependent = _val(norm) <= 1e-14 * scale * scale
+    if not batch and dependent:
         raise DegenerateParametrizationError(
             f"dependent coordinate tangents of {S.name!r} at (u, v) = ({u!r}, {v!r})"
         )
+    if batch:
+        # one point stops here; NaN keeps these points from raising below (in pow)
+        stop = characteristic | dependent
+        q1, q2 = _nan_where(stop, q1), _nan_where(stop, q2)
     f2h = (w1 / norm, w2 / norm)
     f1h = (f2h[1], -f2h[0])
 
     # A from least squares on f^1(f_u) = f^1(f_v) = 0.
     h1 = f_u[0] * f1h[0] + f_u[1] * f1h[1]
     h2 = f_v[0] * f1h[0] + f_v[1] * f1h[1]
-    A = (h1 * q1 + h2 * q2) / (q1 ** 2 + q2 ** 2)
+    A = (h1 * q1 + h2 * q2) / (q1 ** 2 + q2 ** 2)  # a batch comes as Dual2s, whose ** maps libm pow
 
     p1 = f_u[0] * f2h[0] + f_u[1] * f2h[1]
     p2 = f_v[0] * f2h[0] + f_v[1] * f2h[1]
     det = p1 * q2 - p2 * q1
-    if _val(det) * S.orientation < 0.0:
-        f2h = (-f2h[0], -f2h[1])
-        f1h = (-f1h[0], -f1h[1])
-        A = -A
-        p1, p2, det = -p1, -p2, -det
-    if abs(_val(det)) <= 1e-14 * scale * scale:
+    flip = _val(det) * S.orientation < 0.0
+    if np.any(flip) if batch else flip:
+        # a sign change by multiplying with -1.0, which is exact
+        sign = np.where(flip, -1.0, 1.0) if batch else -1.0
+        f2h = (sign * f2h[0], sign * f2h[1])
+        f1h = (sign * f1h[0], sign * f1h[1])
+        A = sign * A
+        p1, p2, det = sign * p1, sign * p2, sign * det
+    degenerate = abs(_val(det)) <= 1e-14 * scale * scale
+    if not batch and degenerate:
         raise DegenerateParametrizationError(
             f"vanishing change-of-basis determinant of {S.name!r} at ({u!r}, {v!r})"
         )
     alpha = _atan2(-f2h[0], f2h[1])
 
-    p = Point(*map(_val, pos))
     p1, p2, q1, q2, det, a, c, s = map(_val, (p1, p2, q1, q2, det, A, *f1h))
+    if batch:
+        singular = np.broadcast_to(characteristic | dependent | degenerate, u.shape)
+        point = tuple(map(_val, pos))
+        f1, f2, f3 = (c, s, 0.0), (-s, c, 0.0), (a * c, a * s, 1.0)
+        require_finite(point, (f1, f2, f3), where=~singular)
+    else:
+        singular = False
+        point = Point(*map(_val, pos))
+        # f2h = (-f1h[1], f1h[0]) exactly
+        f1, f2, f3 = FrameVec(point, c, s, 0.0), FrameVec(point, -s, c, 0.0), FrameVec(point, a * c, a * s, 1.0)
     sample = AdaptedFrameSample(
-        point=p,
+        point=point,
         alpha=_val(alpha),
         A=a,
-        f1=FrameVec(p, c, s, 0.0),
-        f2=FrameVec(p, -s, c, 0.0),  # f2h = (-f1h[1], f1h[0]) exactly
-        f3=FrameVec(p, a * c, a * s, 1.0),
+        f1=f1,
+        f2=f2,
+        f3=f3,
         f2_uv=(q2 / det, -q1 / det),
         f3_uv=(-p2 / det, p1 / det),
         f_u_23=(p1, q1),
         f_v_23=(p2, q2),
         area_density=det,
     )
-    return sample, A, alpha
+    return sample, A, alpha, singular
 
 
 def adapted_frame(
@@ -220,22 +305,36 @@ def adapted_frame(
     return _frame(S, u, v, *S.jet(u, v), tol)[0]
 
 
-def frame_data(
-    S: SurfacePatch, u: float, v: float, tol: float = CHARACTERISTIC_TOL
-) -> tuple[AdaptedFrameSample, FrameDerivatives]:
+def frame_data(S: SurfacePatch, u, v, tol: float = CHARACTERISTIC_TOL):
     """The adapted frame and the exact derivatives of A and alpha along f2, f3.
 
     One evaluation of the second-order jet; the frame arithmetic over its
     first-order duals gives exact gradients of A and alpha in (u, v).
+
+    u and v may be one-dimensional arrays, a batch of points: the result is
+    then (sample, derivatives, singular) with array fields, where singular
+    marks the characteristic and degenerate points, at which one point
+    raises.  A failure that one point raises otherwise (a domain error of
+    the chart, a non-finite position or frame) raises for the batch if it
+    occurs at any of its points; ``batch.first_failure`` finds the first.
+    Every value equals the one-point result bit for bit.
     """
-    sample, A, alpha = _frame(S, u, v, *S.jet2(u, v), tol)
+    if isinstance(u, np.ndarray):
+        with np.errstate(all="ignore"):
+            return _frame_data(S, u, v, tol)
+    return _frame_data(S, u, v, tol)[:2]
+
+
+def _frame_data(S, u, v, tol):
+    sample, A, alpha, singular = _frame(S, u, v, *S.jet2(u, v), tol)
     s2, s3 = sample.f2_uv, sample.f3_uv
-    return sample, FrameDerivatives(
+    derivatives = FrameDerivatives(
         dA_f2=s2[0] * A.d_u + s2[1] * A.d_v,
         dA_f3=s3[0] * A.d_u + s3[1] * A.d_v,
         dalpha_f2=s2[0] * alpha.d_u + s2[1] * alpha.d_v,
         dalpha_f3=s3[0] * alpha.d_u + s3[1] * alpha.d_v,
     )
+    return sample, derivatives, singular
 
 
 def frame_derivatives(
@@ -290,7 +389,7 @@ def graph_patch(h, u_range=(-2.0, 2.0), v_range=(-2.0, 2.0), name=None, orientat
 
     def jet2(u, v):
         z, z_u, z_v = _split(_expr.eval_hyperdual(tree, u, v))
-        pos = (Dual2(float(u), 1.0, 0.0), Dual2(float(v), 0.0, 1.0), z)
+        pos = (Dual2(_expr.as_coordinate(u), 1.0, 0.0), Dual2(_expr.as_coordinate(v), 0.0, 1.0), z)
         return pos, (Dual2(1.0), Dual2(0.0), z_u), (Dual2(0.0), Dual2(1.0), z_v)
 
     label = name or f"graph({_expr.pretty(tree)})"

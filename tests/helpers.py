@@ -1,6 +1,7 @@
 """Shared test utilities: random expression corpus, FD oracles (expression
 partials and frame derivatives) and the scalar reference implementations
-of the generating-curve sampler and the OBJ writer."""
+of the generating-curve sampler, the OBJ and CSV writers, the curvature and
+frames grids and the Gauss-Bonnet prescans."""
 
 import math
 from pathlib import Path
@@ -8,12 +9,21 @@ from pathlib import Path
 import numpy as np
 
 from h1geom import expr as ex
-from h1geom.errors import DomainViolationError, GeometryError
+from h1geom.curvature import k_gauss_map, k_inf, k_L, k_n
+from h1geom.errors import CharacteristicPointError, DomainViolationError, GeometryError, NonTransverseError
 from h1geom.export import _stamp, fmt
+from h1geom.gaussbonnet import TRANSVERSALITY_TOL, _segments
 from h1geom.quadrature import gauss_segment
 from h1geom.rotsurf import CLAMP, ThetaC, e3_chord_ratio
 from h1geom.hgroup import FrameVec, Point
-from h1geom.surface import CHARACTERISTIC_TOL, FrameDerivatives, adapted_frame
+from h1geom.surface import (
+    CHARACTERISTIC_TOL,
+    FrameDerivatives,
+    adapted_frame,
+    characteristic_test,
+    frame_data,
+    pushforward_frame,
+)
 
 FUNCS_SAFE = ("sin", "cos", "tanh", "atan", "exp", "sinh", "cosh", "sqrt", "ln", "abs", "tan")
 
@@ -324,3 +334,94 @@ def reference_write_obj(path, mesh, config):
     for idx in polyline_indices:
         lines.append("l " + " ".join(str(i) for i in idx))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def reference_write_csv(path, columns, rows, config, footer_comments=()):
+    """CSV writer formatting one cell with fmt and one line at a time."""
+    lines = [f"# {_stamp(config)}", ",".join(columns)]
+    for row in rows:
+        lines.append(",".join(fmt(cell) for cell in row))
+    for comment in footer_comments:
+        lines.append(f"# {comment}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# The curvature and frames grids and the Gauss-Bonnet prescans, one point
+# at a time.  The batched code must reproduce their rows and their errors.
+
+
+def reference_grid_rows(patch, nu, nv, char_tol, n_values, values):
+    """Rows u, v, x, y, z, *values(sample, fd), characteristic, point by point."""
+    rows = []
+    for v in np.linspace(patch.v_range[0], patch.v_range[1], nv).tolist():
+        for u in np.linspace(patch.u_range[0], patch.u_range[1], nu).tolist():
+            try:
+                sample, fd = frame_data(patch, u, v, tol=char_tol)
+            except GeometryError:
+                pos = patch.position(u, v)
+                rows.append([u, v, pos.x, pos.y, pos.z] + [math.nan] * n_values + [1])
+                continue
+            pos = sample.point
+            rows.append([u, v, pos.x, pos.y, pos.z, *values(sample, fd), 0])
+    return rows
+
+
+def reference_curvature_values(L_values, directions):
+    def values(sample, fd):
+        A = sample.A
+        row = [sample.alpha, A, k_inf(fd, A), k_gauss_map(fd)]
+        row += [k_L(fd, A, L) for L in L_values]
+        for du, dv in directions:
+            b = du * sample.f_u_23[1] + dv * sample.f_v_23[1]
+            row.append(k_n(A, b) if b != 0.0 else math.nan)
+        return row
+
+    return values
+
+
+def reference_frames_values(s, fd):
+    return [
+        s.alpha, s.A, s.f1.c1, s.f1.c2, s.f2.c1, s.f2.c2, s.f3.c1, s.f3.c2, s.f3.c3,
+        fd.dA_f2, fd.dA_f3, fd.dalpha_f2, fd.dalpha_f3,
+    ]
+
+
+def reference_grid(cmd, L_values=(1.0, 10.0, 100.0), directions=((1.0, 0.0),)):
+    """A stand-in for cli._grid_rows running the per-point loop and values of cmd."""
+    if cmd == "curvature":
+        values = reference_curvature_values(L_values, directions)
+        n_values = 4 + len(L_values) + len(directions)
+    else:
+        values, n_values = reference_frames_values, 13
+
+    def grid_rows(patch, nu, nv, char_tol, batch_values):
+        rows = reference_grid_rows(patch, nu, nv, char_tol, n_values, values)
+        return np.array(rows, dtype=float).reshape(len(rows), n_values + 6)
+
+    return grid_rows
+
+
+def reference_region_prescan(S, R, n=21, tol=1e-10):
+    for u in np.linspace(R.u0, R.u1, n):
+        for v in np.linspace(R.v0, R.v1, n):
+            f_u, f_v = pushforward_frame(S, float(u), float(v))
+            if characteristic_test(f_u, f_v, tol):
+                raise CharacteristicPointError(
+                    f"characteristic point inside the region at ({u!r}, {v!r})"
+                )
+
+
+def reference_boundary_prescan(S, R, n=33):
+    for start, d, length in _segments(R):
+        for t in np.linspace(0.0, length, n):
+            u, v = start[0] + d[0] * float(t), start[1] + d[1] * float(t)
+            f_u, f_v = pushforward_frame(S, u, v)
+            b = d[0] * f_u.c3 + d[1] * f_v.c3
+            speed = math.hypot(
+                *(d[0] * np.array([f_u.c1, f_u.c2, f_u.c3]) + d[1] * np.array([f_v.c1, f_v.c2, f_v.c3]))
+            )
+            if abs(b) < TRANSVERSALITY_TOL * max(speed, 1e-300):
+                raise NonTransverseError(
+                    f"boundary tangent loses its f3 component at ({u!r}, {v!r})"
+                )

@@ -2,10 +2,12 @@ import json
 import math
 import re
 
+import helpers
 import numpy as np
 import pytest
 
 from h1geom.cli import main
+from h1geom.export import write_csv
 from h1geom.rotsurf import e3_chord_ratio
 
 
@@ -469,3 +471,35 @@ def test_gauss_bonnet_graph_rectangle_within_default_threshold(tmp_path):
     report = json.loads(out.read_text())
     assert abs(report["residual"]) <= 1e-13
     assert report["within_threshold"] is True
+
+
+def test_gauss_bonnet_closed_region_short_of_a_period_exits_1(tmp_path, capsys):
+    # the band once dropped its side edges and reported a residual of 0.75
+    band = {
+        "kind": "parametric",
+        "x": "(2+cos(v))*cos(u)",
+        "y": "(2+cos(v))*sin(u)",
+        "z": "sin(v)+0.3*sin(u)",
+        "u_range": [0.0, 2.0 * math.pi],
+        "v_range": [-0.4, 0.4],
+        "closed_u": True,
+    }
+    config = tmp_path / "cfg.json"
+    for u1, expected in ((3.0, 1), (2.0 * math.pi, 0)):
+        config.write_text(json.dumps({"surface": band, "region": {"u": [0.0, u1], "v": [-0.4, 0.4]}}))
+        code = main(["gauss-bonnet", "--config", str(config), "--out", str(tmp_path / "gb.json")])
+        assert code == expected
+    assert "closed in u" in capsys.readouterr().err
+
+
+def test_write_csv_matches_line_by_line_reference(tmp_path):
+    rows = [
+        [0.1, -0.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324, 1, 0, True, None],
+        [1 / 3, 2.0, -1.5e300, 3, 12345678901234567.0, -2.5, 0.0, 0, 1, False, 7.0],
+    ]
+    columns = [f"c{k}" for k in range(11)]
+    for footer in ((), ("slope 1.5", "k_n nan")):
+        for body in (rows, rows[:0], np.array(rows[1:], dtype=float)):
+            write_csv(tmp_path / "block.csv", columns, body, {"k": 1}, footer_comments=footer)
+            helpers.reference_write_csv(tmp_path / "lines.csv", columns, body, {"k": 1}, footer_comments=footer)
+            assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "lines.csv").read_bytes()

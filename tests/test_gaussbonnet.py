@@ -268,3 +268,46 @@ def test_unrescaled_area_element_diverges():
     assert study.points[0].slope_K_L_sigma == pytest.approx(0.5, abs=0.05)
     rescaled = [r.rescaled_sigma for r in rows]
     assert rescaled[-1] == pytest.approx(1.0, rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# error budgets and closed regions
+
+
+def test_boundary_error_estimate_is_quadpack_not_the_tolerance():
+    # the estimate sums QUADPACK's per-piece estimates; it used to read the
+    # requested tolerance, 1e-10, for every region
+    patch = catalog.paraboloid()
+    reports = [gb_residual(patch, ParamRegion(1.0, 2.0, v0, -0.5)) for v0 in (-1.0, -1.5)]
+    estimates = [report.boundary_error_est for report in reports]
+    assert all(0.0 < est < 1e-10 for est in estimates)
+    assert estimates[0] != estimates[1]
+
+
+CLOSED_BAND = parametric_patch(
+    "(2+cos(v))*cos(u)", "(2+cos(v))*sin(u)", "sin(v)+0.3*sin(u)",
+    (0.0, TWO_PI), (-0.4, 0.4), closed_u=True,
+)
+
+
+@pytest.mark.parametrize(
+    "patch, region",
+    [
+        (CLOSED_BAND, ParamRegion(0.0, 3.0, -0.4, 0.4, closed_u=True)),  # read a residual of 0.75
+        (catalog.constant_curvature(1.0), ParamRegion(0.0, 3.0, -0.5, 0.8, closed_u=True)),
+        (catalog.paraboloid(), ParamRegion(-2.0, 2.0, 0.5, 1.0, closed_u=True)),  # chart not closed
+    ],
+)
+def test_closed_region_must_span_a_period_of_a_closed_chart(patch, region):
+    for integral in (area_integral, boundary_integral, gb_residual):
+        with pytest.raises(ValueError, match="closed in u"):
+            integral(patch, region)
+    with pytest.raises(ValueError, match="closed in u"):
+        convergence_study(patch, [], (1e2, 1e3), direction=None, region=region)
+
+
+def test_closed_regions_over_a_full_period_pass():
+    assert abs(gb_residual(CLOSED_BAND, ParamRegion(0.0, TWO_PI, -0.4, 0.4, closed_u=True)).residual) <= 1e-13
+    for K, band in ((1.0, (-0.5, 0.8)), (0.0, (0.3, 1.2)), (-1.0, (-1.0, 1.5))):
+        report = gb_residual(catalog.constant_curvature(K), ParamRegion(0.0, TWO_PI, *band, closed_u=True))
+        assert abs(report.residual) <= 1e-12
