@@ -20,16 +20,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .batch import power
+import numpy as np
+
+from .batch import elementwise, power
 from .errors import GeometryError, NonTransverseError
 from .surface import (
     AdaptedFrameSample,
     FrameDerivatives,
     SurfacePatch,
-    adapted_frame,
     frame_data,
+    frame_tangents,
     structure_identity_residual,
 )
 
@@ -73,7 +75,7 @@ def k_gauss_map(fd: FrameDerivatives) -> float:
 
 @dataclass(frozen=True)
 class TransverseCurveSample:
-    """Per-point data for a curve with tangent a*f2 + b*f3, b != 0."""
+    """Per-point data for a curve with tangent a*f2 + b*f3, b != 0 (all but t may be arrays)."""
 
     t: float
     a: float
@@ -86,7 +88,7 @@ class TransverseCurveSample:
     dalpha_f3: float
 
     def __post_init__(self):
-        if self.b == 0.0:
+        if np.any(self.b == 0.0):
             raise NonTransverseError(f"curve tangent has no f3 component at t={self.t!r}")
 
 
@@ -106,19 +108,24 @@ def k_n_L(c: TransverseCurveSample, L: float) -> float:
     L = float(L)
     if L <= 0.0:
         raise ValueError("metric parameter must be positive")
-    if c.b == 0.0:
-        raise NonTransverseError("normal curvature needs a transverse tangent")
     A = c.A
     m = L + A * A
-    root_m = math.sqrt(m)
-    q = math.sqrt(c.a * c.a + c.b * c.b * m)
-    turn = (c.a * c.b * A * c.dA_dt + (c.a * c.db_dt - c.b * c.da_dt) * m) / (
-        root_m * (c.a * c.a + c.b * c.b * m)
-    )
+    root_m = elementwise(math.sqrt, m)
+    q = elementwise(math.sqrt, c.a * c.a + c.b * c.b * m)
+    turn = _turn(c, L)
     term2 = -(A / root_m) * (c.a / q) * c.dalpha_f2
     term3 = -(A * c.b) / (root_m * q) * c.dalpha_f3
     term4 = L * A * c.b / (root_m * q)
     return turn + term2 + term3 + term4
+
+
+def _turn(c: TransverseCurveSample, L: float) -> float:
+    """The (a, b) rotation-rate term of k_n_L, per unit of the curve's own parameter."""
+    A = c.A
+    m = L + A * A
+    return (c.a * c.b * A * c.dA_dt + (c.a * c.db_dt - c.b * c.da_dt) * m) / (
+        elementwise(math.sqrt, m) * (c.a * c.a + c.b * c.b * m)
+    )
 
 
 def k_n(A: float, b: float) -> float:
@@ -200,48 +207,23 @@ def curvature_sample(
     )
 
 
-def transverse_sample(
-    S: SurfacePatch,
-    path: Callable[[float], tuple[float, float]],
-    t: float,
-    h: float = 1e-4,
-    velocity: Callable[[float], tuple[float, float]] | None = None,
-) -> TransverseCurveSample:
-    """Build curve data at parameter t for a path t -> (u, v) on the patch.
+def transverse_sample(S: SurfacePatch, u, v, direction) -> TransverseCurveSample:
+    """Curve data at t = 0 on the parameter line t -> (u + t*du, v + t*dv), direction (du, dv).
 
-    The (a, b) components come from the adapted frame; their t-derivatives
-    use central differences of the sampled components, and dA/dt is the
-    chain rule a*dA(f2) + b*dA(f3).  Pass ``velocity`` returning (du, dv)
-    when the path derivative is known exactly; the finite-difference
-    fallback uses a smaller inner step so its rounding noise stays well
-    below the outer step h.
+    The (f2, f3) components (a, b) of gamma' = du*f_u + dv*f_v and their
+    t-derivatives are exact: the frame's tangent coefficients are duals
+    carrying their gradients in (u, v).  dA/dt = a*dA(f2) + b*dA(f3).  u, v,
+    du and dv may be arrays, a batch of points and lines.
     """
-    h_vel = 1e-6 * max(1.0, abs(t))
+    return _transverse(*frame_tangents(S, u, v), direction)
 
-    def components(tt: float, s: AdaptedFrameSample) -> tuple[float, float]:
-        if velocity is not None:
-            du, dv = velocity(tt)
-        else:
-            up, vp = path(tt + h_vel)
-            um, vm = path(tt - h_vel)
-            du, dv = (up - um) / (2.0 * h_vel), (vp - vm) / (2.0 * h_vel)
-        # gamma' = du*f_u + dv*f_v on the basis (f2, f3)
-        a = du * s.f_u_23[0] + dv * s.f_v_23[0]
-        b = du * s.f_u_23[1] + dv * s.f_v_23[1]
-        return a, b
 
-    sample, fd = frame_data(S, *path(t))
-    a, b = components(t, sample)
-    ap, bp = components(t + h, adapted_frame(S, *path(t + h)))
-    am, bm = components(t - h, adapted_frame(S, *path(t - h)))
+def _transverse(sample, fd, tangents, direction) -> TransverseCurveSample:
+    (p1, q1), (p2, q2) = tangents
+    du, dv = direction
+    a = du * p1 + dv * p2
+    b = du * q1 + dv * q2
     return TransverseCurveSample(
-        t=t,
-        a=a,
-        b=b,
-        da_dt=(ap - am) / (2.0 * h),
-        db_dt=(bp - bm) / (2.0 * h),
-        dA_dt=a * fd.dA_f2 + b * fd.dA_f3,
-        A=sample.A,
-        dalpha_f2=fd.dalpha_f2,
-        dalpha_f3=fd.dalpha_f3,
+        t=0.0, a=a.value, b=b.value, da_dt=du * a.d_u + dv * a.d_v, db_dt=du * b.d_u + dv * b.d_v,
+        dA_dt=a.value * fd.dA_f2 + b.value * fd.dA_f3, A=sample.A, dalpha_f2=fd.dalpha_f2, dalpha_f3=fd.dalpha_f3,
     )

@@ -9,7 +9,8 @@ which is Stokes applied to d(A f^3) = (dA(f2) + A^2) f^2 ^ f^3 together
 with k_n ds = A f^3 and K_inf dsigma = -d(A f^3).  Both sides pull back
 through the chart: dsigma(f_u, f_v) is the adapted-frame change-of-basis
 determinant rho, and f^3(gamma') is the b-component of the boundary
-tangent.
+tangent.  Each side is one batched Gauss-Kronrod cubature (_area and
+_boundary) of a density over the frame data at all its nodes at once.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .batch import elementwise, first_failure
-from .curvature import TransverseCurveSample, ds_L_density, k_L, k_inf, k_n, k_n_L, transverse_sample
+from .curvature import TransverseCurveSample, _transverse, _turn, ds_L_density, k_L, k_inf, k_n, k_n_L
 from .errors import CharacteristicPointError, NonTransverseError
-from .quadrature import _integrate, integrate, integrate_2d
-from .surface import SurfacePatch, adapted_frame, characteristic_test, frame_data, tangent_coefficients
+from .quadrature import cubature
+from .surface import SurfacePatch, characteristic_test, frame_tangents, tangent_coefficients
 
 __all__ = [
     "ParamRegion",
@@ -121,24 +122,36 @@ def _region_prescan(S: SurfacePatch, R: ParamRegion, n: int = 21, tol: float = 1
     first_failure(scan, len(u))
 
 
-def _boundary_density(S: SurfacePatch, u: float, v: float, direction) -> float:
-    """A * f^3(gamma') for the boundary tangent gamma' = direction in (u, v)."""
-    sample = adapted_frame(S, u, v)
-    return sample.A * (direction[0] * sample.f_u_23[1] + direction[1] * sample.f_v_23[1])
+def _boundary_samples(R: ParamRegion, n: int = 33):
+    """n points per boundary piece, piece by piece: arrays u, v and the piece directions d0, d1."""
+    start, d, length = map(np.array, zip(*_segments(R)))
+    t = np.linspace(0.0, length, n, axis=1)
+    u, v = ((start[:, k, None] + d[:, k, None] * t).ravel() for k in (0, 1))
+    return u, v, np.repeat(d[:, 0], n), np.repeat(d[:, 1], n)
+
+
+def _winding_prescan(S: SurfacePatch, R: ParamRegion, n: int = 33):
+    """Refuse a region whose boundary winds around a characteristic point, which
+    the 21^2 grid of _region_prescan misses between its nodes.
+
+    Characteristic points are the zeros of (e^3(f_u), e^3(f_v)).  The turning
+    of that field over the boundary samples, summed within each piece (a
+    piece closed in u is a loop of its own), is 2 pi times their total index.
+    """
+    f_u, f_v = tangent_coefficients(S, *_boundary_samples(R, n)[:2])
+    steps = np.diff(np.arctan2(f_v[2], f_u[2]).reshape(-1, n), axis=1)
+    winding = round(np.sum((steps + math.pi) % (2.0 * math.pi) - math.pi) / (2.0 * math.pi))
+    if winding != 0:
+        raise CharacteristicPointError(
+            f"characteristic point inside the region: its boundary has winding number {winding} around it"
+        )
 
 
 def _boundary_prescan(S: SurfacePatch, R: ParamRegion, n: int = 33):
     """Refuse a boundary tangent without an f3 component, at n points per piece."""
-    u, v, d0, d1 = [], [], [], []
-    for start, d, length in _segments(R):
-        t = np.linspace(0.0, length, n)
-        u.append(start[0] + d[0] * t)
-        v.append(start[1] + d[1] * t)
-        d0.append(np.full(n, d[0]))
-        d1.append(np.full(n, d[1]))
-    if not u:
+    if not _segments(R):
         return
-    u, v, d0, d1 = map(np.concatenate, (u, v, d0, d1))
+    u, v, d0, d1 = _boundary_samples(R, n)
 
     def scan(lo, hi):
         f_u, f_v = tangent_coefficients(S, u[lo:hi], v[lo:hi])
@@ -158,50 +171,72 @@ def _boundary_prescan(S: SurfacePatch, R: ParamRegion, n: int = 33):
     first_failure(scan, len(u))
 
 
-def area_integral(S: SurfacePatch, R: ParamRegion, tol: float = 1e-9) -> float:
-    """int_R K_inf dsigma pulled back to the chart (integrand K_inf * rho)."""
-    return _area_integral(S, R, tol)[0]
+def _area(S: SurfacePatch, R: ParamRegion, density, tol: float):
+    """int_R density over the oriented region: (values, summed error estimate).
 
-
-def _area_integral(S, R, tol):
+    density(sample, derivatives) maps frame_data arrays over the nodes to a
+    value, or a row of values, per node.  The region is prescanned first.
+    """
     _check_period(S, R)
     if R.is_empty():
-        return 0.0, 0.0
+        return np.zeros(1), 0.0
     _region_prescan(S, R)
+    _winding_prescan(S, R)
 
-    def integrand(u, v):
-        sample, fd = frame_data(S, u, v)
-        return k_inf(fd, sample.A) * sample.area_density
+    def f(x):
+        sample, fd, _ = frame_tangents(S, x[:, 0], x[:, 1])
+        return density(sample, fd).reshape(len(x), -1)
 
-    value, err = integrate_2d(integrand, R.u0, R.u1, R.v0, R.v1, tol)
-    return R.orientation * value, err
+    value, err = cubature(f, (R.u0, R.v0), (R.u1, R.v1), tol)
+    return R.orientation * value, float(np.sum(err))
+
+
+def _boundary(S: SurfacePatch, R: ParamRegion, density, tol: float):
+    """Sum over the oriented boundary pieces of int density: (values, summed error estimate).
+
+    density(sample, derivatives, tangents, direction) maps frame_tangents
+    arrays over the nodes and each node's unit piece direction (du, dv) to
+    a value, or a row of values, per node.  One cubature over t in [0, 1]
+    takes every piece at once, scaled by its length, to tol / pieces each.
+    """
+    _check_period(S, R)
+    if R.is_empty():
+        return np.zeros(1), 0.0
+    _boundary_prescan(S, R)
+    start, d, length = map(np.array, zip(*_segments(R)))
+
+    def f(x):
+        values = density(*_boundary_nodes(S, start, d, x[:, :1] * length))
+        return values.reshape(len(x), len(length), -1) * length[:, None]
+
+    value, err = cubature(f, (0.0,), (1.0,), tol / len(length))
+    return value.sum(axis=0), float(np.sum(err))
+
+
+def _boundary_nodes(S: SurfacePatch, start, d, t):
+    """frame_tangents and directions at distances t, a (nodes, pieces) array, along the pieces."""
+    u, v = (start[:, k] + d[:, k] * t for k in (0, 1))
+    du, dv = (np.broadcast_to(d[:, k], u.shape).ravel() for k in (0, 1))
+    return (*frame_tangents(S, u.ravel(), v.ravel()), (du, dv))
+
+
+def _gb_area_density(sample, fd):
+    return k_inf(fd, sample.A) * sample.area_density
+
+
+def _gb_boundary_density(sample, fd, tangents, direction):
+    """A * f^3(gamma') for the boundary tangent gamma' = direction in (u, v)."""
+    return sample.A * (direction[0] * sample.f_u_23[1] + direction[1] * sample.f_v_23[1])
+
+
+def area_integral(S: SurfacePatch, R: ParamRegion, tol: float = 1e-9) -> float:
+    """int_R K_inf dsigma pulled back to the chart (integrand K_inf * rho)."""
+    return float(_area(S, R, _gb_area_density, tol)[0][0])
 
 
 def boundary_integral(S: SurfacePatch, R: ParamRegion, tol: float = 1e-10) -> float:
     """oint_gamma k_n ds = oint A * f^3(gamma') over the oriented boundary."""
-    value, _ = _boundary_integral(S, R, tol)
-    return value
-
-
-def _boundary_integral(S, R, tol):
-    """The boundary integral and the sum of QUADPACK's estimates over its pieces."""
-    _check_period(S, R)
-    if R.is_empty():
-        return 0.0, 0.0
-    _boundary_prescan(S, R)
-    segments = _segments(R)
-    total = 0.0
-    err_total = 0.0
-    per_piece = tol / max(len(segments), 1)
-    for start, d, length in segments:
-
-        def integrand(t, start=start, d=d):
-            return _boundary_density(S, start[0] + d[0] * t, start[1] + d[1] * t, d)
-
-        value, err = _integrate(integrand, 0.0, length, per_piece)
-        total += value
-        err_total += err
-    return total, err_total
+    return float(_boundary(S, R, _gb_boundary_density, tol)[0][0])
 
 
 @dataclass(frozen=True)
@@ -221,15 +256,10 @@ def gb_residual(
     area_tol: float = 1e-9,
     boundary_tol: float = 1e-10,
 ) -> GBReport:
-    area, area_err = _area_integral(S, R, area_tol)
-    boundary, boundary_err = _boundary_integral(S, R, boundary_tol)
-    return GBReport(
-        area_integral=area,
-        boundary_integral=boundary,
-        residual=area + boundary,
-        area_error_est=area_err,
-        boundary_error_est=boundary_err,
-    )
+    area, area_err = _area(S, R, _gb_area_density, area_tol)
+    boundary, boundary_err = _boundary(S, R, _gb_boundary_density, boundary_tol)
+    area, boundary = float(area[0]), float(boundary[0])
+    return GBReport(area, boundary, area + boundary, area_err, boundary_err)
 
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -243,16 +273,10 @@ def stokes_density_check(S: SurfacePatch, u: float, v: float, h: float) -> tuple
     is the midpoint-rule area integral, so lhs - rhs = O(h^4) for smooth
     patches and the ratio |lhs - rhs| / h^2 must fall like h^2.
     """
-    region = ParamRegion(u, u + h, v, v + h)
-    lhs = 0.0
-    for start, d, length in _segments(region):
-        half = 0.5 * length
-        acc = 0.0
-        for node, weight in zip(_GL8_NODES, _GL8_WEIGHTS):
-            t = half + half * node
-            acc += weight * _boundary_density(S, start[0] + d[0] * t, start[1] + d[1] * t, d)
-        lhs += half * acc
-    sample, fd = frame_data(S, u + 0.5 * h, v + 0.5 * h)
+    start, d, _ = map(np.array, zip(*_segments(ParamRegion(u, u + h, v, v + h))))
+    density = _gb_boundary_density(*_boundary_nodes(S, start, d, 0.5 * h * (1.0 + _GL8_NODES)[:, None]))
+    lhs = 0.5 * h * float(_GL8_WEIGHTS @ density.reshape(8, len(d)).sum(axis=1))
+    sample, fd, _ = frame_tangents(S, u + 0.5 * h, v + 0.5 * h)
     rhs = (fd.dA_f2 + sample.A**2) * sample.area_density * h * h
     return lhs, rhs
 
@@ -313,13 +337,12 @@ class ConvergenceStudy:
 
 
 def _point_convergence(S, u, v, L_values, direction) -> PointConvergence:
-    sample, fd = frame_data(S, u, v)
+    sample, fd, tangents = frame_tangents(S, u, v)
     K_limit = k_inf(fd, sample.A)
     curve: Optional[TransverseCurveSample] = None
     k_n_limit = None
     if direction is not None:
-        du, dv = direction
-        curve = transverse_sample(S, lambda t: (u + t * du, v + t * dv), 0.0)
+        curve = _transverse(sample, fd, tangents, direction)
         k_n_limit = k_n(curve.A, curve.b)
     rows = []
     for L in L_values:
@@ -339,6 +362,7 @@ def _point_convergence(S, u, v, L_values, direction) -> PointConvergence:
                 ds_L=ds_L_density(curve, L) if curve is not None else None,
             )
         )
+    Ls = [r.L for r in rows]
     return PointConvergence(
         u=u,
         v=v,
@@ -346,46 +370,39 @@ def _point_convergence(S, u, v, L_values, direction) -> PointConvergence:
         K_inf=K_limit,
         k_n_limit=k_n_limit,
         rows=tuple(rows),
-        slope_err_K=fit_loglog_slope([r.L for r in rows], [r.err_K for r in rows]),
-        slope_err_k_n=fit_loglog_slope(
-            [r.L for r in rows], [r.err_k_n if r.err_k_n is not None else 0.0 for r in rows]
-        ),
-        slope_sigma=fit_loglog_slope([r.L for r in rows], [r.sigma_L for r in rows]),
-        slope_K_L_sigma=fit_loglog_slope([r.L for r in rows], [r.K_L_sigma_L for r in rows]),
+        slope_err_K=fit_loglog_slope(Ls, [r.err_K for r in rows]),
+        slope_err_k_n=fit_loglog_slope(Ls, [r.err_k_n if r.err_k_n is not None else 0.0 for r in rows]),
+        slope_sigma=fit_loglog_slope(Ls, [r.sigma_L for r in rows]),
+        slope_K_L_sigma=fit_loglog_slope(Ls, [r.K_L_sigma_L for r in rows]),
     )
 
 
 def _region_convergence(S, region, L_values, tol=1e-7) -> RegionConvergence:
-    _check_period(S, region)
-    _region_prescan(S, region)
-    _boundary_prescan(S, region)
-    rows = []
-    for L in L_values:
-        root = math.sqrt(L)
+    """Both rescaled finite-L Gauss-Bonnet sides per L, one cubature per side for all L.
 
-        def area_integrand(u, v):
-            sample, fd = frame_data(S, u, v)
-            sigma_L = math.sqrt(L + sample.A**2)
-            return k_L(fd, sample.A, L) / root * sigma_L * sample.area_density
+    On the boundary (unit parameter speed) the g_L speed multiplies k_n_L
+    but not its rotation-rate term, a rate per unit parameter already; each
+    row sums to (2 pi chi(R) - exterior corner angles in g_L) / sqrt(L).
+    """
 
-        area, _ = integrate_2d(area_integrand, region.u0, region.u1, region.v0, region.v1, tol)
-        area *= region.orientation
+    def area_density(sample, fd):
+        A = sample.A
+        sigma = [elementwise(math.sqrt, L + A * A) for L in L_values]
+        return np.stack(
+            [k_L(fd, A, L) / math.sqrt(L) * s * sample.area_density for L, s in zip(L_values, sigma)], axis=-1
+        )
 
-        boundary = 0.0
-        for start, d, length in _segments(region):
+    def boundary_density(*nodes):
+        c = _transverse(*nodes)
+        speed = [elementwise(math.sqrt, c.a**2 + c.b**2 * (L + c.A**2)) for L in L_values]
+        return np.stack(
+            [(_turn(c, L) * (1.0 - s) + k_n_L(c, L) * s) / math.sqrt(L) for L, s in zip(L_values, speed)], axis=-1
+        )
 
-            def integrand(t, start=start, d=d):
-                path = lambda s: (start[0] + d[0] * s, start[1] + d[1] * s)
-                c = transverse_sample(S, path, t, velocity=lambda s: d)
-                speed = math.sqrt(c.a**2 + c.b**2 * (L + c.A**2))
-                return k_n_L(c, L) / root * speed
-
-            boundary += integrate(integrand, 0.0, length, tol)
-        rows.append((float(L), area, boundary, area + boundary))
-    return RegionConvergence(
-        rows=tuple(rows),
-        slope_residual=fit_loglog_slope([r[0] for r in rows], [r[3] for r in rows]),
-    )
+    area = np.broadcast_to(_area(S, region, area_density, tol)[0], len(L_values))
+    boundary = np.broadcast_to(_boundary(S, region, boundary_density, tol)[0], len(L_values))
+    rows = tuple((float(L), float(a), float(b), float(a + b)) for L, a, b in zip(L_values, area, boundary))
+    return RegionConvergence(rows, fit_loglog_slope(L_values, [r[3] for r in rows]))
 
 
 def convergence_study(
@@ -400,8 +417,8 @@ def convergence_study(
     At each point it tabulates K_L against K_inf, the area density
     sqrt(L + A^2) raw and rescaled by 1/sqrt(L), K_L * sigma_L (divergent),
     and, along the parameter direction, k_n_L against k_n.  With a region
-    it also reports the finite-L rescaled Gauss-Bonnet sum per L; the sum
-    tends to 0 but no finite-L value is asserted.
+    it also reports the finite-L rescaled Gauss-Bonnet sum per L, which
+    tends to 0 (see _region_convergence).
     """
     L_sorted = sorted(float(L) for L in L_values)
     if any(L <= 0 for L in L_sorted):

@@ -1,10 +1,11 @@
 """Adaptive quadrature wrappers with square-root boundary substitution.
 
-Line and area integrals use the Gauss-Kronrod rules of scipy (QUADPACK)
-behind small wrappers that check the reported error estimate.  Profile
-integrands of the form g(t)*sqrt(h(t)), with h vanishing simply at a
-domain endpoint, lose accuracy for the plain rule; substituting
-t = b0 +/- s^2 near that endpoint makes the integrand smooth again.
+Profile integrals use scipy's QUADPACK Gauss-Kronrod rule, surface
+integrals its vectorized Gauss-Kronrod cubature, each behind a small
+wrapper that checks the reported error estimate.  Profile integrands of
+the form g(t)*sqrt(h(t)), with h vanishing simply at a domain endpoint,
+lose accuracy for the plain rule; substituting t = b0 +/- s^2 near that
+endpoint makes the integrand smooth again.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import QuadratureError
 
 __all__ = [
     "integrate",
-    "integrate_2d",
+    "cubature",
     "integrate_with_boundary",
     "gauss_segment",
     "gauss_segments",
@@ -27,18 +28,16 @@ __all__ = [
 
 BOUNDARY_WINDOW = 1e-4  # switch to the sqrt substitution within this distance of a bound
 
+CUBATURE_RULE = "gk21"  # product Gauss-Kronrod, 21 nodes per axis
+MAX_SUBDIVISIONS = 200  # as QUADPACK's limit in integrate
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive integral of f over [a, b] to absolute tolerance tol."""
-    return _integrate(f, a, b, tol)[0]
-
-
-def _integrate(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """:func:`integrate` with QUADPACK's error estimate: (value, estimate)."""
     if a == b:
-        return 0.0, 0.0
+        return 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _si.IntegrationWarning)
         value, err = _si.quad(f, a, b, epsabs=tol, epsrel=max(tol, 1e-13), limit=200)
@@ -46,7 +45,23 @@ def _integrate(f, a: float, b: float, tol: float) -> tuple[float, float]:
         raise QuadratureError(
             f"integral over [{a!r}, {b!r}] did not converge (estimate {err:.3e})"
         )
-    return value, err
+    return value
+
+
+def cubature(f, a, b, tol: float):
+    """Adaptive cubature of a vectorized f over the box [a, b]: (values, error estimates).
+
+    f maps an (n, ndim) array of nodes to an (n, ...) array of values, each
+    component integrated to the absolute tolerance tol.  QuadratureError if
+    that takes more than MAX_SUBDIVISIONS or a result is not finite.
+    """
+    result = _si.cubature(f, a, b, rule=CUBATURE_RULE, rtol=0.0, atol=tol, max_subdivisions=MAX_SUBDIVISIONS)
+    value, error = result.estimate, result.error
+    if result.status != "converged" or not (np.isfinite(value).all() and np.isfinite(error).all()):
+        raise QuadratureError(
+            f"cubature over the box {list(a)!r} to {list(b)!r} did not converge (estimate {np.max(error):.3e})"
+        )
+    return value, error
 
 
 def integrate_with_boundary(f, a: float, b: float, bounds, tol: float = 1e-10) -> float:
@@ -138,31 +153,3 @@ def gauss_segments(f, a: np.ndarray, b: np.ndarray, bounds) -> list[np.ndarray]:
             out[i] = gauss_segment(lambda t: f(t)[j], float(a[i]), float(b[i]), bounds)
     return results
 
-
-def integrate_2d(f, u0: float, u1: float, v0: float, v1: float, tol: float = 1e-9):
-    """Iterated adaptive integral of f(u, v) over a rectangle.
-
-    Returns (value, error_estimate).
-    """
-    if u0 == u1 or v0 == v1:
-        return 0.0, 0.0
-    inner_tol = 0.25 * tol / abs(v1 - v0)
-    errors = []
-
-    def row(v):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", _si.IntegrationWarning)
-            value, err = _si.quad(
-                lambda u: f(u, v), u0, u1, epsabs=inner_tol, epsrel=1e-12, limit=200
-            )
-        errors.append(err)
-        return value
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _si.IntegrationWarning)
-        value, outer_err = _si.quad(row, v0, v1, epsabs=0.5 * tol, epsrel=1e-12, limit=200)
-    inner_err = max(errors, default=0.0) * abs(v1 - v0)
-    estimate = outer_err + inner_err
-    if not math.isfinite(value) or estimate > max(1e3 * tol, 1e-7 * abs(value)):
-        raise QuadratureError(f"2d integral did not converge (estimate {estimate:.3e})")
-    return value, estimate

@@ -37,6 +37,7 @@ __all__ = [
     "adapted_frame",
     "frame_derivatives",
     "frame_data",
+    "frame_tangents",
     "structure_identity_residual",
     "beta",
     "xl_basis",
@@ -145,12 +146,12 @@ def tangent_coefficients(S: SurfacePatch, u, v):
 
 
 def _characteristic(f_u, f_v, tol, batch):
-    """The characteristic test on coefficient triples (of numbers or duals), and its scale.
+    """The characteristic test on coefficient triples, and its scale.
 
     scale is Python's max of the six |coefficients|; on a batch it is taken
     point by point with the same rule (a NaN counts only in first place).
     """
-    coefficients = [abs(_val(c)) for c in (*f_u, *f_v)]
+    coefficients = [abs(c) for c in (*f_u, *f_v)]
     if batch:
         scale = coefficients[0]
         for c in coefficients[1:]:
@@ -171,14 +172,10 @@ def characteristic_test(f_u, f_v, tol: float = CHARACTERISTIC_TOL):
     return _characteristic(f_u, f_v, tol, True)[0]
 
 
-# The frame core runs once over floats (adapted_frame) or over first-order
-# duals in (u, v) (frame_data), whose partials are then exact derivatives
-# of A and alpha.  Values follow the same IEEE operations either way, and
-# the same again when the floats are arrays over a batch of points.
-
-
-def _val(x) -> float:
-    return x.value if type(x) is Dual2 else x
+# The frame core runs over first-order duals in (u, v), whose partials are
+# exact derivatives of A, alpha and the tangent coefficients.  Their parts
+# are floats at one point and arrays over a batch of points; values follow
+# the same IEEE operations either way.
 
 
 def _libm(f, x, y):
@@ -187,10 +184,8 @@ def _libm(f, x, y):
 
 
 def _hypot(a, b):
-    norm = _libm(math.hypot, _val(a), _val(b))
-    if type(a) is not Dual2:
-        return norm
     av, bv = a.value, b.value
+    norm = _libm(math.hypot, av, bv)
     # a zero norm gives infinite partials; _frame then refuses the point
     return Dual2(
         norm,
@@ -200,10 +195,8 @@ def _hypot(a, b):
 
 
 def _atan2(y, x):
-    angle = _libm(math.atan2, _val(y), _val(x))
-    if type(y) is not Dual2:
-        return angle
     xv, yv = x.value, y.value
+    angle = _libm(math.atan2, yv, xv)
     r2 = xv * xv + yv * yv
     return Dual2(angle, (xv * y.d_u - yv * x.d_u) / r2, (xv * y.d_v - yv * x.d_v) / r2)
 
@@ -216,17 +209,18 @@ def _nan_where(mask, x):
 
 
 def _frame(S: SurfacePatch, u, v, pos, du, dv, tol):
-    """Adapted frame from the jet (pos, du, dv), each a 3-tuple of one number type.
+    """Adapted frame from the jet (pos, du, dv), three 3-tuples of duals.
 
-    Returns (sample, A, alpha, singular).  At one point a characteristic or
-    degenerate point raises and singular is False; on a batch singular
-    marks those points, whose values are undefined.
+    Returns (sample, A, alpha, singular, tangents), tangents being the duals
+    ((p1, q1), (p2, q2)) of the (f^2, f^3) coefficients of f_u and f_v.  At
+    one point a characteristic or degenerate point raises and singular is
+    False; on a batch singular marks those points, whose values are undefined.
     """
     batch = isinstance(u, np.ndarray)
     # frame coefficients of f_u and f_v; c3 is e^3 applied to the tangent
     f_u = (du[0], du[1], e3_coefficient(pos[0], pos[1], *du))
     f_v = (dv[0], dv[1], e3_coefficient(pos[0], pos[1], *dv))
-    characteristic, scale = _characteristic(f_u, f_v, tol, batch)
+    characteristic, scale = _characteristic([c.value for c in f_u], [c.value for c in f_v], tol, batch)
     if not batch and characteristic:
         raise CharacteristicPointError(
             f"characteristic point of {S.name!r} at (u, v) = ({u!r}, {v!r})"
@@ -237,7 +231,7 @@ def _frame(S: SurfacePatch, u, v, pos, du, dv, tol):
     w1 = q2 * f_u[0] - q1 * f_v[0]
     w2 = q2 * f_u[1] - q1 * f_v[1]
     norm = _hypot(w1, w2)
-    dependent = _val(norm) <= 1e-14 * scale * scale
+    dependent = norm.value <= 1e-14 * scale * scale
     if not batch and dependent:
         raise DegenerateParametrizationError(
             f"dependent coordinate tangents of {S.name!r} at (u, v) = ({u!r}, {v!r})"
@@ -257,7 +251,7 @@ def _frame(S: SurfacePatch, u, v, pos, du, dv, tol):
     p1 = f_u[0] * f2h[0] + f_u[1] * f2h[1]
     p2 = f_v[0] * f2h[0] + f_v[1] * f2h[1]
     det = p1 * q2 - p2 * q1
-    flip = _val(det) * S.orientation < 0.0
+    flip = det.value * S.orientation < 0.0
     if np.any(flip) if batch else flip:
         # a sign change by multiplying with -1.0, which is exact
         sign = np.where(flip, -1.0, 1.0) if batch else -1.0
@@ -265,27 +259,28 @@ def _frame(S: SurfacePatch, u, v, pos, du, dv, tol):
         f1h = (sign * f1h[0], sign * f1h[1])
         A = sign * A
         p1, p2, det = sign * p1, sign * p2, sign * det
-    degenerate = abs(_val(det)) <= 1e-14 * scale * scale
+    degenerate = abs(det.value) <= 1e-14 * scale * scale
     if not batch and degenerate:
         raise DegenerateParametrizationError(
             f"vanishing change-of-basis determinant of {S.name!r} at ({u!r}, {v!r})"
         )
     alpha = _atan2(-f2h[0], f2h[1])
 
-    p1, p2, q1, q2, det, a, c, s = map(_val, (p1, p2, q1, q2, det, A, *f1h))
+    tangents = (p1, q1), (p2, q2)
+    p1, p2, q1, q2, det, a, c, s = (x.value for x in (p1, p2, q1, q2, det, A, *f1h))
     if batch:
         singular = np.broadcast_to(characteristic | dependent | degenerate, u.shape)
-        point = tuple(map(_val, pos))
+        point = tuple(x.value for x in pos)
         f1, f2, f3 = (c, s, 0.0), (-s, c, 0.0), (a * c, a * s, 1.0)
         require_finite(point, (f1, f2, f3), where=~singular)
     else:
         singular = False
-        point = Point(*map(_val, pos))
+        point = Point(*(x.value for x in pos))
         # f2h = (-f1h[1], f1h[0]) exactly
         f1, f2, f3 = FrameVec(point, c, s, 0.0), FrameVec(point, -s, c, 0.0), FrameVec(point, a * c, a * s, 1.0)
     sample = AdaptedFrameSample(
         point=point,
-        alpha=_val(alpha),
+        alpha=alpha.value,
         A=a,
         f1=f1,
         f2=f2,
@@ -296,13 +291,14 @@ def _frame(S: SurfacePatch, u, v, pos, du, dv, tol):
         f_v_23=(p2, q2),
         area_density=det,
     )
-    return sample, A, alpha, singular
+    return sample, A, alpha, singular, tangents
 
 
 def adapted_frame(
     S: SurfacePatch, u: float, v: float, tol: float = CHARACTERISTIC_TOL
 ) -> AdaptedFrameSample:
-    return _frame(S, u, v, *S.jet(u, v), tol)[0]
+    """The adapted frame at one point: the sample of frame_data."""
+    return frame_data(S, u, v, tol)[0]
 
 
 def frame_data(S: SurfacePatch, u, v, tol: float = CHARACTERISTIC_TOL):
@@ -321,12 +317,27 @@ def frame_data(S: SurfacePatch, u, v, tol: float = CHARACTERISTIC_TOL):
     """
     if isinstance(u, np.ndarray):
         with np.errstate(all="ignore"):
-            return _frame_data(S, u, v, tol)
+            return _frame_data(S, u, v, tol)[:3]
     return _frame_data(S, u, v, tol)[:2]
 
 
+def frame_tangents(S: SurfacePatch, u, v, tol: float = CHARACTERISTIC_TOL):
+    """frame_data and the (f^2, f^3) coefficients of f_u and f_v as duals in (u, v).
+
+    Returns (sample, derivatives, ((p1, q1), (p2, q2))), the duals' partials
+    exact.  On a batch (arrays u, v) a characteristic or degenerate point
+    raises what it raises alone.
+    """
+    with np.errstate(all="ignore"):
+        sample, derivatives, singular, tangents = _frame_data(S, u, v, tol)
+    if np.any(singular):
+        k = np.flatnonzero(singular)[0]
+        _frame_data(S, float(u[k]), float(v[k]), tol)  # raises at that point
+    return sample, derivatives, tangents
+
+
 def _frame_data(S, u, v, tol):
-    sample, A, alpha, singular = _frame(S, u, v, *S.jet2(u, v), tol)
+    sample, A, alpha, singular, tangents = _frame(S, u, v, *S.jet2(u, v), tol)
     s2, s3 = sample.f2_uv, sample.f3_uv
     derivatives = FrameDerivatives(
         dA_f2=s2[0] * A.d_u + s2[1] * A.d_v,
@@ -334,7 +345,7 @@ def _frame_data(S, u, v, tol):
         dalpha_f2=s2[0] * alpha.d_u + s2[1] * alpha.d_v,
         dalpha_f3=s3[0] * alpha.d_u + s3[1] * alpha.d_v,
     )
-    return sample, derivatives, singular
+    return sample, derivatives, singular, tangents
 
 
 def frame_derivatives(

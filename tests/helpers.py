@@ -1,16 +1,25 @@
 """Shared test utilities: random expression corpus, FD oracles (expression
-partials and frame derivatives) and the scalar reference implementations
-of the generating-curve sampler, the OBJ and CSV writers, the curvature and
-frames grids and the Gauss-Bonnet prescans."""
+partials, frame derivatives and transverse curve derivatives) and the scalar
+reference implementations of the generating-curve sampler, the OBJ and CSV
+writers, the curvature and frames grids, the Gauss-Bonnet prescans and the
+Gauss-Bonnet integrals."""
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
+from scipy import integrate as si
 
 from h1geom import expr as ex
-from h1geom.curvature import k_gauss_map, k_inf, k_L, k_n
-from h1geom.errors import CharacteristicPointError, DomainViolationError, GeometryError, NonTransverseError
+from h1geom.curvature import TransverseCurveSample, k_gauss_map, k_inf, k_L, k_n
+from h1geom.errors import (
+    CharacteristicPointError,
+    DomainViolationError,
+    GeometryError,
+    NonTransverseError,
+    QuadratureError,
+)
 from h1geom.export import _stamp, fmt
 from h1geom.gaussbonnet import TRANSVERSALITY_TOL, _segments
 from h1geom.quadrature import gauss_segment
@@ -425,3 +434,93 @@ def reference_boundary_prescan(S, R, n=33):
                 raise NonTransverseError(
                     f"boundary tangent loses its f3 component at ({u!r}, {v!r})"
                 )
+
+
+# ---------------------------------------------------------------------------
+# The Gauss-Bonnet integrals one scalar frame at a time: nested QUADPACK over
+# the region, QUADPACK per boundary piece, and transverse curve derivatives
+# from central differences.  The batched cubatures must agree with them
+# within the requested tolerances, and the exact derivatives to 1e-6.
+
+
+def reference_integrate_2d(f, u0, u1, v0, v1, tol=1e-9):
+    """Iterated adaptive integral of f(u, v) over a rectangle: (value, error estimate)."""
+    if u0 == u1 or v0 == v1:
+        return 0.0, 0.0
+    inner_tol = 0.25 * tol / abs(v1 - v0)
+    errors = []
+
+    def row(v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", si.IntegrationWarning)
+            value, err = si.quad(lambda u: f(u, v), u0, u1, epsabs=inner_tol, epsrel=1e-12, limit=200)
+        errors.append(err)
+        return value
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", si.IntegrationWarning)
+        value, outer_err = si.quad(row, v0, v1, epsabs=0.5 * tol, epsrel=1e-12, limit=200)
+    estimate = outer_err + max(errors, default=0.0) * abs(v1 - v0)
+    if not math.isfinite(value) or estimate > max(1e3 * tol, 1e-7 * abs(value)):
+        raise QuadratureError(f"2d integral did not converge (estimate {estimate:.3e})")
+    return value, estimate
+
+
+def reference_area_integral(S, R, tol=1e-9):
+    """int_R K_inf dsigma by nested QUADPACK: (value, error estimate)."""
+
+    def integrand(u, v):
+        sample, fd = frame_data(S, u, v)
+        return k_inf(fd, sample.A) * sample.area_density
+
+    value, err = reference_integrate_2d(integrand, R.u0, R.u1, R.v0, R.v1, tol)
+    return R.orientation * value, err
+
+
+def reference_boundary_integral(S, R, tol=1e-10):
+    """oint A f^3(gamma') by QUADPACK per piece: (value, summed error estimates)."""
+    segments = _segments(R)
+    total, err_total = 0.0, 0.0
+    for start, d, length in segments:
+
+        def integrand(t, start=start, d=d):
+            s = adapted_frame(S, start[0] + d[0] * t, start[1] + d[1] * t)
+            return s.A * (d[0] * s.f_u_23[1] + d[1] * s.f_v_23[1])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", si.IntegrationWarning)
+            per_piece = tol / len(segments)
+            value, err = si.quad(integrand, 0.0, length, epsabs=per_piece, epsrel=max(per_piece, 1e-13), limit=200)
+        if not math.isfinite(value) or err > max(100.0 * per_piece, 1e-8 * abs(value)):
+            raise QuadratureError(f"integral over [0.0, {length!r}] did not converge (estimate {err:.3e})")
+        total += value
+        err_total += err
+    return total, err_total
+
+
+def reference_transverse_sample(S, path, t, h=1e-4, velocity=None):
+    """Curve data at t on a path t -> (u, v), with central differences in t.
+
+    (a, b) come from the adapted frame; da/dt and db/dt are central
+    differences of them with step h, the path velocity a central difference
+    with a smaller inner step unless ``velocity`` gives it exactly.
+    """
+    h_vel = 1e-6 * max(1.0, abs(t))
+
+    def components(tt, s):
+        if velocity is not None:
+            du, dv = velocity(tt)
+        else:
+            up, vp = path(tt + h_vel)
+            um, vm = path(tt - h_vel)
+            du, dv = (up - um) / (2.0 * h_vel), (vp - vm) / (2.0 * h_vel)
+        return du * s.f_u_23[0] + dv * s.f_v_23[0], du * s.f_u_23[1] + dv * s.f_v_23[1]
+
+    sample, fd = frame_data(S, *path(t))
+    a, b = components(t, sample)
+    ap, bp = components(t + h, adapted_frame(S, *path(t + h)))
+    am, bm = components(t - h, adapted_frame(S, *path(t - h)))
+    return TransverseCurveSample(
+        t=t, a=a, b=b, da_dt=(ap - am) / (2.0 * h), db_dt=(bp - bm) / (2.0 * h),
+        dA_dt=a * fd.dA_f2 + b * fd.dA_f3, A=sample.A, dalpha_f2=fd.dalpha_f2, dalpha_f3=fd.dalpha_f3,
+    )

@@ -112,9 +112,7 @@ def test_convergence_rates():
         errs_K = [abs(k_L(fd, sample.A, L) - K_limit) for L in L_SWEEP]
         assert helpers.loglog_slope(L_SWEEP, errs_K) == pytest.approx(-1.0, abs=0.05)
 
-        curve = transverse_sample(
-            patch, lambda t: (t, 2.0 + t), 0.0, velocity=lambda t: (1.0, 1.0)
-        )
+        curve = transverse_sample(patch, 0.0, 2.0, (1.0, 1.0))
         limit = k_n(curve.A, curve.b)
         errs_kn = [abs(k_n_L(curve, L) - limit) for L in L_SWEEP]
         assert helpers.loglog_slope(L_SWEEP, errs_kn) <= -0.45

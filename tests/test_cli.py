@@ -503,3 +503,43 @@ def test_write_csv_matches_line_by_line_reference(tmp_path):
             write_csv(tmp_path / "block.csv", columns, body, {"k": 1}, footer_comments=footer)
             helpers.reference_write_csv(tmp_path / "lines.csv", columns, body, {"k": 1}, footer_comments=footer)
             assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "lines.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Bonnet cubature errors: exit 2 with one line, and no report
+
+
+def _gauss_bonnet_exit(tmp_path, capsys, surface, u, v):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"surface": surface, "region": {"u": u, "v": v}}))
+    out = tmp_path / "gb.json"
+    code = main(["gauss-bonnet", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+    return code, err
+
+
+def test_gauss_bonnet_refuses_a_boundary_winding_around_a_characteristic_point(tmp_path, capsys):
+    # the characteristic origin of the paraboloid lies between the prescan's grid nodes
+    code, err = _gauss_bonnet_exit(tmp_path, capsys, {"kind": "paraboloid"}, [-0.3, 1.0], [-0.2, 0.9])
+    assert code == 2
+    assert "characteristic point inside the region" in err and "winding number 1" in err
+
+
+def test_gauss_bonnet_singular_cubature_node_exits_2(tmp_path, capsys):
+    # f_u vanishes on u = 0, a line of cubature nodes the prescans do not test
+    surface = {"kind": "parametric", "x": "u^3", "y": "v", "z": "v + u^3", "u_range": [-1, 1], "v_range": [0, 1]}
+    code, err = _gauss_bonnet_exit(tmp_path, capsys, surface, [-1.0, 1.0], [0.2, 1.0])
+    assert code == 2
+    assert "dependent coordinate tangents" in err
+
+
+def test_gauss_bonnet_unconverged_cubature_exits_2(tmp_path, capsys, monkeypatch):
+    from h1geom import quadrature
+
+    # the area near the paraboloid's characteristic origin needs three subdivisions
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 1)
+    code, err = _gauss_bonnet_exit(tmp_path, capsys, {"kind": "paraboloid"}, [0.02, 1.0], [0.02, 1.0])
+    assert code == 2
+    assert "cubature" in err and "did not converge" in err

@@ -85,7 +85,7 @@ def test_k_n_values():
 def test_transverse_sample_plane_circle():
     # boundary circle r=1 of the plane: tangent is -(r^2/2) f3, so b < 0
     patch = catalog.plane()
-    c = transverse_sample(patch, lambda t: (t, 1.0), 0.3)
+    c = transverse_sample(patch, 0.3, 1.0, (1.0, 0.0))
     assert c.a == pytest.approx(0.0, abs=1e-10)
     assert c.b == pytest.approx(-0.5, abs=1e-10)
     assert k_n(c.A, c.b) == pytest.approx(-2.0, abs=1e-10)
@@ -98,17 +98,15 @@ def test_transverse_sample_requires_b():
     patch = catalog.plane()
     # radial path: tangent = f_v = f2, no f3 component
     with pytest.raises(NonTransverseError):
-        transverse_sample(patch, lambda t: (0.5, 1.0 + t), 0.0)
+        transverse_sample(patch, 0.5, 1.0, (0.0, 1.0))
 
 
 def test_k_n_orientation_invariance():
     # flip the surface orientation and the induced curve orientation together:
     # A -> -A and b -> -b, leaving k_n and k_n_L unchanged
     patch = catalog.plane()
-    path = lambda t: (t, 1.0 + 0.2 * t)
-    reverse = lambda t: (-t, 1.0 - 0.2 * t)
-    c = transverse_sample(patch, path, 0.1)
-    c_flip = transverse_sample(patch.with_orientation(-1), reverse, -0.1)
+    c = transverse_sample(patch, 0.1, 1.0 + 0.2 * 0.1, (1.0, 0.2))
+    c_flip = transverse_sample(patch.with_orientation(-1), 0.1, 1.0 + 0.2 * 0.1, (-1.0, -0.2))
     assert c_flip.A == pytest.approx(-c.A, abs=1e-10)
     assert c_flip.b == pytest.approx(-c.b, abs=1e-10)
     assert k_n(c_flip.A, c_flip.b) == pytest.approx(k_n(c.A, c.b), abs=1e-10)
@@ -180,7 +178,7 @@ def test_k_n_L_limit_rate_frozen_components():
         assert helpers.loglog_slope(L_SWEEP, errs) <= -0.9
 
 
-def _covariant_k_n_L_oracle(patch, path, t, L, h=1e-4, h_vel=1e-6):
+def _covariant_k_n_L_oracle(patch, path, t, direction, L, h=1e-4, h_vel=1e-6):
     """k_n_L from first principles: <D_T T, N>_L via the connection table.
 
     Uses only the curve, the connection coefficients and the adapted frame;
@@ -221,7 +219,7 @@ def _covariant_k_n_L_oracle(patch, path, t, L, h=1e-4, h_vel=1e-6):
 
     u, v = path(t)
     s = adapted_frame(patch, u, v)
-    c = transverse_sample(patch, path, t)
+    c = transverse_sample(patch, u, v, direction)
     m = L + s.A**2
     q = math.sqrt(c.a**2 + c.b**2 * m)
     a_L, b_L = c.a / q, c.b * math.sqrt(m) / q
@@ -236,17 +234,17 @@ def test_k_n_L_against_covariant_oracle():
     # so rescale the curve parameter per L before comparing
     patch = catalog.plane()
     cases = [
-        (lambda t: (t, 1.0), 0.4),          # boundary circle
-        (lambda t: (t, 1.5 + 0.3 * t), 0.2),  # spiral
+        (lambda t: (t, 1.0), 0.4, (1.0, 0.0)),          # boundary circle
+        (lambda t: (t, 1.5 + 0.3 * t), 0.2, (1.0, 0.3)),  # spiral
     ]
-    for path, t0 in cases:
+    for path, t0, (du, dv) in cases:
         for L in (1.0, 10.0, 100.0):
-            probe = transverse_sample(patch, path, t0)
+            probe = transverse_sample(patch, *path(t0), (du, dv))
             q = math.sqrt(probe.a**2 + probe.b**2 * (L + probe.A**2))
             unit_path = lambda s, path=path, t0=t0, q=q: path(t0 + s / q)
-            c = transverse_sample(patch, unit_path, 0.0)
+            c = transverse_sample(patch, *unit_path(0.0), (du / q, dv / q))
             got = k_n_L(c, L)
-            want = _covariant_k_n_L_oracle(patch, unit_path, 0.0, L)
+            want = _covariant_k_n_L_oracle(patch, unit_path, 0.0, (du / q, dv / q), L)
             assert got == pytest.approx(want, abs=2e-5)
 
 

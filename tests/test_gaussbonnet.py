@@ -246,8 +246,10 @@ def test_convergence_zero_tilt_rows_are_exact():
 
 
 def test_convergence_region_sum_tends_to_zero():
-    patch = catalog.plane()
-    region = annulus(1.0, 2.0)
+    # a rectangle: its corners leave (2 pi - exterior angles) / sqrt(L); on an
+    # annulus the sum is 0 at every L (test_finite_l_region_sum_is_the_gauss_bonnet_corner_term)
+    patch = catalog.paraboloid()
+    region = ParamRegion(1.0, 2.0, -1.0, -0.5)
     study = convergence_study(
         patch, [], (1e2, 1e3, 1e4), direction=None, region=region
     )
@@ -311,3 +313,87 @@ def test_closed_regions_over_a_full_period_pass():
     for K, band in ((1.0, (-0.5, 0.8)), (0.0, (0.3, 1.2)), (-1.0, (-1.0, 1.5))):
         report = gb_residual(catalog.constant_curvature(K), ParamRegion(0.0, TWO_PI, *band, closed_u=True))
         assert abs(report.residual) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the winding gate and the cubature's error paths
+
+
+WINDING = ParamRegion(-0.3, 1.0, -0.2, 0.9)  # holds the paraboloid's characteristic origin
+
+
+@pytest.mark.parametrize("orientation, winding", [(1, 1), (-1, -1)])
+def test_region_winding_around_a_characteristic_point_is_refused(orientation, winding):
+    from h1geom.gaussbonnet import _region_prescan
+
+    patch = catalog.paraboloid()
+    region = ParamRegion(WINDING.u0, WINDING.u1, WINDING.v0, WINDING.v1, orientation=orientation)
+    _region_prescan(patch, region)  # the origin lies between the grid nodes
+    for integral in (area_integral, gb_residual):
+        with pytest.raises(CharacteristicPointError, match=f"winding number {winding} "):
+            integral(patch, region)
+    with pytest.raises(CharacteristicPointError, match="winding number"):
+        convergence_study(patch, [], (1e2, 1e3), direction=None, region=region)
+    # the boundary integral itself is well defined
+    assert math.isfinite(boundary_integral(patch, region))
+
+
+def test_regions_beside_a_characteristic_point_wind_zero():
+    # the origin on the far side of an edge, and closed bands of the rotation families
+    patch = catalog.paraboloid()
+    for region in (ParamRegion(0.02, 1.0, 0.02, 1.0), ParamRegion(-1.0, -0.02, -0.9, 0.3)):
+        assert abs(gb_residual(patch, region).residual) <= 1e-13
+    for K, band in ((1.0, (-0.5, 0.8)), (-1.0, (-1.0, 1.5))):
+        region = ParamRegion(0.0, TWO_PI, *band, closed_u=True)
+        assert abs(gb_residual(catalog.constant_curvature(K), region).residual) <= 1e-12
+
+
+def test_singular_cubature_node_raises_the_point_error():
+    from h1geom.errors import DegenerateParametrizationError
+
+    # f_u vanishes on u = 0, the middle line of the cubature's nodes; no prescan tests degeneracy
+    patch = parametric_patch("u^3", "v", "v + u^3", (-1.0, 1.0), (0.0, 1.0))
+    with pytest.raises(DegenerateParametrizationError, match=r"dependent coordinate tangents .* at \(u, v\) = \(0\.0, "):
+        area_integral(patch, ParamRegion(-1.0, 1.0, 0.2, 1.0))
+
+
+def test_cubature_refuses_unconverged_and_non_finite_results(monkeypatch):
+    import numpy as np
+
+    from h1geom import quadrature
+    from h1geom.errors import QuadratureError
+
+    with pytest.raises(QuadratureError, match="did not converge"):
+        quadrature.cubature(lambda x: np.full(len(x), math.nan), (0.0,), (1.0,), 1e-9)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        quadrature.cubature(lambda x: 1.0 / x[:, 0], (-1.0,), (2.0,), 1e-9)  # pole inside
+    value, error = quadrature.cubature(lambda x: np.stack([np.cos(x[:, 0]), x[:, 0] ** 2], axis=-1), (0.0,), (1.0,), 1e-12)
+    assert value == pytest.approx([math.sin(1.0), 1.0 / 3.0], abs=1e-12) and (error <= 1e-12).all()
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 1)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        gb_residual(catalog.paraboloid(), ParamRegion(0.02, 1.0, 0.02, 1.0))
+
+
+def test_finite_l_region_sum_is_the_gauss_bonnet_corner_term():
+    # with the boundary's rotation rate per unit parameter, each rescaled
+    # finite-L sum is Riemannian Gauss-Bonnet's (2 pi - exterior angles) / sqrt(L)
+    import numpy as np
+
+    from h1geom.gaussbonnet import _segments
+    from h1geom.surface import pushforward_frame
+
+    patch = catalog.paraboloid()
+    region = ParamRegion(1.0, 2.0, -1.0, -0.5)
+    study = convergence_study(patch, [], L_SWEEP, direction=None, region=region)
+    pieces = _segments(region)
+    for L, row in zip(L_SWEEP, study.region.rows):
+        angles = 0.0
+        for (_, d_in, _), (corner, d_out, _) in zip(pieces, pieces[1:] + pieces[:1]):
+            f_u, f_v = (t.coefficients() for t in pushforward_frame(patch, *corner))
+            t_in, t_out = ((d[0] * f_u + d[1] * f_v) * [1.0, 1.0, math.sqrt(L)] for d in (d_in, d_out))
+            angles += math.acos(np.dot(t_in, t_out) / np.linalg.norm(t_in) / np.linalg.norm(t_out))
+        assert row[3] == pytest.approx((TWO_PI - angles) / math.sqrt(L), rel=1e-6)
+    assert study.region.slope_residual == pytest.approx(-1.0, abs=0.05)
+    # an annulus has no corners and Euler characteristic 0: the sum vanishes at every L
+    annulus_rows = convergence_study(catalog.plane(), [], L_SWEEP, direction=None, region=annulus(1.0, 2.0)).region.rows
+    assert all(abs(row[3]) <= 1e-12 for row in annulus_rows)
