@@ -129,7 +129,7 @@ def _l_values(args, config, default):
 
 
 def _char_tol(args, config) -> float:
-    tol = getattr(args, "char_tol", None)
+    tol = args.char_tol
     if tol is None:
         tol = config.get("tolerances", {}).get("characteristic", 1e-10)
     tol = float(tol)
@@ -334,7 +334,7 @@ def _region_from_config(cfg: dict, patch) -> ParamRegion:
         float(v0),
         float(v1),
         closed_u=bool(cfg.get("closed_u", patch.closed_u)),
-        orientation=int(cfg.get("orientation", 1)),
+        orientation=_int_value(cfg.get("orientation", 1), "region orientation"),
     )
 
 
@@ -483,12 +483,18 @@ def _add_surface_flags(sub):
     )
     sub.add_argument("--kinf", type=float, help="rotation-family curvature")
     sub.add_argument("--r0", type=float, help="rotation-family radius parameter")
+
+
+def _add_grid_flags(sub):
+    _add_surface_flags(sub)
     sub.add_argument(
         "--char-tol",
         dest="char_tol",
         type=float,
         help="relative tolerance of the characteristic-point test (default 1e-10)",
     )
+    sub.add_argument("--nu", type=int)
+    sub.add_argument("--nv", type=int)
 
 
 def build_parser() -> _ArgumentParser:
@@ -511,18 +517,14 @@ def build_parser() -> _ArgumentParser:
     rot.set_defaults(func=cmd_rotsurf)
 
     cur = subs.add_parser("curvature", help="curvature quantities on a parameter grid")
-    _add_surface_flags(cur)
-    cur.add_argument("--nu", type=int)
-    cur.add_argument("--nv", type=int)
+    _add_grid_flags(cur)
     cur.add_argument("--l-values", dest="l_values")
     cur.add_argument("--kn-directions", dest="kn_directions")
     cur.add_argument("--out", default="curvature.csv")
     cur.set_defaults(func=cmd_curvature)
 
     frm = subs.add_parser("frames", help="adapted-frame samples on a parameter grid")
-    _add_surface_flags(frm)
-    frm.add_argument("--nu", type=int)
-    frm.add_argument("--nv", type=int)
+    _add_grid_flags(frm)
     frm.add_argument("--out", default="frames.csv")
     frm.set_defaults(func=cmd_frames)
 

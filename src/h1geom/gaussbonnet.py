@@ -51,7 +51,7 @@ class ParamRegion:
     For closed_u regions u spans a full period and the boundary reduces to
     the two v = const circles with opposite orientations; the chart must be
     closed in u and the region span its u_range (_check_period).
-    orientation -1 integrates over the oppositely oriented chain.
+    orientation is 1 or -1; -1 integrates over the oppositely oriented chain.
     """
 
     u0: float
@@ -64,6 +64,8 @@ class ParamRegion:
     def __post_init__(self):
         if not (self.u0 <= self.u1 and self.v0 <= self.v1):
             raise ValueError("region bounds must be ordered")
+        if self.orientation not in (1, -1):
+            raise ValueError(f"region orientation must be 1 or -1, got {self.orientation!r}")
 
     def is_empty(self) -> bool:
         return self.u0 == self.u1 or self.v0 == self.v1

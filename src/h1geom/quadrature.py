@@ -34,6 +34,11 @@ MAX_SUBDIVISIONS = 200  # as QUADPACK's limit in integrate
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
+def _in_window(distance, bound):
+    """Whether a distance (float or array) from a finite domain bound lies in its boundary window."""
+    return math.isfinite(bound) and distance < BOUNDARY_WINDOW * max(1.0, abs(bound))
+
+
 def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive integral of f over [a, b] to absolute tolerance tol."""
     if a == b:
@@ -75,10 +80,7 @@ def integrate_with_boundary(f, a: float, b: float, bounds, tol: float = 1e-10) -
     if a > b:
         return -integrate_with_boundary(f, b, a, bounds, tol)
     lo, hi = bounds
-    window_lo = BOUNDARY_WINDOW * max(1.0, abs(lo)) if math.isfinite(lo) else -math.inf
-    window_hi = BOUNDARY_WINDOW * max(1.0, abs(hi)) if math.isfinite(hi) else -math.inf
-    near_lo = math.isfinite(lo) and (a - lo) < window_lo
-    near_hi = math.isfinite(hi) and (hi - b) < window_hi
+    near_lo, near_hi = _in_window(a - lo, lo), _in_window(hi - b, hi)
     if near_lo and near_hi:
         mid = 0.5 * (a + b)
         return integrate_with_boundary(f, a, mid, bounds, 0.5 * tol) + integrate_with_boundary(
@@ -109,10 +111,10 @@ def gauss_segment(f, a: float, b: float, bounds=None) -> float:
         return -gauss_segment(f, b, a, bounds)
     if bounds is not None:
         lo, hi = bounds
-        if math.isfinite(lo) and (a - lo) < BOUNDARY_WINDOW * max(1.0, abs(lo)):
+        if _in_window(a - lo, lo):
             sa, sb = math.sqrt(a - lo), math.sqrt(b - lo)
             return gauss_segment(lambda s: 2.0 * s * f(lo + s * s), sa, sb)
-        if math.isfinite(hi) and (hi - b) < BOUNDARY_WINDOW * max(1.0, abs(hi)):
+        if _in_window(hi - b, hi):
             sa, sb = math.sqrt(hi - b), math.sqrt(hi - a)
             return gauss_segment(lambda s: 2.0 * s * f(hi - s * s), sa, sb)
     half = 0.5 * (b - a)
@@ -130,11 +132,7 @@ def gauss_segments(f, a: np.ndarray, b: np.ndarray, bounds) -> list[np.ndarray]:
     ``bounds`` go through gauss_segment and its square-root substitution.
     """
     lo, hi = bounds
-    window = np.zeros(len(a), dtype=bool)
-    if math.isfinite(lo):
-        window |= (a - lo) < BOUNDARY_WINDOW * max(1.0, abs(lo))
-    if math.isfinite(hi):
-        window |= (hi - b) < BOUNDARY_WINDOW * max(1.0, abs(hi))
+    window = np.zeros(len(a), dtype=bool) | _in_window(a - lo, lo) | _in_window(hi - b, hi)
     inner = ~window
     half = 0.5 * (b[inner] - a[inner])
     mid = 0.5 * (a[inner] + b[inner])

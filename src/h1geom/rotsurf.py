@@ -58,6 +58,8 @@ __all__ = [
 
 CLAMP = 1e-12  # values of 1 - (r')^2 in [-CLAMP, 0] count as exact zeros
 ANCHOR_EPS = 1e-9
+THETA_C_TOL = 1e-10  # absolute QUADPACK tolerance of theta(v) and c(v)
+THETA_C_CACHE_SIZE = 4096  # theta/c values memoized per family profile
 
 
 def _sqrt1m(rp2_complement, v):
@@ -148,8 +150,8 @@ class Profile:
     r, dr and A take a float or an array of v; kappa, the planar curvature
     a'b'' - a''b' of the generating curve, takes a float.  kappa gives the
     chart's second partials and picks chord lengths for exported
-    polylines.  theta_c_closed, when set, bypasses quadrature
-    (straight-line and circular profiles).
+    polylines.  theta_c(v) is the polar angle and height (theta, c) at v,
+    measured from the anchor.
     """
 
     name: str
@@ -159,15 +161,16 @@ class Profile:
     dr: Callable[[float], float]
     A: Callable[[float], float]
     kappa: Callable[[float], float]
-    theta_c_closed: Optional[Callable[[float], tuple[float, float]]] = None
-    K_inf: Optional[float] = None
+    theta_c: Callable[[float], tuple[float, float]]
 
 
 def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
     """Constant-curvature profile; c1_shift translates the profile parameter.
 
-    The closures do not check the existence domain: callers check their
-    interval endpoints once (ThetaC, sample_generating_curve, validate).
+    The closures r, dr, A and kappa do not check the existence domain:
+    callers check their interval endpoints once (sample_generating_curve,
+    validate).  theta_c checks its v and integrates from the anchor with
+    QUADPACK, memoizing the last THETA_C_CACHE_SIZE values.
     """
     lo, hi = domain_bound(K_inf, r0)
     r_t, A_t = _kernels(K_inf, r0)
@@ -195,15 +198,26 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
             return math.inf
         return (K_inf + 2.0 / (rv * rv)) * rv / (2.0 * s)
 
+    name = f"constant-curvature({K_inf}, r0={r0})"
+    domain = (lo_s, hi_s)
+
+    @functools.lru_cache(maxsize=THETA_C_CACHE_SIZE)
+    def theta_c(v):
+        # square-root substitution where 1 - r'^2 vanishes at a domain end
+        _check_domain(v, domain, name)
+        theta = integrate_with_boundary(lambda t: _integrands(r, dr, t)[0], anchor, v, domain, THETA_C_TOL)
+        c = integrate_with_boundary(lambda t: _integrands(r, dr, t)[1], anchor, v, domain, THETA_C_TOL)
+        return theta, c
+
     return Profile(
-        name=f"constant-curvature({K_inf}, r0={r0})",
-        domain=(lo_s, hi_s),
+        name=name,
+        domain=domain,
         anchor=anchor,
         r=r,
         dr=dr,
         A=A,
         kappa=kappa,
-        K_inf=K_inf,
+        theta_c=theta_c,
     )
 
 
@@ -217,7 +231,7 @@ def line_profile() -> Profile:
         dr=lambda v: 1.0,
         A=lambda v: 2.0 / v,
         kappa=lambda v: 0.0,
-        theta_c_closed=lambda v: (0.0, 0.0),
+        theta_c=lambda v: (0.0, 0.0),
     )
 
 
@@ -231,67 +245,20 @@ def circle_profile() -> Profile:
         dr=lambda v: 0.0,
         A=lambda v: 0.0,
         kappa=lambda v: 1.0,
-        theta_c_closed=lambda v: (v, 0.5 * v),
-        K_inf=0.0,
+        theta_c=lambda v: (v, 0.5 * v),
     )
 
 
-def _integrands(profile: Profile, t):
+def _integrands(r, dr, t):
     """theta' = sqrt(1 - r'^2)/r and c' = r sqrt(1 - r'^2)/2 at t (float or array)."""
-    r = profile.r(t)
-    s = _sqrt1m(1.0 - power(profile.dr(t), 2), t)
-    return s / r, 0.5 * r * s
+    rt = r(t)
+    s = _sqrt1m(1.0 - power(dr(t), 2), t)
+    return s / rt, 0.5 * rt * s
 
 
-class ThetaC:
-    """Cached quadrature of theta(v) and c(v) from the profile anchor.
-
-    theta(v) = int sqrt(1 - r'^2)/r, c(v) = int r sqrt(1 - r'^2)/2, both
-    from the anchor, with a square-root change of variable near domain
-    endpoints where 1 - r'^2 has a simple zero.
-    """
-
-    def __init__(self, profile: Profile, tol: float = 1e-10):
-        self.profile = profile
-        self.tol = tol
-        self._cache: dict[float, tuple[float, float]] = {profile.anchor: (0.0, 0.0)}
-
-    def _g_theta(self, t: float) -> float:
-        return _integrands(self.profile, t)[0]
-
-    def _g_c(self, t: float) -> float:
-        return _integrands(self.profile, t)[1]
-
-    def __call__(self, v: float) -> tuple[float, float]:
-        hit = self._cache.get(v)
-        if hit is not None:
-            return hit
-        if self.profile.theta_c_closed is not None:
-            anchor_theta, anchor_c = self.profile.theta_c_closed(self.profile.anchor)
-            theta, c = self.profile.theta_c_closed(v)
-            result = (theta - anchor_theta, c - anchor_c)
-            self._cache[v] = result
-            return result
-        _check_domain(v, self.profile.domain, self.profile.name)
-        a = self.profile.anchor
-        theta = integrate_with_boundary(self._g_theta, a, v, self.profile.domain, self.tol)
-        c = integrate_with_boundary(self._g_c, a, v, self.profile.domain, self.tol)
-        result = (theta, c)
-        self._cache[v] = result
-        return result
-
-
-@functools.lru_cache(maxsize=16)
-def _integrator(K_inf: float, r0: float, c1_shift: float = 0.0) -> ThetaC:
-    return ThetaC(family_profile(float(K_inf), float(r0), float(c1_shift)))
-
-
-def theta_c_quadrature(K_inf: float, r0: float, v: float, tol: float = 1e-10) -> tuple[float, float]:
+def theta_c_quadrature(K_inf: float, r0: float, v: float) -> tuple[float, float]:
     """Angle theta(v) and height c(v) of the family profile from the anchor."""
-    integrator = _integrator(K_inf, r0)
-    if tol != integrator.tol:
-        integrator = ThetaC(family_profile(K_inf, r0), tol)
-    return integrator(v)
+    return family_profile(K_inf, r0).theta_c(v)
 
 
 def horizontal_lift(a, b, t: float, tol: float = 1e-10) -> float:
@@ -323,13 +290,12 @@ def rotation_patch(
         raise DomainViolationError(
             f"v_range {v_range!r} not inside the existence domain ({lo!r}, {hi!r})"
         )
-    thetac = ThetaC(profile)
 
     def curve(v: float):
         """The generating curve (a, b, c)(v) and its first two derivatives."""
         r = profile.r(v)
         rp = profile.dr(v)
-        theta, c = thetac(v)
+        theta, c = profile.theta_c(v)
         s = _sqrt1m(1.0 - rp * rp, v)
         ct, st = math.cos(theta), math.sin(theta)
         a, b = r * ct, r * st
@@ -461,7 +427,7 @@ def sample_generating_curve(
         raise ValueError("need v0 < v1")
     _check_domain(v0, profile.domain, profile.name)
     _check_domain(v1, profile.domain, profile.name)
-    theta0, c0 = ThetaC(profile)(v0)
+    theta0, c0 = profile.theta_c(v0)
 
     span = v1 - v0
     dv_cap = span / 64.0
@@ -482,7 +448,7 @@ def sample_generating_curve(
         if len(vs) > max_points:
             raise GeometryError("generating-curve sampling exceeded the point budget")
     vs = np.array(vs)
-    integrands = functools.partial(_integrands, profile)
+    integrands = functools.partial(_integrands, profile.r, profile.dr)
 
     def positions(v, theta, c):
         r = profile.r(v)
@@ -531,7 +497,6 @@ def build_mesh(spec: RotationSurfaceSpec) -> Mesh:
     """Vertex grid, triangles, profile table and horizontal polylines."""
     spec.validate()
     profile = family_profile(spec.K_inf, spec.r0, spec.c1_shift)
-    thetac = ThetaC(profile)
     v0, v1 = spec.resolved_v_range()
     nu, nv = spec.samples_u, spec.samples_v
     us = np.linspace(0.0, 2.0 * math.pi, nu)
@@ -539,7 +504,7 @@ def build_mesh(spec: RotationSurfaceSpec) -> Mesh:
 
     r, rp, A = profile.r(vvs), profile.dr(vvs), profile.A(vvs)
     _sqrt1m(1.0 - rp * rp, vvs)
-    theta, c = np.array([thetac(v) for v in vvs.tolist()]).T
+    theta, c = np.array([profile.theta_c(v) for v in vvs.tolist()]).T
     a, b = r * elementwise(math.cos, theta), r * elementwise(math.sin, theta)
     cu, su = np.cos(us), np.sin(us)
     x, y = np.outer(a, cu) - np.outer(b, su), np.outer(b, cu) + np.outer(a, su)

@@ -23,7 +23,7 @@ from h1geom.errors import (
 from h1geom.export import _stamp, fmt
 from h1geom.gaussbonnet import TRANSVERSALITY_TOL, _segments
 from h1geom.quadrature import gauss_segment
-from h1geom.rotsurf import CLAMP, ThetaC, e3_chord_ratio
+from h1geom.rotsurf import CLAMP, e3_chord_ratio
 from h1geom.hgroup import FrameVec, Point
 from h1geom.surface import (
     CHARACTERISTIC_TOL,
@@ -188,7 +188,7 @@ def reference_graph_jet(tree):
 
 
 def reference_rotation_jet(profile):
-    thetac = ThetaC(profile)
+    thetac = profile.theta_c
 
     def jet(u, v):
         r, rp = profile.r(v), profile.dr(v)
@@ -265,7 +265,7 @@ def reference_sample_generating_curve(profile, v0, v1, max_ratio=1e-8, max_point
     """Point-by-point sampler with a depth-first bisection pass."""
     if not (v0 < v1):
         raise ValueError("need v0 < v1")
-    thetac = ThetaC(profile)
+    thetac = profile.theta_c
     theta0, c0 = thetac(v0)
 
     def g_theta(t):

@@ -8,6 +8,7 @@ reprs), the same exit code and message, and the same first failing point.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -291,6 +292,31 @@ def test_gauss_bonnet_integrals_match_nested_quadpack(case):
     assert abs(report.area_integral - area) <= 1e-9 + area_err
     assert abs(report.boundary_integral - boundary) <= 1e-10 + boundary_err
     assert report.area_error_est <= 1e-9 and report.boundary_error_est <= 1e-10
+
+
+@SETTINGS
+@given(regions())
+@example((catalog.paraboloid(), ParamRegion(1.0, 2.0, -1.0, -0.5)))
+@example((catalog.paraboloid(), ParamRegion(0.02, 1.0, 0.02, 1.0, orientation=-1)))
+def test_gauss_bonnet_integrals_add_over_a_split_and_flip_with_orientation(case):
+    patch, region = case
+    assume(not region.closed_u)
+    mid = 0.5 * (region.u0 + region.u1)
+    parts = [
+        region,
+        dataclasses.replace(region, u1=mid),
+        dataclasses.replace(region, u0=mid),
+        dataclasses.replace(region, orientation=-region.orientation),
+    ]
+    try:
+        reports = [gb_residual(patch, part, 1e-9, 1e-10) for part in parts]
+    except POINT_FAILURES:
+        assume(False)
+    for side, tol in (("area", 1e-9), ("boundary", 1e-10)):
+        whole, left, right, flipped = (getattr(report, f"{side}_integral") for report in reports)
+        e_whole, e_left, e_right, e_flipped = (getattr(report, f"{side}_error_est") for report in reports)
+        assert abs(whole - left - right) <= 3 * tol + e_whole + e_left + e_right
+        assert abs(whole + flipped) <= 2 * tol + e_whole + e_flipped
 
 
 TRANSVERSE_CHARTS = {

@@ -543,3 +543,31 @@ def test_gauss_bonnet_unconverged_cubature_exits_2(tmp_path, capsys, monkeypatch
     code, err = _gauss_bonnet_exit(tmp_path, capsys, {"kind": "paraboloid"}, [0.02, 1.0], [0.02, 1.0])
     assert code == 2
     assert "cubature" in err and "did not converge" in err
+
+
+@pytest.mark.parametrize("orientation", [0, 2, 1.5])
+def test_gauss_bonnet_region_orientation_must_be_plus_or_minus_one(tmp_path, capsys, orientation):
+    region = {"u": [1.0, 2.0], "v": [-1.0, -0.5], "orientation": orientation}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"surface": {"kind": "paraboloid"}, "region": region}))
+    out = tmp_path / "gb.json"
+    assert main(["gauss-bonnet", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "orientation" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gauss-bonnet", "--surface", "paraboloid", "--region", "1,2,-1,-0.5"],
+        ["converge", "--surface", "paraboloid", "--point", "1,-0.5"],
+    ],
+)
+def test_char_tol_is_a_usage_error_where_it_is_not_honoured(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--char-tol", "0.9", "--out", str(out)])
+    assert exc.value.code == 1
+    assert "--char-tol" in capsys.readouterr().err

@@ -154,6 +154,13 @@ def test_region_validation():
         ParamRegion(1.0, 0.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("orientation", [0, 2, -2])
+def test_region_orientation_must_be_plus_or_minus_one(orientation):
+    # 0 once reported area -0 and 2 a doubled area, each as a failed residual
+    with pytest.raises(ValueError, match="orientation"):
+        ParamRegion(1.0, 2.0, -1.0, -0.5, orientation=orientation)
+
+
 def test_rectangle_region_on_paraboloid():
     # Stokes holds on any rectangle with transverse edges (v - u/2 and
     # u + v/2 must not vanish on them)

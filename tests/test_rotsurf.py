@@ -5,13 +5,13 @@ import helpers
 import numpy as np
 import pytest
 
-from h1geom import catalog
+from h1geom import catalog, rotsurf
 from h1geom.errors import DomainViolationError, GeometryError
 from h1geom.export import write_obj
 from h1geom.rotsurf import (
+    THETA_C_CACHE_SIZE,
     A_family,
     RotationSurfaceSpec,
-    ThetaC,
     build_mesh,
     circle_profile,
     default_v_range,
@@ -25,7 +25,6 @@ from h1geom.rotsurf import (
     sample_generating_curve,
     theta_c_quadrature,
 )
-from h1geom.rotsurf import _integrator
 from h1geom.surface import adapted_frame, pushforward_frame
 
 
@@ -394,10 +393,10 @@ def test_generating_curve_endpoints_and_positions():
 
 def test_line_and_circle_profiles():
     line = line_profile()
-    assert line.theta_c_closed(2.0) == (0.0, 0.0)
+    assert line.theta_c(2.0) == (0.0, 0.0)
     assert line.A(2.0) == 1.0
     circle = circle_profile()
-    theta, c = circle.theta_c_closed(1.4)
+    theta, c = circle.theta_c(1.4)
     assert (theta, c) == (1.4, 0.7)
 
 
@@ -409,6 +408,8 @@ def test_c1_shift_translates_profile():
     lo, hi = shifted.domain
     blo, bhi = base.domain
     assert lo == pytest.approx(blo - 0.2) and hi == pytest.approx(bhi - 0.2)
+    for v in (-0.9, 0.1, 1.0):
+        assert shifted.theta_c(v) == pytest.approx(base.theta_c(v + 0.2), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +504,7 @@ def test_mesh_matches_scalar_rows():
     spec = RotationSurfaceSpec(K_inf=-1.0, c1_shift=0.4, samples_u=7, samples_v=11, n_curves=0)
     mesh = build_mesh(spec)
     profile = family_profile(-1.0, 1.0, 0.4)
-    thetac = ThetaC(profile)
+    thetac = profile.theta_c
     for j, v in enumerate(np.linspace(*spec.resolved_v_range(), 11).tolist()):
         theta, c = thetac(v)
         expect = [v, profile.r(v), profile.dr(v), theta, c, profile.A(v)]
@@ -540,10 +541,34 @@ def test_sampler_point_budget_in_walk_and_refinement():
         sample_generating_curve(_kappa_underestimated(profile), -0.5, 0.5, 1e-6, max_points=100)
 
 
-def test_integrator_cache_is_bounded():
-    _integrator.cache_clear()
-    for k in range(1000):
-        theta_c_quadrature(1.0 + k * 1e-3, 1.0, 0.0)  # anchor: no quadrature
-    info = _integrator.cache_info()
-    assert info.currsize <= info.maxsize
-    assert info.misses == 1000
+def test_theta_c_cache_is_bounded(monkeypatch):
+    calls = []  # a stub in place of QUADPACK keeps 4,000 misses cheap
+    monkeypatch.setattr(rotsurf, "integrate_with_boundary", lambda f, a, b, bounds, tol: calls.append(b) or b - a)
+    profile = family_profile(1.0, 1.0)
+    vs = np.linspace(-0.5, 0.5, THETA_C_CACHE_SIZE + 100).tolist()
+    for v in vs + vs[-10:]:
+        profile.theta_c(v)
+    info = profile.theta_c.cache_info()
+    assert info.maxsize == THETA_C_CACHE_SIZE and info.currsize == THETA_C_CACHE_SIZE
+    assert (info.hits, info.misses) == (10, len(vs))
+    assert len(calls) == 2 * len(vs)
+
+
+def test_mesh_rows_rotation_chart_and_sampler_share_theta_c(monkeypatch):
+    calls = []
+    integrate = rotsurf.integrate_with_boundary
+    monkeypatch.setattr(rotsurf, "integrate_with_boundary", lambda *args: calls.append(args[2]) or integrate(*args))
+    build_mesh(RotationSurfaceSpec(K_inf=-1.0, samples_u=8, samples_v=20, n_curves=0))
+    assert len(calls) == 2 * 20
+    calls.clear()
+    build_mesh(RotationSurfaceSpec(K_inf=-1.0, samples_u=8, samples_v=20, n_curves=3))
+    assert len(calls) == 2 * 20  # the sampler starts from the first row's theta and c
+    profile = family_profile(1.0, 1.0)
+    patch = rotation_patch(profile, (-0.5, 0.5))
+    v = np.array([-0.5, 0.1, 0.1, 0.5])
+    patch.jet2(np.zeros(4), v)
+    assert len(calls) == 2 * 20 + 2 * 3
+    calls.clear()
+    sample_generating_curve(profile, -0.5, 0.5, 1e-6)
+    patch.jet2(np.ones(4), v)
+    assert calls == []
