@@ -62,7 +62,7 @@ def surface_from_config(cfg: dict) -> SurfacePatch:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ValueError("surface descriptor must be an object with a 'kind' field")
     kind = cfg["kind"]
-    orientation = int(cfg.get("orientation", 1))
+    orientation = cfg.get("orientation", 1)
     if kind == "plane":
         return plane(tuple(cfg.get("v_range", (0.05, 8.0))), orientation)
     if kind == "plane-cartesian":

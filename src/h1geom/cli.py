@@ -94,8 +94,6 @@ def _build_surface(cfg: dict):
     try:
         return catalog.surface_from_config(cfg)
     except (ValueError, KeyError) as exc:
-        if isinstance(exc, GeometryError):
-            raise
         raise ConfigError(str(exc)) from exc
 
 
@@ -126,6 +124,11 @@ def _l_values(args, config, default):
     if not values or any(not math.isfinite(L) or L <= 0 for L in values):
         raise ConfigError("L values must be positive and finite")
     return values
+
+
+def _without_char_tol(config, command) -> None:
+    if "characteristic" in config.get("tolerances", {}):
+        raise ConfigError(f"{command} does not read tolerances.characteristic")
 
 
 def _char_tol(args, config) -> float:
@@ -340,6 +343,7 @@ def _region_from_config(cfg: dict, patch) -> ParamRegion:
 
 def cmd_gauss_bonnet(args) -> int:
     config = _load_config(args.config)
+    _without_char_tol(config, "gauss-bonnet")
     if args.preset:
         preset = GB_PRESETS[args.preset]
         config = {**config, "surface": preset["surface"], "region": preset["region"]}
@@ -401,6 +405,7 @@ def cmd_gauss_bonnet(args) -> int:
 
 def cmd_converge(args) -> int:
     config = _load_config(args.config)
+    _without_char_tol(config, "converge")
     surface_cfg = _surface_config(args, config)
     patch = _build_surface(surface_cfg)
     L_values = _l_values(args, config, [1e2, 1e3, 1e4, 1e5, 1e6])
@@ -566,6 +571,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         # bad user-supplied values that slipped past explicit validation

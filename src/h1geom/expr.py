@@ -566,8 +566,9 @@ def _safe(fn, x: float) -> float:
 
 
 # fn -> (its value at a float, its slope from x and the value f; x and f
-# are floats, arrays or Dual2s).  Only ln and sqrt have domain limits, checked in
-# _dual_call, so the slopes evaluate cos, sin, cosh and sinh without a node.
+# are floats, arrays or Dual2s).  The domain limits (ln, sqrt, and sin, cos and
+# tan at infinity) are checked in _dual_call, so the slopes evaluate cos, sin,
+# cosh and sinh without a node.
 _RULES = {
     "sin": (math.sin, lambda x, f: _apply("cos", x)),
     "cos": (math.cos, lambda x, f: -_apply("sin", x)),
@@ -611,6 +612,8 @@ def _dual_call(fn: str, arg: Dual2, node: Expr) -> Dual2:
         raise EvalError(f"unknown function {fn!r}")
     x = arg.value
     xv = _innermost(x)
+    if fn in ("sin", "cos", "tan") and _any(abs(xv) == math.inf):
+        raise ExprDomainError(f"{fn} of infinite value {_first(xv, abs(xv) == math.inf)!r}", node)
     if fn == "ln" and _any(xv <= 0.0):
         raise ExprDomainError(f"ln of non-positive value {_first(xv, xv <= 0.0)!r}", node)
     if fn == "sqrt" and _any(xv <= 0.0):

@@ -330,7 +330,7 @@ def rotation_patch(
         jet2=jet2,
         u_range=(0.0, 2.0 * math.pi),
         v_range=tuple(v_range),
-        orientation=1 if orientation >= 0 else -1,
+        orientation=orientation,
         closed_u=True,
         name=name or profile.name,
     )
@@ -417,11 +417,10 @@ def sample_generating_curve(
     """Adaptive samples (v, a, b, c) of the generating horizontal curve.
 
     Chord lengths are chosen from the profile curvature so that every
-    segment satisfies |e^3(midpoint chord)| <= max_ratio * |chord|; a
-    bisection pass enforces the bound where the estimate was optimistic.
-    theta and c accumulate per segment with a fixed Gauss rule (plus the
-    boundary substitution), keeping consecutive points consistent to far
-    below the chord tolerance.
+    segment satisfies |e^3(midpoint chord)| <= max_ratio * |chord|; a chord
+    above that bound raises GeometryError.  theta and c accumulate per
+    segment with a fixed Gauss rule (plus the boundary substitution),
+    keeping consecutive points consistent to far below the chord tolerance.
     """
     if not (v0 < v1):
         raise ValueError("need v0 < v1")
@@ -437,51 +436,31 @@ def sample_generating_curve(
     # Each step depends on the previous v, so the walk stays scalar.
     vs = [v0]
     v = v0
-    while v < v1 - 1e-15 * max(1.0, abs(v1)):
+    while v < v1:
         k_here = abs(profile.kappa(v))
         dv = min(math.sqrt(12.0 * target / max(k_here, 1e-12)), dv_cap)
         k_ahead = abs(profile.kappa(min(v + dv, v1)))
         dv = min(dv, math.sqrt(12.0 * target / max(k_ahead, 1e-12)))
         dv = max(dv, dv_floor)
-        v = min(v + dv, v1)
+        # the last step ends exactly at v1 and is never shorter than dv_floor
+        v = v + dv if v + dv < v1 - dv_floor else v1
         vs.append(v)
         if len(vs) > max_points:
             raise GeometryError("generating-curve sampling exceeded the point budget")
     vs = np.array(vs)
-    integrands = functools.partial(_integrands, profile.r, profile.dr)
-
-    def positions(v, theta, c):
-        r = profile.r(v)
-        x, y = r * elementwise(math.cos, theta), r * elementwise(math.sin, theta)
-        return np.column_stack([x, y, c])
-
-    d_theta, d_c = gauss_segments(integrands, vs[:-1], vs[1:], profile.domain)
+    d_theta, d_c = gauss_segments(functools.partial(_integrands, profile.r, profile.dr), vs[:-1], vs[1:], profile.domain)
     thetas = np.cumsum(np.concatenate(([theta0], d_theta)))
     cs = np.cumsum(np.concatenate(([c0], d_c)))
-    pts = positions(vs, thetas, cs)
+    r = profile.r(vs)
+    pts = np.column_stack([r * elementwise(math.cos, thetas), r * elementwise(math.sin, thetas), cs])
 
-    # Enforcement pass, breadth first: bisect every chord still above
-    # 0.9 * max_ratio, then re-check only the halves.  A midpoint integrates
-    # from its left neighbour, so the points are those of a depth-first pass.
-    check = np.ones(len(vs) - 1, dtype=bool)
-    while True:
-        split = check & (e3_chord_ratio(pts) > 0.9 * max_ratio) & (np.diff(vs) > dv_floor)
-        left = np.flatnonzero(split)
-        if not left.size:
-            break
-        vm = 0.5 * (vs[left] + vs[left + 1])
-        d_theta, d_c = gauss_segments(integrands, vs[left], vm, profile.domain)
-        theta_m, c_m = thetas[left] + d_theta, cs[left] + d_c
-        vs = np.insert(vs, left + 1, vm)
-        thetas = np.insert(thetas, left + 1, theta_m)
-        cs = np.insert(cs, left + 1, c_m)
-        pts = np.insert(pts, left + 1, positions(vm, theta_m, c_m), axis=0)
-        if len(vs) > max_points:
-            raise GeometryError("generating-curve refinement exceeded the point budget")
-        check = np.zeros(len(vs) - 1, dtype=bool)
-        halves = left + np.arange(left.size)
-        check[halves] = check[halves + 1] = True
-
+    ratios = e3_chord_ratio(pts)
+    k = int(np.argmax(ratios))  # the worst chord; a NaN counts as the worst
+    if not ratios[k] <= max_ratio:
+        raise GeometryError(
+            f"generating-curve chord over v in [{float(vs[k])!r}, {float(vs[k + 1])!r}] has e3 ratio "
+            f"{ratios[k]:.3g} above the bound {max_ratio:g}"
+        )
     return np.column_stack([vs, pts])
 
 

@@ -10,7 +10,7 @@ the conormal f^1 = cos(alpha) e^1 + sin(alpha) e^2 - A e^3 to kill TS.
 Sign rule for f2: among the two unit choices, take the one making the
 change of basis from (f2, f3) to the coordinate tangents (f_u, f_v)
 positive, so the area density f^2^f^3(f_u, f_v) is positive; the patch
-orientation flag flips this globally.
+orientation, 1 or -1, flips this globally.
 """
 
 from __future__ import annotations
@@ -65,6 +65,10 @@ class SurfacePatch:
     closed_u: bool = False
     name: str = "patch"
 
+    def __post_init__(self):
+        if isinstance(self.orientation, bool) or self.orientation not in (1, -1):
+            raise ValueError(f"surface orientation must be 1 or -1, got {self.orientation!r}")
+
     def jet(self, u: float, v: float) -> list[tuple[float, float, float]]:
         """Position and coordinate partials as three float triples."""
         return [(x.value, y.value, z.value) for x, y, z in self.jet2(u, v)]
@@ -79,7 +83,7 @@ class SurfacePatch:
         ) and self.v_range[0] <= v <= self.v_range[1]
 
     def with_orientation(self, sign: int) -> "SurfacePatch":
-        return replace(self, orientation=1 if sign >= 0 else -1)
+        return replace(self, orientation=sign)
 
 
 @dataclass(frozen=True)
@@ -178,14 +182,9 @@ def characteristic_test(f_u, f_v, tol: float = CHARACTERISTIC_TOL):
 # the same IEEE operations either way.
 
 
-def _libm(f, x, y):
-    # the pairs (x, y) of a batch come as arrays together
-    return elementwise(f, x, y) if isinstance(x, np.ndarray) else f(x, y)
-
-
 def _hypot(a, b):
     av, bv = a.value, b.value
-    norm = _libm(math.hypot, av, bv)
+    norm = elementwise(math.hypot, av, bv)
     # a zero norm gives infinite partials; _frame then refuses the point
     return Dual2(
         norm,
@@ -196,7 +195,7 @@ def _hypot(a, b):
 
 def _atan2(y, x):
     xv, yv = x.value, y.value
-    angle = _libm(math.atan2, yv, xv)
+    angle = elementwise(math.atan2, yv, xv)
     r2 = xv * xv + yv * yv
     return Dual2(angle, (xv * y.d_u - yv * x.d_u) / r2, (xv * y.d_v - yv * x.d_v) / r2)
 
@@ -250,20 +249,16 @@ def _frame(S: SurfacePatch, u, v, pos, du, dv, tol):
 
     p1 = f_u[0] * f2h[0] + f_u[1] * f2h[1]
     p2 = f_v[0] * f2h[0] + f_v[1] * f2h[1]
+    # det = w . f2h = |w| > 0: this f2 makes the change of basis positive
     det = p1 * q2 - p2 * q1
-    flip = det.value * S.orientation < 0.0
-    if np.any(flip) if batch else flip:
-        # a sign change by multiplying with -1.0, which is exact
-        sign = np.where(flip, -1.0, 1.0) if batch else -1.0
-        f2h = (sign * f2h[0], sign * f2h[1])
-        f1h = (sign * f1h[0], sign * f1h[1])
-        A = sign * A
-        p1, p2, det = sign * p1, sign * p2, sign * det
-    degenerate = abs(det.value) <= 1e-14 * scale * scale
+    degenerate = det.value <= 1e-14 * scale * scale
     if not batch and degenerate:
         raise DegenerateParametrizationError(
             f"vanishing change-of-basis determinant of {S.name!r} at ({u!r}, {v!r})"
         )
+    if S.orientation < 0:
+        f2h, f1h = (-f2h[0], -f2h[1]), (-f1h[0], -f1h[1])
+        A, p1, p2, det = -A, -p1, -p2, -det
     alpha = _atan2(-f2h[0], f2h[1])
 
     tangents = (p1, q1), (p2, q2)

@@ -118,6 +118,15 @@ def _assert_grid_matches_points(cmd, surface, nu, nv, directions=((1.0, 0.0),)):
 @example("frames", {"kind": "cylinder", "orientation": 1}, 4, 4, [(0, 1)])
 def test_grid_matches_point_by_point(cmd, surface, nu, nv, directions):
     _assert_grid_matches_points(cmd, surface, nu, nv, directions)
+    # f2's sign comes from the construction: the area density has the chart's orientation
+    try:
+        patch = catalog.surface_from_config(surface)
+        u = np.tile(np.linspace(*patch.u_range, nu), nv)
+        v = np.repeat(np.linspace(*patch.v_range, nv), nu)
+        sample, _, singular = frame_data(patch, u, v)
+    except POINT_FAILURES:
+        return
+    assert np.all((np.broadcast_to(sample.area_density, u.shape) * patch.orientation > 0)[~singular])
 
 
 @pytest.mark.parametrize(
@@ -133,7 +142,7 @@ def test_grid_matches_point_by_point(cmd, surface, nu, nv, directions):
         ("2^(v^2) + u*v", [-1.0, 1.0], [-1.0, 1.0]),  # constant exponent only on v = 0
         ("(u+2)^(u^2+v^2) + v", [-1.0, 1.0], [-1.0, 1.0]),  # ... only at the origin
         ("(u-1)^(v^2) + u", [-1.0, 1.0], [-1.0, 1.0]),  # varying exponent over a negative base
-        ("exp(800*u) + v", [-1.0, 1.0], [-1.0, 1.0]),  # overflow in A (not handled by the CLI)
+        ("exp(800*u) + v", [-1.0, 1.0], [-1.0, 1.0]),  # overflow in A (exit 2)
         ("1/(u*u+v*v) + u", [-1.0, 1.0], [-1.0, 1.0]),  # a non-finite position at the origin
     ],
 )
@@ -220,6 +229,7 @@ def _parts(d):
 
 @SETTINGS
 @given(st.integers(0, 10**6), _range(), _range(), st.integers(1, 6), st.integers(1, 6))
+@example(seed=6271, u_range=[0.0, 1.0], v_range=[0.0, 1.0], nu=1, nv=1)  # -cos(2.363/v): cos(inf) at v = 0
 def test_hyperdual_batch_matches_points(seed, u_range, v_range, nu, nv):
     tree = helpers.random_expression(np.random.default_rng(seed))
     u = np.tile(np.linspace(*u_range, nu), nv)

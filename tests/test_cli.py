@@ -571,3 +571,68 @@ def test_char_tol_is_a_usage_error_where_it_is_not_honoured(tmp_path, capsys, ar
         main(argv + ["--char-tol", "0.9", "--out", str(out)])
     assert exc.value.code == 1
     assert "--char-tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gauss-bonnet", "converge"])
+def test_characteristic_tolerance_is_a_config_error_where_it_is_not_honoured(tmp_path, capsys, command):
+    config = {"surface": {"kind": "paraboloid"}, "region": {"u": [1.0, 2.0], "v": [-1.0, -0.5]}, "point": [1.0, -0.5]}
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    out.unlink()
+    path.write_text(json.dumps({**config, "tolerances": {"characteristic": -5}}))
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "tolerances.characteristic" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("orientation", [0, 2, 1.5, True])
+@pytest.mark.parametrize("command", ["curvature", "gauss-bonnet"])
+def test_surface_orientation_must_be_plus_or_minus_one(tmp_path, capsys, command, orientation):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"surface": {"kind": "paraboloid", "orientation": orientation}}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "surface orientation must be 1 or -1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "--surface", "paraboloid", "--nu", "4", "--nv", "4", "--l-values", "1e200"],
+        ["converge", "--surface", "paraboloid", "--point", "1,0.5", "--l-values", "1e2,1e200"],
+    ],
+)
+def test_overflow_is_a_numeric_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error: OverflowError")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["curvature", "converge"])
+def test_trigonometric_function_of_infinity_is_a_domain_error(tmp_path, capsys, command):
+    config = tmp_path / "cfg.json"
+    surface = {"kind": "graph", "h": "cos(exp(1000*u)) + v", "u_range": [0.5, 1.0], "v_range": [0.5, 1.0]}
+    config.write_text(json.dumps({"surface": surface, "point": [1.0, 0.5], "grid": {"nu": 3, "nv": 3}}))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "cos of infinite value inf in 'cos(exp(1000*u))'" in err
+    assert not out.exists()
+
+
+def test_rotsurf_short_band_meets_the_chord_bound(tmp_path):
+    # the walk used to end with a 2e-15-long chord of e3 ratio 1.4e-2
+    argv = ["rotsurf", "--kinf", "1", "--r0", "1", "--vmin", "0.5", "--vmax", "0.51", "--n-curves", "1"]
+    assert main(argv + ["--samples-u", "8", "--samples-v", "8", "--out-prefix", str(tmp_path / "band")]) == 0
+    lines = (tmp_path / "band.obj").read_text().splitlines()
+    verts = np.array([[float(x) for x in line.split()[1:]] for line in lines if line.startswith("v ")])
+    (polyline,) = [[int(i) - 1 for i in line.split()[1:]] for line in lines if line.startswith("l ")]
+    assert len(polyline) == 65
+    assert np.max(e3_chord_ratio(verts[polyline])) <= 1e-8

@@ -425,8 +425,8 @@ def _edge_band(K, r0, c1_shift, end, width=0.3):
 
 
 def _kappa_underestimated(profile):
-    """The profile with kappa reported 0: every chord starts at span/64, so
-    the bisection pass does all the work, near the boundary window too."""
+    """The profile with kappa reported 0: every chord is span/64 long, too
+    long for the bound, near the boundary window too."""
     return dataclasses.replace(profile, kappa=lambda v: 0.0)
 
 
@@ -460,17 +460,22 @@ def test_sampler_matches_scalar_reference(K, r0, c1_shift, end):
 
 
 @pytest.mark.parametrize("K, end", [(1.0, None), (0.0, "lo"), (-1.0, "hi"), (1.0, "lo")])
-def test_bisection_pass_matches_depth_first_reference(K, end):
-    base = family_profile(K, 1.0, 0.2)
-    profile = _kappa_underestimated(base)
+def test_sampler_raises_on_a_chord_above_the_bound(K, end):
+    profile = _kappa_underestimated(family_profile(K, 1.0, 0.2))
     v0, v1 = default_v_range(K, 1.0, 0.2) if end is None else _edge_band(K, 1.0, 0.2, end)
-    expected = helpers.reference_sample_generating_curve(profile, v0, v1, 1e-6)
-    got = sample_generating_curve(profile, v0, v1, 1e-6)
-    assert len(got) > 65  # the walk alone gives 65 points; bisection added the rest
-    assert np.array_equal(got, expected)
-    # bisection stops at chords of span * 1e-9; every longer chord meets the bound
-    longer = np.diff(got[:, 0]) > (v1 - v0) * 1e-9
-    assert np.max(e3_chord_ratio(got[:, 1:])[longer]) <= 0.9e-6
+    with pytest.raises(GeometryError, match=r"chord over v in \[\S+, \S+\] has e3 ratio \S+ above the bound 1e-06") as info:
+        sample_generating_curve(profile, v0, v1, 1e-6)
+    lo, hi = (float(x) for x in str(info.value).split("[")[1].split("]")[0].split(", "))
+    assert v0 <= lo < hi <= v1
+
+
+def test_sampler_last_chord_ends_at_the_band_end():
+    # the walk used to stop 2e-15 short of v1 and add a sliver chord whose
+    # e3 ratio (1.4e-2) was far above the bound
+    pts = sample_generating_curve(family_profile(1.0, 1.0), 0.5, 0.51)
+    assert len(pts) == 65 and pts[-1, 0] == 0.51
+    assert np.all(np.diff(pts[:, 0]) > 0.01 * 1e-9)
+    assert np.max(e3_chord_ratio(pts[:, 1:])) <= 1e-8
 
 
 @pytest.mark.parametrize("n_curves", [0, 8])
@@ -533,12 +538,10 @@ def test_sampler_rejects_endpoint_past_domain():
         sample_generating_curve(family_profile(0.0, 1.0), 0.2, 1.0)
 
 
-def test_sampler_point_budget_in_walk_and_refinement():
+def test_sampler_point_budget():
     profile = family_profile(1.0, 1.0)
     with pytest.raises(GeometryError, match="sampling exceeded"):
         sample_generating_curve(profile, -0.5, 0.5, max_points=10)
-    with pytest.raises(GeometryError, match="refinement exceeded"):
-        sample_generating_curve(_kappa_underestimated(profile), -0.5, 0.5, 1e-6, max_points=100)
 
 
 def test_theta_c_cache_is_bounded(monkeypatch):

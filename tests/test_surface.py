@@ -376,6 +376,20 @@ def test_orientation_flip():
     assert -fd_t.dA_f2 - t.A**2 == pytest.approx(-fd_s.dA_f2 - s.A**2, abs=1e-10)
 
 
+@pytest.mark.parametrize("orientation", [0, 2, 1.5, True])
+def test_orientation_must_be_plus_or_minus_one(orientation):
+    builders = [
+        lambda: catalog.paraboloid(orientation=orientation),
+        lambda: catalog.plane(orientation=orientation),
+        lambda: parametric_patch("u", "v", "0", (0.0, 1.0), (0.0, 1.0), orientation=orientation),
+        lambda: catalog.plane().with_orientation(orientation),
+        lambda: catalog.surface_from_config({"kind": "rotation", "K_inf": 1.0, "orientation": orientation}),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match="surface orientation must be 1 or -1"):
+            build()
+
+
 # ---------------------------------------------------------------------------
 # beta and the g_L basis
 
