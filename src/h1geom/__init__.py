@@ -27,6 +27,7 @@ from .errors import (
     DegenerateParametrizationError,
     DomainViolationError,
     GeometryError,
+    NonFiniteError,
     NonTransverseError,
     QuadratureError,
 )

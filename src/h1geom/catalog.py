@@ -1,4 +1,4 @@
-"""Named surface patches used by the CLI and the test suite."""
+"""Named surface patches, and the surface descriptors and config field checks of the CLI."""
 
 from __future__ import annotations
 
@@ -57,42 +57,68 @@ def constant_curvature(
     )
 
 
+JSON_KINDS = {  # the kinds of value a configuration field can be, by the phrase naming them
+    "a real number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    # a number field also takes a string for float() to read: strict JSON spells nan and inf only so
+    "a number": lambda v: isinstance(v, str) or JSON_KINDS["a real number"](v),
+    "a list of numbers": lambda v: isinstance(v, (list, tuple)) and all(map(JSON_KINDS["a real number"], v)),
+    "a pair of numbers": lambda v: JSON_KINDS["a list of numbers"](v) and len(v) == 2,
+    "a list of pairs of numbers": lambda v: isinstance(v, list) and all(map(JSON_KINDS["a pair of numbers"], v)),
+    "true or false": lambda v: isinstance(v, bool),
+    "an expression string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+}
+
+
+def checked(value, kind: str, what: str):
+    """value if it is of the kind named (a key of JSON_KINDS), else a ValueError naming the field what."""
+    if not JSON_KINDS[kind](value):
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
 def surface_from_config(cfg: dict) -> SurfacePatch:
     """Build a patch from a CLI surface descriptor."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ValueError("surface descriptor must be an object with a 'kind' field")
     kind = cfg["kind"]
     orientation = cfg.get("orientation", 1)
+
+    def field(key, default, field_kind):
+        return checked(cfg.get(key, default), field_kind, f"surface.{key}")
+
+    def interval(key, default=None):
+        return tuple(field(key, default, "a pair of numbers"))
+
     if kind == "plane":
-        return plane(tuple(cfg.get("v_range", (0.05, 8.0))), orientation)
+        return plane(interval("v_range", (0.05, 8.0)), orientation)
     if kind == "plane-cartesian":
-        return plane_cartesian(float(cfg.get("half_width", 2.0)), orientation)
+        return plane_cartesian(float(field("half_width", 2.0, "a number")), orientation)
     if kind == "cylinder":
-        return cylinder(tuple(cfg.get("v_range", (-4.0, 4.0))), orientation)
+        return cylinder(interval("v_range", (-4.0, 4.0)), orientation)
     if kind == "paraboloid":
         return paraboloid(
-            tuple(cfg.get("u_range", (-2.0, 2.0))),
-            tuple(cfg.get("v_range", (-2.0, 2.0))),
+            interval("u_range", (-2.0, 2.0)),
+            interval("v_range", (-2.0, 2.0)),
             orientation,
         )
     if kind == "rotation":
         if "K_inf" not in cfg:
             raise ValueError("rotation surface needs a K_inf field")
-        v_range = cfg.get("v_range")
         return constant_curvature(
-            float(cfg["K_inf"]),
-            float(cfg.get("r0", 1.0)),
-            tuple(v_range) if v_range is not None else None,
-            float(cfg.get("c1_shift", 0.0)),
+            float(field("K_inf", None, "a number")),
+            float(field("r0", 1.0, "a number")),
+            interval("v_range") if cfg.get("v_range") is not None else None,
+            float(field("c1_shift", 0.0, "a number")),
             orientation,
         )
     if kind == "graph":
         if "h" not in cfg:
             raise ValueError("graph surface needs an 'h' expression")
         return graph_patch(
-            cfg["h"],
-            tuple(cfg.get("u_range", (-2.0, 2.0))),
-            tuple(cfg.get("v_range", (-2.0, 2.0))),
+            field("h", None, "an expression string"),
+            interval("u_range", (-2.0, 2.0)),
+            interval("v_range", (-2.0, 2.0)),
             orientation=orientation,
         )
     if kind == "parametric":
@@ -100,12 +126,10 @@ def surface_from_config(cfg: dict) -> SurfacePatch:
             if key not in cfg:
                 raise ValueError(f"parametric surface needs a {key!r} field")
         return parametric_patch(
-            cfg["x"],
-            cfg["y"],
-            cfg["z"],
-            tuple(cfg["u_range"]),
-            tuple(cfg["v_range"]),
+            *(field(key, None, "an expression string") for key in "xyz"),
+            interval("u_range"),
+            interval("v_range"),
             orientation=orientation,
-            closed_u=bool(cfg.get("closed_u", False)),
+            closed_u=field("closed_u", False, "true or false"),
         )
     raise ValueError(f"unknown surface kind {kind!r}")

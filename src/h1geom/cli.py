@@ -17,13 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, catalog
+from .catalog import checked
 from .batch import first_failure
 from .curvature import k_gauss_map, k_inf, k_L
-from .errors import GeometryError
-from .expr import EvalError, ParseError
+from .errors import CharacteristicPointError, GeometryError
+from .expr import EvalError
 from .export import write_csv, write_json_report, write_obj
 from .gaussbonnet import ParamRegion, convergence_study, gb_residual
-from .rotsurf import RotationSurfaceSpec, build_mesh, domain_bound
+from .rotsurf import RotationSurfaceSpec, build_mesh
 from .selfcheck import run_identity_suite
 from .surface import frame_data
 
@@ -72,22 +73,25 @@ def _parse_floats(text, n, what):
 
 
 def _surface_config(args, config) -> dict:
-    cfg = dict(config.get("surface", {}))
+    cfg = dict(_section(config, "surface"))
     if getattr(args, "surface", None):
         cfg = {"kind": args.surface}
-    if getattr(args, "kinf", None) is not None:
-        cfg.setdefault("kind", "rotation")
-        if cfg["kind"] != "rotation":
-            raise ConfigError("--kinf only applies to rotation surfaces")
-        cfg["K_inf"] = args.kinf
-    if getattr(args, "r0", None) is not None:
-        cfg.setdefault("kind", "rotation")
-        cfg["r0"] = args.r0
+    for flag, key in (("kinf", "K_inf"), ("r0", "r0")):
+        if getattr(args, flag, None) is not None:
+            cfg.setdefault("kind", "rotation")
+            if cfg["kind"] != "rotation":
+                raise ConfigError(f"--{flag} only applies to rotation surfaces")
+            cfg[key] = getattr(args, flag)
     if not cfg:
         raise ConfigError("no surface given; use --surface or a config file")
     if cfg.get("kind") == "rotation" and "K_inf" not in cfg:
         raise ConfigError("rotation surface needs K_inf (--kinf or config)")
     return cfg
+
+
+def _section(config, key) -> dict:
+    """The object config[key]; a missing key reads as an empty one."""
+    return checked(config.get(key, {}), "an object", key)
 
 
 def _build_surface(cfg: dict):
@@ -119,7 +123,7 @@ def _l_values(args, config, default):
     values = (
         _parse_floats(args.l_values, None, "--l-values")
         if args.l_values
-        else [float(L) for L in config.get("L", default)]
+        else [float(L) for L in checked(config.get("L", default), "a list of numbers", "L")]
     )
     if not values or any(not math.isfinite(L) or L <= 0 for L in values):
         raise ConfigError("L values must be positive and finite")
@@ -127,15 +131,15 @@ def _l_values(args, config, default):
 
 
 def _without_char_tol(config, command) -> None:
-    if "characteristic" in config.get("tolerances", {}):
+    if "characteristic" in _section(config, "tolerances"):
         raise ConfigError(f"{command} does not read tolerances.characteristic")
 
 
 def _char_tol(args, config) -> float:
     tol = args.char_tol
     if tol is None:
-        tol = config.get("tolerances", {}).get("characteristic", 1e-10)
-    tol = float(tol)
+        tol = _section(config, "tolerances").get("characteristic", 1e-10)
+    tol = float(checked(tol, "a number", "tolerances.characteristic"))
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError("characteristic tolerance must be positive")
     return tol
@@ -147,7 +151,9 @@ def _char_tol(args, config) -> float:
 
 def cmd_rotsurf(args) -> int:
     config = _load_config(args.config)
-    section = dict(config.get("rotsurf", {}))
+    section = dict(_section(config, "rotsurf"))
+    if "v_range" in section:
+        checked(section["v_range"], "a pair of numbers", "rotsurf.v_range")
     if args.figure is not None:
         kinf, r0 = FIGURE_PRESETS[args.figure]
         section["K_inf"], section["r0"] = kinf, r0
@@ -168,9 +174,9 @@ def cmd_rotsurf(args) -> int:
         raise ConfigError("rotsurf needs K_inf (via --kinf, --figure or config)")
 
     spec = RotationSurfaceSpec(
-        K_inf=float(section["K_inf"]),
-        r0=float(section.get("r0", 1.0)),
-        c1_shift=float(section.get("c1_shift", 0.0)),
+        K_inf=float(checked(section["K_inf"], "a number", "rotsurf.K_inf")),
+        r0=float(checked(section.get("r0", 1.0), "a number", "rotsurf.r0")),
+        c1_shift=float(checked(section.get("c1_shift", 0.0), "a number", "rotsurf.c1_shift")),
         v_range=tuple(section["v_range"]) if "v_range" in section else None,
         samples_u=_positive_int(section.get("samples_u"), args.samples_u, 128, "samples_u"),
         samples_v=_positive_int(section.get("samples_v"), args.samples_v, 128, "samples_v"),
@@ -178,17 +184,6 @@ def cmd_rotsurf(args) -> int:
             args.n_curves if args.n_curves is not None else section.get("n_curves", 8), "n_curves"
         ),
     )
-    try:
-        spec.validate()
-    except GeometryError as exc:
-        lo, hi = domain_bound(spec.K_inf, spec.r0)
-        print(
-            f"error: {exc}\nexistence domain for K_inf={spec.K_inf}, r0={spec.r0}: "
-            f"({lo:.9g}, {hi:.9g})",
-            file=sys.stderr,
-        )
-        return EXIT_NUMERIC
-
     mesh = build_mesh(spec)
     effective = {
         "command": "rotsurf",
@@ -224,13 +219,15 @@ def _grid_rows(patch, nu, nv, char_tol, values):
 
     One batched frame_data call over the grid, v outer and u inner, with the
     errors of a point-by-point scan.  Characteristic points get NaN values
-    and the flag 1.
+    and the flag 1; a grid of characteristic points only is an error.
     """
     u = np.tile(np.linspace(patch.u_range[0], patch.u_range[1], nu), nv)
     v = np.repeat(np.linspace(patch.v_range[0], patch.v_range[1], nv), nu)
     sample, fd, singular = first_failure(
         lambda lo, hi: frame_data(patch, u[lo:hi], v[lo:hi], tol=char_tol), len(u)
     )
+    if singular.all():
+        raise CharacteristicPointError("every grid point is characteristic")
     with np.errstate(all="ignore"):
         cells = [np.where(singular, math.nan, x) for x in values(sample, fd)]
     return np.column_stack(np.broadcast_arrays(u, v, *sample.point, *cells, singular.astype(float)))
@@ -240,11 +237,11 @@ def cmd_curvature(args) -> int:
     config = _load_config(args.config)
     surface_cfg = _surface_config(args, config)
     patch = _build_surface(surface_cfg)
-    nu = _positive_int(config.get("grid", {}).get("nu"), args.nu, 24, "nu")
-    nv = _positive_int(config.get("grid", {}).get("nv"), args.nv, 24, "nv")
+    nu = _positive_int(_section(config, "grid").get("nu"), args.nu, 24, "nu")
+    nv = _positive_int(_section(config, "grid").get("nv"), args.nv, 24, "nv")
     char_tol = _char_tol(args, config)
     L_values = _l_values(args, config, [1.0, 10.0, 100.0])
-    directions = config.get("kn_directions", [[1.0, 0.0]])
+    directions = checked(config.get("kn_directions", [[1.0, 0.0]]), "a list of pairs of numbers", "kn_directions")
     if args.kn_directions:
         directions = [
             _parse_floats(chunk, 2, "--kn-directions")
@@ -276,9 +273,6 @@ def cmd_curvature(args) -> int:
 
     rows = _grid_rows(patch, nu, nv, char_tol, values)
     flagged = int(rows[:, -1].sum())
-    if flagged == len(rows):
-        print("error: every grid point is characteristic", file=sys.stderr)
-        return EXIT_NUMERIC
     write_csv(args.out, columns, rows, effective)
     print(f"wrote {args.out} ({len(rows)} rows, {flagged} characteristic)")
     return EXIT_OK
@@ -288,8 +282,8 @@ def cmd_frames(args) -> int:
     config = _load_config(args.config)
     surface_cfg = _surface_config(args, config)
     patch = _build_surface(surface_cfg)
-    nu = _positive_int(config.get("grid", {}).get("nu"), args.nu, 16, "nu")
-    nv = _positive_int(config.get("grid", {}).get("nv"), args.nv, 16, "nv")
+    nu = _positive_int(_section(config, "grid").get("nu"), args.nu, 16, "nu")
+    nv = _positive_int(_section(config, "grid").get("nv"), args.nv, 16, "nv")
     char_tol = _char_tol(args, config)
     effective = {
         "command": "frames",
@@ -330,13 +324,13 @@ GB_PRESETS = {
 def _region_from_config(cfg: dict, patch) -> ParamRegion:
     if "u" not in cfg or "v" not in cfg:
         raise ConfigError("region needs 'u' and 'v' interval fields")
-    (u0, u1), (v0, v1) = cfg["u"], cfg["v"]
+    (u0, u1), (v0, v1) = (checked(cfg[key], "a pair of numbers", f"region.{key}") for key in "uv")
     return ParamRegion(
         float(u0),
         float(u1),
         float(v0),
         float(v1),
-        closed_u=bool(cfg.get("closed_u", patch.closed_u)),
+        closed_u=checked(cfg.get("closed_u", patch.closed_u), "true or false", "region.closed_u"),
         orientation=_int_value(cfg.get("orientation", 1), "region orientation"),
     )
 
@@ -349,7 +343,7 @@ def cmd_gauss_bonnet(args) -> int:
         config = {**config, "surface": preset["surface"], "region": preset["region"]}
     surface_cfg = _surface_config(args, config)
     patch = _build_surface(surface_cfg)
-    region_cfg = dict(config.get("region", {}))
+    region_cfg = dict(_section(config, "region"))
     if args.region:
         u0, u1, v0, v1 = _parse_floats(args.region, 4, "--region")
         region_cfg.update({"u": [u0, u1], "v": [v0, v1]})
@@ -363,7 +357,7 @@ def cmd_gauss_bonnet(args) -> int:
         }
     region = _region_from_config(region_cfg, patch)
     threshold = args.threshold if args.threshold is not None else float(
-        config.get("tolerances", {}).get("residual", 1e-8)
+        checked(_section(config, "tolerances").get("residual", 1e-8), "a number", "tolerances.residual")
     )
     if not (math.isfinite(threshold) and threshold > 0):
         raise ConfigError(f"residual threshold must be positive and finite, got {threshold!r}")
@@ -412,7 +406,7 @@ def cmd_converge(args) -> int:
     if args.point:
         point = tuple(_parse_floats(args.point, 2, "--point"))
     elif "point" in config:
-        point = tuple(float(x) for x in config["point"])
+        point = tuple(float(x) for x in checked(config["point"], "a pair of numbers", "point"))
     else:
         point = (
             0.5 * (patch.u_range[0] + patch.u_range[1]),
@@ -425,7 +419,7 @@ def cmd_converge(args) -> int:
     direction = (
         tuple(_parse_floats(args.direction, 2, "--direction"))
         if args.direction
-        else tuple(config.get("direction", (1.0, 0.0)))
+        else tuple(checked(config.get("direction", (1.0, 0.0)), "a pair of numbers", "direction"))
     )
     effective = {
         "command": "converge",
@@ -562,9 +556,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ParseError as exc:
-        print(f"expression error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EvalError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .batch import elementwise, power
 from .errors import GeometryError, NonTransverseError
+from .hgroup import _as_L
 from .surface import (
     AdaptedFrameSample,
     FrameDerivatives,
@@ -55,9 +56,7 @@ IDENTITY_TOL = 1e-5
 
 def k_L(fd: FrameDerivatives, A: float, L: float) -> float:
     """Gaussian curvature of the surface in the metric g_L (A and fd may hold arrays)."""
-    L = float(L)
-    if L <= 0.0:
-        raise ValueError("metric parameter must be positive")
+    L = _as_L(L)
     den = L + A * A
     wedge = fd.dalpha_f3 * fd.dA_f2 - fd.dalpha_f2 * fd.dA_f3
     return L / power(den, 2) * wedge - L * L / power(den, 2) * fd.dA_f2 - L / den * A * A
@@ -105,9 +104,7 @@ def k_n_L(c: TransverseCurveSample, L: float) -> float:
     other three terms, and the L -> infinity limit, are parameterization
     independent.
     """
-    L = float(L)
-    if L <= 0.0:
-        raise ValueError("metric parameter must be positive")
+    L = _as_L(L)
     A = c.A
     m = L + A * A
     root_m = elementwise(math.sqrt, m)
@@ -141,9 +138,7 @@ def area_form_coeffs(A: float, L: float) -> tuple[float, float]:
     Returns (sqrt(L+A^2), 1.0); the unrescaled coefficient diverges like
     sqrt(L) while (1/sqrt(L)) * dsigma_L tends to the Hausdorff form.
     """
-    L = float(L)
-    if L <= 0.0:
-        raise ValueError("metric parameter must be positive")
+    L = _as_L(L)
     return math.sqrt(L + A * A), 1.0
 
 
@@ -160,7 +155,7 @@ def ds_L_density(c: TransverseCurveSample, L: float) -> float:
     Grows like sqrt(L), so the unrescaled length element has no limit;
     (1/sqrt(L)) * ds_L_density tends to sign(b), the Hausdorff coefficient.
     """
-    L = float(L)
+    L = _as_L(L)
     A = c.A
     m = L + A * A
     b_L = c.b * math.sqrt(m) / math.sqrt(c.a * c.a + c.b * c.b * m)

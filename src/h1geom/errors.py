@@ -17,6 +17,10 @@ class NonTransverseError(GeometryError):
     """A curve tangent has no f3 component (b = 0), so limit quantities are undefined."""
 
 
+class NonFiniteError(GeometryError, ValueError):
+    """A point coordinate or frame coefficient is not finite (say, a chart value overflowed)."""
+
+
 class DomainViolationError(GeometryError):
     """A parameter value lies outside the existence domain of a profile."""
 

@@ -24,6 +24,7 @@ import numpy as np
 from .batch import elementwise, first_failure
 from .curvature import TransverseCurveSample, _transverse, _turn, ds_L_density, k_L, k_inf, k_n, k_n_L
 from .errors import CharacteristicPointError, NonTransverseError
+from .hgroup import _as_L
 from .quadrature import cubature
 from .surface import SurfacePatch, characteristic_test, frame_tangents, tangent_coefficients
 
@@ -64,7 +65,7 @@ class ParamRegion:
     def __post_init__(self):
         if not (self.u0 <= self.u1 and self.v0 <= self.v1):
             raise ValueError("region bounds must be ordered")
-        if self.orientation not in (1, -1):
+        if isinstance(self.orientation, bool) or self.orientation not in (1, -1):
             raise ValueError(f"region orientation must be 1 or -1, got {self.orientation!r}")
 
     def is_empty(self) -> bool:
@@ -422,9 +423,7 @@ def convergence_study(
     it also reports the finite-L rescaled Gauss-Bonnet sum per L, which
     tends to 0 (see _region_convergence).
     """
-    L_sorted = sorted(float(L) for L in L_values)
-    if any(L <= 0 for L in L_sorted):
-        raise ValueError("L values must be positive")
+    L_sorted = sorted(_as_L(L) for L in L_values)
     studies = tuple(
         _point_convergence(S, float(u), float(v), L_sorted, direction) for u, v in points
     )

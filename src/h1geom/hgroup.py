@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 __all__ = [
     "Point",
     "FrameVec",
@@ -72,8 +74,7 @@ class MetricParam:
     L: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.L) and self.L > 0.0):
-            raise ValueError(f"metric parameter must be finite and positive, got {self.L!r}")
+        _as_L(self.L)
 
     def __float__(self) -> float:
         return float(self.L)
@@ -115,12 +116,12 @@ class FrameVec:
         return cls(base, vx, vy, e3_coefficient(base.x, base.y, vx, vy, vz))
 
 
-def _nonfinite_coordinate(name: str, value: float) -> ValueError:
-    return ValueError(f"non-finite coordinate {name}={value!r}")
+def _nonfinite_coordinate(name: str, value: float) -> NonFiniteError:
+    return NonFiniteError(f"non-finite coordinate {name}={value!r}")
 
 
-def _nonfinite_coefficient(name: str) -> ValueError:
-    return ValueError(f"non-finite frame coefficient {name}")
+def _nonfinite_coefficient(name: str) -> NonFiniteError:
+    return NonFiniteError(f"non-finite frame coefficient {name}")
 
 
 def require_finite(point, vectors=(), where=True) -> None:

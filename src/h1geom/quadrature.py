@@ -82,10 +82,13 @@ def integrate_with_boundary(f, a: float, b: float, bounds, tol: float = 1e-10) -
     lo, hi = bounds
     near_lo, near_hi = _in_window(a - lo, lo), _in_window(hi - b, hi)
     if near_lo and near_hi:
-        mid = 0.5 * (a + b)
-        return integrate_with_boundary(f, a, mid, bounds, 0.5 * tol) + integrate_with_boundary(
-            f, mid, b, bounds, 0.5 * tol
-        )
+        # split at the domain's midpoint: the path's own recurses forever on a domain narrower than the window
+        mid = 0.5 * (lo + hi)
+        if a < mid < b:
+            return integrate_with_boundary(f, a, mid, bounds, 0.5 * tol) + integrate_with_boundary(
+                f, mid, b, bounds, 0.5 * tol
+            )
+        near_lo, near_hi = b <= mid, a >= mid  # then substitute at the nearer bound
     if near_lo:
         # t = lo + s^2, dt = 2 s ds
         sa, sb = math.sqrt(a - lo), math.sqrt(b - lo)

@@ -150,13 +150,11 @@ class Profile:
     r, dr and A take a float or an array of v; kappa, the planar curvature
     a'b'' - a''b' of the generating curve, takes a float.  kappa gives the
     chart's second partials and picks chord lengths for exported
-    polylines.  theta_c(v) is the polar angle and height (theta, c) at v,
-    measured from the anchor.
+    polylines.  theta_c(v) is the polar angle and height (theta, c) at v.
     """
 
     name: str
     domain: tuple[float, float]
-    anchor: float
     r: Callable[[float], float]
     dr: Callable[[float], float]
     A: Callable[[float], float]
@@ -212,7 +210,6 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
     return Profile(
         name=name,
         domain=domain,
-        anchor=anchor,
         r=r,
         dr=dr,
         A=A,
@@ -226,7 +223,6 @@ def line_profile() -> Profile:
     return Profile(
         name="plane",
         domain=(0.0, math.inf),
-        anchor=1.0,
         r=lambda v: v,
         dr=lambda v: 1.0,
         A=lambda v: 2.0 / v,
@@ -240,7 +236,6 @@ def circle_profile() -> Profile:
     return Profile(
         name="cylinder",
         domain=(-math.inf, math.inf),
-        anchor=0.0,
         r=lambda v: 1.0,
         dr=lambda v: 0.0,
         A=lambda v: 0.0,
@@ -364,8 +359,6 @@ class RotationSurfaceSpec:
         return default_v_range(self.K_inf, self.r0, self.c1_shift)
 
     def validate(self) -> None:
-        if not (math.isfinite(self.r0) and self.r0 > 0.0):
-            raise ValueError("r0 must be positive")
         if self.samples_u < 3 or self.samples_v < 2:
             raise ValueError("mesh needs at least 3 x 2 samples")
         if self.n_curves < 0:
@@ -378,13 +371,6 @@ class RotationSurfaceSpec:
                 f"v_range ({v0!r}, {v1!r}) not inside the existence domain "
                 f"({lo!r}, {hi!r}) of the K_inf={self.K_inf} family"
             )
-        vs = np.linspace(v0, v1, 257)
-        r = profile.r(vs)
-        rp2_complement = 1.0 - power(profile.dr(vs), 2)
-        bad = np.flatnonzero((r <= 0.0) | (rp2_complement < -CLAMP))
-        if bad.size and r[bad[0]] <= 0.0:
-            raise DomainViolationError(f"profile radius vanishes at v={vs[bad[0]]!r}")
-        _sqrt1m(rp2_complement, vs)
 
 
 @dataclass

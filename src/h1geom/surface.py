@@ -25,7 +25,7 @@ from . import expr as _expr
 from .batch import elementwise
 from .expr import Dual2
 from .errors import CharacteristicPointError, DegenerateParametrizationError
-from .hgroup import FrameVec, Point, e3_coefficient, require_finite
+from .hgroup import FrameVec, Point, _as_L, e3_coefficient, require_finite
 
 __all__ = [
     "SurfacePatch",
@@ -237,8 +237,8 @@ def _frame(S: SurfacePatch, u, v, pos, du, dv, tol):
         )
     if batch:
         # one point stops here; NaN keeps these points from raising below (in pow)
-        stop = characteristic | dependent
-        q1, q2 = _nan_where(stop, q1), _nan_where(stop, q2)
+        singular = np.broadcast_to(characteristic | dependent, u.shape)
+        q1, q2 = _nan_where(singular, q1), _nan_where(singular, q2)
     f2h = (w1 / norm, w2 / norm)
     f1h = (f2h[1], -f2h[0])
 
@@ -249,13 +249,8 @@ def _frame(S: SurfacePatch, u, v, pos, du, dv, tol):
 
     p1 = f_u[0] * f2h[0] + f_u[1] * f2h[1]
     p2 = f_v[0] * f2h[0] + f_v[1] * f2h[1]
-    # det = w . f2h = |w| > 0: this f2 makes the change of basis positive
+    # det = w . f2h = |w|, bounded away from 0 by the dependent test: positive change of basis
     det = p1 * q2 - p2 * q1
-    degenerate = det.value <= 1e-14 * scale * scale
-    if not batch and degenerate:
-        raise DegenerateParametrizationError(
-            f"vanishing change-of-basis determinant of {S.name!r} at ({u!r}, {v!r})"
-        )
     if S.orientation < 0:
         f2h, f1h = (-f2h[0], -f2h[1]), (-f1h[0], -f1h[1])
         A, p1, p2, det = -A, -p1, -p2, -det
@@ -264,7 +259,6 @@ def _frame(S: SurfacePatch, u, v, pos, du, dv, tol):
     tangents = (p1, q1), (p2, q2)
     p1, p2, q1, q2, det, a, c, s = (x.value for x in (p1, p2, q1, q2, det, A, *f1h))
     if batch:
-        singular = np.broadcast_to(characteristic | dependent | degenerate, u.shape)
         point = tuple(x.value for x in pos)
         f1, f2, f3 = (c, s, 0.0), (-s, c, 0.0), (a * c, a * s, 1.0)
         require_finite(point, (f1, f2, f3), where=~singular)
@@ -352,12 +346,12 @@ def frame_derivatives(
 
 def beta(L, A: float) -> float:
     """Tilt angle of the g_L normal: cos(beta) = sqrt(L)/sqrt(L+A^2)."""
-    return math.atan2(A, math.sqrt(float(L)))
+    return math.atan2(A, math.sqrt(_as_L(L)))
 
 
 def xl_basis(sample: AdaptedFrameSample, L) -> tuple[FrameVec, FrameVec, FrameVec]:
     """g_L-orthonormal triple (X1, X2, X3): normal, then a tangent basis."""
-    Lf = float(L)
+    Lf = _as_L(L)
     A = sample.A
     root = math.sqrt(Lf + A * A)
     cos_b = math.sqrt(Lf) / root

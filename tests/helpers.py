@@ -15,6 +15,7 @@ from h1geom import expr as ex
 from h1geom.curvature import TransverseCurveSample, k_gauss_map, k_inf, k_L, k_n
 from h1geom.errors import (
     CharacteristicPointError,
+    DegenerateParametrizationError,
     DomainViolationError,
     GeometryError,
     NonTransverseError,
@@ -262,7 +263,7 @@ def _sqrt1m(rp2_complement, context):
 
 
 def reference_sample_generating_curve(profile, v0, v1, max_ratio=1e-8, max_points=500_000):
-    """Point-by-point sampler with a depth-first bisection pass."""
+    """Point-by-point sampler: the walk to v1, then a check of the worst chord."""
     if not (v0 < v1):
         raise ValueError("need v0 < v1")
     thetac = profile.theta_c
@@ -283,13 +284,14 @@ def reference_sample_generating_curve(profile, v0, v1, max_ratio=1e-8, max_point
     thetas = [theta0]
     cs = [c0]
     v = v0
-    while v < v1 - 1e-15 * max(1.0, abs(v1)):
+    while v < v1:
         k_here = abs(profile.kappa(v))
         dv = min(math.sqrt(12.0 * target / max(k_here, 1e-12)), dv_cap)
         k_ahead = abs(profile.kappa(min(v + dv, v1)))
         dv = min(dv, math.sqrt(12.0 * target / max(k_ahead, 1e-12)))
         dv = max(dv, dv_floor)
-        v_next = min(v + dv, v1)
+        # the last step ends exactly at v1, never shorter than dv_floor
+        v_next = v + dv if v + dv < v1 - dv_floor else v1
         thetas.append(thetas[-1] + gauss_segment(g_theta, v, v_next, profile.domain))
         cs.append(cs[-1] + gauss_segment(g_c, v, v_next, profile.domain))
         vs.append(v_next)
@@ -302,23 +304,13 @@ def reference_sample_generating_curve(profile, v0, v1, max_ratio=1e-8, max_point
         return np.array([r * math.cos(thetas[idx]), r * math.sin(thetas[idx]), cs[idx]])
 
     pts = [position(i) for i in range(len(vs))]
-    i = 0
-    while i < len(vs) - 1:
-        seg = np.vstack([pts[i], pts[i + 1]])
-        ratio = float(e3_chord_ratio(seg)[0])
-        if ratio > 0.9 * max_ratio and (vs[i + 1] - vs[i]) > dv_floor:
-            vm = 0.5 * (vs[i] + vs[i + 1])
-            theta_m = thetas[i] + gauss_segment(g_theta, vs[i], vm, profile.domain)
-            c_m = cs[i] + gauss_segment(g_c, vs[i], vm, profile.domain)
-            vs.insert(i + 1, vm)
-            thetas.insert(i + 1, theta_m)
-            cs.insert(i + 1, c_m)
-            pts.insert(i + 1, position(i + 1))
-            if len(vs) > max_points:
-                raise GeometryError("generating-curve refinement exceeded the point budget")
-        else:
-            i += 1
-
+    ratios = [float(e3_chord_ratio(np.vstack([pts[i], pts[i + 1]]))[0]) for i in range(len(vs) - 1)]
+    k = int(np.argmax(ratios))  # the worst chord; a NaN counts as the worst
+    if not ratios[k] <= max_ratio:
+        raise GeometryError(
+            f"generating-curve chord over v in [{vs[k]!r}, {vs[k + 1]!r}] has e3 ratio "
+            f"{ratios[k]:.3g} above the bound {max_ratio:g}"
+        )
     out = np.empty((len(vs), 4))
     out[:, 0] = vs
     out[:, 1:] = np.vstack(pts)
@@ -367,7 +359,7 @@ def reference_grid_rows(patch, nu, nv, char_tol, n_values, values):
         for u in np.linspace(patch.u_range[0], patch.u_range[1], nu).tolist():
             try:
                 sample, fd = frame_data(patch, u, v, tol=char_tol)
-            except GeometryError:
+            except (CharacteristicPointError, DegenerateParametrizationError):
                 pos = patch.position(u, v)
                 rows.append([u, v, pos.x, pos.y, pos.z] + [math.nan] * n_values + [1])
                 continue
@@ -406,6 +398,8 @@ def reference_grid(cmd, L_values=(1.0, 10.0, 100.0), directions=((1.0, 0.0),)):
 
     def grid_rows(patch, nu, nv, char_tol, batch_values):
         rows = reference_grid_rows(patch, nu, nv, char_tol, n_values, values)
+        if all(row[-1] for row in rows):
+            raise CharacteristicPointError("every grid point is characteristic")
         return np.array(rows, dtype=float).reshape(len(rows), n_values + 6)
 
     return grid_rows

@@ -158,7 +158,7 @@ def test_grid_error_is_that_of_the_first_failing_point():
     surface = {"kind": "graph", "h": "exp(800*u*(1-v)) + ln(0.1 - (v+1)*(1-u))", "u_range": [-1, 1], "v_range": [-1, 1]}
     code, err, _ = _run("curvature", {"surface": surface, "grid": {"nu": 3, "nv": 3}})
     assert (code, err) == _run("curvature", {"surface": surface, "grid": {"nu": 3, "nv": 3}}, helpers.reference_grid("curvature"))[:2]
-    assert code == 1 and "non-finite" in err
+    assert code == 2 and "non-finite" in err
 
 
 @st.composite

@@ -8,7 +8,7 @@ import pytest
 
 from h1geom.cli import main
 from h1geom.export import write_csv
-from h1geom.rotsurf import e3_chord_ratio
+from h1geom.rotsurf import e3_chord_ratio, family_profile
 
 
 def read_csv(path):
@@ -636,3 +636,97 @@ def test_rotsurf_short_band_meets_the_chord_bound(tmp_path):
     (polyline,) = [[int(i) - 1 for i in line.split()[1:]] for line in lines if line.startswith("l ")]
     assert len(polyline) == 65
     assert np.max(e3_chord_ratio(verts[polyline])) <= 1e-8
+
+
+@pytest.mark.parametrize("kinf", ["1", "-1"])
+def test_rotsurf_on_a_domain_narrower_than_the_boundary_window(tmp_path, kinf):
+    # the existence domain of r0 = 1e5 is (-2e-5, 2e-5), inside the quadrature's boundary window
+    argv = ["rotsurf", "--kinf", kinf, "--r0", "1e5", "--samples-u", "8", "--samples-v", "8", "--n-curves", "1"]
+    assert main(argv + ["--out-prefix", str(tmp_path / "narrow")]) == 0
+    _, _, rows, _ = read_csv(tmp_path / "narrow_profile.csv")
+    assert all(math.isfinite(x) for row in rows for x in row)
+
+
+def test_narrow_domain_curvature_and_gauss_bonnet_end_in_an_exit_code(tmp_path, capsys):
+    assert main(["curvature", "--kinf", "1", "--r0", "1e5", "--nu", "4", "--nv", "4", "--out", str(tmp_path / "k.csv")]) == 0
+    capsys.readouterr()
+    code = main(["gauss-bonnet", "--kinf", "1", "--r0", "1e5", "--out", str(tmp_path / "gb.json")])
+    err = capsys.readouterr().err.strip()
+    assert code == 0 or (code == 2 and len(err.splitlines()) == 1 and err.startswith("error: "))
+
+
+def test_rotsurf_domain_error_is_one_line_naming_the_shifted_domain(tmp_path, capsys):
+    argv = ["rotsurf", "--kinf", "1", "--c1-shift", "0.5", "--vmin", "-1.9", "--vmax", "0"]
+    prefix = tmp_path / "mesh"
+    assert main(argv + ["--out-prefix", str(prefix)]) == 2
+    err = capsys.readouterr().err.strip()
+    lo, hi = family_profile(1.0, 1.0, 0.5).domain
+    assert len(err.splitlines()) == 1 and f"({lo!r}, {hi!r})" in err
+    assert not prefix.with_suffix(".obj").exists()
+
+
+@pytest.mark.parametrize("h", ["(u+10)^400+v", "exp(1000*u)+v"])
+@pytest.mark.parametrize("command", ["curvature", "frames", "gauss-bonnet", "converge"])
+def test_chart_value_that_overflows_is_a_numeric_error(tmp_path, capsys, command, h):
+    surface = {"kind": "graph", "h": h, "u_range": [0.5, 1.0], "v_range": [0.0, 1.0]}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"surface": surface, "point": [1.0, 0.5], "grid": {"nu": 3, "nv": 3}}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "inf" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["curvature", "frames"])
+def test_grid_of_characteristic_points_only_exits_2(tmp_path, capsys, command):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"surface": {"kind": "plane-cartesian", "half_width": 0}}))
+    out = tmp_path / "grid.csv"
+    assert main([command, "--config", str(config), "--nu", "1", "--nv", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "error: every grid point is characteristic"
+    assert not out.exists()
+
+
+GRAPH = {"kind": "graph", "h": "u*v", "u_range": [0.5, 1.0], "v_range": [0.5, 1.0]}
+ROTATION = {"kind": "rotation", "K_inf": 1.0}
+REGION = {"u": [0.6, 0.9], "v": [0.6, 0.9]}
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, field",
+    [
+        ("curvature", {"surface": {"kind": "paraboloid", "v_range": 5}}, [], "surface.v_range"),
+        ("curvature", {"surface": {"kind": "paraboloid", "v_range": [1]}}, [], "surface.v_range"),
+        ("curvature", {"surface": {**ROTATION, "v_range": [-0.5, "a"]}}, [], "surface.v_range"),
+        ("curvature", {"surface": {**GRAPH, "h": 5}}, [], "surface.h"),
+        ("curvature", {"surface": GRAPH, "grid": 3}, [], "grid"),
+        ("curvature", {"surface": GRAPH, "L": 5}, [], "L"),
+        ("curvature", {"surface": GRAPH, "kn_directions": [[1]]}, [], "kn_directions"),
+        ("curvature", {"surface": GRAPH, "tolerances": 3}, [], "tolerances"),
+        ("gauss-bonnet", {"surface": GRAPH, "region": 7}, [], "region"),
+        ("gauss-bonnet", {"surface": GRAPH, "region": {**REGION, "u": 5}}, [], "region.u"),
+        ("converge", {"surface": GRAPH, "point": [1]}, [], "point"),
+        ("converge", {"surface": GRAPH, "direction": "ab"}, [], "direction"),
+        ("rotsurf", {"rotsurf": 3}, ["--kinf", "1"], "rotsurf"),
+        ("rotsurf", {"rotsurf": {"K_inf": 1.0, "v_range": 5}}, ["--vmin", "0"], "rotsurf.v_range"),
+        ("rotsurf", {"rotsurf": {"K_inf": True}}, [], "rotsurf.K_inf"),
+        ("curvature", {"surface": {**ROTATION, "K_inf": True}}, [], "surface.K_inf"),
+        (
+            "curvature",
+            {"surface": {"kind": "parametric", "x": "u", "y": "v", "z": "u*v", "u_range": [0, 1], "v_range": [0, 1], "closed_u": "false"}},
+            [],
+            "surface.closed_u",
+        ),
+        ("curvature", {}, ["--surface", "paraboloid", "--r0", "2"], "--r0"),
+    ],
+)
+def test_config_field_of_the_wrong_type_is_a_config_error(tmp_path, capsys, command, config, flags, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = ["--out-prefix", str(tmp_path / "mesh")] if command == "rotsurf" else ["--out", str(tmp_path / "out")]
+    assert main([command, "--config", str(path), *flags, *out]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ") and field in err
+    assert list(tmp_path.iterdir()) == [path]

@@ -19,8 +19,9 @@ from h1geom.curvature import (
     transverse_sample,
 )
 from h1geom.errors import GeometryError, NonTransverseError
-from h1geom.hgroup import connection_coeff, frame_to_gl_basis
-from h1geom.surface import FrameDerivatives, adapted_frame, frame_data, pushforward_frame
+from h1geom.gaussbonnet import convergence_study
+from h1geom.hgroup import MetricParam, connection_coeff, frame_to_gl_basis
+from h1geom.surface import FrameDerivatives, adapted_frame, beta, frame_data, pushforward_frame, xl_basis
 
 L_SWEEP = (1e2, 1e3, 1e4, 1e5, 1e6)
 
@@ -315,3 +316,23 @@ def test_frame_data_identity_rechecked_on_families():
         v = 0.9 if K == 0.0 else 0.5
         sample = curvature_sample(patch, 1.0, v, L_values=(10.0,))
         assert sample.K_inf == pytest.approx(K, abs=1e-9)
+
+
+@pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf])
+def test_every_function_of_L_rejects_what_the_metric_rejects(L):
+    # one rule for L: finite and positive; a NaN L once gave k_L = NaN
+    curve = TransverseCurveSample(0.0, 0.5, 1.0, 0.1, -0.2, 0.3, 0.4, 0.5, 0.6)
+    sample = adapted_frame(catalog.paraboloid(), 1.0, 0.5)
+    calls = [
+        lambda: k_L(PLANE_FD, 2.0, L),
+        lambda: k_n_L(curve, L),
+        lambda: area_form_coeffs(2.0, L),
+        lambda: ds_L_density(curve, L),
+        lambda: beta(L, 2.0),
+        lambda: xl_basis(sample, L),
+        lambda: MetricParam(L),
+        lambda: convergence_study(catalog.paraboloid(), [(1.0, 0.5)], [1.0, L]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="metric parameter must be finite and positive"):
+            call()

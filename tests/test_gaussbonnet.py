@@ -161,6 +161,12 @@ def test_region_orientation_must_be_plus_or_minus_one(orientation):
         ParamRegion(1.0, 2.0, -1.0, -0.5, orientation=orientation)
 
 
+def test_region_orientation_is_not_a_boolean():
+    # True == 1, so the membership test alone took it as orientation 1
+    with pytest.raises(ValueError, match="orientation"):
+        ParamRegion(1.0, 2.0, -1.0, -0.5, orientation=True)
+
+
 def test_rectangle_region_on_paraboloid():
     # Stokes holds on any rectangle with transverse edges (v - u/2 and
     # u + v/2 must not vanish on them)

@@ -4,8 +4,9 @@ import math
 import helpers
 import numpy as np
 import pytest
+from scipy import integrate as si
 
-from h1geom import catalog, rotsurf
+from h1geom import catalog, quadrature, rotsurf
 from h1geom.errors import DomainViolationError, GeometryError
 from h1geom.export import write_obj
 from h1geom.rotsurf import (
@@ -187,6 +188,25 @@ def test_theta_c_integrand_consistency():
 def test_theta_c_outside_domain():
     with pytest.raises(DomainViolationError):
         theta_c_quadrature(1.0, 1.0, 1.4)
+
+
+@pytest.mark.parametrize("K", [1.0, -1.0])
+def test_theta_c_on_a_domain_narrower_than_the_boundary_window(K):
+    # the domain is (-2e-5, 2e-5), so a path from the anchor 0 near one end is near both;
+    # the quadrature used to split it at its own midpoint until RecursionError
+    profile = family_profile(K, 1e5)
+    lo, hi = profile.domain
+    assert hi - lo < quadrature.BOUNDARY_WINDOW
+
+    def integrands(t):
+        r = 1e5 * math.sqrt(math.cos(t) if K > 0 else math.cosh(t))
+        rp = 0.5 * r * (-math.tan(t) if K > 0 else math.tanh(t))  # r' = r A / 2
+        root = math.sqrt(max(1.0 - rp * rp, 0.0))
+        return root / r, 0.5 * r * root
+
+    for v in (1e-5, 0.95 * hi, -0.75 * hi, 0.999 * lo):
+        expected = [si.quad(lambda t: integrands(t)[j], 0.0, v, epsabs=1e-14, limit=200)[0] for j in (0, 1)]
+        assert profile.theta_c(v) == pytest.approx(expected, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +462,7 @@ SAMPLER_CASES = [
     (2.5, 0.6, 0.3, None),
     (-0.4, 1.0, -0.7, "hi"),
     (0.0, 1.5, 0.3, "lo"),
+    (1.0, 1.0, 0.0, (0.5, 0.51)),  # a band whose last step once left a sliver chord
 ]
 
 
@@ -451,12 +472,26 @@ def test_sampler_matches_scalar_reference(K, r0, c1_shift, end):
     if end is None:
         v0, v1 = default_v_range(K, r0, c1_shift)
         v1 = v0 + 0.25 * (v1 - v0)  # keeps the scalar reference quick
+    elif isinstance(end, tuple):
+        v0, v1 = end
     else:
         v0, v1 = _edge_band(K, r0, c1_shift, end)
     expected = helpers.reference_sample_generating_curve(profile, v0, v1)
     got = sample_generating_curve(profile, v0, v1)
     assert np.array_equal(got, expected)
     assert np.max(e3_chord_ratio(got[:, 1:])) <= 1e-8
+
+
+@pytest.mark.parametrize("K, end", [(1.0, None), (0.0, "lo"), (-1.0, "hi")])
+def test_sampler_raises_what_the_scalar_reference_raises(K, end):
+    profile = _kappa_underestimated(family_profile(K, 1.0, 0.2))
+    v0, v1 = default_v_range(K, 1.0, 0.2) if end is None else _edge_band(K, 1.0, 0.2, end)
+    messages = []
+    for sample in (sample_generating_curve, helpers.reference_sample_generating_curve):
+        with pytest.raises(GeometryError) as info:
+            sample(profile, v0, v1, 1e-6)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("K, end", [(1.0, None), (0.0, "lo"), (-1.0, "hi"), (1.0, "lo")])
