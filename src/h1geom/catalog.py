@@ -59,8 +59,6 @@ def constant_curvature(
 
 JSON_KINDS = {  # the kinds of value a configuration field can be, by the phrase naming them
     "a real number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    # a number field also takes a string for float() to read: strict JSON spells nan and inf only so
-    "a number": lambda v: isinstance(v, str) or JSON_KINDS["a real number"](v),
     "a list of numbers": lambda v: isinstance(v, (list, tuple)) and all(map(JSON_KINDS["a real number"], v)),
     "a pair of numbers": lambda v: JSON_KINDS["a list of numbers"](v) and len(v) == 2,
     "a list of pairs of numbers": lambda v: isinstance(v, list) and all(map(JSON_KINDS["a pair of numbers"], v)),
@@ -77,6 +75,17 @@ def checked(value, kind: str, what: str):
     return value
 
 
+def number(value, what: str) -> float:
+    """float(value) if value is a real number or a string that float() reads (strict
+    JSON spells nan and inf only so), else a ValueError naming the field what."""
+    try:
+        if isinstance(value, str) or JSON_KINDS["a real number"](value):
+            return float(value)
+    except ValueError:
+        pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
+
+
 def surface_from_config(cfg: dict) -> SurfacePatch:
     """Build a patch from a CLI surface descriptor."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
@@ -86,14 +95,13 @@ def surface_from_config(cfg: dict) -> SurfacePatch:
 
     def field(key, default, field_kind):
         return checked(cfg.get(key, default), field_kind, f"surface.{key}")
-
     def interval(key, default=None):
         return tuple(field(key, default, "a pair of numbers"))
 
     if kind == "plane":
         return plane(interval("v_range", (0.05, 8.0)), orientation)
     if kind == "plane-cartesian":
-        return plane_cartesian(float(field("half_width", 2.0, "a number")), orientation)
+        return plane_cartesian(number(cfg.get("half_width", 2.0), "surface.half_width"), orientation)
     if kind == "cylinder":
         return cylinder(interval("v_range", (-4.0, 4.0)), orientation)
     if kind == "paraboloid":
@@ -106,10 +114,10 @@ def surface_from_config(cfg: dict) -> SurfacePatch:
         if "K_inf" not in cfg:
             raise ValueError("rotation surface needs a K_inf field")
         return constant_curvature(
-            float(field("K_inf", None, "a number")),
-            float(field("r0", 1.0, "a number")),
+            number(cfg["K_inf"], "surface.K_inf"),
+            number(cfg.get("r0", 1.0), "surface.r0"),
             interval("v_range") if cfg.get("v_range") is not None else None,
-            float(field("c1_shift", 0.0, "a number")),
+            number(cfg.get("c1_shift", 0.0), "surface.c1_shift"),
             orientation,
         )
     if kind == "graph":

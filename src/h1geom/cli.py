@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, catalog
-from .catalog import checked
+from .catalog import checked, number
 from .batch import first_failure
 from .curvature import k_gauss_map, k_inf, k_L
 from .errors import CharacteristicPointError, GeometryError
@@ -139,7 +139,7 @@ def _char_tol(args, config) -> float:
     tol = args.char_tol
     if tol is None:
         tol = _section(config, "tolerances").get("characteristic", 1e-10)
-    tol = float(checked(tol, "a number", "tolerances.characteristic"))
+    tol = number(tol, "tolerances.characteristic")
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError("characteristic tolerance must be positive")
     return tol
@@ -174,9 +174,9 @@ def cmd_rotsurf(args) -> int:
         raise ConfigError("rotsurf needs K_inf (via --kinf, --figure or config)")
 
     spec = RotationSurfaceSpec(
-        K_inf=float(checked(section["K_inf"], "a number", "rotsurf.K_inf")),
-        r0=float(checked(section.get("r0", 1.0), "a number", "rotsurf.r0")),
-        c1_shift=float(checked(section.get("c1_shift", 0.0), "a number", "rotsurf.c1_shift")),
+        K_inf=number(section["K_inf"], "rotsurf.K_inf"),
+        r0=number(section.get("r0", 1.0), "rotsurf.r0"),
+        c1_shift=number(section.get("c1_shift", 0.0), "rotsurf.c1_shift"),
         v_range=tuple(section["v_range"]) if "v_range" in section else None,
         samples_u=_positive_int(section.get("samples_u"), args.samples_u, 128, "samples_u"),
         samples_v=_positive_int(section.get("samples_v"), args.samples_v, 128, "samples_v"),
@@ -230,7 +230,8 @@ def _grid_rows(patch, nu, nv, char_tol, values):
         raise CharacteristicPointError("every grid point is characteristic")
     with np.errstate(all="ignore"):
         cells = [np.where(singular, math.nan, x) for x in values(sample, fd)]
-    return np.column_stack(np.broadcast_arrays(u, v, *sample.point, *cells, singular.astype(float)))
+    point = (sample.point.x, sample.point.y, sample.point.z)
+    return np.column_stack(np.broadcast_arrays(u, v, *point, *cells, singular.astype(float)))
 
 
 def cmd_curvature(args) -> int:
@@ -299,7 +300,7 @@ def cmd_frames(args) -> int:
 
     def values(s, fd):
         return [
-            s.alpha, s.A, *s.f1[:2], *s.f2[:2], *s.f3,
+            s.alpha, s.A, s.f1.c1, s.f1.c2, s.f2.c1, s.f2.c2, s.f3.c1, s.f3.c2, s.f3.c3,
             fd.dA_f2, fd.dA_f3, fd.dalpha_f2, fd.dalpha_f3,
         ]
 
@@ -356,8 +357,8 @@ def cmd_gauss_bonnet(args) -> int:
             "closed_u": patch.closed_u,
         }
     region = _region_from_config(region_cfg, patch)
-    threshold = args.threshold if args.threshold is not None else float(
-        checked(_section(config, "tolerances").get("residual", 1e-8), "a number", "tolerances.residual")
+    threshold = args.threshold if args.threshold is not None else number(
+        _section(config, "tolerances").get("residual", 1e-8), "tolerances.residual"
     )
     if not (math.isfinite(threshold) and threshold > 0):
         raise ConfigError(f"residual threshold must be positive and finite, got {threshold!r}")

@@ -26,7 +26,7 @@ from .curvature import TransverseCurveSample, _transverse, _turn, ds_L_density, 
 from .errors import CharacteristicPointError, NonTransverseError
 from .hgroup import _as_L
 from .quadrature import cubature
-from .surface import SurfacePatch, characteristic_test, frame_tangents, tangent_coefficients
+from .surface import SurfacePatch, characteristic_test, frame_tangents, pushforward_frame
 
 __all__ = [
     "ParamRegion",
@@ -115,7 +115,7 @@ def _region_prescan(S: SurfacePatch, R: ParamRegion, n: int = 21, tol: float = 1
     v = np.tile(np.linspace(R.v0, R.v1, n), n)
 
     def scan(lo, hi):
-        hits = np.flatnonzero(characteristic_test(*tangent_coefficients(S, u[lo:hi], v[lo:hi]), tol))
+        hits = np.flatnonzero(characteristic_test(*pushforward_frame(S, u[lo:hi], v[lo:hi]), tol))
         if hits.size:
             k = lo + hits[0]
             raise CharacteristicPointError(
@@ -141,8 +141,8 @@ def _winding_prescan(S: SurfacePatch, R: ParamRegion, n: int = 33):
     of that field over the boundary samples, summed within each piece (a
     piece closed in u is a loop of its own), is 2 pi times their total index.
     """
-    f_u, f_v = tangent_coefficients(S, *_boundary_samples(R, n)[:2])
-    steps = np.diff(np.arctan2(f_v[2], f_u[2]).reshape(-1, n), axis=1)
+    f_u, f_v = pushforward_frame(S, *_boundary_samples(R, n)[:2])
+    steps = np.diff(np.arctan2(f_v.c3, f_u.c3).reshape(-1, n), axis=1)
     winding = round(np.sum((steps + math.pi) % (2.0 * math.pi) - math.pi) / (2.0 * math.pi))
     if winding != 0:
         raise CharacteristicPointError(
@@ -157,10 +157,10 @@ def _boundary_prescan(S: SurfacePatch, R: ParamRegion, n: int = 33):
     u, v, d0, d1 = _boundary_samples(R, n)
 
     def scan(lo, hi):
-        f_u, f_v = tangent_coefficients(S, u[lo:hi], v[lo:hi])
+        f_u, f_v = pushforward_frame(S, u[lo:hi], v[lo:hi])
         a, b = d0[lo:hi], d1[lo:hi]
         with np.errstate(all="ignore"):
-            tangent = [a * cu + b * cv for cu, cv in zip(f_u, f_v)]
+            tangent = [a * f_u.c1 + b * f_v.c1, a * f_u.c2 + b * f_v.c2, a * f_u.c3 + b * f_v.c3]
             speed = elementwise(math.hypot, *tangent)
             # Python's max(speed, 1e-300), NaN included
             floor = TRANSVERSALITY_TOL * np.where(1e-300 > speed, 1e-300, speed)

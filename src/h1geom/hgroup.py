@@ -41,7 +41,6 @@ __all__ = [
     "frame_at",
     "coframe_eval",
     "e3_coefficient",
-    "require_finite",
     "volume_form",
     "gl_inner",
     "frame_to_gl_basis",
@@ -50,18 +49,29 @@ __all__ = [
 ]
 
 
+def _check_finite(record, names, message: str) -> None:
+    """Raise NonFiniteError(message) at the first named field, a float or an
+    array, that is not finite; message gets the field's name and value (an
+    array's first non-finite element)."""
+    for name in names:
+        x = getattr(record, name)
+        if math.isfinite(x) if type(x) is float else np.all(np.isfinite(x)):
+            continue
+        if np.ndim(x):
+            x = float(x[~np.isfinite(x)][0])
+        raise NonFiniteError(message.format(name=name, value=x))
+
+
 @dataclass(frozen=True)
 class Point:
-    """A point of the group in exponential coordinates."""
+    """A point of the group in exponential coordinates: floats, or 1-D arrays for a batch."""
 
     x: float
     y: float
     z: float
 
     def __post_init__(self):
-        for name in ("x", "y", "z"):
-            if not math.isfinite(getattr(self, name)):
-                raise _nonfinite_coordinate(name, getattr(self, name))
+        _check_finite(self, ("x", "y", "z"), "non-finite coordinate {name}={value!r}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
@@ -89,7 +99,7 @@ def _as_L(L) -> float:
 
 @dataclass(frozen=True)
 class FrameVec:
-    """A tangent vector given by coefficients on the left-invariant frame (e1, e2, e3)."""
+    """A tangent vector: coefficients, floats or 1-D arrays, on the left-invariant frame (e1, e2, e3)."""
 
     base: Point
     c1: float
@@ -97,9 +107,7 @@ class FrameVec:
     c3: float
 
     def __post_init__(self):
-        for name in ("c1", "c2", "c3"):
-            if not math.isfinite(getattr(self, name)):
-                raise _nonfinite_coefficient(name)
+        _check_finite(self, ("c1", "c2", "c3"), "non-finite frame coefficient {name}")
 
     def coefficients(self) -> np.ndarray:
         return np.array([self.c1, self.c2, self.c3], dtype=float)
@@ -112,34 +120,8 @@ class FrameVec:
     @classmethod
     def from_coordinates(cls, base: Point, vec) -> "FrameVec":
         """Inverse of :meth:`to_coordinates`; c3 is e^3 applied to the vector."""
-        vx, vy, vz = (float(vec[0]), float(vec[1]), float(vec[2]))
+        vx, vy, vz = vec
         return cls(base, vx, vy, e3_coefficient(base.x, base.y, vx, vy, vz))
-
-
-def _nonfinite_coordinate(name: str, value: float) -> NonFiniteError:
-    return NonFiniteError(f"non-finite coordinate {name}={value!r}")
-
-
-def _nonfinite_coefficient(name: str) -> NonFiniteError:
-    return NonFiniteError(f"non-finite frame coefficient {name}")
-
-
-def require_finite(point, vectors=(), where=True) -> None:
-    """The finiteness checks of Point and FrameVec over a batch of points.
-
-    point is an (x, y, z) triple and each vector a (c1, c2, c3) triple, of
-    arrays or floats; vectors are checked only where ``where`` holds.  If a
-    check fails at any point, raises what Point(*point), then FrameVec(p, *c)
-    for each vector in turn, raise at a point where it fails.
-    """
-    for name, x in zip(("x", "y", "z"), point):
-        bad = ~np.isfinite(x)
-        if bad.any():
-            raise _nonfinite_coordinate(name, float(np.ravel(x)[np.flatnonzero(bad)[0]]))
-    for vector in vectors:
-        for name, c in zip(("c1", "c2", "c3"), vector):
-            if (~np.isfinite(c) & where).any():
-                raise _nonfinite_coefficient(name)
 
 
 def e3_coefficient(x, y, vx, vy, vz):

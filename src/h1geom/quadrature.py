@@ -57,10 +57,11 @@ def cubature(f, a, b, tol: float):
     """Adaptive cubature of a vectorized f over the box [a, b]: (values, error estimates).
 
     f maps an (n, ndim) array of nodes to an (n, ...) array of values, each
-    component integrated to the absolute tolerance tol.  QuadratureError if
-    that takes more than MAX_SUBDIVISIONS or a result is not finite.
+    component integrated to the absolute tolerance tol or to 1e-13 relative.
+    QuadratureError if that takes more than MAX_SUBDIVISIONS or a result is
+    not finite.
     """
-    result = _si.cubature(f, a, b, rule=CUBATURE_RULE, rtol=0.0, atol=tol, max_subdivisions=MAX_SUBDIVISIONS)
+    result = _si.cubature(f, a, b, rule=CUBATURE_RULE, rtol=1e-13, atol=tol, max_subdivisions=MAX_SUBDIVISIONS)
     value, error = result.estimate, result.error
     if result.status != "converged" or not (np.isfinite(value).all() and np.isfinite(error).all()):
         raise QuadratureError(

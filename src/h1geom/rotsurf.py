@@ -67,7 +67,7 @@ def _sqrt1m(rp2_complement, v):
     if isinstance(rp2_complement, np.ndarray):
         bad = np.flatnonzero(rp2_complement < -CLAMP)
         if bad.size:
-            raise DomainViolationError(f"(r')^2 exceeds 1 at v={np.ravel(v)[bad[0]]!r}")
+            raise DomainViolationError(f"(r')^2 exceeds 1 at v={float(np.ravel(v)[bad[0]])!r}")
         return np.sqrt(np.maximum(rp2_complement, 0.0))
     if rp2_complement < -CLAMP:
         raise DomainViolationError(f"(r')^2 exceeds 1 at v={v!r}")
@@ -336,7 +336,9 @@ def default_v_range(K_inf: float, r0: float, c1_shift: float = 0.0) -> tuple[flo
     lo, hi = domain_bound(K_inf, r0)
     if K_inf == 0.0:
         start = lo * (1.0 + 1e-6) if lo > 0 else lo + 1e-6
-        return start - c1_shift, lo + 2.0 - c1_shift
+        # up to lo + 2, or, once start has passed that (lo above 2e6), to lo + 3 (start - lo)
+        end = lo + 2.0 if lo + 2.0 > start else start + 2.0 * (start - lo)
+        return start - c1_shift, end - c1_shift
     return -0.98 * hi - c1_shift, 0.98 * hi - c1_shift
 
 

@@ -25,14 +25,13 @@ from . import expr as _expr
 from .batch import elementwise
 from .expr import Dual2
 from .errors import CharacteristicPointError, DegenerateParametrizationError
-from .hgroup import FrameVec, Point, _as_L, e3_coefficient, require_finite
+from .hgroup import FrameVec, Point, _as_L, e3_coefficient
 
 __all__ = [
     "SurfacePatch",
     "AdaptedFrameSample",
     "FrameDerivatives",
     "pushforward_frame",
-    "tangent_coefficients",
     "characteristic_test",
     "adapted_frame",
     "frame_derivatives",
@@ -88,16 +87,13 @@ class SurfacePatch:
 
 @dataclass(frozen=True)
 class AdaptedFrameSample:
-    """Adapted frame data at one surface point.
+    """Adapted frame data at one surface point, or at a batch of points.
 
     f2_uv and f3_uv express f2 and f3 as parameter-space directions
     (coefficients on d/du, d/dv); f_u_23 and f_v_23 are the inverse, the
     (f^2, f^3) coefficients of the coordinate tangents; area_density is
-    f^2^f^3(f_u, f_v).
-
-    For a batch of points (frame_data over arrays) the fields are arrays,
-    and point, f1, f2 and f3 are (x, y, z) and (c1, c2, c3) triples of
-    arrays instead of a Point and FrameVecs, which hold one point each.
+    f^2^f^3(f_u, f_v).  For a batch (frame_data over arrays) the fields,
+    and the coordinates and coefficients of point, f1, f2 and f3, are arrays.
     """
 
     point: Point
@@ -128,35 +124,26 @@ def structure_identity_residual(fd: FrameDerivatives, A: float) -> float:
     return fd.dalpha_f3 + fd.dA_f2 + A * A
 
 
-def pushforward_frame(S: SurfacePatch, u: float, v: float) -> tuple[FrameVec, FrameVec]:
-    """Coordinate tangents f_u, f_v expressed on the left-invariant frame."""
-    pos, du, dv = S.jet(u, v)
-    p = Point(*pos)
-    return FrameVec.from_coordinates(p, du), FrameVec.from_coordinates(p, dv)
+def pushforward_frame(S: SurfacePatch, u, v) -> tuple[FrameVec, FrameVec]:
+    """Coordinate tangents f_u, f_v expressed on the left-invariant frame.
 
-
-def tangent_coefficients(S: SurfacePatch, u, v):
-    """pushforward_frame over a batch: the frame coefficient triples of f_u, f_v.
-
-    Raises the ValueError that pushforward_frame raises for a non-finite
-    position or tangent, if it does so at any point of the batch.
+    u and v may be arrays, a batch of points; a non-finite position or
+    tangent at any of its points raises.
     """
     with np.errstate(all="ignore"):
         pos, du, dv = S.jet(u, v)
-        f_u = (du[0], du[1], e3_coefficient(pos[0], pos[1], *du))
-        f_v = (dv[0], dv[1], e3_coefficient(pos[0], pos[1], *dv))
-    require_finite(pos, (f_u, f_v))
-    return f_u, f_v
+        p = Point(*pos)
+        return FrameVec.from_coordinates(p, du), FrameVec.from_coordinates(p, dv)
 
 
-def _characteristic(f_u, f_v, tol, batch):
+def _characteristic(f_u, f_v, tol):
     """The characteristic test on coefficient triples, and its scale.
 
     scale is Python's max of the six |coefficients|; on a batch it is taken
     point by point with the same rule (a NaN counts only in first place).
     """
     coefficients = [abs(c) for c in (*f_u, *f_v)]
-    if batch:
+    if any(isinstance(c, np.ndarray) for c in coefficients):
         scale = coefficients[0]
         for c in coefficients[1:]:
             scale = np.where(c > scale, c, scale)
@@ -168,12 +155,9 @@ def _characteristic(f_u, f_v, tol, batch):
 def characteristic_test(f_u, f_v, tol: float = CHARACTERISTIC_TOL):
     """True iff both tangents are horizontal to tolerance (tangent plane = D).
 
-    f_u and f_v are FrameVecs, or coefficient triples over a batch
-    (tangent_coefficients), on which the test is a mask.
+    f_u and f_v are FrameVecs (pushforward_frame); over a batch the test is a mask.
     """
-    if isinstance(f_u, FrameVec):
-        return _characteristic((f_u.c1, f_u.c2, f_u.c3), (f_v.c1, f_v.c2, f_v.c3), tol, False)[0]
-    return _characteristic(f_u, f_v, tol, True)[0]
+    return _characteristic((f_u.c1, f_u.c2, f_u.c3), (f_v.c1, f_v.c2, f_v.c3), tol)[0]
 
 
 # The frame core runs over first-order duals in (u, v), whose partials are
@@ -219,7 +203,7 @@ def _frame(S: SurfacePatch, u, v, pos, du, dv, tol):
     # frame coefficients of f_u and f_v; c3 is e^3 applied to the tangent
     f_u = (du[0], du[1], e3_coefficient(pos[0], pos[1], *du))
     f_v = (dv[0], dv[1], e3_coefficient(pos[0], pos[1], *dv))
-    characteristic, scale = _characteristic([c.value for c in f_u], [c.value for c in f_v], tol, batch)
+    characteristic, scale = _characteristic([c.value for c in f_u], [c.value for c in f_v], tol)
     if not batch and characteristic:
         raise CharacteristicPointError(
             f"characteristic point of {S.name!r} at (u, v) = ({u!r}, {v!r})"
@@ -258,22 +242,21 @@ def _frame(S: SurfacePatch, u, v, pos, du, dv, tol):
 
     tangents = (p1, q1), (p2, q2)
     p1, p2, q1, q2, det, a, c, s = (x.value for x in (p1, p2, q1, q2, det, A, *f1h))
+    fa = a
     if batch:
-        point = tuple(x.value for x in pos)
-        f1, f2, f3 = (c, s, 0.0), (-s, c, 0.0), (a * c, a * s, 1.0)
-        require_finite(point, (f1, f2, f3), where=~singular)
+        # the frame is undefined at singular points; zeros pass the finiteness check
+        fa, c, s = (np.where(singular, 0.0, x) for x in (a, c, s))
     else:
         singular = False
-        point = Point(*(x.value for x in pos))
-        # f2h = (-f1h[1], f1h[0]) exactly
-        f1, f2, f3 = FrameVec(point, c, s, 0.0), FrameVec(point, -s, c, 0.0), FrameVec(point, a * c, a * s, 1.0)
+    point = Point(*(x.value for x in pos))
     sample = AdaptedFrameSample(
         point=point,
         alpha=alpha.value,
         A=a,
-        f1=f1,
-        f2=f2,
-        f3=f3,
+        # f2h = (-f1h[1], f1h[0]) exactly
+        f1=FrameVec(point, c, s, 0.0),
+        f2=FrameVec(point, -s, c, 0.0),
+        f3=FrameVec(point, fa * c, fa * s, 1.0),
         f2_uv=(q2 / det, -q1 / det),
         f3_uv=(-p2 / det, p1 / det),
         f_u_23=(p1, q1),

@@ -236,12 +236,16 @@ def reference_adapted_frame(jet, u, v, orientation=1):
     )
 
 
-def frame_values(s):
-    """The same tuple read off an AdaptedFrameSample."""
+def frame_values(s, k=None):
+    """The same tuple read off an AdaptedFrameSample, or off entry k of a batch sample."""
+
+    def at(x):
+        return x if k is None or not np.ndim(x) else float(x[k])
+
     return (
-        (s.point.x, s.point.y, s.point.z), s.alpha, s.A,
-        (s.f1.c1, s.f1.c2, s.f1.c3), (s.f2.c1, s.f2.c2, s.f2.c3), (s.f3.c1, s.f3.c2, s.f3.c3),
-        s.f2_uv, s.f3_uv, s.area_density,
+        (at(s.point.x), at(s.point.y), at(s.point.z)), at(s.alpha), at(s.A),
+        *((at(f.c1), at(f.c2), at(f.c3)) for f in (s.f1, s.f2, s.f3)),
+        tuple(map(at, s.f2_uv)), tuple(map(at, s.f3_uv)), at(s.area_density),
     )
 
 

@@ -655,6 +655,20 @@ def test_narrow_domain_curvature_and_gauss_bonnet_end_in_an_exit_code(tmp_path, 
     assert code == 0 or (code == 2 and len(err.splitlines()) == 1 and err.startswith("error: "))
 
 
+def test_zero_curvature_rotsurf_on_a_large_r0_takes_its_default_band(tmp_path):
+    argv = ["rotsurf", "--kinf", "0", "--r0", "1e5", "--samples-u", "8", "--samples-v", "8", "--n-curves", "1"]
+    assert main(argv + ["--out-prefix", str(tmp_path / "k0")]) == 0
+
+
+@pytest.mark.parametrize("kinf", ["1", "-1"])
+def test_gauss_bonnet_on_a_large_r0_band_converges(tmp_path, kinf):
+    # areas near 1.2e6, where the absolute tolerances alone are out of reach
+    out = tmp_path / "gb.json"
+    assert main(["gauss-bonnet", "--kinf", kinf, "--r0", "1e5", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert abs(report["residual"]) <= report["threshold"]
+
+
 def test_rotsurf_domain_error_is_one_line_naming_the_shifted_domain(tmp_path, capsys):
     argv = ["rotsurf", "--kinf", "1", "--c1-shift", "0.5", "--vmin", "-1.9", "--vmax", "0"]
     prefix = tmp_path / "mesh"
@@ -730,3 +744,40 @@ def test_config_field_of_the_wrong_type_is_a_config_error(tmp_path, capsys, comm
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and err.startswith("config error: ") and field in err
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("curvature", {"surface": {"kind": "plane-cartesian", "half_width": "abc"}}, "surface.half_width"),
+        ("curvature", {"surface": {**ROTATION, "K_inf": "abc"}}, "surface.K_inf"),
+        ("curvature", {"surface": {**ROTATION, "r0": "abc"}}, "surface.r0"),
+        ("curvature", {"surface": {**ROTATION, "c1_shift": "abc"}}, "surface.c1_shift"),
+        ("rotsurf", {"rotsurf": {"K_inf": "abc"}}, "rotsurf.K_inf"),
+        ("rotsurf", {"rotsurf": {"K_inf": 1.0, "r0": "abc"}}, "rotsurf.r0"),
+        ("rotsurf", {"rotsurf": {"K_inf": 1.0, "c1_shift": "abc"}}, "rotsurf.c1_shift"),
+        ("curvature", {"surface": GRAPH, "tolerances": {"characteristic": "abc"}}, "tolerances.characteristic"),
+        ("gauss-bonnet", {"surface": GRAPH, "region": REGION, "tolerances": {"residual": "abc"}}, "tolerances.residual"),
+    ],
+)
+def test_number_field_that_float_cannot_read_names_the_field(tmp_path, capsys, command, config, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = ["--out-prefix", str(tmp_path / "mesh")] if command == "rotsurf" else ["--out", str(tmp_path / "out")]
+    assert main([command, "--config", str(path), *out]) == 1
+    assert capsys.readouterr().err.strip() == f"config error: {field} must be a number, got 'abc'"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+TINY_TILT = {
+    "kind": "parametric", "x": "1e-153*u", "y": "1e-153*v", "z": "1e-162*(u+v)", "u_range": [0.5, 1.5], "v_range": [0.5, 1.5],
+}
+
+
+@pytest.mark.parametrize("command", ["curvature", "frames", "gauss-bonnet", "converge"])
+def test_infinite_tilt_at_a_regular_point_is_a_non_finite_frame(tmp_path, capsys, command):
+    # e^3(f_u) = e^3(f_v) = 1e-162 is far above the characteristic tolerance, but its square underflows: A = inf
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"surface": TINY_TILT, "grid": {"nu": 3, "nv": 3}}))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip() == "error: non-finite frame coefficient c1"

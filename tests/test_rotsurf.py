@@ -329,6 +329,25 @@ def test_default_v_range_inside_domain():
         assert dlo < lo < hi < dhi
 
 
+@pytest.mark.parametrize("r0", [0.1, 1.0, 100.0, 2000.0, 2828.0, 2829.0, 3000.0, 1e5, 1e8])
+def test_zero_curvature_default_band_ends_above_its_start(r0):
+    dlo, dhi = domain_bound(0.0, r0)
+    lo, hi = default_v_range(0.0, r0)
+    assert dlo < lo < hi < dhi
+    if dlo + 2.0 > lo:  # a band that was valid keeps its floats
+        assert (lo, hi) == (dlo * (1.0 + 1e-6), dlo + 2.0)
+    assert default_v_range(0.0, 1.0) == (0.25000025, 2.25)  # figure 2
+
+
+def test_sqrt1m_names_v_alike_for_a_float_and_an_array():
+    v = -2.0651955770338075e-08
+    with pytest.raises(DomainViolationError) as one:
+        rotsurf._sqrt1m(-0.066, v)
+    with pytest.raises(DomainViolationError) as batch:
+        rotsurf._sqrt1m(np.array([0.5, -0.066]), np.array([0.0, v]))
+    assert str(batch.value) == str(one.value) == f"(r')^2 exceeds 1 at v={v!r}"
+
+
 # ---------------------------------------------------------------------------
 # meshes
 
