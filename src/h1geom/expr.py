@@ -8,6 +8,10 @@ Grammar (standard precedence, ^ right-associative and tighter than unary minus):
     power   := atom ('^' unary)?
     atom    := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
+Tokens (the pattern _TOKEN) may be separated by whitespace (str.isspace).
+NUMBER is decimal digits, an optional '.' and digits, and an exponent [eE][+-]?
+only where digits follow it.  IDENT starts with a letter, '_' or other numeral
+(Unicode No, Nl: '²', '½'), and goes on with those or decimal digits.
 Identifiers are the variables u, v, t, the constants pi and e, and the
 function names sin cos tan sinh cosh tanh sqrt exp ln abs atan.
 """
@@ -15,6 +19,7 @@ function names sin cos tan sinh cosh tanh sqrt exp ln abs atan.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -118,6 +123,13 @@ Expr = Union[Num, Var, Const, Unary, Bin, Call]
 # Tokenizer / parser
 
 
+# One token named by its kind, or none at the end or at a character no token starts with
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<op>[-+*/^])|(?P<lparen>\()|(?P<rparen>\)))?"
+)
+
+
 @dataclass(frozen=True)
 class _Token:
     kind: str  # 'num' | 'ident' | 'op' | 'lparen' | 'rparen' | 'end'
@@ -126,52 +138,13 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            tokens.append(_Token("num", text[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", text[start:i], start))
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
-    return tokens
+    tokens, m = [], _TOKEN.match(text)
+    while m.lastgroup:
+        tokens.append(_Token(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)))
+        m = _TOKEN.match(text, m.end())
+    if m.end() < len(text):
+        raise ParseError(f"unexpected character {text[m.end()]!r}", m.end())
+    return tokens + [_Token("end", "", m.end())]
 
 
 class _Parser:

@@ -110,7 +110,7 @@ class FrameVec:
         _check_finite(self, ("c1", "c2", "c3"), "non-finite frame coefficient {name}")
 
     def coefficients(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3], dtype=float)
+        return np.array(np.broadcast_arrays(self.c1, self.c2, self.c3, self.base.x)[:3], dtype=float)
 
     def to_coordinates(self) -> np.ndarray:
         """Components in the coordinate basis (d/dx, d/dy, d/dz)."""
@@ -146,15 +146,13 @@ def group_inv(p: Point) -> Point:
 
 
 def frame_at(p: Point):
-    """Coordinate components of (e1, e2, e3) at p."""
-    e1 = np.array([1.0, 0.0, -0.5 * p.y])
-    e2 = np.array([0.0, 1.0, 0.5 * p.x])
-    e3 = np.array([0.0, 0.0, 1.0])
-    return e1, e2, e3
+    """Coordinate components of (e1, e2, e3) at p: rows of arrays on a batch."""
+    one, zero, x, y = np.broadcast_arrays(1.0, 0.0, p.x, p.y)
+    return np.array([one, zero, -0.5 * y]), np.array([zero, one, 0.5 * x]), np.array([zero, zero, one])
 
 
 def coframe_eval(index: int, p: Point, vec) -> float:
-    """Apply e^index at p to a coordinate-basis vector."""
+    """Apply e^index at p to a coordinate-basis vector; one point only."""
     vx, vy, vz = (float(vec[0]), float(vec[1]), float(vec[2]))
     if index == 1:
         return vx
@@ -173,14 +171,14 @@ def volume_form(p: Point, v1, v2, v3) -> float:
 
 def gl_inner(u: FrameVec, v: FrameVec, L) -> float:
     """g_L scalar product: u1*v1 + u2*v2 + L*u3*v3 on raw frame coefficients."""
-    if u.base != v.base:
+    if not np.array_equal(u.base.as_array(), v.base.as_array()):
         raise ValueError("frame vectors based at different points")
     return u.c1 * v.c1 + u.c2 * v.c2 + _as_L(L) * u.c3 * v.c3
 
 
 def frame_to_gl_basis(v: FrameVec, L) -> np.ndarray:
     """Coefficients of v on the g_L-orthonormal basis (e1, e2, e3^L)."""
-    return np.array([v.c1, v.c2, math.sqrt(_as_L(L)) * v.c3])
+    return np.array(np.broadcast_arrays(v.c1, v.c2, math.sqrt(_as_L(L)) * v.c3, v.base.x)[:3])
 
 
 def _check_index(i: int):

@@ -100,23 +100,25 @@ def domain_bound(K_inf: float, r0: float) -> tuple[float, float]:
     """Open existence interval of the constant-curvature profile (shift 0).
 
     Solves (r')^2 = 1 in closed form; for K = 0 the interval is
-    (r0^2/4, inf), otherwise it is symmetric about 0.
+    (r0^2/4, inf), otherwise it is symmetric about 0.  With a = 2/(r0^2 |K|)
+    and root = sqrt(a^2 + 1) the end is at cos(sqrt(K) v) = root - a for
+    K > 0 and at cosh(sqrt(-K) v) = root + a for K < 0; both are read
+    through x = root + a - 1, formed without cancellation at any scale.
     """
     if not (math.isfinite(r0) and r0 > 0.0):
         raise ValueError(f"profile radius r0 must be positive, got {r0!r}")
     if not math.isfinite(K_inf):
         raise ValueError("curvature must be finite")
-    if K_inf > 0.0:
-        q = r0 * r0 * K_inf
-        s_star = -2.0 / q + math.sqrt(4.0 / (q * q) + 1.0)
-        vmax = math.acos(s_star) / math.sqrt(K_inf)
-        return -vmax, vmax
-    if K_inf < 0.0:
-        q = r0 * r0 * (-K_inf)
-        cosh_star = 2.0 / q + math.sqrt(1.0 + 4.0 / (q * q))
-        vmax = math.acosh(cosh_star) / math.sqrt(-K_inf)
-        return -vmax, vmax
-    return r0 * r0 / 4.0, math.inf
+    if K_inf == 0.0:
+        return r0 * r0 / 4.0, math.inf
+    a = 2.0 / (r0 * r0 * abs(K_inf))
+    root = math.sqrt(a * a + 1.0)
+    x = a + a * a / (root + 1.0)
+    if K_inf > 0.0:  # acos(s) = 2 asin(sqrt((1 - s)/2)), with 1 - s = x/(a + root)
+        vmax = 2.0 * math.asin(math.sqrt(x / (a + root) / 2.0)) / math.sqrt(K_inf)
+    else:  # acosh(1 + x)
+        vmax = math.log1p(x + math.sqrt(x * (2.0 + x))) / math.sqrt(-K_inf)
+    return -vmax, vmax
 
 
 def _check_domain(v: float, bounds: tuple[float, float], what: str):
@@ -382,7 +384,6 @@ class Mesh:
     vertices: np.ndarray  # (n, 3)
     faces: np.ndarray  # (m, 3) int indices into vertices
     polylines: list = field(default_factory=list)  # list of (k, 3) arrays
-    uv: Optional[np.ndarray] = None  # (n, 2) chart coordinates
     profile_rows: Optional[np.ndarray] = None  # columns: v, r, r', theta, c, A
 
 
@@ -476,7 +477,6 @@ def build_mesh(spec: RotationSurfaceSpec) -> Mesh:
     cu, su = np.cos(us), np.sin(us)
     x, y = np.outer(a, cu) - np.outer(b, su), np.outer(b, cu) + np.outer(a, su)
     vertices = np.stack([x, y, np.repeat(c, nu).reshape(nv, nu)], axis=-1).reshape(-1, 3)
-    uv = np.column_stack([np.tile(us, nv), np.repeat(vvs, nu)])
     k0 = (np.arange(nv - 1)[:, None] * nu + np.arange(nu - 1)).ravel()
     faces = np.stack([k0, k0 + 1, k0 + nu, k0 + 1, k0 + nu + 1, k0 + nu], axis=1).reshape(-1, 3)
 
@@ -490,6 +490,5 @@ def build_mesh(spec: RotationSurfaceSpec) -> Mesh:
         vertices=vertices,
         faces=faces,
         polylines=polylines,
-        uv=uv,
         profile_rows=np.column_stack([vvs, r, rp, theta, c, A]),
     )

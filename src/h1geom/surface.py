@@ -336,11 +336,11 @@ def xl_basis(sample: AdaptedFrameSample, L) -> tuple[FrameVec, FrameVec, FrameVe
     """g_L-orthonormal triple (X1, X2, X3): normal, then a tangent basis."""
     Lf = _as_L(L)
     A = sample.A
-    root = math.sqrt(Lf + A * A)
+    root = elementwise(math.sqrt, Lf + A * A)
     cos_b = math.sqrt(Lf) / root
     sin_b = A / root
     p = sample.point
-    ca, sa = math.cos(sample.alpha), math.sin(sample.alpha)
+    ca, sa = elementwise(math.cos, sample.alpha), elementwise(math.sin, sample.alpha)
     # e3^L = e3/sqrt(L), so its raw third coefficient is 1/sqrt(L)
     x1 = FrameVec(p, cos_b * ca, cos_b * sa, -sin_b / math.sqrt(Lf))
     x2 = sample.f2

@@ -30,8 +30,9 @@ from h1geom.curvature import transverse_sample
 from h1geom.errors import CharacteristicPointError, NonTransverseError
 from h1geom.expr import Dual2
 from h1geom.gaussbonnet import ParamRegion, _boundary_prescan, _region_prescan, gb_residual
+from h1geom.hgroup import frame_to_gl_basis, gl_inner
 from h1geom.rotsurf import default_v_range
-from h1geom.surface import frame_data, graph_patch, parametric_patch
+from h1geom.surface import frame_data, graph_patch, parametric_patch, xl_basis
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -278,6 +279,42 @@ def test_frame_data_batch_marks_singular_points():
         assert repr(float(sample.A[k])) == repr(one.A)
         assert repr(float(fd.dA_f2[k])) == repr(one_fd.dA_f2)
         assert repr(helpers.frame_values(sample, k)) == repr(helpers.frame_values(one))
+
+
+@pytest.mark.parametrize(
+    "patch, u, v",
+    [
+        (catalog.paraboloid(), [0.5, 1.0, -1.5], [0.25, 0.5, 0.75]),
+        (catalog.constant_curvature(1.0), [0.3, 2.0, 5.5], [-0.5, 0.1, 0.8]),
+    ],
+)
+def test_frame_record_methods_on_a_batch_are_the_point_results(patch, u, v):
+    sample = frame_data(patch, np.array(u), np.array(v))[0]
+    x_batch = xl_basis(sample, 4.0)
+
+    def results(s, xs):
+        vectors = (s.f1, s.f2, s.f3, *xs)
+        return [
+            *(f.coefficients() for f in vectors),
+            *(f.to_coordinates() for f in vectors),
+            *(frame_to_gl_basis(f, 4.0) for f in vectors),
+            *(np.asarray(gl_inner(f, g, 4.0)) for f in vectors for g in vectors),
+        ]
+
+    batch = results(sample, x_batch)
+    for k in range(len(u)):
+        one = frame_data(patch, u[k], v[k])[0]
+        for got, want in zip(batch, results(one, xl_basis(one, 4.0)), strict=True):
+            assert repr(got[..., k].tolist()) == repr(want.tolist())
+
+
+def test_gl_inner_on_two_batch_records_compares_their_points():
+    patch = catalog.paraboloid()
+    u, v = np.array([0.5, 1.0]), np.array([0.25, 0.5])
+    one, other = frame_data(patch, u, v)[0], frame_data(patch, u, v)[0]
+    assert gl_inner(one.f3, other.f3, 2.0).tolist() == gl_inner(one.f3, one.f3, 2.0).tolist()
+    with pytest.raises(ValueError, match="based at different points"):
+        gl_inner(one.f1, frame_data(patch, u, v + 0.1)[0].f1, 2.0)
 
 
 # ---------------------------------------------------------------------------

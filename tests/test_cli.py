@@ -669,6 +669,15 @@ def test_gauss_bonnet_on_a_large_r0_band_converges(tmp_path, kinf):
     assert abs(report["residual"]) <= report["threshold"]
 
 
+@pytest.mark.parametrize("kinf", ["1", "-1", "4"])
+def test_rotsurf_on_a_large_r0_takes_its_default_band(tmp_path, kinf):
+    # the domain ends near 2/(r0 |K|) = 2e-8 / |K|, where the old closed forms lost every digit
+    argv = ["rotsurf", "--kinf", kinf, "--r0", "1e8", "--samples-u", "8", "--samples-v", "8", "--n-curves", "1"]
+    assert main(argv + ["--out-prefix", str(tmp_path / "wide")]) == 0
+    _, _, rows, _ = read_csv(tmp_path / "wide_profile.csv")
+    assert all(math.isfinite(x) for row in rows for x in row)
+
+
 def test_rotsurf_domain_error_is_one_line_naming_the_shifted_domain(tmp_path, capsys):
     argv = ["rotsurf", "--kinf", "1", "--c1-shift", "0.5", "--vmin", "-1.9", "--vmax", "0"]
     prefix = tmp_path / "mesh"
@@ -781,3 +790,67 @@ def test_infinite_tilt_at_a_regular_point_is_a_non_finite_frame(tmp_path, capsys
     path.write_text(json.dumps({"surface": TINY_TILT, "grid": {"nu": 3, "nv": 3}}))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.strip() == "error: non-finite frame coefficient c1"
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["curvature", "--config", "{tmp}/missing.json"], None, "cannot read config '{tmp}/missing.json': [Errno 2] No such file or directory: '{tmp}/missing.json'"),
+        (["curvature"], [1, 2], "config document must be a JSON object"),
+        (["converge", "--surface", "paraboloid", "--point", "1"], None, "--point needs 2 comma-separated numbers, got '1'"),
+        (["converge", "--surface", "paraboloid", "--point", "a,b"], None, "bad number in --point: could not convert string to float: 'a'"),
+        (["curvature"], None, "no surface given; use --surface or a config file"),
+        (["curvature"], {"surface": {"kind": "rotation"}}, "rotation surface needs K_inf (--kinf or config)"),
+        (["curvature", "--surface", "paraboloid", "--nu", "0"], None, "nu must be positive"),
+        (["curvature", "--surface", "paraboloid", "--char-tol", "-1"], None, "characteristic tolerance must be positive"),
+        (["rotsurf", "--kinf", "1", "--vmin", "0"], None, "give both --vmin and --vmax (or a config v_range)"),
+        (["gauss-bonnet"], {"surface": GRAPH, "region": {"u": [0.6, 0.9]}}, "region needs 'u' and 'v' interval fields"),
+        (["curvature"], {"surface": {"kind": "torus"}}, "unknown surface kind 'torus'"),
+        (
+            ["curvature"],
+            {"surface": {"kind": "parametric", "x": "u", "y": "v", "z": "u*v", "u_range": [0, 1]}},
+            "parametric surface needs a 'v_range' field",
+        ),
+    ],
+)
+def test_config_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    out = ["--out-prefix", str(tmp_path / "mesh")] if argv[0] == "rotsurf" else ["--out", str(tmp_path / "out")]
+    assert main(argv + out) == 1
+    assert capsys.readouterr().err.strip() == "config error: " + message.format(tmp=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config is not None else [])
+
+
+def test_kn_directions_flag_adds_a_column_per_direction(tmp_path):
+    out = tmp_path / "k.csv"
+    argv = ["curvature", "--surface", "paraboloid", "--nu", "3", "--nv", "3", "--kn-directions", "1,0;0,1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    _, columns, rows, _ = read_csv(out)
+    assert columns[-3:] == ["k_n_1_0", "k_n_0_1", "characteristic"]
+    assert len(rows) == 9
+
+
+def test_gauss_bonnet_closed_u_flag_closes_the_region(tmp_path):
+    region = {"u": [0.0, 2.0 * math.pi], "v": [1.0, 2.0]}
+    reports = []
+    for closed_u, flags in ((False, ["--closed-u"]), (True, [])):
+        config = tmp_path / f"cfg_{closed_u}.json"
+        config.write_text(json.dumps({"surface": {"kind": "plane"}, "region": {**region, "closed_u": closed_u}}))
+        out = tmp_path / f"gb_{closed_u}.json"
+        assert main(["gauss-bonnet", "--config", str(config), *flags, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_check_exits_3_when_a_check_fails(capsys, monkeypatch):
+    from h1geom import cli
+    from h1geom.selfcheck import CheckResult
+
+    monkeypatch.setattr(cli, "run_identity_suite", lambda: [CheckResult("one", True, "ok"), CheckResult("two", False, "off")])
+    assert main(["check"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["[PASS] one: ok", "[FAIL] two: off"]
+    assert captured.err.strip() == "1 identity check(s) failed"

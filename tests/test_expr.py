@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from h1geom import expr as ex
@@ -212,3 +214,96 @@ def test_expression_at_the_depth_limit_evaluates():
     hyper = ex.eval_hyperdual(tree, 0.4, 0.0)
     assert hyper.value.value == value
     assert _parts(hyper.value) == _parts(ex.eval_dual(tree, 0.4, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# tokens
+
+DIGITS = "0123456789\u0663"  # ARABIC-INDIC DIGIT THREE is a decimal digit too
+SPACES = " \t\n\r\x0b\x0c\u00a0\u2003\u3000"
+LETTERS = st.characters(categories=["Lu", "Ll", "Lt", "Lm", "Lo"])
+
+
+def _numbers():
+    digits = st.text(DIGITS, min_size=1, max_size=4)
+    fraction = st.one_of(st.just(""), st.builds(lambda d: "." + d, st.text(DIGITS, max_size=3)))
+    exponent = st.one_of(st.just(""), st.builds("".join, st.tuples(st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), digits)))
+    return st.builds("".join, st.tuples(digits, fraction, exponent))
+
+
+def _identifiers():
+    start = st.one_of(LETTERS, st.just("_"))
+    rest = st.lists(st.one_of(LETTERS, st.just("_"), st.sampled_from(DIGITS)), max_size=4).map("".join)
+    return st.builds(lambda a, b: a + b, start, rest)
+
+
+TOKENS = st.one_of(
+    st.tuples(st.just("num"), _numbers()),
+    st.tuples(st.just("ident"), _identifiers()),
+    st.tuples(st.just("op"), st.sampled_from("+-*/^")),
+    st.tuples(st.just("lparen"), st.just("(")),
+    st.tuples(st.just("rparen"), st.just(")")),
+)
+
+
+@st.composite
+def token_strings(draw):
+    """(text, [(kind, token, offset)]): tokens joined by random whitespace, which
+    is never empty between two numbers or identifiers, or they would run together."""
+    text, expected, previous = "", [], None
+    for kind, token in draw(st.lists(TOKENS, max_size=8)):
+        text += draw(st.text(SPACES, min_size=int({previous, kind} <= {"num", "ident"}), max_size=2))
+        expected.append((kind, token, len(text)))
+        text += token
+        previous = kind
+    return text + draw(st.text(SPACES, max_size=2)), expected
+
+
+def _tokens(text):
+    return [(t.kind, t.text, t.pos) for t in ex._tokenize(text)]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("1.", [("num", "1.", 0)]),
+        ("2.5e-3", [("num", "2.5e-3", 0)]),
+        ("3e+07", [("num", "3e+07", 0)]),
+        ("1e+", [("num", "1", 0), ("ident", "e", 1), ("op", "+", 2)]),  # an exponent needs digits
+        (" _x1*\u03c0 ", [("ident", "_x1", 1), ("op", "*", 4), ("ident", "\u03c0", 5)]),
+        ("(u)^-2", [("lparen", "(", 0), ("ident", "u", 1), ("rparen", ")", 2), ("op", "^", 3), ("op", "-", 4), ("num", "2", 5)]),
+    ],
+)
+def test_tokens_by_hand(text, expected):
+    assert _tokens(text) == expected + [("end", "", len(text))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_strings())
+def test_joined_tokens_tokenize_back(case):
+    text, expected = case
+    assert _tokens(text) == expected + [("end", "", len(text))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_strings(), st.characters().filter(lambda c: not (c.isspace() or c.isalnum() or c in "_+-*/^()")), token_strings())
+def test_character_outside_every_token_is_unexpected(head, bad, tail):
+    text = head[0] + (" " if bad == "." else "") + bad  # '.' right after digits continues a number
+    with pytest.raises(ex.ParseError) as err:
+        ex._tokenize(text + tail[0])
+    assert str(err.value) == f"unexpected character {bad!r} (offset {len(text) - 1})"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # other numerals (Unicode No, Nl) are no decimal digits but may start and continue identifiers
+        ("0\u00b2", "unexpected trailing input '\u00b2' (offset 1)"),
+        ("\u00bdu", "unknown identifier '\u00bdu' (offset 0)"),
+        ("u*\u216b", "unknown identifier '\u216b' (offset 2)"),
+    ],
+)
+def test_other_numerals_are_identifier_characters(text, message):
+    with pytest.raises(ex.ParseError) as err:
+        ex.parse(text)
+    assert str(err.value) == message

@@ -125,6 +125,40 @@ def test_domain_bound_against_bisection():
     assert hi2 == pytest.approx(_bisect_domain_edge(2.0, 0.8), abs=1e-9)
 
 
+DOMAIN_R0 = (1e-3, 0.5, 1.0, 2.0, 1e2, 1e4, 1e5, 1e8)
+# the end of the existence domain for r0 in DOMAIN_R0, from the closed forms
+# acos(-2/q + sqrt(4/q^2 + 1))/sqrt(K) and acosh(2/q + sqrt(1 + 4/q^2))/sqrt(-K),
+# q = r0^2 |K|, in 60-digit mpmath arithmetic, rounded to the nearest double
+DOMAIN_END = {
+    0.25: (3.1415925285897934, 3.1103490084866436, 3.016996578792184, 2.664957729970061,
+           0.0799893294951629, 0.0007999999893333329, 7.999999998933333e-05, 7.999999999999999e-08),
+    1.0: (1.5707960767948965, 1.508498289396092, 1.3324788649850305, 0.9045568943023814,
+          0.019999333273340476, 0.00019999999933333334, 1.9999999999333332e-05, 2e-08),
+    4.0: (0.7853976633974483, 0.6662394324925153, 0.4522784471511907, 0.24452216513554015,
+          0.004999958332395861, 4.9999999958333334e-05, 4.999999999958333e-06, 5e-09),
+    -0.25: (34.562492921528005, 9.70442660846156, 6.937298085951865, 4.245100247620143,
+            0.0800106628248391, 0.0008000000106666663, 8.000000001066667e-05, 8.000000000000001e-08),
+    -1.0: (15.894952099644156, 3.4686490429759327, 2.1225501238100715, 1.0612750619050357,
+           0.020000666606659525, 0.00020000000066666666, 2.0000000000666667e-05, 2e-08),
+    -4.0: (7.254328869262484, 1.0612750619050357, 0.5306375309525179, 0.2548955733405508,
+           0.005000041665729139, 5.0000000041666664e-05, 5.000000000041667e-06, 5e-09),
+}
+
+
+@pytest.mark.parametrize("K", sorted(DOMAIN_END))
+def test_domain_bound_within_two_ulp_at_every_scale(K):
+    for r0, end in zip(DOMAIN_R0, DOMAIN_END[K]):
+        lo, hi = domain_bound(K, r0)
+        assert lo == -hi
+        assert abs(hi - end) <= 2 * math.ulp(end), (r0, hi, end)
+
+
+@pytest.mark.parametrize("K", sorted(DOMAIN_END))
+def test_domain_bound_meets_its_large_radius_asymptote(K):
+    # hi = 2/(r0 |K|) (1 + O(1/(r0^2 |K|)))
+    assert domain_bound(K, 1e8)[1] * 1e8 * abs(K) == pytest.approx(2.0, rel=4e-16)
+
+
 def test_domain_violation_errors():
     with pytest.raises(DomainViolationError):
         r_family(1.0, 1.0, 1.4)
@@ -381,7 +415,7 @@ def test_mesh_vertices_reconstruct_from_profile():
     for j, row in enumerate(rows):
         v, r, _, theta, c, _ = row
         a, b = r * math.cos(theta), r * math.sin(theta)
-        us = mesh.uv[j * 24 : (j + 1) * 24, 0]
+        us = np.linspace(0.0, 2.0 * math.pi, 24)
         block = mesh.vertices[j * 24 : (j + 1) * 24]
         expect = np.stack(
             [a * np.cos(us) - b * np.sin(us), b * np.cos(us) + a * np.sin(us), np.full_like(us, c)],

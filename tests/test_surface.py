@@ -390,6 +390,20 @@ def test_orientation_must_be_plus_or_minus_one(orientation):
             build()
 
 
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ([1, 2], "surface descriptor must be an object with a 'kind' field"),
+        ({"K_inf": 1.0}, "surface descriptor must be an object with a 'kind' field"),
+        ({"kind": "rotation"}, "rotation surface needs a K_inf field"),
+    ],
+)
+def test_surface_from_config_rejects_a_descriptor_without_its_fields(cfg, message):
+    with pytest.raises(ValueError) as info:
+        catalog.surface_from_config(cfg)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # beta and the g_L basis
 
