@@ -9,6 +9,12 @@ their inputs (numpy 2.4, AVX-512), and numpy's array ``** 2`` is d*d where
 a Python float's is libm pow (3 in 10k values differ).  On arrays these go
 through ``elementwise``, which maps the scalar call over the elements, so
 every output is independent of how its points are batched.
+
+The rule is to map only the transcendental call.  A formula such as
+``r0 * sqrt(max(cos(k * t), 0))`` maps ``cos`` alone and keeps ``*``,
+``sqrt`` and ``max`` as numpy operations on the whole array: these round
+correctly and so give the scalar bits, at a fraction of the cost of a
+Python call per element.
 """
 
 from __future__ import annotations

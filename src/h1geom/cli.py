@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -497,6 +498,7 @@ def _add_grid_flags(sub):
     sub.add_argument("--nv", type=int)
 
 
+@functools.cache  # parsing leaves the parser as it was, so one process shares one
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="h1geom", description=__doc__)
     parser.add_argument("--version", action="version", version=f"h1geom {__version__}")

@@ -74,26 +74,27 @@ def _sqrt1m(rp2_complement, v):
     return math.sqrt(max(rp2_complement, 0.0))
 
 
-# Profiles take a float or an array.  On arrays they map the scalar libm
-# formula over the elements (batch.elementwise), so an array evaluation
-# equals the scalar one bit for bit, and every output file is independent
-# of how the evaluation is batched.
-
-
 def _kernels(K_inf: float, r0: float):
-    """Scalar r(t) and A(t) of the family at the unshifted parameter t."""
+    """r(t) and A(t) of the family at the unshifted parameter t: a pair on floats, a pair on arrays.
+
+    Each formula is written once over (libm, sqrt, max).  On arrays only the
+    transcendental goes through libm, mapped over the elements
+    (batch.elementwise); *, /, sqrt and max are numpy's, which round
+    correctly.  So an array evaluation equals the float one bit for bit, and
+    every output file is independent of how the evaluation is batched.
+    """
     root = math.sqrt(abs(K_inf))
-    if K_inf > 0.0:
-        return (
-            lambda t: r0 * math.sqrt(max(math.cos(root * t), 0.0)),
-            lambda t: -root * math.tan(root * t),
-        )
-    if K_inf < 0.0:
-        return (
-            lambda t: r0 * math.sqrt(math.cosh(root * t)),
-            lambda t: root * math.tanh(root * t),
-        )
-    return lambda t: r0 * math.sqrt(t), lambda t: 1.0 / t
+
+    def family(libm, sqrt, maximum):
+        if K_inf > 0.0:
+            cos, tan = libm(math.cos), libm(math.tan)
+            return lambda t: r0 * sqrt(maximum(cos(root * t), 0.0)), lambda t: -root * tan(root * t)
+        if K_inf < 0.0:
+            cosh, tanh = libm(math.cosh), libm(math.tanh)
+            return lambda t: r0 * sqrt(cosh(root * t)), lambda t: root * tanh(root * t)
+        return lambda t: r0 * sqrt(t), lambda t: 1.0 / t
+
+    return family(lambda f: f, math.sqrt, max), family(lambda f: functools.partial(elementwise, f), np.sqrt, np.maximum)
 
 
 def domain_bound(K_inf: float, r0: float) -> tuple[float, float]:
@@ -133,7 +134,7 @@ def _check_domain(v: float, bounds: tuple[float, float], what: str):
 def r_family(K_inf: float, r0: float, v: float) -> float:
     """Profile radius of the constant-curvature family (integration constant 0)."""
     _check_domain(v, domain_bound(K_inf, r0), "r_family")
-    return _kernels(K_inf, r0)[0](v)
+    return _kernels(K_inf, r0)[0][0](v)
 
 
 def A_family(K_inf: float, v: float) -> float:
@@ -142,7 +143,7 @@ def A_family(K_inf: float, v: float) -> float:
         raise DomainViolationError(f"A_family: |v| = {abs(v)!r} reaches the tan pole")
     if K_inf == 0.0 and v <= 0.0:
         raise DomainViolationError("A_family: v must be positive when the curvature is 0")
-    return _kernels(K_inf, 1.0)[1](v)
+    return _kernels(K_inf, 1.0)[0][1](v)
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,7 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
     QUADPACK, memoizing the last THETA_C_CACHE_SIZE values.
     """
     lo, hi = domain_bound(K_inf, r0)
-    r_t, A_t = _kernels(K_inf, r0)
+    (r_t, A_t), (r_arrays, A_arrays) = _kernels(K_inf, r0)
     lo_s = lo - c1_shift
     hi_s = hi - c1_shift
     if K_inf == 0.0:
@@ -182,10 +183,10 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
         anchor = -c1_shift
 
     def r(v):
-        return elementwise(r_t, v + c1_shift)
+        return (r_arrays if isinstance(v, np.ndarray) else r_t)(v + c1_shift)
 
     def A(v):
-        return elementwise(A_t, v + c1_shift)
+        return (A_arrays if isinstance(v, np.ndarray) else A_t)(v + c1_shift)
 
     def dr(v):
         # r' = r*A/2 since A = (ln r^2)' = 2 r'/r
@@ -201,12 +202,25 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
     name = f"constant-curvature({K_inf}, r0={r0})"
     domain = (lo_s, hi_s)
 
+    def rate(k):
+        """theta' (k = 0) or c' (k = 1) at a float t: _integrands fused into one call for QUADPACK."""
+
+        def f(t):
+            x = t + c1_shift
+            rt = r_t(x)
+            s = _sqrt1m(1.0 - (0.5 * rt * A_t(x)) ** 2, t)
+            return 0.5 * rt * s if k else s / rt
+
+        return f
+
+    theta_rate, c_rate = rate(0), rate(1)
+
     @functools.lru_cache(maxsize=THETA_C_CACHE_SIZE)
     def theta_c(v):
         # square-root substitution where 1 - r'^2 vanishes at a domain end
         _check_domain(v, domain, name)
-        theta = integrate_with_boundary(lambda t: _integrands(r, dr, t)[0], anchor, v, domain, THETA_C_TOL)
-        c = integrate_with_boundary(lambda t: _integrands(r, dr, t)[1], anchor, v, domain, THETA_C_TOL)
+        theta = integrate_with_boundary(theta_rate, anchor, v, domain, THETA_C_TOL)
+        c = integrate_with_boundary(c_rate, anchor, v, domain, THETA_C_TOL)
         return theta, c
 
     return Profile(
@@ -246,10 +260,10 @@ def circle_profile() -> Profile:
     )
 
 
-def _integrands(r, dr, t):
-    """theta' = sqrt(1 - r'^2)/r and c' = r sqrt(1 - r'^2)/2 at t (float or array)."""
+def _integrands(r, A, t):
+    """theta' = sqrt(1 - r'^2)/r and c' = r sqrt(1 - r'^2)/2 at t (float or array), with r' = r A/2."""
     rt = r(t)
-    s = _sqrt1m(1.0 - power(dr(t), 2), t)
+    s = _sqrt1m(1.0 - power(0.5 * rt * A(t), 2), t)
     return s / rt, 0.5 * rt * s
 
 
@@ -422,13 +436,16 @@ def sample_generating_curve(
     dv_floor = span * 1e-9
     target = 0.6 * max_ratio
 
-    # Each step depends on the previous v, so the walk stays scalar.
+    # Each step depends on the previous v, so the walk stays scalar.  A step
+    # that k_ahead did not shorten ends where k_ahead was taken: reuse it.
     vs = [v0]
     v = v0
+    v_ahead = k_ahead = math.nan
     while v < v1:
-        k_here = abs(profile.kappa(v))
+        k_here = k_ahead if v == v_ahead else abs(profile.kappa(v))
         dv = min(math.sqrt(12.0 * target / max(k_here, 1e-12)), dv_cap)
-        k_ahead = abs(profile.kappa(min(v + dv, v1)))
+        v_ahead = min(v + dv, v1)
+        k_ahead = abs(profile.kappa(v_ahead))
         dv = min(dv, math.sqrt(12.0 * target / max(k_ahead, 1e-12)))
         dv = max(dv, dv_floor)
         # the last step ends exactly at v1 and is never shorter than dv_floor
@@ -437,7 +454,7 @@ def sample_generating_curve(
         if len(vs) > max_points:
             raise GeometryError("generating-curve sampling exceeded the point budget")
     vs = np.array(vs)
-    d_theta, d_c = gauss_segments(functools.partial(_integrands, profile.r, profile.dr), vs[:-1], vs[1:], profile.domain)
+    d_theta, d_c = gauss_segments(functools.partial(_integrands, profile.r, profile.A), vs[:-1], vs[1:], profile.domain)
     thetas = np.cumsum(np.concatenate(([theta0], d_theta)))
     cs = np.cumsum(np.concatenate(([c0], d_c)))
     r = profile.r(vs)

@@ -1,6 +1,7 @@
 """Shared test utilities: random expression corpus, FD oracles (expression
 partials, frame derivatives and transverse curve derivatives) and the scalar
-reference implementations of the generating-curve sampler, the OBJ and CSV
+reference implementations of the rotation profile's kernels and theta/c
+integrands, the generating-curve sampler, the OBJ and CSV
 writers, the curvature and frames grids, the Gauss-Bonnet prescans and the
 Gauss-Bonnet integrals."""
 
@@ -24,6 +25,8 @@ from h1geom.errors import (
 from h1geom.export import _stamp, fmt
 from h1geom.gaussbonnet import TRANSVERSALITY_TOL, _segments
 from h1geom.quadrature import gauss_segment
+from h1geom import rotsurf
+from h1geom.batch import power
 from h1geom.rotsurf import CLAMP, e3_chord_ratio
 from h1geom.hgroup import FrameVec, Point
 from h1geom.surface import (
@@ -264,6 +267,35 @@ def _sqrt1m(rp2_complement, context):
     if rp2_complement < -CLAMP:
         raise DomainViolationError(f"(r')^2 exceeds 1 {context}")
     return math.sqrt(max(rp2_complement, 0.0))
+
+
+def reference_family_kernels(K_inf, r0, c1_shift):
+    """r(v), A(v) and r'(v) = r A/2 of the constant-curvature profile, one float at a time."""
+    root = math.sqrt(abs(K_inf))
+    if K_inf > 0.0:
+        r_t, A_t = lambda t: r0 * math.sqrt(max(math.cos(root * t), 0.0)), lambda t: -root * math.tan(root * t)
+    elif K_inf < 0.0:
+        r_t, A_t = lambda t: r0 * math.sqrt(math.cosh(root * t)), lambda t: root * math.tanh(root * t)
+    else:
+        r_t, A_t = lambda t: r0 * math.sqrt(t), lambda t: 1.0 / t
+
+    def r(v):
+        return r_t(v + c1_shift)
+
+    def A(v):
+        return A_t(v + c1_shift)
+
+    def dr(v):
+        return 0.5 * r(v) * A(v)
+
+    return r, A, dr
+
+
+def reference_integrands(r, dr, t):
+    """theta' = sqrt(1 - r'^2)/r and c' = r sqrt(1 - r'^2)/2 at t, from r and r' evaluated apart."""
+    rt = r(t)
+    s = rotsurf._sqrt1m(1.0 - power(dr(t), 2), t)
+    return s / rt, 0.5 * rt * s
 
 
 def reference_sample_generating_curve(profile, v0, v1, max_ratio=1e-8, max_points=500_000):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -854,3 +855,48 @@ def test_check_exits_3_when_a_check_fails(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out.splitlines() == ["[PASS] one: ok", "[FAIL] two: off"]
     assert captured.err.strip() == "1 identity check(s) failed"
+
+
+def test_parser_shared_by_runs_keeps_no_flag(tmp_path, capsys):
+    from h1geom import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    config = tmp_path / "cfg.json"  # open in u: without --closed-u its u-edges fail the transversality check
+    config.write_text(json.dumps({"surface": {"kind": "plane"}, "region": {"u": [0.0, 2.0 * math.pi], "v": [1.0, 2.0], "closed_u": False}}))
+    out = tmp_path / "out"
+
+    def run(argv):
+        code = main(argv + ["--out", str(out)])
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, capsys.readouterr(), written
+
+    for argv, flag in (
+        (["gauss-bonnet", "--config", str(config)], ["--closed-u"]),
+        (["curvature", "--surface", "paraboloid", "--nu", "3", "--nv", "3"], ["--kn-directions", "1,0;0,1"]),
+    ):
+        cli.build_parser.cache_clear()  # a process that has not seen the flag
+        fresh = run(argv)
+        assert run(argv + flag) != fresh
+        assert run(argv) == fresh
+
+
+# sha256 of each file of `rotsurf --figure N` after its first line, the
+# `# h1geom <version> config-sha256:...` stamp
+FIGURE_SHA256 = {
+    "figure1.obj": "d18142caf8074412cbe56f41534deb3f6cc2577e0f28465a4420ac8a7d98fba9",
+    "figure1_profile.csv": "957c9fdb9a36f1d4d66a1a651cdd9c6cb2525b27996ae496cf4f03dd7c17bf57",
+    "figure2.obj": "e35a94b85fe3c0a5906b5870594101864ae4231105ce090f8bbede42e181d603",
+    "figure2_profile.csv": "73bc400ade41c806b0c128cc0ed1fe55d42d9d8a057ee92af4feb1a312c5ecb6",
+    "figure3.obj": "c146f535543dd636d100ab1267c8c96044dec98a50d3215a3e398325d0619288",
+    "figure3_profile.csv": "edfcca0e53ecb2f4188c62d39d9059c79069d790c6110927ccf92af263b6ca43",
+}
+
+
+@pytest.mark.parametrize("figure", [1, 2, 3])
+def test_rotsurf_figures_keep_their_bytes(tmp_path, figure):
+    assert main(["rotsurf", "--figure", str(figure), "--out-prefix", str(tmp_path / f"figure{figure}")]) == 0
+    for name in (f"figure{figure}.obj", f"figure{figure}_profile.csv"):
+        stamp, rest = (tmp_path / name).read_bytes().split(b"\n", 1)
+        assert stamp.startswith(b"# h1geom ")
+        assert hashlib.sha256(rest).hexdigest() == FIGURE_SHA256[name]

@@ -4,6 +4,8 @@ import math
 import helpers
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate as si
 
 from h1geom import catalog, quadrature, rotsurf
@@ -382,6 +384,89 @@ def test_sqrt1m_names_v_alike_for_a_float_and_an_array():
     assert str(batch.value) == str(one.value) == f"(r')^2 exceeds 1 at v={v!r}"
 
 
+# The profile's kernels against the scalar formulas: theta_c hands QUADPACK
+# one fused float closure per integral, and the sampler's Gauss nodes go
+# through _integrands on arrays, which maps only cos, tan, cosh and tanh
+# through libm.  Both must be the reference to the last bit.
+
+FAMILIES = st.tuples(
+    st.one_of(st.just(0.0), st.floats(0.25, 4.0), st.floats(-4.0, -0.25)),
+    st.floats(0.5, 2.0),
+    st.floats(-1.0, 1.0),
+)
+
+
+def _quadpack_integrands(profile):
+    """The theta' and c' closures theta_c passes to integrate_with_boundary."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rotsurf, "integrate_with_boundary", lambda f, a, b, bounds, tol: seen.append(f) or 0.0)
+        lo, hi = profile.domain
+        profile.theta_c(0.5 * (lo + hi) if math.isfinite(hi) else lo + 1.0)
+    return seen
+
+
+@st.composite
+def _domain_points(draw):
+    """Parameters t inside the existence domain, near either bound within the boundary window or away from both."""
+    K, r0, c1_shift = family = draw(FAMILIES)
+    lo, hi = family_profile(K, r0, c1_shift).domain
+    ts = []
+    for where, frac in draw(st.lists(st.tuples(st.sampled_from(["lo", "hi", "inside"]), st.floats(0.0, 1.0)), min_size=1, max_size=64)):
+        if where == "lo":
+            ts.append(lo + frac * quadrature.BOUNDARY_WINDOW * max(1.0, abs(lo)))
+        elif where == "hi" and math.isfinite(hi):
+            ts.append(hi - frac * quadrature.BOUNDARY_WINDOW * max(1.0, abs(hi)))
+        else:
+            ts.append(lo + frac * (min(hi, lo + 3.0) - lo))
+    return family, ts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_domain_points())
+# points where (r')^2 as libm pow(r', 2) and as r' * r' give theta' or c' one ulp apart
+@example(((0.0, 1.0, 0.1), [0.374152776581991]))
+@example(((-1.0, 1.0, 0.1), [-2.156897968614158]))
+@example(((2.5, 1.0, 0.1), [0.4918093102690827]))
+def test_profile_kernels_are_the_scalar_reference_bit_for_bit(point):
+    (K, r0, c1_shift), ts = point
+    profile = family_profile(K, r0, c1_shift)
+    r, A, dr = helpers.reference_family_kernels(K, r0, c1_shift)
+    expected = [tuple(map(repr, helpers.reference_integrands(r, dr, t))) for t in ts]
+    theta_rate, c_rate = _quadpack_integrands(profile)
+    assert [(repr(theta_rate(t)), repr(c_rate(t))) for t in ts] == expected
+    theta, c = rotsurf._integrands(profile.r, profile.A, np.array(ts))
+    assert list(zip(map(repr, theta.tolist()), map(repr, c.tolist()))) == expected
+    for on_array, on_float in ((profile.r, r), (profile.A, A), (profile.dr, dr)):
+        assert list(map(repr, on_array(np.array(ts)).tolist())) == [repr(on_float(t)) for t in ts]
+
+
+@settings(max_examples=100, deadline=None)
+@given(FAMILIES, st.floats(0.05, 0.95), st.booleans())
+def test_profile_kernels_reject_a_steep_point_alike_on_a_float_and_an_array(family, frac, upper):
+    K, r0, c1_shift = family
+    profile = family_profile(K, r0, c1_shift)
+    lo, hi = domain_bound(K, r0)
+    if K > 0.0:  # between the domain end and the pole of tan
+        x = hi + frac * (0.5 * math.pi / math.sqrt(K) - hi)
+    elif K < 0.0:
+        x = hi + frac
+    else:  # 0 < x < r0^2/4
+        x, upper = frac * lo, True
+    t = (x if upper else -x) - c1_shift
+    r, _, dr = helpers.reference_family_kernels(K, r0, c1_shift)
+    inside = 0.5 * sum(profile.domain) if K else profile.domain[0] + 1.0
+    message = f"(r')^2 exceeds 1 at v={t!r}"
+    for evaluate in (
+        *_quadpack_integrands(profile),
+        lambda t: helpers.reference_integrands(r, dr, t),
+        lambda t: rotsurf._integrands(profile.r, profile.A, np.array([inside, t])),
+    ):
+        with pytest.raises(DomainViolationError) as info:
+            evaluate(t)
+        assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # meshes
 
@@ -530,9 +615,17 @@ def test_sampler_matches_scalar_reference(K, r0, c1_shift, end):
     else:
         v0, v1 = _edge_band(K, r0, c1_shift, end)
     expected = helpers.reference_sample_generating_curve(profile, v0, v1)
-    got = sample_generating_curve(profile, v0, v1)
+    calls = []
+    got = sample_generating_curve(dataclasses.replace(profile, kappa=lambda v: calls.append(v) or profile.kappa(v)), v0, v1)
     assert np.array_equal(got, expected)
     assert np.max(e3_chord_ratio(got[:, 1:])) <= 1e-8
+    # kappa once per step, plus once more after a step shorter than the look-ahead v + dv(kappa(v))
+    vs, cap, target = got[:, 0].tolist(), (v1 - v0) / 64.0, 0.6 * 1e-8
+    shortened = sum(
+        b != min(a + min(math.sqrt(12.0 * target / max(abs(profile.kappa(a)), 1e-12)), cap), v1)
+        for a, b in zip(vs, vs[1:])
+    )
+    assert len(calls) <= (len(vs) - 1) + shortened + 1
 
 
 @pytest.mark.parametrize("K, end", [(1.0, None), (0.0, "lo"), (-1.0, "hi")])
