@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -27,7 +28,7 @@ from .export import write_csv, write_json_report, write_obj
 from .gaussbonnet import ParamRegion, convergence_study, gb_residual
 from .rotsurf import RotationSurfaceSpec, build_mesh
 from .selfcheck import run_identity_suite
-from .surface import frame_data
+from .surface import CHARACTERISTIC_TOL, frame_data
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -139,7 +140,7 @@ def _without_char_tol(config, command) -> None:
 def _char_tol(args, config) -> float:
     tol = args.char_tol
     if tol is None:
-        tol = _section(config, "tolerances").get("characteristic", 1e-10)
+        tol = _section(config, "tolerances").get("characteristic", CHARACTERISTIC_TOL)
     tol = number(tol, "tolerances.characteristic")
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError("characteristic tolerance must be positive")
@@ -215,6 +216,20 @@ def cmd_rotsurf(args) -> int:
 # curvature and frames grids
 
 
+def _grid_command(args, command, side):
+    """(config, chart, effective record, grid sides and characteristic tolerance) of a grid command."""
+    config = _load_config(args.config)
+    surface_cfg = _surface_config(args, config)
+    patch = _build_surface(surface_cfg)
+    nu = _positive_int(_section(config, "grid").get("nu"), args.nu, side, "nu")
+    nv = _positive_int(_section(config, "grid").get("nv"), args.nv, side, "nv")
+    char_tol = _char_tol(args, config)
+    effective = {
+        "command": command, "surface": surface_cfg, "grid": {"nu": nu, "nv": nv}, "characteristic_tol": char_tol
+    }
+    return config, patch, effective, (nu, nv, char_tol)
+
+
 def _grid_rows(patch, nu, nv, char_tol, values):
     """Rows u, v, x, y, z, *values(sample, fd), characteristic over the chart grid.
 
@@ -236,12 +251,7 @@ def _grid_rows(patch, nu, nv, char_tol, values):
 
 
 def cmd_curvature(args) -> int:
-    config = _load_config(args.config)
-    surface_cfg = _surface_config(args, config)
-    patch = _build_surface(surface_cfg)
-    nu = _positive_int(_section(config, "grid").get("nu"), args.nu, 24, "nu")
-    nv = _positive_int(_section(config, "grid").get("nv"), args.nv, 24, "nv")
-    char_tol = _char_tol(args, config)
+    config, patch, effective, grid = _grid_command(args, "curvature", 24)
     L_values = _l_values(args, config, [1.0, 10.0, 100.0])
     directions = checked(config.get("kn_directions", [[1.0, 0.0]]), "a list of pairs of numbers", "kn_directions")
     if args.kn_directions:
@@ -251,14 +261,7 @@ def cmd_curvature(args) -> int:
             if chunk.strip()
         ]
 
-    effective = {
-        "command": "curvature",
-        "surface": surface_cfg,
-        "grid": {"nu": nu, "nv": nv},
-        "L": L_values,
-        "kn_directions": directions,
-        "characteristic_tol": char_tol,
-    }
+    effective.update(L=L_values, kn_directions=directions)
     columns = ["u", "v", "x", "y", "z", "alpha", "A", "K_inf", "K_gauss"]
     columns += [f"K_L_{L:g}" for L in L_values]
     columns += [f"k_n_{d[0]:g}_{d[1]:g}" for d in directions]
@@ -273,7 +276,7 @@ def cmd_curvature(args) -> int:
             row.append(np.where(b != 0.0, A * np.copysign(1.0, b), math.nan))  # k_n = A sign(b)
         return row
 
-    rows = _grid_rows(patch, nu, nv, char_tol, values)
+    rows = _grid_rows(patch, *grid, values)
     flagged = int(rows[:, -1].sum())
     write_csv(args.out, columns, rows, effective)
     print(f"wrote {args.out} ({len(rows)} rows, {flagged} characteristic)")
@@ -281,18 +284,7 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_frames(args) -> int:
-    config = _load_config(args.config)
-    surface_cfg = _surface_config(args, config)
-    patch = _build_surface(surface_cfg)
-    nu = _positive_int(_section(config, "grid").get("nu"), args.nu, 16, "nu")
-    nv = _positive_int(_section(config, "grid").get("nv"), args.nv, 16, "nv")
-    char_tol = _char_tol(args, config)
-    effective = {
-        "command": "frames",
-        "surface": surface_cfg,
-        "grid": {"nu": nu, "nv": nv},
-        "characteristic_tol": char_tol,
-    }
+    _, patch, effective, grid = _grid_command(args, "frames", 16)
     columns = [
         "u", "v", "x", "y", "z", "alpha", "A",
         "f1_c1", "f1_c2", "f2_c1", "f2_c2", "f3_c1", "f3_c2", "f3_c3",
@@ -305,7 +297,7 @@ def cmd_frames(args) -> int:
             fd.dA_f2, fd.dA_f3, fd.dalpha_f2, fd.dalpha_f3,
         ]
 
-    rows = _grid_rows(patch, nu, nv, char_tol, values)
+    rows = _grid_rows(patch, *grid, values)
     write_csv(args.out, columns, rows, effective)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
@@ -375,15 +367,8 @@ def cmd_gauss_bonnet(args) -> int:
         "threshold": threshold,
     }
     report = gb_residual(patch, region)
-    payload = {
-        "area_integral": report.area_integral,
-        "boundary_integral": report.boundary_integral,
-        "residual": report.residual,
-        "area_error_est": report.area_error_est,
-        "boundary_error_est": report.boundary_error_est,
-        "threshold": threshold,
-        "within_threshold": abs(report.residual) <= threshold,
-    }
+    payload = dataclasses.asdict(report)
+    payload.update(threshold=threshold, within_threshold=abs(report.residual) <= threshold)
     write_json_report(args.out, payload, effective)
     print(
         f"area {report.area_integral:.12g}  boundary {report.boundary_integral:.12g}  "
@@ -436,10 +421,7 @@ def cmd_converge(args) -> int:
         "L", "K_L", "abs_err_K", "sigma_L", "rescaled_sigma", "K_L_sigma_L",
         "k_n_L", "abs_err_k_n", "ds_L_density",
     ]
-    rows = [
-        [r.L, r.K_L, r.err_K, r.sigma_L, r.rescaled_sigma, r.K_L_sigma_L, r.k_n_L, r.err_k_n, r.ds_L]
-        for r in result.rows
-    ]
+    rows = [dataclasses.astuple(r) for r in result.rows]  # the columns in field order
     footer = [
         f"K_inf {result.K_inf:.17g}",
         f"k_n {result.k_n_limit:.17g}" if result.k_n_limit is not None else "k_n nan",
@@ -492,7 +474,7 @@ def _add_grid_flags(sub):
         "--char-tol",
         dest="char_tol",
         type=float,
-        help="relative tolerance of the characteristic-point test (default 1e-10)",
+        help=f"relative tolerance of the characteristic-point test (default {CHARACTERISTIC_TOL:g})",
     )
     sub.add_argument("--nu", type=int)
     sub.add_argument("--nv", type=int)

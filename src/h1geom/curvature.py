@@ -58,8 +58,7 @@ def k_L(fd: FrameDerivatives, A: float, L: float) -> float:
     """Gaussian curvature of the surface in the metric g_L (A and fd may hold arrays)."""
     L = _as_L(L)
     den = L + A * A
-    wedge = fd.dalpha_f3 * fd.dA_f2 - fd.dalpha_f2 * fd.dA_f3
-    return L / power(den, 2) * wedge - L * L / power(den, 2) * fd.dA_f2 - L / den * A * A
+    return L / power(den, 2) * k_gauss_map(fd) - L * L / power(den, 2) * fd.dA_f2 - L / den * A * A
 
 
 def k_inf(fd: FrameDerivatives, A: float) -> float:

@@ -25,7 +25,7 @@ from .batch import elementwise, first_failure
 from .curvature import TransverseCurveSample, _transverse, _turn, ds_L_density, k_L, k_inf, k_n, k_n_L
 from .errors import CharacteristicPointError, NonTransverseError
 from .hgroup import _as_L
-from .quadrature import cubature
+from .quadrature import cubature, gauss_segments
 from .surface import SurfacePatch, characteristic_test, frame_tangents, pushforward_frame
 
 __all__ = [
@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 TRANSVERSALITY_TOL = 1e-10
+REGION_SCAN = 21  # the region prescan tests a REGION_SCAN^2 grid
+BOUNDARY_SCAN = 33  # the winding and boundary prescans test this many points per boundary piece
 
 
 @dataclass(frozen=True)
@@ -109,13 +111,13 @@ def _check_period(S: SurfacePatch, R: ParamRegion) -> None:
         )
 
 
-def _region_prescan(S: SurfacePatch, R: ParamRegion, n: int = 21, tol: float = 1e-10):
-    """Refuse a characteristic point on the n x n grid of the region (u outer, v inner)."""
-    u = np.repeat(np.linspace(R.u0, R.u1, n), n)
-    v = np.tile(np.linspace(R.v0, R.v1, n), n)
+def _region_prescan(S: SurfacePatch, R: ParamRegion):
+    """Refuse a characteristic point on the REGION_SCAN^2 grid of the region (u outer, v inner)."""
+    u = np.repeat(np.linspace(R.u0, R.u1, REGION_SCAN), REGION_SCAN)
+    v = np.tile(np.linspace(R.v0, R.v1, REGION_SCAN), REGION_SCAN)
 
     def scan(lo, hi):
-        hits = np.flatnonzero(characteristic_test(*pushforward_frame(S, u[lo:hi], v[lo:hi]), tol))
+        hits = np.flatnonzero(characteristic_test(*pushforward_frame(S, u[lo:hi], v[lo:hi])))
         if hits.size:
             k = lo + hits[0]
             raise CharacteristicPointError(
@@ -125,24 +127,24 @@ def _region_prescan(S: SurfacePatch, R: ParamRegion, n: int = 21, tol: float = 1
     first_failure(scan, len(u))
 
 
-def _boundary_samples(R: ParamRegion, n: int = 33):
-    """n points per boundary piece, piece by piece: arrays u, v and the piece directions d0, d1."""
+def _boundary_samples(R: ParamRegion):
+    """BOUNDARY_SCAN points per boundary piece, piece by piece: arrays u, v and the piece directions d0, d1."""
     start, d, length = map(np.array, zip(*_segments(R)))
-    t = np.linspace(0.0, length, n, axis=1)
+    t = np.linspace(0.0, length, BOUNDARY_SCAN, axis=1)
     u, v = ((start[:, k, None] + d[:, k, None] * t).ravel() for k in (0, 1))
-    return u, v, np.repeat(d[:, 0], n), np.repeat(d[:, 1], n)
+    return u, v, np.repeat(d[:, 0], BOUNDARY_SCAN), np.repeat(d[:, 1], BOUNDARY_SCAN)
 
 
-def _winding_prescan(S: SurfacePatch, R: ParamRegion, n: int = 33):
+def _winding_prescan(S: SurfacePatch, R: ParamRegion):
     """Refuse a region whose boundary winds around a characteristic point, which
-    the 21^2 grid of _region_prescan misses between its nodes.
+    the grid of _region_prescan misses between its nodes.
 
     Characteristic points are the zeros of (e^3(f_u), e^3(f_v)).  The turning
     of that field over the boundary samples, summed within each piece (a
     piece closed in u is a loop of its own), is 2 pi times their total index.
     """
-    f_u, f_v = pushforward_frame(S, *_boundary_samples(R, n)[:2])
-    steps = np.diff(np.arctan2(f_v.c3, f_u.c3).reshape(-1, n), axis=1)
+    f_u, f_v = pushforward_frame(S, *_boundary_samples(R)[:2])
+    steps = np.diff(np.arctan2(f_v.c3, f_u.c3).reshape(-1, BOUNDARY_SCAN), axis=1)
     winding = round(np.sum((steps + math.pi) % (2.0 * math.pi) - math.pi) / (2.0 * math.pi))
     if winding != 0:
         raise CharacteristicPointError(
@@ -150,11 +152,11 @@ def _winding_prescan(S: SurfacePatch, R: ParamRegion, n: int = 33):
         )
 
 
-def _boundary_prescan(S: SurfacePatch, R: ParamRegion, n: int = 33):
-    """Refuse a boundary tangent without an f3 component, at n points per piece."""
+def _boundary_prescan(S: SurfacePatch, R: ParamRegion):
+    """Refuse a boundary tangent without an f3 component, at BOUNDARY_SCAN points per piece."""
     if not _segments(R):
         return
-    u, v, d0, d1 = _boundary_samples(R, n)
+    u, v, d0, d1 = _boundary_samples(R)
 
     def scan(lo, hi):
         f_u, f_v = pushforward_frame(S, u[lo:hi], v[lo:hi])
@@ -265,20 +267,21 @@ def gb_residual(
     return GBReport(area, boundary, area + boundary, area_err, boundary_err)
 
 
-_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
 def stokes_density_check(S: SurfacePatch, u: float, v: float, h: float) -> tuple[float, float]:
     """Both sides of d(A f^3) = (dA(f2) + A^2) f^2^f^3 on an h-square.
 
     The left side is the loop integral of A f^3 around [u, u+h] x [v, v+h]
-    (fixed Gauss rule per edge, accurate to far below h^4); the right side
+    (gauss_segments per edge, accurate to far below h^4); the right side
     is the midpoint-rule area integral, so lhs - rhs = O(h^4) for smooth
     patches and the ratio |lhs - rhs| / h^2 must fall like h^2.
     """
     start, d, _ = map(np.array, zip(*_segments(ParamRegion(u, u + h, v, v + h))))
-    density = _gb_boundary_density(*_boundary_nodes(S, start, d, 0.5 * h * (1.0 + _GL8_NODES)[:, None]))
-    lhs = 0.5 * h * float(_GL8_WEIGHTS @ density.reshape(8, len(d)).sum(axis=1))
+
+    def loop(t):  # A f^3 summed over the four edges at the distances t along each
+        density = _gb_boundary_density(*_boundary_nodes(S, start, d, t.reshape(-1, 1)))
+        return (density.reshape(t.shape + (len(d),)).sum(axis=-1),)
+
+    lhs = float(gauss_segments(loop, np.zeros(1), np.full(1, h), (-math.inf, math.inf))[0][0])
     sample, fd, _ = frame_tangents(S, u + 0.5 * h, v + 0.5 * h)
     rhs = (fd.dA_f2 + sample.A**2) * sample.area_density * h * h
     return lhs, rhs

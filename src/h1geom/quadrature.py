@@ -22,7 +22,6 @@ __all__ = [
     "integrate",
     "cubature",
     "integrate_with_boundary",
-    "gauss_segment",
     "gauss_segments",
 ]
 
@@ -101,57 +100,39 @@ def integrate_with_boundary(f, a: float, b: float, bounds, tol: float = 1e-10) -
     return integrate(f, a, b, tol)
 
 
-def gauss_segment(f, a: float, b: float, bounds=None) -> float:
-    """Fixed 12-point Gauss-Legendre integral over a short segment.
+def gauss_segments(f, a: np.ndarray, b: np.ndarray, bounds) -> list[np.ndarray]:
+    """Fixed 12-point Gauss-Legendre integrals over the segments [a_i, b_i] (a_i <= b_i) at once.
 
     Used for incremental accumulation along profile curves, where the
     per-segment truncation error must sit far below adaptive tolerances.
-    Applies the sqrt substitution when the segment touches the boundary
-    window of the open interval ``bounds``.
-    """
-    if a == b:
-        return 0.0
-    if a > b:
-        return -gauss_segment(f, b, a, bounds)
-    if bounds is not None:
-        lo, hi = bounds
-        if _in_window(a - lo, lo):
-            sa, sb = math.sqrt(a - lo), math.sqrt(b - lo)
-            return gauss_segment(lambda s: 2.0 * s * f(lo + s * s), sa, sb)
-        if _in_window(hi - b, hi):
-            sa, sb = math.sqrt(hi - b), math.sqrt(hi - a)
-            return gauss_segment(lambda s: 2.0 * s * f(hi - s * s), sa, sb)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * float(sum(w * f(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS)))
-
-
-def gauss_segments(f, a: np.ndarray, b: np.ndarray, bounds) -> list[np.ndarray]:
-    """:func:`gauss_segment` over the segments [a_i, b_i] (a_i <= b_i) at once.
-
     f maps an (n, 12) array of nodes to a tuple of integrand arrays (scalars
-    broadcast) and returns one array of n integrals per integrand.  Weighted
-    sums run over the nodes in gauss_segment's order, so each integral is
-    gauss_segment's to the last bit.  Segments in the boundary window of
-    ``bounds`` go through gauss_segment and its square-root substitution.
+    broadcast) and returns one array of n integrals per integrand.  A
+    segment in the boundary window of the open interval ``bounds`` = (lo, hi)
+    is integrated in s, with t = lo + s^2 (tested first) or t = hi - s^2 and
+    the values times 2 s.  Each weighted sum runs over the nodes in order
+    from 0.0, so a segment's integral does not depend on the batch.
     """
     lo, hi = bounds
-    window = np.zeros(len(a), dtype=bool) | _in_window(a - lo, lo) | _in_window(hi - b, hi)
-    inner = ~window
-    half = 0.5 * (b[inner] - a[inner])
-    mid = 0.5 * (a[inner] + b[inner])
+    lower = np.zeros(len(a), dtype=bool) | _in_window(a - lo, lo)
+    upper = ~lower & _in_window(hi - b, hi)
+    x0, x1 = a.copy(), b.copy()
+    x0[lower], x1[lower] = np.sqrt(a[lower] - lo), np.sqrt(b[lower] - lo)
+    x0[upper], x1[upper] = np.sqrt(hi - b[upper]), np.sqrt(hi - a[upper])
+    half = 0.5 * (x1 - x0)
+    mid = 0.5 * (x0 + x1)
     nodes = mid[:, None] + half[:, None] * _GL_NODES
+    window = np.flatnonzero(lower | upper)
+    ds = 2.0 * nodes[window]  # dt = +/- 2 s ds; the s limits are ordered, so the sign is +
+    nodes[lower] = lo + nodes[lower] ** 2  # numpy's ** 2 on an array is s * s
+    nodes[upper] = hi - nodes[upper] ** 2
     results = []
     for values in f(nodes):
         values = np.broadcast_to(values, nodes.shape)
+        if window.size:
+            values = values.copy()
+            values[window] *= ds
         total = np.zeros(len(nodes))
         for k, w in enumerate(_GL_WEIGHTS):
             total = total + w * values[:, k]
-        out = np.empty(len(a))
-        out[inner] = half * total
-        results.append(out)
-    for i in np.flatnonzero(window).tolist():
-        for j, out in enumerate(results):
-            out[i] = gauss_segment(lambda t: f(t)[j], float(a[i]), float(b[i]), bounds)
+        results.append(half * total)
     return results
-

@@ -131,6 +131,15 @@ def _check_domain(v: float, bounds: tuple[float, float], what: str):
         )
 
 
+def _check_band(profile: Profile, v_range) -> None:
+    """DomainViolationError unless lo <= v0 < v1 <= hi in the profile's (shifted) existence domain."""
+    (v0, v1), (lo, hi) = v_range, profile.domain
+    if not (lo <= v0 < v1 <= hi):
+        raise DomainViolationError(
+            f"v_range ({v0!r}, {v1!r}) not inside the existence domain ({lo!r}, {hi!r}) of {profile.name}"
+        )
+
+
 def r_family(K_inf: float, r0: float, v: float) -> float:
     """Profile radius of the constant-curvature family (integration constant 0)."""
     _check_domain(v, domain_bound(K_inf, r0), "r_family")
@@ -296,11 +305,7 @@ def rotation_patch(
     name: Optional[str] = None,
 ) -> SurfacePatch:
     """Surface of revolution as a patch over [0, 2*pi] x v_range."""
-    lo, hi = profile.domain
-    if not (lo <= v_range[0] < v_range[1] <= hi):
-        raise DomainViolationError(
-            f"v_range {v_range!r} not inside the existence domain ({lo!r}, {hi!r})"
-        )
+    _check_band(profile, v_range)
 
     def curve(v: float):
         """The generating curve (a, b, c)(v) and its first two derivatives."""
@@ -376,19 +381,15 @@ class RotationSurfaceSpec:
             return tuple(self.v_range)
         return default_v_range(self.K_inf, self.r0, self.c1_shift)
 
-    def validate(self) -> None:
+    def validate(self) -> Profile:
+        """The family profile, once the sample counts and the band are checked."""
         if self.samples_u < 3 or self.samples_v < 2:
             raise ValueError("mesh needs at least 3 x 2 samples")
         if self.n_curves < 0:
             raise ValueError("n_curves must be non-negative")
         profile = family_profile(self.K_inf, self.r0, self.c1_shift)
-        v0, v1 = self.resolved_v_range()
-        lo, hi = profile.domain
-        if not (lo <= v0 < v1 <= hi):
-            raise DomainViolationError(
-                f"v_range ({v0!r}, {v1!r}) not inside the existence domain "
-                f"({lo!r}, {hi!r}) of the K_inf={self.K_inf} family"
-            )
+        _check_band(profile, self.resolved_v_range())
+        return profile
 
 
 @dataclass
@@ -452,7 +453,9 @@ def sample_generating_curve(
         v = v + dv if v + dv < v1 - dv_floor else v1
         vs.append(v)
         if len(vs) > max_points:
-            raise GeometryError("generating-curve sampling exceeded the point budget")
+            raise GeometryError(
+                f"generating-curve sampling exceeded the point budget ({max_points}) at v = {v!r} in [{v0!r}, {v1!r}]"
+            )
     vs = np.array(vs)
     d_theta, d_c = gauss_segments(functools.partial(_integrands, profile.r, profile.A), vs[:-1], vs[1:], profile.domain)
     thetas = np.cumsum(np.concatenate(([theta0], d_theta)))
@@ -480,8 +483,7 @@ def _rotate_xy(points: np.ndarray, angle: float) -> np.ndarray:
 
 def build_mesh(spec: RotationSurfaceSpec) -> Mesh:
     """Vertex grid, triangles, profile table and horizontal polylines."""
-    spec.validate()
-    profile = family_profile(spec.K_inf, spec.r0, spec.c1_shift)
+    profile = spec.validate()
     v0, v1 = spec.resolved_v_range()
     nu, nv = spec.samples_u, spec.samples_v
     us = np.linspace(0.0, 2.0 * math.pi, nu)

@@ -214,7 +214,10 @@ def _frame(S: SurfacePatch, u, v, pos, du, dv, tol):
     w1 = q2 * f_u[0] - q1 * f_v[0]
     w2 = q2 * f_u[1] - q1 * f_v[1]
     norm = _hypot(w1, w2)
-    dependent = norm.value <= 1e-14 * scale * scale
+    # |w| against the two terms it is the difference of; a point where scale^2 overflows (a
+    # coefficient above about 1.3e154) stays dependent, before q ** 2 overflows below
+    terms = [abs(q.value) * (abs(f[0].value) + abs(f[1].value)) for q, f in ((q2, f_u), (q1, f_v))]
+    dependent = norm.value <= np.where(scale * scale == math.inf, math.inf, 1e-14 * (terms[0] + terms[1]))
     if not batch and dependent:
         raise DegenerateParametrizationError(
             f"dependent coordinate tangents of {S.name!r} at (u, v) = ({u!r}, {v!r})"

@@ -1,7 +1,7 @@
 """Shared test utilities: random expression corpus, FD oracles (expression
 partials, frame derivatives and transverse curve derivatives) and the scalar
-reference implementations of the rotation profile's kernels and theta/c
-integrands, the generating-curve sampler, the OBJ and CSV
+reference implementations of the fixed 12-point Gauss rule, the rotation
+profile's kernels and theta/c integrands, the generating-curve sampler, the OBJ and CSV
 writers, the curvature and frames grids, the Gauss-Bonnet prescans and the
 Gauss-Bonnet integrals."""
 
@@ -24,7 +24,7 @@ from h1geom.errors import (
 )
 from h1geom.export import _stamp, fmt
 from h1geom.gaussbonnet import TRANSVERSALITY_TOL, _segments
-from h1geom.quadrature import gauss_segment
+from h1geom.quadrature import BOUNDARY_WINDOW
 from h1geom import rotsurf
 from h1geom.batch import power
 from h1geom.rotsurf import CLAMP, e3_chord_ratio
@@ -298,6 +298,28 @@ def reference_integrands(r, dr, t):
     return s / rt, 0.5 * rt * s
 
 
+_GL_NODES, _GL_WEIGHTS = (x.tolist() for x in np.polynomial.legendre.leggauss(12))
+
+
+def reference_gauss_segment(f, a, b, bounds):
+    """12-point Gauss-Legendre integral of a scalar f over [a, b] (a < b), one node at a time.
+
+    In the boundary window of the open interval bounds = (lo, hi), lower end
+    first, it integrates 2 s f(lo + s^2) or 2 s f(hi - s^2) over s instead.
+    """
+    lo, hi = bounds
+    anywhere = (-math.inf, math.inf)
+    if math.isfinite(lo) and a - lo < BOUNDARY_WINDOW * max(1.0, abs(lo)):
+        return reference_gauss_segment(lambda s: 2.0 * s * f(lo + s * s), math.sqrt(a - lo), math.sqrt(b - lo), anywhere)
+    if math.isfinite(hi) and hi - b < BOUNDARY_WINDOW * max(1.0, abs(hi)):
+        return reference_gauss_segment(lambda s: 2.0 * s * f(hi - s * s), math.sqrt(hi - b), math.sqrt(hi - a), anywhere)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    total = 0.0
+    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+        total = total + w * f(mid + half * x)
+    return half * total
+
+
 def reference_sample_generating_curve(profile, v0, v1, max_ratio=1e-8, max_points=500_000):
     """Point-by-point sampler: the walk to v1, then a check of the worst chord."""
     if not (v0 < v1):
@@ -328,11 +350,13 @@ def reference_sample_generating_curve(profile, v0, v1, max_ratio=1e-8, max_point
         dv = max(dv, dv_floor)
         # the last step ends exactly at v1, never shorter than dv_floor
         v_next = v + dv if v + dv < v1 - dv_floor else v1
-        thetas.append(thetas[-1] + gauss_segment(g_theta, v, v_next, profile.domain))
-        cs.append(cs[-1] + gauss_segment(g_c, v, v_next, profile.domain))
+        thetas.append(thetas[-1] + reference_gauss_segment(g_theta, v, v_next, profile.domain))
+        cs.append(cs[-1] + reference_gauss_segment(g_c, v, v_next, profile.domain))
         vs.append(v_next)
         if len(vs) > max_points:
-            raise GeometryError("generating-curve sampling exceeded the point budget")
+            raise GeometryError(
+                f"generating-curve sampling exceeded the point budget ({max_points}) at v = {v_next!r} in [{v0!r}, {v1!r}]"
+            )
         v = v_next
 
     def position(idx):

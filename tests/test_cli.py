@@ -900,3 +900,71 @@ def test_rotsurf_figures_keep_their_bytes(tmp_path, figure):
         stamp, rest = (tmp_path / name).read_bytes().split(b"\n", 1)
         assert stamp.startswith(b"# h1geom ")
         assert hashlib.sha256(rest).hexdigest() == FIGURE_SHA256[name]
+
+
+STAMP_FIELDS = (b'"config_sha256"', b'"tool"', b'"version"')
+SUBCOMMAND_RUNS = {
+    "curvature.csv": ["curvature", "--surface", "paraboloid", "--nu", "6", "--nv", "5"],
+    "frames.csv": ["frames", "--kinf", "1", "--nu", "5", "--nv", "4"],
+    "gauss_bonnet.json": ["gauss-bonnet", "--preset", "band-k1"],
+    "converge.csv": ["converge", "--surface", "paraboloid", "--point", "1.5,-0.75"],
+}
+SUBCOMMAND_SHA256 = {
+    "curvature.csv": "4e482ba9b41f9fdbfbce96d21c6df5075a8c79c5ab46c3236d96fa4a18ce856e",
+    "frames.csv": "7584ef5c3928749d77ed1571818b8a56c731e53bd5a98b2e1fc737c0ae24bf46",
+    "gauss_bonnet.json": "9c3255a3c8526ae104aaa4a9ff9b3d6af61a359f98d63836d83608d12a2942cd",
+    "converge.csv": "3815109ad466f5e5cf42f2c64293e61f64042fbaa82f7b568f056511fcf74170",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND_RUNS))
+def test_subcommands_keep_their_bytes(tmp_path, name):
+    assert main(SUBCOMMAND_RUNS[name] + ["--out", str(tmp_path / name)]) == 0
+    data = (tmp_path / name).read_bytes()
+    if name.endswith(".json"):  # the stamp is three fields of the report
+        rest = b"\n".join(line for line in data.split(b"\n") if not line.lstrip().startswith(STAMP_FIELDS))
+    else:
+        stamp, rest = data.split(b"\n", 1)
+        assert stamp.startswith(b"# h1geom ")
+    assert hashlib.sha256(rest).hexdigest() == SUBCOMMAND_SHA256[name]
+
+
+@pytest.mark.parametrize("slope", ["1e15", "1e150"])
+@pytest.mark.parametrize("command", ["curvature", "converge", "gauss-bonnet"])
+def test_steep_plane_is_not_dependent(tmp_path, command, slope):
+    # |w| grows like one coefficient times a tangent; against scale^2 every point of these planes was dependent
+    surface = {"kind": "graph", "h": f"{slope}*u", "u_range": [0.5, 1.0], "v_range": [0.5, 1.0]}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"surface": surface}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    if command == "gauss-bonnet":
+        report = json.loads(out.read_text())
+        assert abs(report["residual"]) <= 1e-15 * abs(report["area_integral"]) + 1e-16
+    elif command == "curvature":
+        _, columns, rows, _ = read_csv(out)
+        assert not any(row[columns.index("characteristic")] for row in rows)
+
+
+def test_gauss_bonnet_at_r0_1e8_needs_a_threshold_of_its_scale(tmp_path, capsys):
+    # areas near 1.2e9: the default threshold is absolute
+    argv = ["gauss-bonnet", "--kinf", "1", "--r0", "1e8", "--out", str(tmp_path / "gb.json")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.strip() == "error: residual exceeds threshold"
+    assert main(argv + ["--threshold", "1"]) == 0
+    report = json.loads((tmp_path / "gb.json").read_text())
+    assert report["area_integral"] == pytest.approx(1.2315e9, rel=1e-3)
+    assert abs(report["residual"]) <= 1e-15 * report["area_integral"]
+
+
+def test_rotsurf_point_budget_error_names_where_the_walk_stopped(tmp_path, capsys):
+    # the band is about 31 wide; near r0 = 1e-3 the chord step is a few 1e-6
+    argv = ["rotsurf", "--kinf", "-1", "--r0", "1e-3", "--samples-u", "4", "--samples-v", "4", "--n-curves", "1"]
+    assert main(argv + ["--out-prefix", str(tmp_path / "tiny")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert re.fullmatch(
+        r"error: generating-curve sampling exceeded the point budget \(500000\) at v = \S+ in \[\S+, \S+\]",
+        err,
+    )
+    assert not (tmp_path / "tiny.obj").exists()

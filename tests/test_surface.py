@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 from h1geom import catalog
-from h1geom.errors import CharacteristicPointError
+from h1geom.errors import CharacteristicPointError, DegenerateParametrizationError
 from h1geom.hgroup import coframe_eval, gl_inner
 from h1geom.surface import (
     adapted_frame,
@@ -476,3 +476,19 @@ def test_parametric_patch_jet():
     s = adapted_frame(patch, 0.7, 0.1)
     assert s.A == pytest.approx(0.0, abs=1e-12)
 
+
+
+def test_rotation_chart_at_large_r0_is_not_dependent():
+    # q1 = -r^2/2 is about -5e15 at r0 = 1e8: against scale^2 this point near the band's end was dependent
+    patch = catalog.constant_curvature(1.0, r0=1e8)
+    sample, fd = frame_data(patch, 6.2695418824457265, 1.951488039530583e-08)
+    assert sample.area_density > 0.0
+    assert -fd.dA_f2 - sample.A**2 == pytest.approx(1.0, rel=1e-12)  # K_inf of the K = 1 family
+    assert abs(structure_identity_residual(fd, sample.A)) <= 1e-12
+
+
+def test_dependent_tangents_still_raise():
+    # f_u = f_v everywhere
+    patch = parametric_patch("u+v", "2*(u+v)", "u+v", (0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(DegenerateParametrizationError, match="dependent coordinate tangents"):
+        frame_data(patch, 0.3, 0.4)
