@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 from scipy import integrate as _si
+from scipy.integrate._rules import GaussKronrodQuadrature, ProductNestedFixed
 
 from .errors import QuadratureError
 
@@ -27,7 +28,6 @@ __all__ = [
 
 BOUNDARY_WINDOW = 1e-4  # switch to the sqrt substitution within this distance of a bound
 
-CUBATURE_RULE = "gk21"  # product Gauss-Kronrod, 21 nodes per axis
 MAX_SUBDIVISIONS = 200  # as QUADPACK's limit in integrate
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -52,15 +52,63 @@ def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
     return value
 
 
+class _GK21(ProductNestedFixed):
+    """scipy's product Gauss-Kronrod rule gk21, calling the integrand once per box.
+
+    scipy's cubature asks every box for estimate, over the 21^d Kronrod
+    nodes, and then for estimate_error, over those nodes followed by the
+    embedded 10^d Gauss nodes.  Here estimate runs the error rule on a
+    wrapper that keeps f's values, feeds their Kronrod head to the
+    estimate, and leaves the error for estimate_error on the same box.
+    Every weighted sum runs over the same values in the same order as
+    scipy's own rule="gk21".  One instance serves one cubature call.
+    """
+
+    def __init__(self, ndim: int):
+        super().__init__([GaussKronrodQuadrature(21)] * ndim)
+        self._stash = None
+
+    def estimate(self, f, a, b, args=()):
+        kept = []
+
+        def keep(x, *args):
+            values = f(x, *args)
+            kept.append((x, values))
+            return values
+
+        error = super().estimate_error(keep, a, b, args)
+        (x_all, values), = kept
+        n = len(self.nodes_and_weights[0])
+
+        def head(x, *args):
+            if not np.array_equal(x, x_all[:n]):
+                raise RuntimeError("gk21 estimate nodes differ from the head of the error nodes")
+            return values[:n]
+
+        estimate = super().estimate(head, a, b, args)
+        self._stash = (f, a, b, error)
+        return estimate
+
+    def estimate_error(self, f, a, b, args=()):
+        stash, self._stash = self._stash, None
+        if stash is None or stash[0] is not f or stash[1] is not a or stash[2] is not b:
+            raise RuntimeError("gk21 estimate_error called without estimate on the same box")
+        return stash[3]
+
+
 def cubature(f, a, b, tol: float):
     """Adaptive cubature of a vectorized f over the box [a, b]: (values, error estimates).
 
     f maps an (n, ndim) array of nodes to an (n, ...) array of values, each
     component integrated to the absolute tolerance tol or to 1e-13 relative.
+    scipy's adaptive loop runs the product 21-point Gauss-Kronrod rule,
+    with results bit for bit those of rule="gk21", but f is called once per
+    box: over its 21^ndim Kronrod nodes followed by the 10^ndim embedded
+    Gauss nodes, 1 + 2^ndim * subdivisions calls in all.
     QuadratureError if that takes more than MAX_SUBDIVISIONS or a result is
     not finite.
     """
-    result = _si.cubature(f, a, b, rule=CUBATURE_RULE, rtol=1e-13, atol=tol, max_subdivisions=MAX_SUBDIVISIONS)
+    result = _si.cubature(f, a, b, rule=_GK21(len(a)), rtol=1e-13, atol=tol, max_subdivisions=MAX_SUBDIVISIONS)
     value, error = result.estimate, result.error
     if result.status != "converged" or not (np.isfinite(value).all() and np.isfinite(error).all()):
         raise QuadratureError(

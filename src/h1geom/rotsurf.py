@@ -208,7 +208,8 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
             return math.inf
         return (K_inf + 2.0 / (rv * rv)) * rv / (2.0 * s)
 
-    name = f"constant-curvature({K_inf}, r0={r0})"
+    shift = f", c1_shift={c1_shift}" if c1_shift else ""
+    name = f"constant-curvature({K_inf}, r0={r0}{shift})"
     domain = (lo_s, hi_s)
 
     def rate(k):

@@ -689,6 +689,13 @@ def test_rotsurf_domain_error_is_one_line_naming_the_shifted_domain(tmp_path, ca
     assert not prefix.with_suffix(".obj").exists()
 
 
+@pytest.mark.parametrize("shift, name", [("0.5", "constant-curvature(1.0, r0=1.0, c1_shift=0.5)"), ("0", "constant-curvature(1.0, r0=1.0)")])
+def test_rotsurf_domain_error_names_the_shift_of_its_profile(tmp_path, capsys, shift, name):
+    argv = ["rotsurf", "--kinf", "1", "--c1-shift", shift, "--vmin", "-1.9", "--vmax", "0"]
+    assert main(argv + ["--out-prefix", str(tmp_path / "mesh")]) == 2
+    assert capsys.readouterr().err.strip().endswith(f" of {name}")
+
+
 @pytest.mark.parametrize("h", ["(u+10)^400+v", "exp(1000*u)+v"])
 @pytest.mark.parametrize("command", ["curvature", "frames", "gauss-bonnet", "converge"])
 def test_chart_value_that_overflows_is_a_numeric_error(tmp_path, capsys, command, h):

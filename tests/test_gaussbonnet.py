@@ -387,6 +387,55 @@ def test_cubature_refuses_unconverged_and_non_finite_results(monkeypatch):
         gb_residual(catalog.paraboloid(), ParamRegion(0.02, 1.0, 0.02, 1.0))
 
 
+def _record_subdivisions(monkeypatch):
+    """Wrap scipy's cubature as quadrature calls it; returns the list of each call's subdivisions."""
+    from h1geom import quadrature
+
+    subdivisions, scipy_cubature = [], quadrature._si.cubature
+
+    def recorded(*args, **kwargs):
+        result = scipy_cubature(*args, **kwargs)
+        subdivisions.append(result.subdivisions)
+        return result
+
+    monkeypatch.setattr(quadrature._si, "cubature", recorded)
+    return subdivisions
+
+
+@pytest.mark.parametrize("region", [ParamRegion(1.0, 2.0, -1.0, -0.5), ParamRegion(0.02, 1.0, 0.02, 1.0)])
+def test_each_cubature_box_is_one_frame_call(monkeypatch, region):
+    import numpy as np
+
+    from h1geom import gaussbonnet
+
+    rows, frame_tangents = [], gaussbonnet.frame_tangents
+
+    def counted(S, u, v, *args):
+        rows.append(np.size(u))
+        return frame_tangents(S, u, v, *args)
+
+    monkeypatch.setattr(gaussbonnet, "frame_tangents", counted)
+    subdivisions = _record_subdivisions(monkeypatch)
+    gb_residual(catalog.paraboloid(), region)
+    area, boundary = subdivisions
+    # 21^2 Kronrod and 10^2 Gauss nodes per area box, 21 + 10 per boundary box and piece
+    assert rows == [541] * (1 + 4 * area) + [31 * 4] * (1 + 2 * boundary)
+
+
+def test_gauss_bonnet_report_is_that_of_scipys_gk21_rule(monkeypatch):
+    from dataclasses import astuple
+
+    from h1geom import quadrature
+
+    patch, region = catalog.paraboloid(), ParamRegion(0.02, 1.0, 0.02, 1.0)
+    report = gb_residual(patch, region)
+    monkeypatch.setattr(quadrature, "_GK21", lambda ndim: "gk21")
+    subdivisions = _record_subdivisions(monkeypatch)
+    scipy_report = gb_residual(patch, region)
+    assert list(map(float.hex, astuple(scipy_report))) == list(map(float.hex, astuple(report)))
+    assert subdivisions[0] >= 3
+
+
 def test_finite_l_region_sum_is_the_gauss_bonnet_corner_term():
     # with the boundary's rotation rate per unit parameter, each rescaled
     # finite-L sum is Riemannian Gauss-Bonnet's (2 pi - exterior angles) / sqrt(L)

@@ -69,3 +69,80 @@ def test_gauss_segments_integrate_square_root_ends_exactly():
     at_lo, at_hi = gauss_segments(lambda t: (np.sqrt(t - lo), np.sqrt(hi - t)), a, b, (lo, hi))
     assert at_lo[0] == pytest.approx(2.0 / 3.0 * (2e-5) ** 1.5, rel=1e-14)
     assert at_hi[1] == pytest.approx(2.0 / 3.0 * (3e-5) ** 1.5, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# cubature: scipy's rule="gk21" bit for bit, one integrand call per box
+
+
+def _peaked_2d(x):
+    g = np.exp(-200.0 * ((x[:, 0] - 0.3) ** 2 + (x[:, 1] - 0.7) ** 2))
+    return g[:, None] * np.array([1.0, 2.0])
+
+
+def _kinked_1d(x):
+    t = x[:, 0]
+    return np.stack([np.sqrt(abs(t - 0.37)), np.cos(40.0 * t)], axis=-1)
+
+
+CUBATURE_CASES = [(_peaked_2d, (0.0, 0.0), (1.0, 1.0), 1e-9), (_kinked_1d, (0.0,), (1.0,), 1e-10)]
+
+
+@pytest.mark.parametrize("f, a, b, tol", CUBATURE_CASES)
+def test_cubature_is_scipy_gk21_bit_for_bit_with_one_call_per_box(f, a, b, tol):
+    from scipy.integrate import cubature as scipy_cubature
+
+    from h1geom import quadrature
+
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    value, error = quadrature.cubature(counted, a, b, tol)
+    reference = scipy_cubature(f, a, b, rule="gk21", rtol=1e-13, atol=tol, max_subdivisions=200)
+    assert reference.subdivisions >= 3
+    assert np.array_equal(value, reference.estimate) and np.array_equal(error, reference.error)
+    d = len(a)
+    # each call takes the box's Kronrod nodes followed by its embedded Gauss nodes
+    assert calls == [21**d + 10**d] * (1 + 2**d * reference.subdivisions)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cubature_rule_has_the_nodes_and_weights_of_scipy_gk21(monkeypatch, d):
+    # scipy builds its rule="gk21" from ProductNestedFixed; a release that moves or
+    # rebuilds it fails here before results drift
+    import scipy.integrate._cubature as scipy_cubature_module
+    from scipy.integrate import cubature as scipy_cubature
+
+    from h1geom.quadrature import _GK21
+
+    built = []
+
+    class Recorded(scipy_cubature_module.ProductNestedFixed):
+        def __init__(self, base_rules):
+            super().__init__(base_rules)
+            built.append(self)
+
+    monkeypatch.setattr(scipy_cubature_module, "ProductNestedFixed", Recorded)
+    scipy_cubature(lambda x: np.ones(len(x)), (0.0,) * d, (1.0,) * d, rule="gk21")
+    assert len(built) == 1, "scipy no longer builds rule='gk21' as a ProductNestedFixed"
+    ours = _GK21(d)
+    for attribute in ("nodes_and_weights", "lower_nodes_and_weights"):
+        for mine, theirs in zip(getattr(ours, attribute), getattr(built[0], attribute)):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
+
+def test_cubature_rule_refuses_an_error_without_its_estimate():
+    from h1geom.quadrature import _GK21
+
+    rule = _GK21(1)
+    a, b = np.array([0.0]), np.array([1.0])
+    rule.estimate(_kinked_1d, a, b)
+    with pytest.raises(RuntimeError):
+        rule.estimate_error(_kinked_1d, a.copy(), b)  # another box
+    rule.estimate(_kinked_1d, a, b)
+    rule.estimate_error(_kinked_1d, a, b)
+    with pytest.raises(RuntimeError):
+        rule.estimate_error(_kinked_1d, a, b)  # the stash is spent
