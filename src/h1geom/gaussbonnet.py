@@ -292,13 +292,14 @@ def stokes_density_check(S: SurfacePatch, u: float, v: float, h: float) -> tuple
 
 
 def fit_loglog_slope(L_values: Sequence[float], values: Sequence[float]) -> Optional[float]:
-    """Least-squares slope of log10|values| against log10(L); None if degenerate."""
+    """Least-squares slope of log10|values| against log10(L); None if degenerate
+    (fewer than two distinct L with a finite nonzero value)."""
     xs, ys = [], []
     for L, val in zip(L_values, values):
         if val != 0.0 and math.isfinite(val):
             xs.append(math.log10(L))
             ys.append(math.log10(abs(val)))
-    if len(xs) < 2:
+    if len(set(xs)) < 2:
         return None
     return float(np.polyfit(xs, ys, 1)[0])
 

@@ -1,12 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import helpers
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from h1geom import expr as ex
 from h1geom.cli import main
 from h1geom.export import write_csv
 from h1geom.rotsurf import e3_chord_ratio, family_profile
@@ -975,3 +982,78 @@ def test_rotsurf_point_budget_error_names_where_the_walk_stopped(tmp_path, capsy
         err,
     )
     assert not (tmp_path / "tiny.obj").exists()
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract under random configurations: every run of the grid
+# and integral subcommands ends in exit 0-3, a failure in one stderr line,
+# and nothing escapes cli.main.
+
+ENDS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1e300, -1e300, math.pi]), st.floats(-3.0, 3.0))
+EXPRESSIONS = st.one_of(
+    st.integers(0, 10**6).map(lambda seed: ex.pretty(helpers.random_expression(np.random.default_rng(seed)))),
+    st.sampled_from(["", "u +", "sin(", "1/0", "ln(u - 10)", "sqrt(-1 - u*u)", "u^v", "1e300*u", "0*u"]),
+)
+
+
+@st.composite
+def _fuzz_range(draw, width=None):
+    """A pair of ends: free ends (0, 1e300, reversed, empty), or a start and a width of at most `width`."""
+    start = draw(ENDS)
+    if width is None:
+        return [start, draw(ENDS)]
+    return [start, start + draw(st.floats(-width, width))]
+
+
+@st.composite
+def _fuzz_surface(draw, width=None):
+    kind = draw(st.sampled_from(["graph", "parametric", "plane", "plane-cartesian", "cylinder", "paraboloid", "rotation"]))
+    surface = {"kind": kind, "orientation": draw(st.sampled_from([1, -1]))}
+    if kind == "graph":
+        surface.update(h=draw(EXPRESSIONS), u_range=draw(_fuzz_range(width)), v_range=draw(_fuzz_range(width)))
+    elif kind == "parametric":
+        surface.update({axis: draw(EXPRESSIONS) for axis in "xyz"})
+        surface.update(u_range=draw(_fuzz_range(width)), v_range=draw(_fuzz_range(width)))
+    elif kind == "plane-cartesian":
+        surface["half_width"] = draw(ENDS)
+    elif kind == "rotation":
+        surface.update(K_inf=draw(st.sampled_from([1.0, 0.0, -1.0, 0.5, 1e300])), r0=draw(ENDS))
+        if draw(st.booleans()):
+            surface["v_range"] = draw(_fuzz_range(width))
+    elif kind in ("plane", "cylinder", "paraboloid"):
+        surface["v_range"] = draw(_fuzz_range(width))
+        if kind == "paraboloid":
+            surface["u_range"] = draw(_fuzz_range(width))
+    return surface
+
+
+@st.composite
+def _fuzz_run(draw):
+    """(subcommand, configuration) with small grids and Gauss-Bonnet regions at most 0.5 wide."""
+    command = draw(st.sampled_from(["curvature", "frames", "converge", "gauss-bonnet"]))
+    if command == "gauss-bonnet":
+        config = {"surface": draw(_fuzz_surface(width=0.5)), "region": {"u": draw(_fuzz_range(0.5)), "v": draw(_fuzz_range(0.5))}}
+    else:
+        config = {"surface": draw(_fuzz_surface())}
+    if command in ("curvature", "frames"):
+        config["grid"] = {"nu": draw(st.integers(1, 5)), "nv": draw(st.integers(1, 5))}
+    if command == "converge":
+        config["L"] = draw(st.lists(st.sampled_from([1.0, 1e2, 1e4, 1e6, 1e300]), min_size=1, max_size=4))
+        if draw(st.booleans()):
+            config["point"] = [draw(ENDS), draw(ENDS)]
+    return command, config
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_fuzz_run())
+def test_every_run_ends_in_an_exit_code_and_one_line(run):
+    command, config = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2, 3)
+    if code != 0:
+        assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()

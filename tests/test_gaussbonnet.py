@@ -285,6 +285,13 @@ def test_unrescaled_area_element_diverges():
     assert rescaled[-1] == pytest.approx(1.0, rel=1e-5)
 
 
+def test_slope_over_one_repeated_L_is_degenerate():
+    # a repeated L gives polyfit a rank-1 system (a RankWarning and a meaningless slope)
+    assert fit_loglog_slope([100.0, 100.0], [0.5, 0.25]) is None
+    study = convergence_study(catalog.paraboloid(), [(0.5, 0.25)], [1e2, 1e2, 1e2])
+    assert study.points[0].slope_err_K is None and study.points[0].slope_sigma is None
+
+
 # ---------------------------------------------------------------------------
 # error budgets and closed regions
 
