@@ -16,6 +16,7 @@ _boundary) of a density over the frame data at all its nodes at once.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -293,15 +294,21 @@ def stokes_density_check(S: SurfacePatch, u: float, v: float, h: float) -> tuple
 
 def fit_loglog_slope(L_values: Sequence[float], values: Sequence[float]) -> Optional[float]:
     """Least-squares slope of log10|values| against log10(L); None if degenerate
-    (fewer than two distinct L with a finite nonzero value)."""
+    (fewer than two L with a finite nonzero value, or L so close together,
+    repeated ones included, that polyfit finds its system rank-deficient)."""
     xs, ys = [], []
     for L, val in zip(L_values, values):
         if val != 0.0 and math.isfinite(val):
             xs.append(math.log10(L))
             ys.append(math.log10(abs(val)))
-    if len(set(xs)) < 2:
+    if len(xs) < 2:
         return None
-    return float(np.polyfit(xs, ys, 1)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.RankWarning)
+        try:
+            return float(np.polyfit(xs, ys, 1)[0])
+        except np.exceptions.RankWarning:
+            return None
 
 
 @dataclass(frozen=True)

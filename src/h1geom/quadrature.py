@@ -6,16 +6,23 @@ wrapper that checks the reported error estimate.  Profile integrands of
 the form g(t)*sqrt(h(t)), with h vanishing simply at a domain endpoint,
 lose accuracy for the plain rule; substituting t = b0 +/- s^2 near that
 endpoint makes the integrand smooth again.
+
+scipy.integrate is imported by _load_scipy when the first integral is
+taken, not with this module: its import (which pulls in scipy.optimize,
+sparse, spatial, special, linalg and fft) costs about 0.4 s, two thirds of
+a fresh `import h1geom.cli`, and the curvature formulas, the grid commands
+on graph and parametric charts and a configuration error need no
+integral.  A PEP 562 module __getattr__ runs the same loader when _si or
+_GK21 is first read from outside; after that both are plain globals.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
 import numpy as np
-from scipy import integrate as _si
-from scipy.integrate._rules import GaussKronrodQuadrature, ProductNestedFixed
 
 from .errors import QuadratureError
 
@@ -42,6 +49,7 @@ def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive integral of f over [a, b] to absolute tolerance tol."""
     if a == b:
         return 0.0
+    _load_scipy()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _si.IntegrationWarning)
         value, err = _si.quad(f, a, b, epsabs=tol, epsrel=max(tol, 1e-13), limit=200)
@@ -52,48 +60,67 @@ def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
     return value
 
 
-class _GK21(ProductNestedFixed):
-    """scipy's product Gauss-Kronrod rule gk21, calling the integrand once per box.
+@functools.cache
+def _load_scipy() -> None:
+    """Import scipy.integrate and build the cubature rule on the first integral; bind them as _si and _GK21.
 
-    scipy's cubature asks every box for estimate, over the 21^d Kronrod
-    nodes, and then for estimate_error, over those nodes followed by the
-    embedded 10^d Gauss nodes.  Here estimate runs the error rule on a
-    wrapper that keeps f's values, feeds their Kronrod head to the
-    estimate, and leaves the error for estimate_error on the same box.
-    Every weighted sum runs over the same values in the same order as
-    scipy's own rule="gk21".  One instance serves one cubature call.
+    Runs once per process: later calls return at once and leave both
+    globals as they are, so a patched _GK21 is the rule cubature passes on.
     """
+    global _si, _GK21  # so the import and the class statement below bind module globals
+    from scipy import integrate as _si
+    from scipy.integrate._rules import GaussKronrodQuadrature, ProductNestedFixed
 
-    def __init__(self, ndim: int):
-        super().__init__([GaussKronrodQuadrature(21)] * ndim)
-        self._stash = None
+    class _GK21(ProductNestedFixed):
+        """scipy's product Gauss-Kronrod rule gk21, calling the integrand once per box.
 
-    def estimate(self, f, a, b, args=()):
-        kept = []
+        scipy's cubature asks every box for estimate, over the 21^d Kronrod
+        nodes, and then for estimate_error, over those nodes followed by the
+        embedded 10^d Gauss nodes.  Here estimate runs the error rule on a
+        wrapper that keeps f's values, feeds their Kronrod head to the
+        estimate, and leaves the error for estimate_error on the same box.
+        Every weighted sum runs over the same values in the same order as
+        scipy's own rule="gk21".  One instance serves one cubature call.
+        """
 
-        def keep(x, *args):
-            values = f(x, *args)
-            kept.append((x, values))
-            return values
+        def __init__(self, ndim: int):
+            super().__init__([GaussKronrodQuadrature(21)] * ndim)
+            self._stash = None
 
-        error = super().estimate_error(keep, a, b, args)
-        (x_all, values), = kept
-        n = len(self.nodes_and_weights[0])
+        def estimate(self, f, a, b, args=()):
+            kept = []
 
-        def head(x, *args):
-            if not np.array_equal(x, x_all[:n]):
-                raise RuntimeError("gk21 estimate nodes differ from the head of the error nodes")
-            return values[:n]
+            def keep(x, *args):
+                values = f(x, *args)
+                kept.append((x, values))
+                return values
 
-        estimate = super().estimate(head, a, b, args)
-        self._stash = (f, a, b, error)
-        return estimate
+            error = super().estimate_error(keep, a, b, args)
+            (x_all, values), = kept
+            n = len(self.nodes_and_weights[0])
 
-    def estimate_error(self, f, a, b, args=()):
-        stash, self._stash = self._stash, None
-        if stash is None or stash[0] is not f or stash[1] is not a or stash[2] is not b:
-            raise RuntimeError("gk21 estimate_error called without estimate on the same box")
-        return stash[3]
+            def head(x, *args):
+                if not np.array_equal(x, x_all[:n]):
+                    raise RuntimeError("gk21 estimate nodes differ from the head of the error nodes")
+                return values[:n]
+
+            estimate = super().estimate(head, a, b, args)
+            self._stash = (f, a, b, error)
+            return estimate
+
+        def estimate_error(self, f, a, b, args=()):
+            stash, self._stash = self._stash, None
+            if stash is None or stash[0] is not f or stash[1] is not a or stash[2] is not b:
+                raise RuntimeError("gk21 estimate_error called without estimate on the same box")
+            return stash[3]
+
+
+def __getattr__(name):
+    # PEP 562: the first read of _si or _GK21 from outside loads them
+    if name in ("_si", "_GK21"):
+        _load_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def cubature(f, a, b, tol: float):
@@ -108,6 +135,7 @@ def cubature(f, a, b, tol: float):
     QuadratureError if that takes more than MAX_SUBDIVISIONS or a result is
     not finite.
     """
+    _load_scipy()
     result = _si.cubature(f, a, b, rule=_GK21(len(a)), rtol=1e-13, atol=tol, max_subdivisions=MAX_SUBDIVISIONS)
     value, error = result.estimate, result.error
     if result.status != "converged" or not (np.isfinite(value).all() and np.isfinite(error).all()):

@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -1057,3 +1060,34 @@ def test_every_run_ends_in_an_exit_code_and_one_line(run):
     assert code in (0, 1, 2, 3)
     if code != 0:
         assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+
+
+_IMPORT_PROBE = """
+import sys
+import h1geom, h1geom.cli
+code = h1geom.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, "scipy.integrate" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        ([], 0, False),
+        (["curvature", "--surface", "paraboloid"], 0, False),
+        (["frames", "--surface", "paraboloid"], 0, False),
+        (["curvature", "--surface", "paraboloid", "--nu", "0"], 1, False),
+        (["gauss-bonnet", "--preset", "band-k1"], 0, True),
+    ],
+    ids=["import", "curvature", "frames", "config-error", "gauss-bonnet"],
+)
+def test_scipy_integrate_is_imported_at_the_first_integral(tmp_path, argv, code, loaded):
+    # one fresh interpreter per case: a module-level scipy import anywhere in h1geom fails the first four
+    import h1geom
+
+    src = str(Path(h1geom.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert run.stdout.splitlines()[-1:] == [f"{code} {loaded}"], run.stderr

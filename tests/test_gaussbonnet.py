@@ -288,6 +288,16 @@ def test_unrescaled_area_element_diverges():
 def test_slope_over_one_repeated_L_is_degenerate():
     # a repeated L gives polyfit a rank-1 system (a RankWarning and a meaningless slope)
     assert fit_loglog_slope([100.0, 100.0], [0.5, 0.25]) is None
+
+
+def test_slope_over_nearly_equal_L_is_degenerate():
+    # distinct L 1e-13 apart still leave polyfit rank-deficient: no warning, no slope
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fit_loglog_slope([100.0, 100.0000000000001], [0.5, 0.25]) is None
+        assert fit_loglog_slope([100.0, 1000.0], [0.5, 0.25]) == pytest.approx(math.log10(0.5))
     study = convergence_study(catalog.paraboloid(), [(0.5, 0.25)], [1e2, 1e2, 1e2])
     assert study.points[0].slope_err_K is None and study.points[0].slope_sigma is None
 
@@ -395,18 +405,19 @@ def test_cubature_refuses_unconverged_and_non_finite_results(monkeypatch):
 
 
 def _record_subdivisions(monkeypatch):
-    """Wrap scipy's cubature as quadrature calls it; returns the list of each call's subdivisions."""
+    """Wrap scipy's cubature as quadrature calls it; returns the lists of each call's subdivisions and rule."""
     from h1geom import quadrature
 
-    subdivisions, scipy_cubature = [], quadrature._si.cubature
+    subdivisions, rules, scipy_cubature = [], [], quadrature._si.cubature
 
     def recorded(*args, **kwargs):
+        rules.append(kwargs["rule"])
         result = scipy_cubature(*args, **kwargs)
         subdivisions.append(result.subdivisions)
         return result
 
     monkeypatch.setattr(quadrature._si, "cubature", recorded)
-    return subdivisions
+    return subdivisions, rules
 
 
 @pytest.mark.parametrize("region", [ParamRegion(1.0, 2.0, -1.0, -0.5), ParamRegion(0.02, 1.0, 0.02, 1.0)])
@@ -422,7 +433,7 @@ def test_each_cubature_box_is_one_frame_call(monkeypatch, region):
         return frame_tangents(S, u, v, *args)
 
     monkeypatch.setattr(gaussbonnet, "frame_tangents", counted)
-    subdivisions = _record_subdivisions(monkeypatch)
+    subdivisions, _ = _record_subdivisions(monkeypatch)
     gb_residual(catalog.paraboloid(), region)
     area, boundary = subdivisions
     # 21^2 Kronrod and 10^2 Gauss nodes per area box, 21 + 10 per boundary box and piece
@@ -435,12 +446,15 @@ def test_gauss_bonnet_report_is_that_of_scipys_gk21_rule(monkeypatch):
     from h1geom import quadrature
 
     patch, region = catalog.paraboloid(), ParamRegion(0.02, 1.0, 0.02, 1.0)
+    subdivisions, rules = _record_subdivisions(monkeypatch)
     report = gb_residual(patch, region)
+    ours, calls = quadrature._GK21, len(rules)
     monkeypatch.setattr(quadrature, "_GK21", lambda ndim: "gk21")
-    subdivisions = _record_subdivisions(monkeypatch)
     scipy_report = gb_residual(patch, region)
     assert list(map(float.hex, astuple(scipy_report))) == list(map(float.hex, astuple(report)))
-    assert subdivisions[0] >= 3
+    # the patch must reach scipy, or the two reports are one rule's twice
+    assert calls == 2 and all(isinstance(rule, ours) for rule in rules[:calls]) and rules[calls:] == ["gk21"] * calls
+    assert subdivisions[calls] >= 3 and subdivisions[calls:] == subdivisions[:calls]
 
 
 def test_finite_l_region_sum_is_the_gauss_bonnet_corner_term():
