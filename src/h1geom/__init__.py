@@ -9,10 +9,8 @@ of rotation surfaces with constant limit curvature.
 __version__ = "0.1.0"
 
 from .curvature import (
-    CurvatureSample,
     TransverseCurveSample,
     area_form_coeffs,
-    curvature_sample,
     ds_L_density,
     k_L,
     k_gauss_map,
@@ -20,7 +18,6 @@ from .curvature import (
     k_n,
     k_n_L,
     length_form_limit,
-    transverse_sample,
 )
 from .errors import (
     CharacteristicPointError,
@@ -34,15 +31,12 @@ from .errors import (
 from .gaussbonnet import (
     GBReport,
     ParamRegion,
-    area_integral,
-    boundary_integral,
     convergence_study,
     gb_residual,
     stokes_density_check,
 )
 from .hgroup import (
     FrameVec,
-    MetricParam,
     Point,
     coframe_eval,
     connection_coeff,
@@ -56,22 +50,18 @@ from .hgroup import (
 from .rotsurf import (
     Mesh,
     RotationSurfaceSpec,
-    A_family,
     build_mesh,
     domain_bound,
     horizontal_lift,
-    r_family,
     rotation_patch,
-    theta_c_quadrature,
 )
 from .surface import (
     AdaptedFrameSample,
     FrameDerivatives,
     SurfacePatch,
-    adapted_frame,
     beta,
     characteristic_test,
-    frame_derivatives,
+    frame_data,
     graph_patch,
     parametric_patch,
     pushforward_frame,

@@ -121,6 +121,13 @@ def _positive_int(cfg_value, flag_value, default, what) -> int:
     return value
 
 
+def _direction(pair, what):
+    """The parameter direction pair (du, dv); a config error unless it is finite and nonzero."""
+    if not all(map(math.isfinite, pair)) or not any(pair):
+        raise ConfigError(f"{what} {list(pair)!r} must be finite and nonzero")
+    return pair
+
+
 def _l_values(args, config, default):
     values = (
         _parse_floats(args.l_values, None, "--l-values")
@@ -260,6 +267,7 @@ def cmd_curvature(args) -> int:
             for chunk in args.kn_directions.split(";")
             if chunk.strip()
         ]
+    directions = [_direction(d, "kn_directions") for d in directions]
 
     effective.update(L=L_values, kn_directions=directions)
     columns = ["u", "v", "x", "y", "z", "alpha", "A", "K_inf", "K_gauss"]
@@ -403,10 +411,11 @@ def cmd_converge(args) -> int:
         raise ConfigError(
             f"point {point!r} lies outside the chart u in {patch.u_range!r}, v in {patch.v_range!r}"
         )
-    direction = (
+    direction = _direction(
         tuple(_parse_floats(args.direction, 2, "--direction"))
         if args.direction
-        else tuple(checked(config.get("direction", (1.0, 0.0)), "a pair of numbers", "direction"))
+        else tuple(checked(config.get("direction", (1.0, 0.0)), "a pair of numbers", "direction")),
+        "direction",
     )
     effective = {
         "command": "converge",

@@ -20,24 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .batch import elementwise, power
-from .errors import GeometryError, NonTransverseError
+from .errors import NonTransverseError
 from .hgroup import _as_L
-from .surface import (
-    AdaptedFrameSample,
-    FrameDerivatives,
-    SurfacePatch,
-    frame_data,
-    frame_tangents,
-    structure_identity_residual,
-)
+from .surface import FrameDerivatives
 
 __all__ = [
-    "CurvatureSample",
     "TransverseCurveSample",
     "k_L",
     "k_inf",
@@ -47,11 +38,7 @@ __all__ = [
     "area_form_coeffs",
     "length_form_limit",
     "ds_L_density",
-    "curvature_sample",
-    "transverse_sample",
 ]
-
-IDENTITY_TOL = 1e-5
 
 
 def k_L(fd: FrameDerivatives, A: float, L: float) -> float:
@@ -161,58 +148,15 @@ def ds_L_density(c: TransverseCurveSample, L: float) -> float:
     return b_L * math.sqrt(m)
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
-    """Curvature quantities at one surface point."""
-
-    K_inf: float
-    K_gauss: float
-    K_L: tuple[tuple[float, float], ...]
-    area_coeff_L: tuple[tuple[float, float], ...]
-    area_coeff_hausdorff: float
-    sample: AdaptedFrameSample
-    derivs: FrameDerivatives
-
-
-def curvature_sample(
-    S: SurfacePatch,
-    u: float,
-    v: float,
-    L_values: Sequence[float] = (),
-    identity_tol: float = IDENTITY_TOL,
-) -> CurvatureSample:
-    """All curvature quantities at (u, v), with the structural identity re-checked."""
-    sample, fd = frame_data(S, u, v)
-    residual = structure_identity_residual(fd, sample.A)
-    scale = max(1.0, sample.A * sample.A, abs(fd.dA_f2))
-    if abs(residual) > identity_tol * scale:
-        raise GeometryError(
-            f"structural identity violated at ({u!r}, {v!r}): residual {residual:.3e}; "
-            "the point may be nearly characteristic"
-        )
-    return CurvatureSample(
-        K_inf=k_inf(fd, sample.A),
-        K_gauss=k_gauss_map(fd),
-        K_L=tuple((float(L), k_L(fd, sample.A, L)) for L in L_values),
-        area_coeff_L=tuple((float(L), area_form_coeffs(sample.A, L)[0]) for L in L_values),
-        area_coeff_hausdorff=1.0,
-        sample=sample,
-        derivs=fd,
-    )
-
-
-def transverse_sample(S: SurfacePatch, u, v, direction) -> TransverseCurveSample:
+def _transverse(sample, fd, tangents, direction) -> TransverseCurveSample:
     """Curve data at t = 0 on the parameter line t -> (u + t*du, v + t*dv), direction (du, dv).
 
-    The (f2, f3) components (a, b) of gamma' = du*f_u + dv*f_v and their
-    t-derivatives are exact: the frame's tangent coefficients are duals
-    carrying their gradients in (u, v).  dA/dt = a*dA(f2) + b*dA(f3).  u, v,
-    du and dv may be arrays, a batch of points and lines.
+    sample, fd and tangents are frame_tangents(S, u, v).  The (f2, f3)
+    components (a, b) of gamma' = du*f_u + dv*f_v and their t-derivatives
+    are exact: the frame's tangent coefficients are duals carrying their
+    gradients in (u, v).  dA/dt = a*dA(f2) + b*dA(f3).  u, v, du and dv may
+    be arrays, a batch of points and lines.
     """
-    return _transverse(*frame_tangents(S, u, v), direction)
-
-
-def _transverse(sample, fd, tangents, direction) -> TransverseCurveSample:
     (p1, q1), (p2, q2) = tangents
     du, dv = direction
     a = du * p1 + dv * p2

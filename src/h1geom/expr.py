@@ -36,7 +36,6 @@ __all__ = [
     "parse",
     "pretty",
     "evaluate",
-    "eval_dual",
     "eval_hyperdual",
     "eval_dual_t",
     "FUNCTIONS",
@@ -637,17 +636,13 @@ def evaluate(e: Expr, bindings: dict[str, float]) -> float:
     return _eval(e, duals).value
 
 
-def eval_dual(e: Expr, u: float, v: float) -> Dual2:
-    """Value and exact partials for an expression in the variables u and v."""
-    return _eval(e, {"u": Dual2(float(u), 1.0, 0.0), "v": Dual2(float(v), 0.0, 1.0)})
-
-
 def eval_hyperdual(e: Expr, u: float, v: float) -> Dual2:
     """Value, first and second partials in u and v as a nested Dual2.
 
-    The result's value part equals ``eval_dual(e, u, v)`` bit for bit; its
-    d_u and d_v parts are the first-order duals of f_u and f_v.  u and v may
-    be arrays over a batch of points; a domain error at any point raises.
+    The value part is the first-order dual (f, f_u, f_v) of a first-order
+    pass bit for bit (see Dual2); the d_u and d_v parts are the first-order
+    duals of f_u and f_v.  u and v may be arrays over a batch of points; a
+    domain error at any point raises.
     """
     u, v = as_coordinate(u), as_coordinate(v)
     seeds = {"u": Dual2(Dual2(u, 1.0, 0.0), _ONE, _ZERO), "v": Dual2(Dual2(v, 0.0, 1.0), _ZERO, _ONE)}

@@ -32,8 +32,6 @@ from .surface import SurfacePatch, characteristic_test, frame_tangents, pushforw
 __all__ = [
     "ParamRegion",
     "GBReport",
-    "area_integral",
-    "boundary_integral",
     "gb_residual",
     "stokes_density_check",
     "convergence_study",
@@ -235,16 +233,6 @@ def _gb_boundary_density(sample, fd, tangents, direction):
     return sample.A * (direction[0] * sample.f_u_23[1] + direction[1] * sample.f_v_23[1])
 
 
-def area_integral(S: SurfacePatch, R: ParamRegion, tol: float = 1e-9) -> float:
-    """int_R K_inf dsigma pulled back to the chart (integrand K_inf * rho)."""
-    return float(_area(S, R, _gb_area_density, tol)[0][0])
-
-
-def boundary_integral(S: SurfacePatch, R: ParamRegion, tol: float = 1e-10) -> float:
-    """oint_gamma k_n ds = oint A * f^3(gamma') over the oriented boundary."""
-    return float(_boundary(S, R, _gb_boundary_density, tol)[0][0])
-
-
 @dataclass(frozen=True)
 class GBReport:
     """Both sides of the limit Gauss-Bonnet identity plus their residual."""
@@ -262,6 +250,8 @@ def gb_residual(
     area_tol: float = 1e-9,
     boundary_tol: float = 1e-10,
 ) -> GBReport:
+    """int_R K_inf dsigma (integrand K_inf * rho in the chart) to area_tol, and
+    oint_gamma k_n ds = oint A f^3(gamma') over the oriented boundary to boundary_tol."""
     area, area_err = _area(S, R, _gb_area_density, area_tol)
     boundary, boundary_err = _boundary(S, R, _gb_boundary_density, boundary_tol)
     area, boundary = float(area[0]), float(boundary[0])
@@ -305,9 +295,10 @@ def fit_loglog_slope(L_values: Sequence[float], values: Sequence[float]) -> Opti
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.RankWarning)
+        warnings.simplefilter("error", RuntimeWarning)  # every L is 1: polyfit scales log10(L) by 0
         try:
             return float(np.polyfit(xs, ys, 1)[0])
-        except np.exceptions.RankWarning:
+        except (np.exceptions.RankWarning, RuntimeWarning):
             return None
 
 

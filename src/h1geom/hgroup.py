@@ -35,7 +35,6 @@ from .errors import NonFiniteError
 __all__ = [
     "Point",
     "FrameVec",
-    "MetricParam",
     "group_mul",
     "group_inv",
     "frame_at",
@@ -75,19 +74,6 @@ class Point:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
-
-
-@dataclass(frozen=True)
-class MetricParam:
-    """Metric family parameter L > 0; g_L makes (e1, e2, e3/sqrt(L)) orthonormal."""
-
-    L: float
-
-    def __post_init__(self):
-        _as_L(self.L)
-
-    def __float__(self) -> float:
-        return float(self.L)
 
 
 def _as_L(L) -> float:

@@ -42,10 +42,7 @@ __all__ = [
     "family_profile",
     "line_profile",
     "circle_profile",
-    "r_family",
-    "A_family",
     "domain_bound",
-    "theta_c_quadrature",
     "horizontal_lift",
     "rotation_patch",
     "default_v_range",
@@ -140,21 +137,6 @@ def _check_band(profile: Profile, v_range) -> None:
         )
 
 
-def r_family(K_inf: float, r0: float, v: float) -> float:
-    """Profile radius of the constant-curvature family (integration constant 0)."""
-    _check_domain(v, domain_bound(K_inf, r0), "r_family")
-    return _kernels(K_inf, r0)[0][0](v)
-
-
-def A_family(K_inf: float, v: float) -> float:
-    """Tilt scalar A(v) solving K_inf = -A' - A^2 (integration constant 0)."""
-    if K_inf > 0.0 and abs(math.sqrt(K_inf) * v) >= 0.5 * math.pi:
-        raise DomainViolationError(f"A_family: |v| = {abs(v)!r} reaches the tan pole")
-    if K_inf == 0.0 and v <= 0.0:
-        raise DomainViolationError("A_family: v must be positive when the curvature is 0")
-    return _kernels(K_inf, 1.0)[0][1](v)
-
-
 @dataclass(frozen=True)
 class Profile:
     """Unit-speed generating-curve data for a surface of revolution.
@@ -183,6 +165,8 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
     QUADPACK, memoizing the last THETA_C_CACHE_SIZE values.
     """
     lo, hi = domain_bound(K_inf, r0)
+    if not math.isfinite(c1_shift):
+        raise ValueError(f"c1_shift must be finite, got {c1_shift!r}")
     (r_t, A_t), (r_arrays, A_arrays) = _kernels(K_inf, r0)
     lo_s = lo - c1_shift
     hi_s = hi - c1_shift
@@ -275,11 +259,6 @@ def _integrands(r, A, t):
     rt = r(t)
     s = _sqrt1m(1.0 - power(0.5 * rt * A(t), 2), t)
     return s / rt, 0.5 * rt * s
-
-
-def theta_c_quadrature(K_inf: float, r0: float, v: float) -> tuple[float, float]:
-    """Angle theta(v) and height c(v) of the family profile from the anchor."""
-    return family_profile(K_inf, r0).theta_c(v)
 
 
 def horizontal_lift(a, b, t: float, tol: float = 1e-10) -> float:

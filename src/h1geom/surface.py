@@ -33,8 +33,6 @@ __all__ = [
     "FrameDerivatives",
     "pushforward_frame",
     "characteristic_test",
-    "adapted_frame",
-    "frame_derivatives",
     "frame_data",
     "frame_tangents",
     "structure_identity_residual",
@@ -269,13 +267,6 @@ def _frame(S: SurfacePatch, u, v, pos, du, dv, tol):
     return sample, A, alpha, singular, tangents
 
 
-def adapted_frame(
-    S: SurfacePatch, u: float, v: float, tol: float = CHARACTERISTIC_TOL
-) -> AdaptedFrameSample:
-    """The adapted frame at one point: the sample of frame_data."""
-    return frame_data(S, u, v, tol)[0]
-
-
 def frame_data(S: SurfacePatch, u, v, tol: float = CHARACTERISTIC_TOL):
     """The adapted frame and the exact derivatives of A and alpha along f2, f3.
 
@@ -321,13 +312,6 @@ def _frame_data(S, u, v, tol):
         dalpha_f3=s3[0] * alpha.d_u + s3[1] * alpha.d_v,
     )
     return sample, derivatives, singular, tangents
-
-
-def frame_derivatives(
-    S: SurfacePatch, u: float, v: float, tol: float = CHARACTERISTIC_TOL
-) -> FrameDerivatives:
-    """Directional derivatives of A and alpha along f2 and f3."""
-    return frame_data(S, u, v, tol)[1]
 
 
 def beta(L, A: float) -> float:

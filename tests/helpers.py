@@ -1,9 +1,11 @@
-"""Shared test utilities: random expression corpus, FD oracles (expression
+"""Shared test utilities: random expression corpus, a first-order dual
+pass, the program's transverse curve data, FD oracles (expression
 partials, frame derivatives and transverse curve derivatives) and the scalar
 reference implementations of the fixed 12-point Gauss rule, the rotation
-profile's kernels and theta/c integrands, the generating-curve sampler, the OBJ and CSV
-writers, the curvature and frames grids, the Gauss-Bonnet prescans and the
-Gauss-Bonnet integrals."""
+profile's kernels (the closed forms of r and A = 2 r'/r) and theta/c
+integrands, the generating-curve sampler, the OBJ and CSV writers, the
+curvature and frames grids, the Gauss-Bonnet prescans and the Gauss-Bonnet
+integrals."""
 
 import math
 import warnings
@@ -13,7 +15,7 @@ import numpy as np
 from scipy import integrate as si
 
 from h1geom import expr as ex
-from h1geom.curvature import TransverseCurveSample, k_gauss_map, k_inf, k_L, k_n
+from h1geom.curvature import TransverseCurveSample, _transverse, k_gauss_map, k_inf, k_L, k_n
 from h1geom.errors import (
     CharacteristicPointError,
     DegenerateParametrizationError,
@@ -32,9 +34,9 @@ from h1geom.hgroup import FrameVec, Point
 from h1geom.surface import (
     CHARACTERISTIC_TOL,
     FrameDerivatives,
-    adapted_frame,
     characteristic_test,
     frame_data,
+    frame_tangents,
     pushforward_frame,
 )
 
@@ -61,6 +63,16 @@ def random_expression(rng, depth=3):
         fn = str(rng.choice(FUNCS_SAFE))
         return ex.Call(fn, random_expression(rng, depth - 1))
     return ex.Unary(random_expression(rng, depth - 1))
+
+
+def first_order_dual(tree, u, v):
+    """Value and first partials of tree at (u, v) from a pass over first-order duals alone."""
+    return ex._eval(tree, {"u": ex.Dual2(float(u), 1.0, 0.0), "v": ex.Dual2(float(v), 0.0, 1.0)})
+
+
+def transverse(S, u, v, direction):
+    """The curve data the program takes along direction (du, dv) at (u, v): _transverse over frame_tangents."""
+    return _transverse(*frame_tangents(S, u, v), direction)
 
 
 def central_partials(tree, u, v, h_scale=1e-6):
@@ -132,7 +144,7 @@ def _scalar_gradient(S, u, v, axis, h, lo, hi, center, tol):
     """Central (or one-sided, at chart edges) differences of (A, alpha)."""
 
     def sample(uu, vv):
-        s = adapted_frame(S, uu, vv, tol)
+        s = frame_data(S, uu, vv, tol)[0]
         return s.A, _wrap_angle_near(s.alpha, center.alpha)
 
     coord = u if axis == 0 else v
@@ -160,8 +172,8 @@ def _scalar_gradient(S, u, v, axis, h, lo, hi, center, tol):
 
 
 def fd_frame_derivatives(S, u, v, rel_step=1e-5, tol=CHARACTERISTIC_TOL):
-    """Directional derivatives of A and alpha from differences of adapted_frame."""
-    center = adapted_frame(S, u, v, tol)
+    """Directional derivatives of A and alpha from differences of the adapted frame."""
+    center = frame_data(S, u, v, tol)[0]
     hu = rel_step * (S.u_range[1] - S.u_range[0])
     hv = rel_step * (S.v_range[1] - S.v_range[0])
     grad_A, grad_al = zip(
@@ -185,7 +197,7 @@ def fd_frame_derivatives(S, u, v, rel_step=1e-5, tol=CHARACTERISTIC_TOL):
 
 def reference_graph_jet(tree):
     def jet(u, v):
-        d = ex.eval_dual(tree, u, v)
+        d = first_order_dual(tree, u, v)
         return (u, v, d.value), (1.0, 0.0, d.d_u), (0.0, 1.0, d.d_v)
 
     return jet
@@ -538,7 +550,7 @@ def reference_boundary_integral(S, R, tol=1e-10):
     for start, d, length in segments:
 
         def integrand(t, start=start, d=d):
-            s = adapted_frame(S, start[0] + d[0] * t, start[1] + d[1] * t)
+            s = frame_data(S, start[0] + d[0] * t, start[1] + d[1] * t)[0]
             return s.A * (d[0] * s.f_u_23[1] + d[1] * s.f_v_23[1])
 
         with warnings.catch_warnings():
@@ -572,8 +584,8 @@ def reference_transverse_sample(S, path, t, h=1e-4, velocity=None):
 
     sample, fd = frame_data(S, *path(t))
     a, b = components(t, sample)
-    ap, bp = components(t + h, adapted_frame(S, *path(t + h)))
-    am, bm = components(t - h, adapted_frame(S, *path(t - h)))
+    ap, bp = components(t + h, frame_data(S, *path(t + h))[0])
+    am, bm = components(t - h, frame_data(S, *path(t - h))[0])
     return TransverseCurveSample(
         t=t, a=a, b=b, da_dt=(ap - am) / (2.0 * h), db_dt=(bp - bm) / (2.0 * h),
         dA_dt=a * fd.dA_f2 + b * fd.dA_f3, A=sample.A, dalpha_f2=fd.dalpha_f2, dalpha_f3=fd.dalpha_f3,

@@ -16,10 +16,10 @@ import helpers
 from h1geom import catalog
 from h1geom import expr as ex
 from h1geom.cli import main
-from h1geom.curvature import curvature_sample, k_L, k_n, k_n_L, transverse_sample
+from h1geom.curvature import k_gauss_map, k_inf, k_L, k_n, k_n_L
 from h1geom.gaussbonnet import ParamRegion, gb_residual
 from h1geom.hgroup import riemann_component
-from h1geom.rotsurf import domain_bound, e3_chord_ratio, theta_c_quadrature
+from h1geom.rotsurf import domain_bound, e3_chord_ratio, family_profile
 from h1geom.surface import frame_data
 
 TWO_PI = 2.0 * math.pi
@@ -91,14 +91,15 @@ def test_structure_identity_suite():
 def test_curvatures_do_not_coincide():
     with criterion("K_inf = -2 and K = 4 on the plane at (1, 0, 0)"):
         patch = catalog.plane()
-        sample = curvature_sample(patch, 0.0, 1.0)
-        assert sample.K_inf == pytest.approx(-2.0, abs=1e-6)
-        assert sample.K_gauss == pytest.approx(4.0, abs=1e-5)
+        sample, fd = frame_data(patch, 0.0, 1.0)
+        K_inf, K_gauss = k_inf(fd, sample.A), k_gauss_map(fd)
+        assert K_inf == pytest.approx(-2.0, abs=1e-6)
+        assert K_gauss == pytest.approx(4.0, abs=1e-5)
         # hand-derived closed forms on the plane: A = 2/r, dA(f2) = -2/r^2,
         # dalpha(f3) = -2/r^2, so K_inf = -2/r^2 and K = 4/r^4 at r = 1
         r = 1.0
-        assert sample.K_inf == pytest.approx(2.0 / r**2 - (2.0 / r) ** 2, abs=1e-6)
-        assert sample.K_gauss == pytest.approx((-2.0 / r**2) * (-2.0 / r**2), abs=1e-5)
+        assert K_inf == pytest.approx(2.0 / r**2 - (2.0 / r) ** 2, abs=1e-6)
+        assert K_gauss == pytest.approx((-2.0 / r**2) * (-2.0 / r**2), abs=1e-5)
 
 
 def test_convergence_rates():
@@ -112,7 +113,7 @@ def test_convergence_rates():
         errs_K = [abs(k_L(fd, sample.A, L) - K_limit) for L in L_SWEEP]
         assert helpers.loglog_slope(L_SWEEP, errs_K) == pytest.approx(-1.0, abs=0.05)
 
-        curve = transverse_sample(patch, 0.0, 2.0, (1.0, 1.0))
+        curve = helpers.transverse(patch, 0.0, 2.0, (1.0, 1.0))
         limit = k_n(curve.A, curve.b)
         errs_kn = [abs(k_n_L(curve, L) - limit) for L in L_SWEEP]
         assert helpers.loglog_slope(L_SWEEP, errs_kn) <= -0.45
@@ -193,8 +194,9 @@ def test_constant_curvature_families():
 
 def test_quadrature_oracles_zero_curvature_family():
     with criterion("theta/c quadrature against closed-form antiderivatives"):
+        thetac = family_profile(0.0, 1.0).theta_c
         for v in (0.5, 1.25, 2.0):
-            theta, c = theta_c_quadrature(0.0, 1.0, v)
+            theta, c = thetac(v)
             assert c == pytest.approx((1.0 / 3.0) * (v - 0.25) ** 1.5, abs=1e-9)
             w = 2.0 * math.sqrt(v - 0.25)
             assert theta == pytest.approx(w - math.atan(w), abs=1e-9)
@@ -257,6 +259,6 @@ def test_dual_numbers_match_finite_differences():
         cases = helpers.build_corpus(1000)
         assert len(cases) >= 1000
         for tree, u, v, fd_u, fd_v in cases:
-            d = ex.eval_dual(tree, u, v)
+            d = ex.eval_hyperdual(tree, u, v).value
             assert abs(d.d_u - fd_u) <= 1e-6 * max(1.0, abs(d.d_u), abs(fd_u))
             assert abs(d.d_v - fd_v) <= 1e-6 * max(1.0, abs(d.d_v), abs(fd_v))

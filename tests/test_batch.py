@@ -26,7 +26,6 @@ from h1geom import catalog, cli
 from h1geom import expr as ex
 from h1geom.batch import POINT_FAILURES, elementwise, first_failure, power
 from h1geom.cli import main
-from h1geom.curvature import transverse_sample
 from h1geom.errors import CharacteristicPointError, NonTransverseError
 from h1geom.expr import Dual2
 from h1geom.gaussbonnet import ParamRegion, _boundary_prescan, _region_prescan, gb_residual
@@ -386,7 +385,7 @@ def test_exact_transverse_derivatives_match_central_differences(chart, orientati
     for u, v in points[chart]:
         for du, dv in ((1.0, 0.0), (0.6, -0.8), (-1.0, 0.3)):
             try:
-                c = transverse_sample(patch, u, v, (du, dv))
+                c = helpers.transverse(patch, u, v, (du, dv))
             except NonTransverseError:
                 continue
             ref = helpers.reference_transverse_sample(
@@ -404,8 +403,8 @@ def test_transverse_sample_batch_matches_points():
     patch = TRANSVERSE_CHARTS["graph"]
     u, v = np.linspace(-1.5, 1.5, 7), np.linspace(0.3, 1.9, 7)
     du, dv = np.linspace(-1.0, 1.0, 7), np.full(7, 0.5)
-    batch = transverse_sample(patch, u, v, (du, dv))
+    batch = helpers.transverse(patch, u, v, (du, dv))
     for k in range(7):
-        one = transverse_sample(patch, float(u[k]), float(v[k]), (float(du[k]), float(dv[k])))
+        one = helpers.transverse(patch, float(u[k]), float(v[k]), (float(du[k]), float(dv[k])))
         for name in ("a", "b", "da_dt", "db_dt", "dA_dt", "A", "dalpha_f2", "dalpha_f3"):
             assert repr(float(getattr(batch, name)[k])) == repr(getattr(one, name))

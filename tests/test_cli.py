@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -796,6 +797,44 @@ def test_number_field_that_float_cannot_read_names_the_field(tmp_path, capsys, c
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("shift", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["rotsurf", "curvature", "frames", "gauss-bonnet", "converge"])
+def test_non_finite_c1_shift_is_a_config_error(tmp_path, capsys, command, shift):
+    # it once passed into the domain, ending in exit 2 on "v_range (nan, nan) not inside ... (nan, nan)"
+    if command == "rotsurf":
+        argv = ["rotsurf", "--kinf", "1", f"--c1-shift={shift}", "--out-prefix", str(tmp_path / "mesh")]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"surface": {**ROTATION, "c1_shift": shift}}))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.strip() == f"config error: c1_shift must be finite, got {float(shift)!r}"
+    assert not any(p.name != "cfg.json" for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, config, pair",
+    [
+        (["converge", "--kinf", "1", "--point", "0.3,0.2", "--direction", "nan,1"], None, "direction [nan, 1.0]"),
+        (["converge", "--kinf", "1", "--point", "0.3,0.2", "--direction", "inf,0"], None, "direction [inf, 0.0]"),
+        (["converge", "--surface", "paraboloid"], {"direction": [0, 0]}, "direction [0, 0]"),
+        (["converge", "--surface", "paraboloid"], {"direction": [math.nan, 1.0]}, "direction [nan, 1.0]"),
+        (["curvature", "--surface", "paraboloid", "--kn-directions", "0,0"], None, "kn_directions [0.0, 0.0]"),
+        (["curvature", "--surface", "paraboloid", "--kn-directions", "1,0;inf,1"], None, "kn_directions [inf, 1.0]"),
+        (["curvature", "--surface", "paraboloid"], {"kn_directions": [[1, 0], [0.0, -0.0]]}, "kn_directions [0.0, -0.0]"),
+    ],
+)
+def test_non_finite_or_zero_direction_is_a_config_error(tmp_path, capsys, argv, config, pair):
+    # these once wrote NaN into every k_n_L, abs_err_k_n and ds_L_density cell, or a k_n column of NaN
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == f"config error: {pair} must be finite and nonzero"
+    assert not out.exists()
+
+
 TINY_TILT = {
     "kind": "parametric", "x": "1e-153*u", "y": "1e-153*v", "z": "1e-162*(u+v)", "u_range": [0.5, 1.5], "v_range": [0.5, 1.5],
 }
@@ -1091,3 +1130,46 @@ def test_scipy_integrate_is_imported_at_the_first_integral(tmp_path, argv, code,
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
     assert run.stdout.splitlines()[-1:] == [f"{code} {loaded}"], run.stderr
+
+
+# The paper's formulas that no command evaluates; README lists each with what it computes.
+PAPER_FORMULAS = ("area_form_coeffs", "length_form_limit", "beta", "horizontal_lift")
+
+
+def test_every_public_function_is_run_by_the_cli_or_is_a_paper_formula(tmp_path, capsys):
+    # a public function that no command runs is a second path, which tests could check in place of the program's
+    import h1geom
+
+    parametric = {
+        "kind": "parametric", "x": "(2+cos(v))*cos(u)", "y": "(2+cos(v))*sin(u)", "z": "sin(v)+0.3*sin(u)",
+        "u_range": [0.0, 2.0 * math.pi], "v_range": [-0.4, 0.4], "closed_u": True,
+    }
+    (tmp_path / "parametric.json").write_text(json.dumps({"surface": parametric}))
+    grid = ["--nu", "4", "--nv", "4"]
+    runs = [
+        ["check"],
+        ["gauss-bonnet", "--preset", "band-k1", "--out", str(tmp_path / "band.json")],
+        ["gauss-bonnet", "--surface", "paraboloid", "--region", "1,2,-1,-0.5", "--out", str(tmp_path / "rect.json")],
+        ["curvature", "--surface", "paraboloid", *grid, "--kn-directions", "1,0;0.5,1", "--out", str(tmp_path / "k.csv")],
+        ["frames", "--kinf", "1", *grid, "--out", str(tmp_path / "f.csv")],
+        ["curvature", "--config", str(tmp_path / "parametric.json"), *grid, "--out", str(tmp_path / "p.csv")],
+        ["converge", "--kinf", "1", "--point", "0.3,0.2", "--direction", "1,0.5", "--out", str(tmp_path / "c.csv")],
+        ["rotsurf", "--kinf", "-1", "--samples-u", "8", "--samples-v", "8", "--n-curves", "2", "--out-prefix", str(tmp_path / "m")],
+    ]
+    ran = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        codes = [main(argv) for argv in runs]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(runs), capsys.readouterr().err
+    public = {name: f for name, f in vars(h1geom).items() if inspect.isfunction(f) and not name.startswith("_")}
+    assert set(PAPER_FORMULAS) <= set(public)
+    assert [name for name, f in sorted(public.items()) if f.__code__ not in ran and name not in PAPER_FORMULAS] == []
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert [name for name in PAPER_FORMULAS if not re.search(rf"`{name}\b", readme)] == []

@@ -8,7 +8,6 @@ from h1geom import catalog
 from h1geom.curvature import (
     TransverseCurveSample,
     area_form_coeffs,
-    curvature_sample,
     ds_L_density,
     k_L,
     k_gauss_map,
@@ -16,12 +15,18 @@ from h1geom.curvature import (
     k_n,
     k_n_L,
     length_form_limit,
-    transverse_sample,
 )
-from h1geom.errors import GeometryError, NonTransverseError
+from h1geom.errors import NonTransverseError
 from h1geom.gaussbonnet import convergence_study
-from h1geom.hgroup import MetricParam, connection_coeff, frame_to_gl_basis
-from h1geom.surface import FrameDerivatives, adapted_frame, beta, frame_data, pushforward_frame, xl_basis
+from h1geom.hgroup import connection_coeff, frame_to_gl_basis
+from h1geom.surface import (
+    FrameDerivatives,
+    beta,
+    frame_data,
+    pushforward_frame,
+    structure_identity_residual,
+    xl_basis,
+)
 
 L_SWEEP = (1e2, 1e3, 1e4, 1e5, 1e6)
 
@@ -62,18 +67,12 @@ def test_k_gauss_map_examples():
 
 def test_curvatures_do_not_coincide_on_plane():
     patch = catalog.plane()
-    sample = curvature_sample(patch, 0.0, 1.0, L_values=(1.0,))
-    assert sample.K_inf == pytest.approx(-2.0, abs=1e-6)
-    assert sample.K_gauss == pytest.approx(4.0, abs=1e-5)
-    assert sample.K_L[0][1] == pytest.approx(-0.56, abs=1e-6)
-    assert sample.area_coeff_hausdorff == 1.0
-    assert sample.area_coeff_L[0][1] == pytest.approx(math.sqrt(5.0), rel=1e-12)
-
-
-def test_curvature_sample_identity_guard():
-    patch = catalog.paraboloid()
-    with pytest.raises(GeometryError):
-        curvature_sample(patch, 0.9, 0.4, identity_tol=1e-30)
+    sample, fd = frame_data(patch, 0.0, 1.0)
+    assert k_inf(fd, sample.A) == pytest.approx(-2.0, abs=1e-6)
+    assert k_gauss_map(fd) == pytest.approx(4.0, abs=1e-5)
+    assert k_L(fd, sample.A, 1.0) == pytest.approx(-0.56, abs=1e-6)
+    assert area_form_coeffs(sample.A, 1.0)[1] == 1.0
+    assert area_form_coeffs(sample.A, 1.0)[0] == pytest.approx(math.sqrt(5.0), rel=1e-12)
 
 
 def test_k_n_values():
@@ -86,7 +85,7 @@ def test_k_n_values():
 def test_transverse_sample_plane_circle():
     # boundary circle r=1 of the plane: tangent is -(r^2/2) f3, so b < 0
     patch = catalog.plane()
-    c = transverse_sample(patch, 0.3, 1.0, (1.0, 0.0))
+    c = helpers.transverse(patch, 0.3, 1.0, (1.0, 0.0))
     assert c.a == pytest.approx(0.0, abs=1e-10)
     assert c.b == pytest.approx(-0.5, abs=1e-10)
     assert k_n(c.A, c.b) == pytest.approx(-2.0, abs=1e-10)
@@ -99,15 +98,15 @@ def test_transverse_sample_requires_b():
     patch = catalog.plane()
     # radial path: tangent = f_v = f2, no f3 component
     with pytest.raises(NonTransverseError):
-        transverse_sample(patch, 0.5, 1.0, (0.0, 1.0))
+        helpers.transverse(patch, 0.5, 1.0, (0.0, 1.0))
 
 
 def test_k_n_orientation_invariance():
     # flip the surface orientation and the induced curve orientation together:
     # A -> -A and b -> -b, leaving k_n and k_n_L unchanged
     patch = catalog.plane()
-    c = transverse_sample(patch, 0.1, 1.0 + 0.2 * 0.1, (1.0, 0.2))
-    c_flip = transverse_sample(patch.with_orientation(-1), 0.1, 1.0 + 0.2 * 0.1, (-1.0, -0.2))
+    c = helpers.transverse(patch, 0.1, 1.0 + 0.2 * 0.1, (1.0, 0.2))
+    c_flip = helpers.transverse(patch.with_orientation(-1), 0.1, 1.0 + 0.2 * 0.1, (-1.0, -0.2))
     assert c_flip.A == pytest.approx(-c.A, abs=1e-10)
     assert c_flip.b == pytest.approx(-c.b, abs=1e-10)
     assert k_n(c_flip.A, c_flip.b) == pytest.approx(k_n(c.A, c.b), abs=1e-10)
@@ -219,8 +218,8 @@ def _covariant_k_n_L_oracle(patch, path, t, direction, L, h=1e-4, h_vel=1e-6):
     nabla_T_T = nabla_vel_T / gl_speed
 
     u, v = path(t)
-    s = adapted_frame(patch, u, v)
-    c = transverse_sample(patch, u, v, direction)
+    s = frame_data(patch, u, v)[0]
+    c = helpers.transverse(patch, u, v, direction)
     m = L + s.A**2
     q = math.sqrt(c.a**2 + c.b**2 * m)
     a_L, b_L = c.a / q, c.b * math.sqrt(m) / q
@@ -240,10 +239,10 @@ def test_k_n_L_against_covariant_oracle():
     ]
     for path, t0, (du, dv) in cases:
         for L in (1.0, 10.0, 100.0):
-            probe = transverse_sample(patch, *path(t0), (du, dv))
+            probe = helpers.transverse(patch, *path(t0), (du, dv))
             q = math.sqrt(probe.a**2 + probe.b**2 * (L + probe.A**2))
             unit_path = lambda s, path=path, t0=t0, q=q: path(t0 + s / q)
-            c = transverse_sample(patch, *unit_path(0.0), (du / q, dv / q))
+            c = helpers.transverse(patch, *unit_path(0.0), (du / q, dv / q))
             got = k_n_L(c, L)
             want = _covariant_k_n_L_oracle(patch, unit_path, 0.0, (du / q, dv / q), L)
             assert got == pytest.approx(want, abs=2e-5)
@@ -314,15 +313,17 @@ def test_frame_data_identity_rechecked_on_families():
     for K in (1.0, 0.0, -1.0):
         patch = catalog.constant_curvature(K)
         v = 0.9 if K == 0.0 else 0.5
-        sample = curvature_sample(patch, 1.0, v, L_values=(10.0,))
-        assert sample.K_inf == pytest.approx(K, abs=1e-9)
+        sample, fd = frame_data(patch, 1.0, v)
+        residual = structure_identity_residual(fd, sample.A)
+        assert abs(residual) <= 1e-5 * max(1.0, sample.A * sample.A, abs(fd.dA_f2))
+        assert k_inf(fd, sample.A) == pytest.approx(K, abs=1e-9)
 
 
 @pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf])
 def test_every_function_of_L_rejects_what_the_metric_rejects(L):
     # one rule for L: finite and positive; a NaN L once gave k_L = NaN
     curve = TransverseCurveSample(0.0, 0.5, 1.0, 0.1, -0.2, 0.3, 0.4, 0.5, 0.6)
-    sample = adapted_frame(catalog.paraboloid(), 1.0, 0.5)
+    sample = frame_data(catalog.paraboloid(), 1.0, 0.5)[0]
     calls = [
         lambda: k_L(PLANE_FD, 2.0, L),
         lambda: k_n_L(curve, L),
@@ -330,7 +331,6 @@ def test_every_function_of_L_rejects_what_the_metric_rejects(L):
         lambda: ds_L_density(curve, L),
         lambda: beta(L, 2.0),
         lambda: xl_basis(sample, L),
-        lambda: MetricParam(L),
         lambda: convergence_study(catalog.paraboloid(), [(1.0, 0.5)], [1.0, L]),
     ]
     for call in calls:

@@ -1,20 +1,21 @@
 import math
 
+import helpers
 import pytest
 
 from h1geom import catalog
 from h1geom.errors import CharacteristicPointError, NonTransverseError
 from h1geom.gaussbonnet import (
     ParamRegion,
-    area_integral,
-    boundary_integral,
+    _boundary,
+    _gb_boundary_density,
     convergence_study,
     fit_loglog_slope,
     gb_residual,
     stokes_density_check,
 )
 from h1geom.quadrature import integrate
-from h1geom.surface import adapted_frame, graph_patch, parametric_patch
+from h1geom.surface import frame_data, graph_patch, parametric_patch
 
 TWO_PI = 2.0 * math.pi
 L_SWEEP = (1e2, 1e3, 1e4, 1e5, 1e6)
@@ -31,16 +32,16 @@ def annulus(r0, r1):
 def test_plane_annulus_area():
     # K_inf = -2/r^2 against the density r^2/2 integrates to -1 per du dv
     patch = catalog.plane()
-    assert area_integral(patch, annulus(1.0, 2.0)) == pytest.approx(-TWO_PI, abs=1e-9)
-    assert area_integral(patch, annulus(0.5, 3.0)) == pytest.approx(-2.5 * TWO_PI, abs=1e-9)
+    assert gb_residual(patch, annulus(1.0, 2.0)).area_integral == pytest.approx(-TWO_PI, abs=1e-9)
+    assert gb_residual(patch, annulus(0.5, 3.0)).area_integral == pytest.approx(-2.5 * TWO_PI, abs=1e-9)
 
 
 def test_plane_annulus_boundary():
     patch = catalog.plane()
-    assert boundary_integral(patch, annulus(1.0, 2.0)) == pytest.approx(TWO_PI, abs=1e-9)
+    assert gb_residual(patch, annulus(1.0, 2.0)).boundary_integral == pytest.approx(TWO_PI, abs=1e-9)
     # each circle contributes -pi*A*r^2 = -2*pi*r with its own orientation
     for radius in (1.0, 2.0):
-        s = adapted_frame(patch, 0.0, radius)
+        s = frame_data(patch, 0.0, radius)[0]
         value = integrate(lambda t: s.A * (-0.5 * radius * radius), 0.0, TWO_PI, 1e-12)
         assert value == pytest.approx(-TWO_PI * radius, abs=1e-10)
 
@@ -57,7 +58,7 @@ def test_area_density_on_rotation_band():
     # the pullback density of f^2^f^3 through the rotation chart is r^2/2
     patch = catalog.constant_curvature(-1.0)
     for v in (-1.2, 0.2, 1.0):
-        s = adapted_frame(patch, 1.0, v)
+        s = frame_data(patch, 1.0, v)[0]
         pos = patch.position(1.0, v)
         assert s.area_density == pytest.approx(0.5 * (pos.x**2 + pos.y**2), rel=1e-10)
 
@@ -78,22 +79,19 @@ def test_k0_band_boundary_cancels():
     # A r^2 = (r^2)' = r0^2 on the zero-curvature band, so the two circles cancel
     patch = catalog.constant_curvature(0.0)
     region = ParamRegion(0.0, TWO_PI, 0.3, 1.2, closed_u=True)
-    assert boundary_integral(patch, region) == pytest.approx(0.0, abs=1e-9)
-    assert area_integral(patch, region) == pytest.approx(0.0, abs=1e-9)
+    report = gb_residual(patch, region)
+    assert report.boundary_integral == pytest.approx(0.0, abs=1e-9)
+    assert report.area_integral == pytest.approx(0.0, abs=1e-9)
 
 
 def test_band_boundary_telescopes():
     # oriented circle sum is pi * [(r^2)'] between the band edges
-    from h1geom.rotsurf import A_family, r_family
-
+    r, A, _ = helpers.reference_family_kernels(-1.0, 1.0, 0.0)
     patch = catalog.constant_curvature(-1.0)
     v0, v1 = -0.8, 1.1
     region = ParamRegion(0.0, TWO_PI, v0, v1, closed_u=True)
-    value = boundary_integral(patch, region)
-    expect = math.pi * (
-        A_family(-1.0, v1) * r_family(-1.0, 1.0, v1) ** 2
-        - A_family(-1.0, v0) * r_family(-1.0, 1.0, v0) ** 2
-    )
+    value = gb_residual(patch, region).boundary_integral
+    expect = math.pi * (A(v1) * r(v1) ** 2 - A(v0) * r(v0) ** 2)
     assert value == pytest.approx(expect, abs=1e-9)
 
 
@@ -124,29 +122,25 @@ def test_orientation_flip_negates_both():
 def test_additivity_of_bands():
     patch = catalog.constant_curvature(-1.0)
     v0, v1, v2 = -0.9, 0.1, 1.3
-    whole = area_integral(patch, ParamRegion(0.0, TWO_PI, v0, v2, closed_u=True))
-    left = area_integral(patch, ParamRegion(0.0, TWO_PI, v0, v1, closed_u=True))
-    right = area_integral(patch, ParamRegion(0.0, TWO_PI, v1, v2, closed_u=True))
-    assert whole == pytest.approx(left + right, abs=2e-9)
+    whole, left, right = (
+        gb_residual(patch, ParamRegion(0.0, TWO_PI, a, b, closed_u=True)) for a, b in ((v0, v2), (v0, v1), (v1, v2))
+    )
+    assert whole.area_integral == pytest.approx(left.area_integral + right.area_integral, abs=2e-9)
     # interior circles cancel, so boundary integrals add too
-    b_whole = boundary_integral(patch, ParamRegion(0.0, TWO_PI, v0, v2, closed_u=True))
-    b_parts = boundary_integral(
-        patch, ParamRegion(0.0, TWO_PI, v0, v1, closed_u=True)
-    ) + boundary_integral(patch, ParamRegion(0.0, TWO_PI, v1, v2, closed_u=True))
-    assert b_whole == pytest.approx(b_parts, abs=2e-9)
+    assert whole.boundary_integral == pytest.approx(left.boundary_integral + right.boundary_integral, abs=2e-9)
 
 
 def test_characteristic_region_refused():
     patch = catalog.plane_cartesian()
     with pytest.raises(CharacteristicPointError):
-        area_integral(patch, ParamRegion(-0.5, 0.5, -0.5, 0.5))
+        gb_residual(patch, ParamRegion(-0.5, 0.5, -0.5, 0.5))
 
 
 def test_non_transverse_boundary_refused():
     # radial edges on the polar plane run along f2, killing the f3 component
     patch = catalog.plane()
     with pytest.raises(NonTransverseError):
-        boundary_integral(patch, ParamRegion(0.0, 1.0, 1.0, 2.0))
+        gb_residual(patch, ParamRegion(0.0, 1.0, 1.0, 2.0))
 
 
 def test_region_validation():
@@ -230,7 +224,7 @@ def test_stokes_density_equals_minus_k_inf_density():
     patch = catalog.constant_curvature(1.0)
     u, v, h = 0.5, 0.2, 1e-3
     _, rhs = stokes_density_check(patch, u, v, h)
-    s = adapted_frame(patch, u + h / 2, v + h / 2)
+    s = frame_data(patch, u + h / 2, v + h / 2)[0]
     assert rhs == pytest.approx(-1.0 * s.area_density * h * h, rel=1e-12)
 
 
@@ -302,6 +296,14 @@ def test_slope_over_nearly_equal_L_is_degenerate():
     assert study.points[0].slope_err_K is None and study.points[0].slope_sigma is None
 
 
+def test_slope_over_L_all_equal_to_1_is_degenerate():
+    # log10(L) is then a column of zeros, which polyfit divided by its norm 0:
+    # a RuntimeWarning, then LAPACK's lines on stderr and an SVD error
+    assert fit_loglog_slope([1.0, 1.0], [0.5, 0.25]) is None
+    study = convergence_study(catalog.paraboloid(), [(0.5, 0.25)], [1.0, 1.0])
+    assert study.points[0].slope_err_K is None and study.points[0].slope_sigma is None
+
+
 # ---------------------------------------------------------------------------
 # error budgets and closed regions
 
@@ -331,9 +333,10 @@ CLOSED_BAND = parametric_patch(
     ],
 )
 def test_closed_region_must_span_a_period_of_a_closed_chart(patch, region):
-    for integral in (area_integral, boundary_integral, gb_residual):
-        with pytest.raises(ValueError, match="closed in u"):
-            integral(patch, region)
+    with pytest.raises(ValueError, match="closed in u"):
+        gb_residual(patch, region)
+    with pytest.raises(ValueError, match="closed in u"):  # the boundary side checks on its own
+        _boundary(patch, region, _gb_boundary_density, 1e-10)
     with pytest.raises(ValueError, match="closed in u"):
         convergence_study(patch, [], (1e2, 1e3), direction=None, region=region)
 
@@ -359,13 +362,12 @@ def test_region_winding_around_a_characteristic_point_is_refused(orientation, wi
     patch = catalog.paraboloid()
     region = ParamRegion(WINDING.u0, WINDING.u1, WINDING.v0, WINDING.v1, orientation=orientation)
     _region_prescan(patch, region)  # the origin lies between the grid nodes
-    for integral in (area_integral, gb_residual):
-        with pytest.raises(CharacteristicPointError, match=f"winding number {winding} "):
-            integral(patch, region)
+    with pytest.raises(CharacteristicPointError, match=f"winding number {winding} "):
+        gb_residual(patch, region)
     with pytest.raises(CharacteristicPointError, match="winding number"):
         convergence_study(patch, [], (1e2, 1e3), direction=None, region=region)
     # the boundary integral itself is well defined
-    assert math.isfinite(boundary_integral(patch, region))
+    assert math.isfinite(_boundary(patch, region, _gb_boundary_density, 1e-10)[0][0])
 
 
 def test_regions_beside_a_characteristic_point_wind_zero():
@@ -384,7 +386,7 @@ def test_singular_cubature_node_raises_the_point_error():
     # f_u vanishes on u = 0, the middle line of the cubature's nodes; no prescan tests degeneracy
     patch = parametric_patch("u^3", "v", "v + u^3", (-1.0, 1.0), (0.0, 1.0))
     with pytest.raises(DegenerateParametrizationError, match=r"dependent coordinate tangents .* at \(u, v\) = \(0\.0, "):
-        area_integral(patch, ParamRegion(-1.0, 1.0, 0.2, 1.0))
+        gb_residual(patch, ParamRegion(-1.0, 1.0, 0.2, 1.0))
 
 
 def test_cubature_refuses_unconverged_and_non_finite_results(monkeypatch):

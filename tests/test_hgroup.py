@@ -5,7 +5,6 @@ import pytest
 
 from h1geom.hgroup import (
     FrameVec,
-    MetricParam,
     Point,
     coframe_eval,
     connection_coeff,
@@ -89,7 +88,6 @@ def test_gl_inner_values():
     assert gl_inner(e1, e1, 2.0) == 1.0
     assert gl_inner(e3, e3, 4.0) == 4.0
     assert gl_inner(e1, e3, 7.0) == 0.0
-    assert gl_inner(e1, e1, MetricParam(3.0)) == 1.0
 
 
 def test_gl_inner_base_mismatch():
@@ -97,13 +95,6 @@ def test_gl_inner_base_mismatch():
     v = FrameVec(Point(1, 0, 0), 1, 0, 0)
     with pytest.raises(ValueError):
         gl_inner(u, v, 1.0)
-
-
-def test_metric_param_validation():
-    with pytest.raises(ValueError):
-        MetricParam(0.0)
-    with pytest.raises(ValueError):
-        MetricParam(-2.0)
 
 
 def test_frame_to_gl_basis():

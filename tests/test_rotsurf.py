@@ -13,7 +13,6 @@ from h1geom.errors import DomainViolationError, GeometryError
 from h1geom.export import write_obj
 from h1geom.rotsurf import (
     THETA_C_CACHE_SIZE,
-    A_family,
     RotationSurfaceSpec,
     build_mesh,
     circle_profile,
@@ -23,12 +22,10 @@ from h1geom.rotsurf import (
     family_profile,
     horizontal_lift,
     line_profile,
-    r_family,
     rotation_patch,
     sample_generating_curve,
-    theta_c_quadrature,
 )
-from h1geom.surface import adapted_frame, pushforward_frame
+from h1geom.surface import frame_data, pushforward_frame
 
 
 # ---------------------------------------------------------------------------
@@ -36,30 +33,30 @@ from h1geom.surface import adapted_frame, pushforward_frame
 
 
 def test_r_family_values():
-    assert r_family(1.0, 1.0, 0.0) == 1.0
-    assert r_family(0.0, 1.0, 4.0) == 2.0
-    assert r_family(-1.0, 1.0, 0.0) == 1.0
-    assert r_family(2.0, 0.5, 0.1) == pytest.approx(0.5 * math.sqrt(math.cos(math.sqrt(2) * 0.1)))
+    assert family_profile(1.0, 1.0).r(0.0) == 1.0
+    assert family_profile(0.0, 1.0).r(4.0) == 2.0
+    assert family_profile(-1.0, 1.0).r(0.0) == 1.0
+    assert family_profile(2.0, 0.5).r(0.1) == pytest.approx(0.5 * math.sqrt(math.cos(math.sqrt(2) * 0.1)))
 
 
 def test_A_family_values_and_ode():
-    assert A_family(1.0, 0.0) == 0.0
-    assert A_family(0.0, 2.0) == 0.5
-    assert A_family(-4.0, 0.3) == pytest.approx(2.0 * math.tanh(0.6))
+    assert family_profile(1.0, 1.0).A(0.0) == 0.0
+    assert family_profile(0.0, 1.0).A(2.0) == 0.5
+    assert family_profile(-4.0, 1.0).A(0.3) == pytest.approx(2.0 * math.tanh(0.6))
     # K = -dA/dv - A^2 by centered differences
     h = 1e-6
     for K, v in ((1.0, 0.7), (0.0, 1.3), (-1.0, -0.9), (2.5, 0.2), (-0.3, 2.0)):
-        dA = (A_family(K, v + h) - A_family(K, v - h)) / (2 * h)
-        assert -dA - A_family(K, v) ** 2 == pytest.approx(K, abs=1e-9)
+        A = family_profile(K, 1.0).A
+        dA = (A(v + h) - A(v - h)) / (2 * h)
+        assert -dA - A(v) ** 2 == pytest.approx(K, abs=1e-9)
 
 
 def test_A_equals_log_derivative_of_r_squared():
     h = 1e-6
     for K, r0, v in ((1.0, 1.0, 0.5), (0.0, 1.5, 1.2), (-1.0, 0.7, -0.8)):
-        fd = (
-            math.log(r_family(K, r0, v + h) ** 2) - math.log(r_family(K, r0, v - h) ** 2)
-        ) / (2 * h)
-        assert A_family(K, v) == pytest.approx(fd, abs=1e-8)
+        profile = family_profile(K, r0)
+        fd = (math.log(profile.r(v + h) ** 2) - math.log(profile.r(v - h) ** 2)) / (2 * h)
+        assert profile.A(v) == pytest.approx(fd, abs=1e-8)
 
 
 def _bisect_domain_edge(K, r0):
@@ -163,11 +160,11 @@ def test_domain_bound_meets_its_large_radius_asymptote(K):
 
 def test_domain_violation_errors():
     with pytest.raises(DomainViolationError):
-        r_family(1.0, 1.0, 1.4)
+        sample_generating_curve(family_profile(1.0, 1.0), 0.0, 1.4)
     with pytest.raises(DomainViolationError):
-        r_family(0.0, 1.0, 0.1)
+        family_profile(0.0, 1.0).theta_c(0.1)
     with pytest.raises(DomainViolationError):
-        A_family(0.0, -1.0)
+        rotation_patch(family_profile(0.0, 1.0), (-1.0, 1.0))
     with pytest.raises(ValueError):
         domain_bound(1.0, -1.0)
 
@@ -178,7 +175,8 @@ def test_endpoint_behavior():
         _, vmax = domain_bound(K, 1.0)
         v = vmax - 1e-8
         h = 1e-10
-        rp = (r_family(K, 1.0, v + h) - r_family(K, 1.0, v - h)) / (2 * h)
+        r = family_profile(K, 1.0).r
+        rp = (r(v + h) - r(v - h)) / (2 * h)
         assert rp * rp == pytest.approx(1.0, abs=1e-6)
 
 
@@ -188,18 +186,19 @@ def test_endpoint_behavior():
 
 def test_theta_c_anchor_is_zero():
     for K in (1.0, -1.0):
-        assert theta_c_quadrature(K, 1.0, 0.0) == (0.0, 0.0)
+        assert family_profile(K, 1.0).theta_c(0.0) == (0.0, 0.0)
 
 
 def test_theta_c_k0_closed_forms():
     # independent antiderivatives for r0 = 1 starting at the domain edge 1/4:
     # c(v) = (4v-1)^{3/2}/24, theta(v) = w - atan(w) with w = sqrt(4v-1)
+    thetac = family_profile(0.0, 1.0).theta_c
     for v in (0.5, 1.25, 2.0):
-        theta, c = theta_c_quadrature(0.0, 1.0, v)
+        theta, c = thetac(v)
         w = math.sqrt(4.0 * v - 1.0)
         assert c == pytest.approx((4.0 * v - 1.0) ** 1.5 / 24.0, abs=1e-9)
         assert theta == pytest.approx(w - math.atan(w), abs=1e-9)
-    theta, c = theta_c_quadrature(0.0, 1.0, 1.25)
+    theta, c = thetac(1.25)
     assert c == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert theta == pytest.approx(2.0 - math.atan(2.0), abs=1e-9)
 
@@ -208,14 +207,12 @@ def test_theta_c_integrand_consistency():
     # theta' * r = sqrt(1 - r'^2) and c' = r sqrt(1 - r'^2)/2 at interior points
     h = 1e-6
     for K, v in ((1.0, 0.6), (-1.0, 1.0), (0.0, 0.9)):
-        theta_p = (
-            theta_c_quadrature(K, 1.0, v + h)[0] - theta_c_quadrature(K, 1.0, v - h)[0]
-        ) / (2 * h)
-        c_p = (
-            theta_c_quadrature(K, 1.0, v + h)[1] - theta_c_quadrature(K, 1.0, v - h)[1]
-        ) / (2 * h)
-        r = r_family(K, 1.0, v)
-        rp = (r_family(K, 1.0, v + h) - r_family(K, 1.0, v - h)) / (2 * h)
+        thetac = family_profile(K, 1.0).theta_c
+        theta_p = (thetac(v + h)[0] - thetac(v - h)[0]) / (2 * h)
+        c_p = (thetac(v + h)[1] - thetac(v - h)[1]) / (2 * h)
+        r_of = helpers.reference_family_kernels(K, 1.0, 0.0)[0]
+        r = r_of(v)
+        rp = (r_of(v + h) - r_of(v - h)) / (2 * h)
         root = math.sqrt(1.0 - rp * rp)
         assert theta_p * r == pytest.approx(root, abs=1e-6)
         assert c_p == pytest.approx(0.5 * r * root, abs=1e-6)
@@ -223,7 +220,7 @@ def test_theta_c_integrand_consistency():
 
 def test_theta_c_outside_domain():
     with pytest.raises(DomainViolationError):
-        theta_c_quadrature(1.0, 1.0, 1.4)
+        family_profile(1.0, 1.0).theta_c(1.4)
 
 
 @pytest.mark.parametrize("K", [1.0, -1.0])
@@ -291,8 +288,9 @@ def test_profile_unit_speed():
 def test_generating_sample_matches_eq12_tilt():
     for K in (1.0, 0.0, -1.0):
         profile = family_profile(K, 1.0)
+        A = helpers.reference_family_kernels(K, 1.0, 0.0)[1]
         for v in (0.5, 1.1) if K == 0.0 else (-0.4, 0.6):
-            assert profile.A(v) == pytest.approx(A_family(K, v), rel=1e-12)
+            assert profile.A(v) == pytest.approx(A(v), rel=1e-12)
 
 
 def test_pipeline_recovers_constant_curvature():
@@ -304,8 +302,6 @@ def test_pipeline_recovers_constant_curvature():
         for _ in range(25):
             u = float(rng.uniform(0, 2 * math.pi))
             v = float(rng.uniform(v0 + 0.05 * width, v1 - 0.05 * width))
-            from h1geom.surface import frame_data
-
             s, fd = frame_data(patch, u, v)
             assert -fd.dA_f2 - s.A**2 == pytest.approx(K, abs=1e-12)
 
@@ -320,7 +316,7 @@ def test_corrected_alpha_gradient_matches_fd():
         h = 1e-5
 
         def alpha_at(vv):
-            return adapted_frame(patch, u, vv).alpha
+            return frame_data(patch, u, vv)[0].alpha
 
         fd_alpha = (alpha_at(v + h) - alpha_at(v - h)) / (2 * h)
         kappa = family_profile(K, 1.0).kappa(v)
@@ -343,8 +339,10 @@ def test_log_r_squared_ode_reconciliation():
     # K + (ln r^2)'' + ((ln r^2)')^2 = 0, second derivative by 5-point stencil
     h = 1e-3
     for K, v in ((1.0, 0.5), (0.0, 1.0), (-1.0, -0.7)):
+        r = family_profile(K, 1.0).r
+
         def g(vv):
-            return math.log(r_family(K, 1.0, vv) ** 2)
+            return math.log(r(vv) ** 2)
 
         d1 = (g(v - 2 * h) - 8 * g(v - h) + 8 * g(v + h) - g(v + 2 * h)) / (12 * h)
         d2 = (-g(v - 2 * h) + 16 * g(v - h) - 30 * g(v) + 16 * g(v + h) - g(v + 2 * h)) / (
@@ -528,7 +526,7 @@ def test_mesh_frame_decomposition():
     profile = family_profile(-1.0, 1.0)
     patch = rotation_patch(profile, (-1.5, 1.5))
     for v in (-1.0, 0.3, 1.2):
-        s = adapted_frame(patch, 0.7, v)
+        s = frame_data(patch, 0.7, v)[0]
         f_u, _ = pushforward_frame(patch, 0.7, v)
         r = profile.r(v)
         rp = profile.dr(v)

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -9,11 +8,9 @@ from h1geom import catalog
 from h1geom.errors import CharacteristicPointError, DegenerateParametrizationError
 from h1geom.hgroup import coframe_eval, gl_inner
 from h1geom.surface import (
-    adapted_frame,
     beta,
     characteristic_test,
     frame_data,
-    frame_derivatives,
     graph_patch,
     parametric_patch,
     pushforward_frame,
@@ -76,7 +73,7 @@ def test_characteristic_cartesian_plane():
     f_u, f_v = pushforward_frame(patch, 1.0, 0.0)
     assert not characteristic_test(f_u, f_v, 1e-10)
     with pytest.raises(CharacteristicPointError):
-        adapted_frame(patch, 0.0, 0.0)
+        frame_data(patch, 0.0, 0.0)
 
 
 def test_characteristic_cylinder_never():
@@ -90,8 +87,8 @@ def test_characteristic_cylinder_never():
 def test_characteristic_paraboloid_origin():
     patch = catalog.paraboloid()
     with pytest.raises(CharacteristicPointError):
-        adapted_frame(patch, 0.0, 0.0)
-    adapted_frame(patch, 0.5, 0.1)  # fine away from the origin
+        frame_data(patch, 0.0, 0.0)
+    frame_data(patch, 0.5, 0.1)  # fine away from the origin
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +98,7 @@ def test_characteristic_paraboloid_origin():
 def test_plane_polar_hand_values():
     # at (x, y) = (1, 0): f2 radial, A = 2, alpha = -pi/2
     patch = catalog.plane()
-    s = adapted_frame(patch, 0.0, 1.0)
+    s = frame_data(patch, 0.0, 1.0)[0]
     assert s.A == pytest.approx(2.0, abs=1e-12)
     assert s.alpha == pytest.approx(-math.pi / 2, abs=1e-12)
     assert np.allclose(s.f2.coefficients(), [1.0, 0.0, 0.0], atol=1e-12)
@@ -114,7 +111,7 @@ def test_adapted_frame_invariants():
         for _ in range(10):
             u = float(rng.uniform(*u_span))
             v = float(rng.uniform(*v_span))
-            s = adapted_frame(patch, u, v)
+            s = frame_data(patch, u, v)[0]
             # horizontality and normalization in the horizontal metric
             assert abs(s.f1.c3) <= 1e-12 and abs(s.f2.c3) <= 1e-12
             assert math.hypot(s.f1.c1, s.f1.c2) == pytest.approx(1.0, abs=1e-12)
@@ -139,7 +136,7 @@ def test_conormal_annihilates_tangent_plane():
         for _ in range(6):
             u = float(rng.uniform(*u_span))
             v = float(rng.uniform(*v_span))
-            s = adapted_frame(patch, u, v)
+            s = frame_data(patch, u, v)[0]
             f_u, f_v = pushforward_frame(patch, u, v)
             ca, sa = math.cos(s.alpha), math.sin(s.alpha)
             for t in (f_u, f_v):
@@ -156,7 +153,7 @@ def test_conormal_annihilates_tangent_plane():
 def test_frame_coefficients_reconstruct_tangents():
     # f_u must equal p1 f2 + q1 f3 with the stored change of basis
     patch = catalog.constant_curvature(1.0)
-    s = adapted_frame(patch, 1.2, 0.4)
+    s = frame_data(patch, 1.2, 0.4)[0]
     f_u, f_v = pushforward_frame(patch, 1.2, 0.4)
     minv = np.array([s.f2_uv, s.f3_uv])
     m = np.linalg.inv(minv)
@@ -169,24 +166,20 @@ def test_cylinder_tilt_vanishes():
     patch = catalog.cylinder()
     rng = np.random.default_rng(2)
     for _ in range(10):
-        s = adapted_frame(patch, rng.uniform(0, 2 * math.pi), rng.uniform(-3, 3))
+        s = frame_data(patch, rng.uniform(0, 2 * math.pi), rng.uniform(-3, 3))[0]
         assert s.A == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rotation_tilt_matches_profile_log_derivative():
     # A = d/dv ln r^2, checked through the geometric frame
-    from h1geom.rotsurf import A_family, r_family
-
     for K in (1.0, 0.0, -1.0):
         patch = catalog.constant_curvature(K)
+        r, A, _ = helpers.reference_family_kernels(K, 1.0, 0.0)
         for v in (0.35, 0.8) if K == 0.0 else (-0.6, 0.4):
-            s = adapted_frame(patch, 2.0, v)
-            assert s.A == pytest.approx(A_family(K, v), abs=1e-11)
+            s = frame_data(patch, 2.0, v)[0]
+            assert s.A == pytest.approx(A(v), abs=1e-11)
             h = 1e-6
-            fd = (
-                math.log(r_family(K, 1.0, v + h) ** 2)
-                - math.log(r_family(K, 1.0, v - h) ** 2)
-            ) / (2 * h)
+            fd = (math.log(r(v + h) ** 2) - math.log(r(v - h) ** 2)) / (2 * h)
             assert s.A == pytest.approx(fd, abs=1e-8)
 
 
@@ -196,7 +189,7 @@ def test_rotation_tilt_matches_profile_log_derivative():
 
 def test_plane_polar_derivative_hand_values():
     patch = catalog.plane()
-    for fd in (frame_derivatives(patch, 0.0, 1.0), helpers.fd_frame_derivatives(patch, 0.0, 1.0)):
+    for fd in (frame_data(patch, 0.0, 1.0)[1], helpers.fd_frame_derivatives(patch, 0.0, 1.0)):
         assert fd.dA_f2 == pytest.approx(-2.0, abs=1e-6)
         assert fd.dalpha_f3 == pytest.approx(-2.0, abs=1e-6)
         assert fd.dalpha_f2 == pytest.approx(0.0, abs=1e-8)
@@ -222,7 +215,7 @@ def test_fd_matches_analytic_on_rotation_patches():
             u = float(rng.uniform(0, 2 * math.pi))
             v = float(rng.uniform(*v_span))
             fd = helpers.fd_frame_derivatives(patch, u, v)
-            exact = frame_derivatives(patch, u, v)
+            exact = frame_data(patch, u, v)[1]
             for name in ("dA_f2", "dA_f3", "dalpha_f2", "dalpha_f3"):
                 got, want = getattr(fd, name), getattr(exact, name)
                 assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
@@ -231,7 +224,7 @@ def test_fd_matches_analytic_on_rotation_patches():
 def test_constant_curvature_recovered_by_fd_pipeline():
     for K, v in ((1.0, 0.7), (0.0, 1.1), (-1.0, -1.3)):
         patch = catalog.constant_curvature(K)
-        s = adapted_frame(patch, 2.2, v)
+        s = frame_data(patch, 2.2, v)[0]
         fd = helpers.fd_frame_derivatives(patch, 2.2, v)
         assert -fd.dA_f2 - s.A**2 == pytest.approx(K, abs=1e-6)
 
@@ -242,12 +235,12 @@ def _rotation_cases():
     On a rotation chart A depends on v only, and alpha = u + const along
     each v-circle with dalpha/dv the profile curvature kappa.
     """
-    from h1geom.rotsurf import A_family, circle_profile, default_v_range, family_profile, line_profile
+    from h1geom.rotsurf import circle_profile, default_v_range, family_profile, line_profile
 
     for K in (1.0, 0.0, -1.0, 2.7, -3.1, 0.3):
         for r0 in (0.5, 1.0, 1.9):
             v0, v1 = default_v_range(K, r0)
-            A = functools.partial(A_family, K)
+            A = helpers.reference_family_kernels(K, r0, 0.0)[1]
             yield (
                 catalog.constant_curvature(K, r0), A, lambda v, A=A, K=K: -K - A(v) ** 2,
                 family_profile(K, r0).kappa, K, [(0.7, v0), (2.9, 0.5 * (v0 + v1)), (5.1, v1)],
@@ -346,31 +339,20 @@ def test_frame_values_match_the_float_reference_bit_for_bit():
                     want = repr(helpers.reference_adapted_frame(jet, u, v, chart.orientation))
                 except ZeroDivisionError:  # characteristic
                     continue
-                assert repr(helpers.frame_values(adapted_frame(chart, u, v))) == want
                 assert repr(helpers.frame_values(frame_data(chart, u, v)[0])) == want
-
-
-def test_frame_data_sample_equals_adapted_frame():
-    # the dual pass reproduces the float frame bit for bit
-    rng = np.random.default_rng(RNG_SEED + 6)
-    for patch, u_span, v_span in catalog_samples():
-        for _ in range(5):
-            u = float(rng.uniform(*u_span))
-            v = float(rng.uniform(*v_span))
-            assert frame_data(patch, u, v)[0] == adapted_frame(patch, u, v)
 
 
 def test_orientation_flip():
     patch = catalog.plane()
     flipped = patch.with_orientation(-1)
-    s = adapted_frame(patch, 0.3, 1.5)
-    t = adapted_frame(flipped, 0.3, 1.5)
+    s = frame_data(patch, 0.3, 1.5)[0]
+    t = frame_data(flipped, 0.3, 1.5)[0]
     assert t.A == pytest.approx(-s.A, abs=1e-12)
     delta = (t.alpha - s.alpha) % (2 * math.pi)
     assert delta == pytest.approx(math.pi, abs=1e-12)
     assert t.area_density == pytest.approx(-s.area_density, rel=1e-12)
-    fd_s = frame_derivatives(patch, 0.3, 1.5)
-    fd_t = frame_derivatives(flipped, 0.3, 1.5)
+    fd_s = frame_data(patch, 0.3, 1.5)[1]
+    fd_t = frame_data(flipped, 0.3, 1.5)[1]
     # limit curvature inputs are orientation invariant
     assert fd_t.dA_f2 == pytest.approx(fd_s.dA_f2, abs=1e-10)
     assert -fd_t.dA_f2 - t.A**2 == pytest.approx(-fd_s.dA_f2 - s.A**2, abs=1e-10)
@@ -426,7 +408,7 @@ def test_xl_basis_orthonormal():
     for patch, u_span, v_span in catalog_samples():
         u = float(rng.uniform(*u_span))
         v = float(rng.uniform(*v_span))
-        s = adapted_frame(patch, u, v)
+        s = frame_data(patch, u, v)[0]
         for L in (1.0, 10.0, 100.0):
             basis = xl_basis(s, L)
             for i, x in enumerate(basis):
@@ -437,7 +419,7 @@ def test_xl_basis_orthonormal():
 
 def test_xl_basis_zero_tilt():
     patch = catalog.cylinder()
-    s = adapted_frame(patch, 0.5, 0.5)
+    s = frame_data(patch, 0.5, 0.5)[0]
     L = 9.0
     x1, x2, x3 = xl_basis(s, L)
     assert np.allclose(x1.coefficients(), s.f1.coefficients(), atol=1e-12)
@@ -447,7 +429,7 @@ def test_xl_basis_zero_tilt():
 def test_xl_basis_plane_hand_values():
     # A = 2, L = 1: X1 = (1/sqrt5) f1 - (2/sqrt5) e3^L
     patch = catalog.plane()
-    s = adapted_frame(patch, 0.0, 1.0)
+    s = frame_data(patch, 0.0, 1.0)[0]
     x1, _, _ = xl_basis(s, 1.0)
     expected = (1 / math.sqrt(5)) * s.f1.coefficients() + np.array(
         [0.0, 0.0, -2 / math.sqrt(5)]
@@ -473,7 +455,7 @@ def test_parametric_patch_jet():
     assert np.allclose(pos, [1.0, 0.0, 0.3])
     assert np.allclose(du, [0.0, 1.0, 0.0])
     assert np.allclose(dv, [0.0, 0.0, 1.0])
-    s = adapted_frame(patch, 0.7, 0.1)
+    s = frame_data(patch, 0.7, 0.1)[0]
     assert s.A == pytest.approx(0.0, abs=1e-12)
 
 
