@@ -86,58 +86,47 @@ def number(value, what: str) -> float:
     raise ValueError(f"{what} must be a number, got {value!r}")
 
 
+def _field(cfg: dict, key: str):
+    """The descriptor's field key, checked, as its constructor takes it."""
+    value, what = cfg[key], f"surface.{key}"
+    if key in ("u_range", "v_range"):
+        # a rotation surface reads a null v_range as its default band
+        return None if value is None and cfg["kind"] == "rotation" else tuple(checked(value, "a pair of numbers", what))
+    if key in ("K_inf", "r0", "c1_shift", "half_width"):
+        return number(value, what)
+    if key == "closed_u":
+        return checked(value, "true or false", what)
+    return value if key == "orientation" else checked(value, "an expression string", what)
+
+
 def surface_from_config(cfg: dict) -> SurfacePatch:
-    """Build a patch from a CLI surface descriptor."""
+    """Build a patch from a CLI surface descriptor; a field it leaves out keeps the constructor's default."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ValueError("surface descriptor must be an object with a 'kind' field")
     kind = cfg["kind"]
-    orientation = cfg.get("orientation", 1)
 
-    def field(key, default, field_kind):
-        return checked(cfg.get(key, default), field_kind, f"surface.{key}")
-    def interval(key, default=None):
-        return tuple(field(key, default, "a pair of numbers"))
+    def given(*keys):
+        return {key: _field(cfg, key) for key in keys if key in cfg}
 
     if kind == "plane":
-        return plane(interval("v_range", (0.05, 8.0)), orientation)
+        return plane(**given("v_range", "orientation"))
     if kind == "plane-cartesian":
-        return plane_cartesian(number(cfg.get("half_width", 2.0), "surface.half_width"), orientation)
+        return plane_cartesian(**given("half_width", "orientation"))
     if kind == "cylinder":
-        return cylinder(interval("v_range", (-4.0, 4.0)), orientation)
+        return cylinder(**given("v_range", "orientation"))
     if kind == "paraboloid":
-        return paraboloid(
-            interval("u_range", (-2.0, 2.0)),
-            interval("v_range", (-2.0, 2.0)),
-            orientation,
-        )
+        return paraboloid(**given("u_range", "v_range", "orientation"))
     if kind == "rotation":
         if "K_inf" not in cfg:
             raise ValueError("rotation surface needs a K_inf field")
-        return constant_curvature(
-            number(cfg["K_inf"], "surface.K_inf"),
-            number(cfg.get("r0", 1.0), "surface.r0"),
-            interval("v_range") if cfg.get("v_range") is not None else None,
-            number(cfg.get("c1_shift", 0.0), "surface.c1_shift"),
-            orientation,
-        )
+        return constant_curvature(**given("K_inf", "r0", "v_range", "c1_shift", "orientation"))
     if kind == "graph":
         if "h" not in cfg:
             raise ValueError("graph surface needs an 'h' expression")
-        return graph_patch(
-            field("h", None, "an expression string"),
-            interval("u_range", (-2.0, 2.0)),
-            interval("v_range", (-2.0, 2.0)),
-            orientation=orientation,
-        )
+        return graph_patch(**given("h", "u_range", "v_range", "orientation"))
     if kind == "parametric":
         for key in ("x", "y", "z", "u_range", "v_range"):
             if key not in cfg:
                 raise ValueError(f"parametric surface needs a {key!r} field")
-        return parametric_patch(
-            *(field(key, None, "an expression string") for key in "xyz"),
-            interval("u_range"),
-            interval("v_range"),
-            orientation=orientation,
-            closed_u=field("closed_u", False, "true or false"),
-        )
+        return parametric_patch(**given("x", "y", "z", "u_range", "v_range", "orientation", "closed_u"))
     raise ValueError(f"unknown surface kind {kind!r}")

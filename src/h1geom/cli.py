@@ -113,8 +113,7 @@ def _int_value(value, what) -> int:
         raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
 
 
-def _positive_int(cfg_value, flag_value, default, what) -> int:
-    value = flag_value if flag_value is not None else cfg_value if cfg_value is not None else default
+def _positive_int(value, what) -> int:
     value = _int_value(value, what)
     if value <= 0:
         raise ConfigError(f"{what} must be positive")
@@ -166,12 +165,9 @@ def cmd_rotsurf(args) -> int:
     if args.figure is not None:
         kinf, r0 = FIGURE_PRESETS[args.figure]
         section["K_inf"], section["r0"] = kinf, r0
-    if args.kinf is not None:
-        section["K_inf"] = args.kinf
-    if args.r0 is not None:
-        section["r0"] = args.r0
-    if args.c1_shift is not None:
-        section["c1_shift"] = args.c1_shift
+    flags = {"K_inf": args.kinf}
+    flags.update((key, getattr(args, key)) for key in ("r0", "c1_shift", "samples_u", "samples_v", "n_curves"))
+    section.update((key, value) for key, value in flags.items() if value is not None)
     if args.vmin is not None or args.vmax is not None:
         lo, hi = section.get("v_range", (None, None))
         lo = args.vmin if args.vmin is not None else lo
@@ -182,28 +178,18 @@ def cmd_rotsurf(args) -> int:
     if "K_inf" not in section:
         raise ConfigError("rotsurf needs K_inf (via --kinf, --figure or config)")
 
-    spec = RotationSurfaceSpec(
-        K_inf=number(section["K_inf"], "rotsurf.K_inf"),
-        r0=number(section.get("r0", 1.0), "rotsurf.r0"),
-        c1_shift=number(section.get("c1_shift", 0.0), "rotsurf.c1_shift"),
-        v_range=tuple(section["v_range"]) if "v_range" in section else None,
-        samples_u=_positive_int(section.get("samples_u"), args.samples_u, 128, "samples_u"),
-        samples_v=_positive_int(section.get("samples_v"), args.samples_v, 128, "samples_v"),
-        n_curves=_int_value(
-            args.n_curves if args.n_curves is not None else section.get("n_curves", 8), "n_curves"
-        ),
-    )
+    # the spec gets the fields given, in its field order; the others keep its defaults
+    given = {key: number(section[key], f"rotsurf.{key}") for key in ("K_inf", "r0", "c1_shift") if key in section}
+    if "v_range" in section:
+        given["v_range"] = tuple(section["v_range"])
+    for key in ("samples_u", "samples_v"):
+        if section.get(key) is not None:
+            given[key] = _positive_int(section[key], key)
+    if "n_curves" in section:
+        given["n_curves"] = _int_value(section["n_curves"], "n_curves")
+    spec = RotationSurfaceSpec(**given)
     mesh = build_mesh(spec)
-    effective = {
-        "command": "rotsurf",
-        "K_inf": spec.K_inf,
-        "r0": spec.r0,
-        "c1_shift": spec.c1_shift,
-        "v_range": list(spec.resolved_v_range()),
-        "samples_u": spec.samples_u,
-        "samples_v": spec.samples_v,
-        "n_curves": spec.n_curves,
-    }
+    effective = {"command": "rotsurf", **dataclasses.asdict(spec), "v_range": list(spec.resolved_v_range())}
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     obj_path = prefix.with_suffix(".obj")
@@ -228,8 +214,11 @@ def _grid_command(args, command, side):
     config = _load_config(args.config)
     surface_cfg = _surface_config(args, config)
     patch = _build_surface(surface_cfg)
-    nu = _positive_int(_section(config, "grid").get("nu"), args.nu, side, "nu")
-    nv = _positive_int(_section(config, "grid").get("nv"), args.nv, side, "nv")
+    grid = _section(config, "grid")
+    nu, nv = (
+        _positive_int(flag if flag is not None else grid[key] if grid.get(key) is not None else side, key)
+        for key, flag in (("nu", args.nu), ("nv", args.nv))
+    )
     char_tol = _char_tol(args, config)
     effective = {
         "command": command, "surface": surface_cfg, "grid": {"nu": nu, "nv": nv}, "characteristic_tol": char_tol
@@ -424,8 +413,7 @@ def cmd_converge(args) -> int:
         "direction": list(direction),
         "L": L_values,
     }
-    study = convergence_study(patch, [point], L_values, direction=direction)
-    result = study.points[0]
+    result = convergence_study(patch, point, L_values, direction)
     columns = [
         "L", "K_L", "abs_err_K", "sigma_L", "rescaled_sigma", "K_L_sigma_L",
         "k_n_L", "abs_err_k_n", "ds_L_density",
@@ -433,7 +421,7 @@ def cmd_converge(args) -> int:
     rows = [dataclasses.astuple(r) for r in result.rows]  # the columns in field order
     footer = [
         f"K_inf {result.K_inf:.17g}",
-        f"k_n {result.k_n_limit:.17g}" if result.k_n_limit is not None else "k_n nan",
+        f"k_n {result.k_n_limit:.17g}",
         f"slope_err_K {result.slope_err_K}",
         f"slope_err_k_n {result.slope_err_k_n}",
         f"slope_sigma_L {result.slope_sigma}",

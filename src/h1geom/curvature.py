@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import elementwise, power
-from .errors import NonTransverseError
+from .errors import GeometryError, NonTransverseError
 from .hgroup import _as_L
 from .surface import FrameDerivatives
 
@@ -45,7 +45,11 @@ def k_L(fd: FrameDerivatives, A: float, L: float) -> float:
     """Gaussian curvature of the surface in the metric g_L (A and fd may hold arrays)."""
     L = _as_L(L)
     den = L + A * A
-    return L / power(den, 2) * k_gauss_map(fd) - L * L / power(den, 2) * fd.dA_f2 - L / den * A * A
+    try:
+        den2 = power(den, 2)
+    except OverflowError:
+        raise GeometryError(f"K_L at L = {L!r}: (L + A^2)^2 overflows the float range") from None
+    return L / den2 * k_gauss_map(fd) - L * L / den2 * fd.dA_f2 - L / den * A * A
 
 
 def k_inf(fd: FrameDerivatives, A: float) -> float:

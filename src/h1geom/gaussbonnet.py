@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .batch import elementwise, first_failure
-from .curvature import TransverseCurveSample, _transverse, _turn, ds_L_density, k_L, k_inf, k_n, k_n_L
+from .curvature import _transverse, _turn, ds_L_density, k_L, k_inf, k_n, k_n_L
 from .errors import CharacteristicPointError, NonTransverseError
 from .hgroup import _as_L
 from .quadrature import cubature, gauss_segments
@@ -35,13 +35,15 @@ __all__ = [
     "gb_residual",
     "stokes_density_check",
     "convergence_study",
-    "ConvergenceStudy",
     "PointConvergence",
     "RegionConvergence",
     "fit_loglog_slope",
 ]
 
 TRANSVERSALITY_TOL = 1e-10
+AREA_TOL = 1e-9  # cubature tolerance of gb_residual's area side
+BOUNDARY_TOL = 1e-10  # and of its boundary side
+REGION_TOL = 1e-7  # cubature tolerance of each side of _region_convergence
 REGION_SCAN = 21  # the region prescan tests a REGION_SCAN^2 grid
 BOUNDARY_SCAN = 33  # the winding and boundary prescans test this many points per boundary piece
 
@@ -244,16 +246,11 @@ class GBReport:
     boundary_error_est: float
 
 
-def gb_residual(
-    S: SurfacePatch,
-    R: ParamRegion,
-    area_tol: float = 1e-9,
-    boundary_tol: float = 1e-10,
-) -> GBReport:
-    """int_R K_inf dsigma (integrand K_inf * rho in the chart) to area_tol, and
-    oint_gamma k_n ds = oint A f^3(gamma') over the oriented boundary to boundary_tol."""
-    area, area_err = _area(S, R, _gb_area_density, area_tol)
-    boundary, boundary_err = _boundary(S, R, _gb_boundary_density, boundary_tol)
+def gb_residual(S: SurfacePatch, R: ParamRegion) -> GBReport:
+    """int_R K_inf dsigma (integrand K_inf * rho in the chart) to AREA_TOL, and
+    oint_gamma k_n ds = oint A f^3(gamma') over the oriented boundary to BOUNDARY_TOL."""
+    area, area_err = _area(S, R, _gb_area_density, AREA_TOL)
+    boundary, boundary_err = _boundary(S, R, _gb_boundary_density, BOUNDARY_TOL)
     area, boundary = float(area[0]), float(boundary[0])
     return GBReport(area, boundary, area + boundary, area_err, boundary_err)
 
@@ -310,9 +307,9 @@ class ConvergenceRow:
     sigma_L: float
     rescaled_sigma: float
     K_L_sigma_L: float
-    k_n_L: Optional[float]
-    err_k_n: Optional[float]
-    ds_L: Optional[float]
+    k_n_L: float
+    err_k_n: float
+    ds_L: float
 
 
 @dataclass(frozen=True)
@@ -321,7 +318,7 @@ class PointConvergence:
     v: float
     A: float
     K_inf: float
-    k_n_limit: Optional[float]
+    k_n_limit: float
     rows: tuple[ConvergenceRow, ...]
     slope_err_K: Optional[float]
     slope_err_k_n: Optional[float]
@@ -335,39 +332,39 @@ class RegionConvergence:
     slope_residual: Optional[float]
 
 
-@dataclass(frozen=True)
-class ConvergenceStudy:
-    points: tuple[PointConvergence, ...]
-    region: Optional[RegionConvergence]
+def convergence_study(
+    S: SurfacePatch, point: tuple[float, float], L_values: Sequence[float], direction: tuple[float, float]
+) -> PointConvergence:
+    """L-sweep of the limit relations at one chart point, L in increasing order.
 
-
-def _point_convergence(S, u, v, L_values, direction) -> PointConvergence:
+    It tabulates K_L against K_inf, the area density sqrt(L + A^2) raw and
+    rescaled by 1/sqrt(L), K_L * sigma_L (divergent), and, along the
+    parameter direction (du, dv), k_n_L against k_n.
+    """
+    L_sorted = sorted(_as_L(L) for L in L_values)
+    u, v = (float(x) for x in point)
     sample, fd, tangents = frame_tangents(S, u, v)
     K_limit = k_inf(fd, sample.A)
-    curve: Optional[TransverseCurveSample] = None
-    k_n_limit = None
-    if direction is not None:
-        curve = _transverse(sample, fd, tangents, direction)
-        k_n_limit = k_n(curve.A, curve.b)
+    curve = _transverse(sample, fd, tangents, direction)
+    k_n_limit = k_n(curve.A, curve.b)
     rows = []
-    for L in L_values:
+    for L in L_sorted:
         KL = k_L(fd, sample.A, L)
         sigma_L = math.sqrt(L + sample.A**2)
-        knL = k_n_L(curve, L) if curve is not None else None
+        knL = k_n_L(curve, L)
         rows.append(
             ConvergenceRow(
-                L=float(L),
+                L=L,
                 K_L=KL,
                 err_K=abs(KL - K_limit),
                 sigma_L=sigma_L,
                 rescaled_sigma=sigma_L / math.sqrt(L),
                 K_L_sigma_L=KL * sigma_L,
                 k_n_L=knL,
-                err_k_n=abs(knL - k_n_limit) if knL is not None else None,
-                ds_L=ds_L_density(curve, L) if curve is not None else None,
+                err_k_n=abs(knL - k_n_limit),
+                ds_L=ds_L_density(curve, L),
             )
         )
-    Ls = [r.L for r in rows]
     return PointConvergence(
         u=u,
         v=v,
@@ -375,20 +372,22 @@ def _point_convergence(S, u, v, L_values, direction) -> PointConvergence:
         K_inf=K_limit,
         k_n_limit=k_n_limit,
         rows=tuple(rows),
-        slope_err_K=fit_loglog_slope(Ls, [r.err_K for r in rows]),
-        slope_err_k_n=fit_loglog_slope(Ls, [r.err_k_n if r.err_k_n is not None else 0.0 for r in rows]),
-        slope_sigma=fit_loglog_slope(Ls, [r.sigma_L for r in rows]),
-        slope_K_L_sigma=fit_loglog_slope(Ls, [r.K_L_sigma_L for r in rows]),
+        slope_err_K=fit_loglog_slope(L_sorted, [r.err_K for r in rows]),
+        slope_err_k_n=fit_loglog_slope(L_sorted, [r.err_k_n for r in rows]),
+        slope_sigma=fit_loglog_slope(L_sorted, [r.sigma_L for r in rows]),
+        slope_K_L_sigma=fit_loglog_slope(L_sorted, [r.K_L_sigma_L for r in rows]),
     )
 
 
-def _region_convergence(S, region, L_values, tol=1e-7) -> RegionConvergence:
-    """Both rescaled finite-L Gauss-Bonnet sides per L, one cubature per side for all L.
+def _region_convergence(S: SurfacePatch, region: ParamRegion, L_values: Sequence[float]) -> RegionConvergence:
+    """Both rescaled finite-L Gauss-Bonnet sides per L (in increasing order), one cubature per side for all L.
 
     On the boundary (unit parameter speed) the g_L speed multiplies k_n_L
     but not its rotation-rate term, a rate per unit parameter already; each
-    row sums to (2 pi chi(R) - exterior corner angles in g_L) / sqrt(L).
+    row sums to (2 pi chi(R) - exterior corner angles in g_L) / sqrt(L),
+    which tends to 0.
     """
+    L_values = sorted(_as_L(L) for L in L_values)
 
     def area_density(sample, fd):
         A = sample.A
@@ -404,30 +403,7 @@ def _region_convergence(S, region, L_values, tol=1e-7) -> RegionConvergence:
             [(_turn(c, L) * (1.0 - s) + k_n_L(c, L) * s) / math.sqrt(L) for L, s in zip(L_values, speed)], axis=-1
         )
 
-    area = np.broadcast_to(_area(S, region, area_density, tol)[0], len(L_values))
-    boundary = np.broadcast_to(_boundary(S, region, boundary_density, tol)[0], len(L_values))
-    rows = tuple((float(L), float(a), float(b), float(a + b)) for L, a, b in zip(L_values, area, boundary))
+    area = np.broadcast_to(_area(S, region, area_density, REGION_TOL)[0], len(L_values))
+    boundary = np.broadcast_to(_boundary(S, region, boundary_density, REGION_TOL)[0], len(L_values))
+    rows = tuple((L, float(a), float(b), float(a + b)) for L, a, b in zip(L_values, area, boundary))
     return RegionConvergence(rows, fit_loglog_slope(L_values, [r[3] for r in rows]))
-
-
-def convergence_study(
-    S: SurfacePatch,
-    points: Sequence[tuple[float, float]],
-    L_values: Sequence[float],
-    direction: Optional[tuple[float, float]] = (1.0, 0.0),
-    region: Optional[ParamRegion] = None,
-) -> ConvergenceStudy:
-    """Pointwise and (optionally) region-level L-sweep of the limit relations.
-
-    At each point it tabulates K_L against K_inf, the area density
-    sqrt(L + A^2) raw and rescaled by 1/sqrt(L), K_L * sigma_L (divergent),
-    and, along the parameter direction, k_n_L against k_n.  With a region
-    it also reports the finite-L rescaled Gauss-Bonnet sum per L, which
-    tends to 0 (see _region_convergence).
-    """
-    L_sorted = sorted(_as_L(L) for L in L_values)
-    studies = tuple(
-        _point_convergence(S, float(u), float(v), L_sorted, direction) for u, v in points
-    )
-    region_rows = _region_convergence(S, region, L_sorted) if region is not None else None
-    return ConvergenceStudy(points=studies, region=region_rows)

@@ -95,17 +95,9 @@ class FrameVec:
     def __post_init__(self):
         _check_finite(self, ("c1", "c2", "c3"), "non-finite frame coefficient {name}")
 
-    def coefficients(self) -> np.ndarray:
-        return np.array(np.broadcast_arrays(self.c1, self.c2, self.c3, self.base.x)[:3], dtype=float)
-
-    def to_coordinates(self) -> np.ndarray:
-        """Components in the coordinate basis (d/dx, d/dy, d/dz)."""
-        e1, e2, e3 = frame_at(self.base)
-        return self.c1 * e1 + self.c2 * e2 + self.c3 * e3
-
     @classmethod
     def from_coordinates(cls, base: Point, vec) -> "FrameVec":
-        """Inverse of :meth:`to_coordinates`; c3 is e^3 applied to the vector."""
+        """The vector with coordinate components vec = (vx, vy, vz); c3 is e^3 applied to it."""
         vx, vy, vz = vec
         return cls(base, vx, vy, e3_coefficient(base.x, base.y, vx, vy, vz))
 

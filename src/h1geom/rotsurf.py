@@ -35,6 +35,7 @@ from .errors import DomainViolationError, GeometryError
 from .batch import elementwise, power
 from .quadrature import gauss_segments, integrate, integrate_with_boundary
 from .expr import Dual2
+from .hgroup import e3_coefficient
 from .surface import SurfacePatch
 
 __all__ = [
@@ -55,8 +56,10 @@ __all__ = [
 
 CLAMP = 1e-12  # values of 1 - (r')^2 in [-CLAMP, 0] count as exact zeros
 ANCHOR_EPS = 1e-9
-THETA_C_TOL = 1e-10  # absolute QUADPACK tolerance of theta(v) and c(v)
+THETA_C_TOL = 1e-10  # absolute QUADPACK tolerance of theta(v) and c(v), and of horizontal_lift's c(t)
 THETA_C_CACHE_SIZE = 4096  # theta/c values memoized per family profile
+CHORD_E3_RATIO = 1e-8  # bound on |e^3(chord)| / |chord| of every generating-curve chord
+MAX_CURVE_POINTS = 500_000  # point budget of one generating-curve sampling
 
 
 def _sqrt1m(rp2_complement, v):
@@ -129,9 +132,12 @@ def _check_domain(v: float, bounds: tuple[float, float], what: str):
 
 
 def _check_band(profile: Profile, v_range) -> None:
-    """DomainViolationError unless lo <= v0 < v1 <= hi in the profile's (shifted) existence domain."""
+    """ValueError unless v0 < v1, then DomainViolationError unless lo <= v0 < v1 <= hi
+    in the profile's (shifted) existence domain."""
     (v0, v1), (lo, hi) = v_range, profile.domain
-    if not (lo <= v0 < v1 <= hi):
+    if not v0 < v1:
+        raise ValueError(f"v_range ({v0!r}, {v1!r}) must have v0 < v1")
+    if not (lo <= v0 and v1 <= hi):
         raise DomainViolationError(
             f"v_range ({v0!r}, {v1!r}) not inside the existence domain ({lo!r}, {hi!r}) of {profile.name}"
         )
@@ -261,7 +267,7 @@ def _integrands(r, A, t):
     return s / rt, 0.5 * rt * s
 
 
-def horizontal_lift(a, b, t: float, tol: float = 1e-10) -> float:
+def horizontal_lift(a, b, t: float) -> float:
     """Height c(t) = (1/2) int_0^t (a b' - b a') restoring horizontality."""
     a_tree = _expr.parse(a) if isinstance(a, str) else a
     b_tree = _expr.parse(b) if isinstance(b, str) else b
@@ -271,7 +277,7 @@ def horizontal_lift(a, b, t: float, tol: float = 1e-10) -> float:
         db = _expr.eval_dual_t(b_tree, s)
         return 0.5 * (da.value * db.d_u - db.value * da.d_u)
 
-    return integrate(integrand, 0.0, t, tol)
+    return integrate(integrand, 0.0, t, THETA_C_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +360,6 @@ class RotationSurfaceSpec:
     samples_u: int = 128
     samples_v: int = 128
     n_curves: int = 8
-    curve_e3_ratio: float = 1e-8
 
     def resolved_v_range(self) -> tuple[float, float]:
         if self.v_range is not None:
@@ -386,25 +391,20 @@ def e3_chord_ratio(points: np.ndarray) -> np.ndarray:
     """|e^3(chord)| / |chord| at segment midpoints of a polyline."""
     delta = np.diff(points, axis=0)
     mid = 0.5 * (points[1:] + points[:-1])
-    e3 = delta[:, 2] + 0.5 * (mid[:, 1] * delta[:, 0] - mid[:, 0] * delta[:, 1])
+    e3 = e3_coefficient(mid[:, 0], mid[:, 1], delta[:, 0], delta[:, 1], delta[:, 2])
     norms = np.linalg.norm(delta, axis=1)
     return np.abs(e3) / np.maximum(norms, 1e-300)
 
 
-def sample_generating_curve(
-    profile: Profile,
-    v0: float,
-    v1: float,
-    max_ratio: float = 1e-8,
-    max_points: int = 500_000,
-) -> np.ndarray:
+def sample_generating_curve(profile: Profile, v0: float, v1: float) -> np.ndarray:
     """Adaptive samples (v, a, b, c) of the generating horizontal curve.
 
     Chord lengths are chosen from the profile curvature so that every
-    segment satisfies |e^3(midpoint chord)| <= max_ratio * |chord|; a chord
-    above that bound raises GeometryError.  theta and c accumulate per
-    segment with a fixed Gauss rule (plus the boundary substitution),
-    keeping consecutive points consistent to far below the chord tolerance.
+    segment satisfies |e^3(midpoint chord)| <= CHORD_E3_RATIO * |chord|; a
+    chord above that bound, or a walk of more than MAX_CURVE_POINTS points,
+    raises GeometryError.  theta and c accumulate per segment with a fixed
+    Gauss rule (plus the boundary substitution), keeping consecutive points
+    consistent to far below the chord tolerance.
     """
     if not (v0 < v1):
         raise ValueError("need v0 < v1")
@@ -415,7 +415,7 @@ def sample_generating_curve(
     span = v1 - v0
     dv_cap = span / 64.0
     dv_floor = span * 1e-9
-    target = 0.6 * max_ratio
+    target = 0.6 * CHORD_E3_RATIO
 
     # Each step depends on the previous v, so the walk stays scalar.  A step
     # that k_ahead did not shorten ends where k_ahead was taken: reuse it.
@@ -432,9 +432,10 @@ def sample_generating_curve(
         # the last step ends exactly at v1 and is never shorter than dv_floor
         v = v + dv if v + dv < v1 - dv_floor else v1
         vs.append(v)
-        if len(vs) > max_points:
+        if len(vs) > MAX_CURVE_POINTS:
             raise GeometryError(
-                f"generating-curve sampling exceeded the point budget ({max_points}) at v = {v!r} in [{v0!r}, {v1!r}]"
+                f"generating-curve sampling exceeded the point budget ({MAX_CURVE_POINTS}) "
+                f"at v = {v!r} in [{v0!r}, {v1!r}]"
             )
     vs = np.array(vs)
     d_theta, d_c = gauss_segments(functools.partial(_integrands, profile.r, profile.A), vs[:-1], vs[1:], profile.domain)
@@ -445,10 +446,10 @@ def sample_generating_curve(
 
     ratios = e3_chord_ratio(pts)
     k = int(np.argmax(ratios))  # the worst chord; a NaN counts as the worst
-    if not ratios[k] <= max_ratio:
+    if not ratios[k] <= CHORD_E3_RATIO:
         raise GeometryError(
             f"generating-curve chord over v in [{float(vs[k])!r}, {float(vs[k + 1])!r}] has e3 ratio "
-            f"{ratios[k]:.3g} above the bound {max_ratio:g}"
+            f"{ratios[k]:.3g} above the bound {CHORD_E3_RATIO:g}"
         )
     return np.column_stack([vs, pts])
 
@@ -481,7 +482,7 @@ def build_mesh(spec: RotationSurfaceSpec) -> Mesh:
 
     polylines = []
     if spec.n_curves > 0:
-        curve = sample_generating_curve(profile, v0, v1, spec.curve_e3_ratio)[:, 1:]
+        curve = sample_generating_curve(profile, v0, v1)[:, 1:]
         for k in range(spec.n_curves):
             polylines.append(_rotate_xy(curve, 2.0 * math.pi * k / spec.n_curves))
 

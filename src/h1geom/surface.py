@@ -16,7 +16,7 @@ orientation, 1 or -1, flips this globally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -70,17 +70,11 @@ class SurfacePatch:
         """Position and coordinate partials as three float triples."""
         return [(x.value, y.value, z.value) for x, y, z in self.jet2(u, v)]
 
-    def position(self, u: float, v: float) -> Point:
-        return Point(*(c.value for c in self.jet2(u, v)[0]))
-
     def contains(self, u: float, v: float) -> bool:
         """True iff (u, v) lies in the chart; a chart closed in u takes any u."""
         return (
             self.closed_u or self.u_range[0] <= u <= self.u_range[1]
         ) and self.v_range[0] <= v <= self.v_range[1]
-
-    def with_orientation(self, sign: int) -> "SurfacePatch":
-        return replace(self, orientation=sign)
 
 
 @dataclass(frozen=True)
@@ -287,7 +281,7 @@ def frame_data(S: SurfacePatch, u, v, tol: float = CHARACTERISTIC_TOL):
     return _frame_data(S, u, v, tol)[:2]
 
 
-def frame_tangents(S: SurfacePatch, u, v, tol: float = CHARACTERISTIC_TOL):
+def frame_tangents(S: SurfacePatch, u, v):
     """frame_data and the (f^2, f^3) coefficients of f_u and f_v as duals in (u, v).
 
     Returns (sample, derivatives, ((p1, q1), (p2, q2))), the duals' partials
@@ -295,10 +289,10 @@ def frame_tangents(S: SurfacePatch, u, v, tol: float = CHARACTERISTIC_TOL):
     raises what it raises alone.
     """
     with np.errstate(all="ignore"):
-        sample, derivatives, singular, tangents = _frame_data(S, u, v, tol)
+        sample, derivatives, singular, tangents = _frame_data(S, u, v, CHARACTERISTIC_TOL)
     if np.any(singular):
         k = np.flatnonzero(singular)[0]
-        _frame_data(S, float(u[k]), float(v[k]), tol)  # raises at that point
+        _frame_data(S, float(u[k]), float(v[k]), CHARACTERISTIC_TOL)  # raises at that point
     return sample, derivatives, tangents
 
 

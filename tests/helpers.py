@@ -30,7 +30,7 @@ from h1geom.quadrature import BOUNDARY_WINDOW
 from h1geom import rotsurf
 from h1geom.batch import power
 from h1geom.rotsurf import CLAMP, e3_chord_ratio
-from h1geom.hgroup import FrameVec, Point
+from h1geom.hgroup import FrameVec, Point, frame_at
 from h1geom.surface import (
     CHARACTERISTIC_TOL,
     FrameDerivatives,
@@ -73,6 +73,22 @@ def first_order_dual(tree, u, v):
 def transverse(S, u, v, direction):
     """The curve data the program takes along direction (du, dv) at (u, v): _transverse over frame_tangents."""
     return _transverse(*frame_tangents(S, u, v), direction)
+
+
+def position(S, u, v):
+    """The point of the chart S at (u, v)."""
+    return Point(*S.jet(u, v)[0])
+
+
+def coefficients(f):
+    """The frame coefficients (c1, c2, c3) of a FrameVec at one point."""
+    return np.array([f.c1, f.c2, f.c3])
+
+
+def to_coordinates(f):
+    """The components of a FrameVec at one point in the coordinate basis (d/dx, d/dy, d/dz)."""
+    e1, e2, e3 = frame_at(f.base)
+    return f.c1 * e1 + f.c2 * e2 + f.c3 * e3
 
 
 def central_partials(tree, u, v, h_scale=1e-6):
@@ -432,7 +448,7 @@ def reference_grid_rows(patch, nu, nv, char_tol, n_values, values):
             try:
                 sample, fd = frame_data(patch, u, v, tol=char_tol)
             except (CharacteristicPointError, DegenerateParametrizationError):
-                pos = patch.position(u, v)
+                pos = position(patch, u, v)
                 rows.append([u, v, pos.x, pos.y, pos.z] + [math.nan] * n_values + [1])
                 continue
             pos = sample.point

@@ -617,13 +617,17 @@ def test_surface_orientation_must_be_plus_or_minus_one(tmp_path, capsys, command
     [
         ["curvature", "--surface", "paraboloid", "--nu", "4", "--nv", "4", "--l-values", "1e200"],
         ["converge", "--surface", "paraboloid", "--point", "1,0.5", "--l-values", "1e2,1e200"],
+        ["curvature", "--surface", "paraboloid", "--nu", "2", "--nv", "2", "--l-values", "1e160"],
+        ["converge", "--surface", "paraboloid", "--point", "1,0.5", "--l-values", "1e308,1e308"],
     ],
 )
 def test_overflow_is_a_numeric_error(tmp_path, capsys, argv):
+    # (L + A^2)^2 overflows in K_L at the largest L; the message names both
+    L = max(map(float, argv[-1].split(",")))
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1 and err.startswith("error: OverflowError")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: K_L at L = {L!r}: (L + A^2)^2 overflows")
     assert not out.exists()
 
 
@@ -705,6 +709,28 @@ def test_rotsurf_domain_error_names_the_shift_of_its_profile(tmp_path, capsys, s
     argv = ["rotsurf", "--kinf", "1", "--c1-shift", shift, "--vmin", "-1.9", "--vmax", "0"]
     assert main(argv + ["--out-prefix", str(tmp_path / "mesh")]) == 2
     assert capsys.readouterr().err.strip().endswith(f" of {name}")
+
+
+@pytest.mark.parametrize(
+    "argv, surface, band",
+    [
+        (["rotsurf", "--kinf", "1", "--vmin", "0.6", "--vmax", "0.5"], None, "(0.6, 0.5)"),
+        (["rotsurf", "--kinf", "1", "--vmin", "0.5", "--vmax", "0.5"], None, "(0.5, 0.5)"),
+        (["rotsurf", "--kinf", "1", "--vmin", "nan", "--vmax", "0.5"], None, "(nan, 0.5)"),
+        (["gauss-bonnet"], {"kind": "rotation", "K_inf": 1.0, "v_range": [0.5, 0.2]}, "(0.5, 0.2)"),
+        (["curvature"], {"kind": "rotation", "K_inf": 1.0, "v_range": [0.5, 0.2]}, "(0.5, 0.2)"),
+        (["converge"], {"kind": "plane", "v_range": [2.0, 2.0]}, "(2.0, 2.0)"),
+    ],
+)
+def test_reversed_empty_or_nan_rotation_band_is_a_config_error(tmp_path, capsys, argv, surface, band):
+    # the band check refuses such a band before comparing its ends with the existence domain
+    if surface is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps({"surface": surface}))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    out = ["--out-prefix", str(tmp_path / "mesh")] if argv[0] == "rotsurf" else ["--out", str(tmp_path / "out")]
+    assert main(argv + out) == 1
+    assert capsys.readouterr().err.strip() == f"config error: v_range {band} must have v0 < v1"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if surface is not None else [])
 
 
 @pytest.mark.parametrize("h", ["(u+10)^400+v", "exp(1000*u)+v"])
@@ -1136,8 +1162,21 @@ def test_scipy_integrate_is_imported_at_the_first_integral(tmp_path, argv, code,
 PAPER_FORMULAS = ("area_form_coeffs", "length_form_limit", "beta", "horizontal_lift")
 
 
+def _public_functions(namespace):
+    """The public functions of a namespace and the methods written in the bodies of its classes, by name."""
+    public = {name: f for name, f in vars(namespace).items() if inspect.isfunction(f) and not name.startswith("_")}
+    for cls in (c for c in vars(namespace).values() if inspect.isclass(c)):
+        source = sys.modules[cls.__module__].__file__
+        for name, method in vars(cls).items():
+            method = getattr(method, "__func__", method)  # a classmethod's function
+            if inspect.isfunction(method) and method.__code__.co_filename == source:
+                public[f"{cls.__name__}.{name}"] = method
+    return public
+
+
 def test_every_public_function_is_run_by_the_cli_or_is_a_paper_formula(tmp_path, capsys):
-    # a public function that no command runs is a second path, which tests could check in place of the program's
+    # a public function or method that no command runs is a second path, which tests could check in place of the
+    # program's; dataclass-generated methods (__init__, __eq__, ...) have no source line and are left out
     import h1geom
 
     parametric = {
@@ -1168,7 +1207,8 @@ def test_every_public_function_is_run_by_the_cli_or_is_a_paper_formula(tmp_path,
     finally:
         sys.setprofile(None)
     assert codes == [0] * len(runs), capsys.readouterr().err
-    public = {name: f for name, f in vars(h1geom).items() if inspect.isfunction(f) and not name.startswith("_")}
+    public = _public_functions(h1geom)
+    assert {"FrameVec.from_coordinates", "SurfacePatch.contains", "RotationSurfaceSpec.validate"} <= set(public)
     assert set(PAPER_FORMULAS) <= set(public)
     assert [name for name, f in sorted(public.items()) if f.__code__ not in ran and name not in PAPER_FORMULAS] == []
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

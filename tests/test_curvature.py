@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from h1geom.curvature import (
     length_form_limit,
 )
 from h1geom.errors import NonTransverseError
-from h1geom.gaussbonnet import convergence_study
+from h1geom.gaussbonnet import ParamRegion, _region_convergence, convergence_study
 from h1geom.hgroup import connection_coeff, frame_to_gl_basis
 from h1geom.surface import (
     FrameDerivatives,
@@ -106,7 +107,7 @@ def test_k_n_orientation_invariance():
     # A -> -A and b -> -b, leaving k_n and k_n_L unchanged
     patch = catalog.plane()
     c = helpers.transverse(patch, 0.1, 1.0 + 0.2 * 0.1, (1.0, 0.2))
-    c_flip = helpers.transverse(patch.with_orientation(-1), 0.1, 1.0 + 0.2 * 0.1, (-1.0, -0.2))
+    c_flip = helpers.transverse(dataclasses.replace(patch, orientation=-1), 0.1, 1.0 + 0.2 * 0.1, (-1.0, -0.2))
     assert c_flip.A == pytest.approx(-c.A, abs=1e-10)
     assert c_flip.b == pytest.approx(-c.b, abs=1e-10)
     assert k_n(c_flip.A, c_flip.b) == pytest.approx(k_n(c.A, c.b), abs=1e-10)
@@ -193,7 +194,7 @@ def _covariant_k_n_L_oracle(patch, path, t, direction, L, h=1e-4, h_vel=1e-6):
         um, vm = path(tt - h_vel)
         du, dv = (up - um) / (2 * h_vel), (vp - vm) / (2 * h_vel)
         f_u, f_v = pushforward_frame(patch, u, v)
-        return du * f_u.coefficients() + dv * f_v.coefficients()
+        return du * helpers.coefficients(f_u) + dv * helpers.coefficients(f_v)
 
     def unit_gl(tt):
         raw = velocity(tt)
@@ -331,7 +332,8 @@ def test_every_function_of_L_rejects_what_the_metric_rejects(L):
         lambda: ds_L_density(curve, L),
         lambda: beta(L, 2.0),
         lambda: xl_basis(sample, L),
-        lambda: convergence_study(catalog.paraboloid(), [(1.0, 0.5)], [1.0, L]),
+        lambda: convergence_study(catalog.paraboloid(), (1.0, 0.5), [1.0, L], (1.0, 0.0)),
+        lambda: _region_convergence(catalog.paraboloid(), ParamRegion(1.0, 2.0, -1.0, -0.5), [1.0, L]),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="metric parameter must be finite and positive"):

@@ -9,6 +9,7 @@ from h1geom.gaussbonnet import (
     ParamRegion,
     _boundary,
     _gb_boundary_density,
+    _region_convergence,
     convergence_study,
     fit_loglog_slope,
     gb_residual,
@@ -59,7 +60,7 @@ def test_area_density_on_rotation_band():
     patch = catalog.constant_curvature(-1.0)
     for v in (-1.2, 0.2, 1.0):
         s = frame_data(patch, 1.0, v)[0]
-        pos = patch.position(1.0, v)
+        pos = helpers.position(patch, 1.0, v)
         assert s.area_density == pytest.approx(0.5 * (pos.x**2 + pos.y**2), rel=1e-10)
 
 
@@ -165,7 +166,7 @@ def test_rectangle_region_on_paraboloid():
     # Stokes holds on any rectangle with transverse edges (v - u/2 and
     # u + v/2 must not vanish on them)
     patch = catalog.paraboloid()
-    report = gb_residual(patch, ParamRegion(0.5, 0.7, 0.5, 1.2), boundary_tol=1e-11)
+    report = gb_residual(patch, ParamRegion(0.5, 0.7, 0.5, 1.2))
     assert abs(report.residual) <= 1e-8
 
 
@@ -234,8 +235,7 @@ def test_stokes_density_equals_minus_k_inf_density():
 
 def test_convergence_point_slopes_on_plane():
     patch = catalog.plane()
-    study = convergence_study(patch, [(0.0, 1.0)], L_SWEEP, direction=(1.0, 1.0))
-    point = study.points[0]
+    point = convergence_study(patch, (0.0, 1.0), L_SWEEP, (1.0, 1.0))
     assert point.K_inf == pytest.approx(-2.0, abs=1e-9)
     assert point.slope_err_K == pytest.approx(-1.0, abs=0.05)
     assert point.slope_sigma == pytest.approx(0.5, abs=0.02)
@@ -245,11 +245,11 @@ def test_convergence_point_slopes_on_plane():
 
 def test_convergence_zero_tilt_rows_are_exact():
     patch = catalog.cylinder()
-    study = convergence_study(patch, [(0.5, 0.5)], (1e2, 1e4), direction=(1.0, 0.0))
-    for row in study.points[0].rows:
+    study = convergence_study(patch, (0.5, 0.5), (1e2, 1e4), (1.0, 0.0))
+    for row in study.rows:
         assert row.err_K == 0.0
         assert row.err_k_n == pytest.approx(0.0, abs=1e-12)
-    assert study.points[0].slope_err_K is None
+    assert study.slope_err_K is None
 
 
 def test_convergence_region_sum_tends_to_zero():
@@ -257,24 +257,22 @@ def test_convergence_region_sum_tends_to_zero():
     # annulus the sum is 0 at every L (test_finite_l_region_sum_is_the_gauss_bonnet_corner_term)
     patch = catalog.paraboloid()
     region = ParamRegion(1.0, 2.0, -1.0, -0.5)
-    study = convergence_study(
-        patch, [], (1e2, 1e3, 1e4), direction=None, region=region
-    )
-    residuals = [abs(row[3]) for row in study.region.rows]
+    study = _region_convergence(patch, region, (1e2, 1e3, 1e4))
+    residuals = [abs(row[3]) for row in study.rows]
     assert residuals[0] > residuals[-1]
     assert residuals[-1] <= 1e-3
-    assert study.region.slope_residual is not None and study.region.slope_residual < -0.4
+    assert study.slope_residual is not None and study.slope_residual < -0.4
 
 
 def test_unrescaled_area_element_diverges():
     patch = catalog.plane()
-    study = convergence_study(patch, [(0.0, 1.0)], L_SWEEP, direction=None)
-    rows = study.points[0].rows
+    study = convergence_study(patch, (0.0, 1.0), L_SWEEP, (1.0, 0.0))
+    rows = study.rows
     assert fit_loglog_slope([r.L for r in rows], [r.sigma_L for r in rows]) == pytest.approx(
         0.5, abs=0.02
     )
     # K_L * sigma_L likewise grows ~ sqrt(L): no finite limit
-    assert study.points[0].slope_K_L_sigma == pytest.approx(0.5, abs=0.05)
+    assert study.slope_K_L_sigma == pytest.approx(0.5, abs=0.05)
     rescaled = [r.rescaled_sigma for r in rows]
     assert rescaled[-1] == pytest.approx(1.0, rel=1e-5)
 
@@ -292,16 +290,16 @@ def test_slope_over_nearly_equal_L_is_degenerate():
         warnings.simplefilter("error")
         assert fit_loglog_slope([100.0, 100.0000000000001], [0.5, 0.25]) is None
         assert fit_loglog_slope([100.0, 1000.0], [0.5, 0.25]) == pytest.approx(math.log10(0.5))
-    study = convergence_study(catalog.paraboloid(), [(0.5, 0.25)], [1e2, 1e2, 1e2])
-    assert study.points[0].slope_err_K is None and study.points[0].slope_sigma is None
+    study = convergence_study(catalog.paraboloid(), (0.5, 0.25), [1e2, 1e2, 1e2], (1.0, 0.0))
+    assert study.slope_err_K is None and study.slope_sigma is None
 
 
 def test_slope_over_L_all_equal_to_1_is_degenerate():
     # log10(L) is then a column of zeros, which polyfit divided by its norm 0:
     # a RuntimeWarning, then LAPACK's lines on stderr and an SVD error
     assert fit_loglog_slope([1.0, 1.0], [0.5, 0.25]) is None
-    study = convergence_study(catalog.paraboloid(), [(0.5, 0.25)], [1.0, 1.0])
-    assert study.points[0].slope_err_K is None and study.points[0].slope_sigma is None
+    study = convergence_study(catalog.paraboloid(), (0.5, 0.25), [1.0, 1.0], (1.0, 0.0))
+    assert study.slope_err_K is None and study.slope_sigma is None
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +336,7 @@ def test_closed_region_must_span_a_period_of_a_closed_chart(patch, region):
     with pytest.raises(ValueError, match="closed in u"):  # the boundary side checks on its own
         _boundary(patch, region, _gb_boundary_density, 1e-10)
     with pytest.raises(ValueError, match="closed in u"):
-        convergence_study(patch, [], (1e2, 1e3), direction=None, region=region)
+        _region_convergence(patch, region, (1e2, 1e3))
 
 
 def test_closed_regions_over_a_full_period_pass():
@@ -365,7 +363,7 @@ def test_region_winding_around_a_characteristic_point_is_refused(orientation, wi
     with pytest.raises(CharacteristicPointError, match=f"winding number {winding} "):
         gb_residual(patch, region)
     with pytest.raises(CharacteristicPointError, match="winding number"):
-        convergence_study(patch, [], (1e2, 1e3), direction=None, region=region)
+        _region_convergence(patch, region, (1e2, 1e3))
     # the boundary integral itself is well defined
     assert math.isfinite(_boundary(patch, region, _gb_boundary_density, 1e-10)[0][0])
 
@@ -469,16 +467,16 @@ def test_finite_l_region_sum_is_the_gauss_bonnet_corner_term():
 
     patch = catalog.paraboloid()
     region = ParamRegion(1.0, 2.0, -1.0, -0.5)
-    study = convergence_study(patch, [], L_SWEEP, direction=None, region=region)
+    study = _region_convergence(patch, region, L_SWEEP)
     pieces = _segments(region)
-    for L, row in zip(L_SWEEP, study.region.rows):
+    for L, row in zip(L_SWEEP, study.rows):
         angles = 0.0
         for (_, d_in, _), (corner, d_out, _) in zip(pieces, pieces[1:] + pieces[:1]):
-            f_u, f_v = (t.coefficients() for t in pushforward_frame(patch, *corner))
+            f_u, f_v = (helpers.coefficients(t) for t in pushforward_frame(patch, *corner))
             t_in, t_out = ((d[0] * f_u + d[1] * f_v) * [1.0, 1.0, math.sqrt(L)] for d in (d_in, d_out))
             angles += math.acos(np.dot(t_in, t_out) / np.linalg.norm(t_in) / np.linalg.norm(t_out))
         assert row[3] == pytest.approx((TWO_PI - angles) / math.sqrt(L), rel=1e-6)
-    assert study.region.slope_residual == pytest.approx(-1.0, abs=0.05)
+    assert study.slope_residual == pytest.approx(-1.0, abs=0.05)
     # an annulus has no corners and Euler characteristic 0: the sum vanishes at every L
-    annulus_rows = convergence_study(catalog.plane(), [], L_SWEEP, direction=None, region=annulus(1.0, 2.0)).region.rows
+    annulus_rows = _region_convergence(catalog.plane(), annulus(1.0, 2.0), L_SWEEP).rows
     assert all(abs(row[3]) <= 1e-12 for row in annulus_rows)

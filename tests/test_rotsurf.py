@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import helpers
@@ -532,10 +533,10 @@ def test_mesh_frame_decomposition():
         rp = profile.dr(v)
         theta_p = math.sqrt(1.0 - rp * rp) / r
         expect = (
-            r * r * theta_p * s.f2.coefficients()
-            + (-0.5 * r * r) * s.f3.coefficients()
+            r * r * theta_p * helpers.coefficients(s.f2)
+            + (-0.5 * r * r) * helpers.coefficients(s.f3)
         )
-        assert np.max(np.abs(f_u.coefficients() - expect)) <= 1e-8
+        assert np.max(np.abs(helpers.coefficients(f_u) - expect)) <= 1e-8
 
 
 def test_generating_curve_endpoints_and_positions():
@@ -627,23 +628,26 @@ def test_sampler_matches_scalar_reference(K, r0, c1_shift, end):
 
 
 @pytest.mark.parametrize("K, end", [(1.0, None), (0.0, "lo"), (-1.0, "hi")])
-def test_sampler_raises_what_the_scalar_reference_raises(K, end):
+def test_sampler_raises_what_the_scalar_reference_raises(monkeypatch, K, end):
+    monkeypatch.setattr(rotsurf, "CHORD_E3_RATIO", 1e-6)
     profile = _kappa_underestimated(family_profile(K, 1.0, 0.2))
     v0, v1 = default_v_range(K, 1.0, 0.2) if end is None else _edge_band(K, 1.0, 0.2, end)
     messages = []
-    for sample in (sample_generating_curve, helpers.reference_sample_generating_curve):
+    reference = functools.partial(helpers.reference_sample_generating_curve, max_ratio=1e-6)
+    for sample in (sample_generating_curve, reference):
         with pytest.raises(GeometryError) as info:
-            sample(profile, v0, v1, 1e-6)
+            sample(profile, v0, v1)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("K, end", [(1.0, None), (0.0, "lo"), (-1.0, "hi"), (1.0, "lo")])
-def test_sampler_raises_on_a_chord_above_the_bound(K, end):
+def test_sampler_raises_on_a_chord_above_the_bound(monkeypatch, K, end):
+    monkeypatch.setattr(rotsurf, "CHORD_E3_RATIO", 1e-6)
     profile = _kappa_underestimated(family_profile(K, 1.0, 0.2))
     v0, v1 = default_v_range(K, 1.0, 0.2) if end is None else _edge_band(K, 1.0, 0.2, end)
     with pytest.raises(GeometryError, match=r"chord over v in \[\S+, \S+\] has e3 ratio \S+ above the bound 1e-06") as info:
-        sample_generating_curve(profile, v0, v1, 1e-6)
+        sample_generating_curve(profile, v0, v1)
     lo, hi = (float(x) for x in str(info.value).split("[")[1].split("]")[0].split(", "))
     assert v0 <= lo < hi <= v1
 
@@ -659,11 +663,9 @@ def test_sampler_last_chord_ends_at_the_band_end():
 
 @pytest.mark.parametrize("n_curves", [0, 8])
 @pytest.mark.parametrize("K, c1_shift", [(1.0, 0.0), (0.0, 0.3), (-1.0, -0.2)])
-def test_write_obj_matches_line_by_line_reference(tmp_path, K, c1_shift, n_curves):
-    spec = RotationSurfaceSpec(
-        K_inf=K, c1_shift=c1_shift, samples_u=12, samples_v=9, n_curves=n_curves,
-        curve_e3_ratio=1e-6,
-    )
+def test_write_obj_matches_line_by_line_reference(monkeypatch, tmp_path, K, c1_shift, n_curves):
+    monkeypatch.setattr(rotsurf, "CHORD_E3_RATIO", 1e-6)  # fewer polyline points
+    spec = RotationSurfaceSpec(K_inf=K, c1_shift=c1_shift, samples_u=12, samples_v=9, n_curves=n_curves)
     mesh = build_mesh(spec)
     config = {"K_inf": K, "n_curves": n_curves}
     write_obj(tmp_path / "array.obj", mesh, config)
@@ -717,10 +719,11 @@ def test_sampler_rejects_endpoint_past_domain():
         sample_generating_curve(family_profile(0.0, 1.0), 0.2, 1.0)
 
 
-def test_sampler_point_budget():
+def test_sampler_point_budget(monkeypatch):
+    monkeypatch.setattr(rotsurf, "MAX_CURVE_POINTS", 10)
     profile = family_profile(1.0, 1.0)
-    with pytest.raises(GeometryError, match="sampling exceeded"):
-        sample_generating_curve(profile, -0.5, 0.5, max_points=10)
+    with pytest.raises(GeometryError, match=r"sampling exceeded the point budget \(10\)"):
+        sample_generating_curve(profile, -0.5, 0.5)
 
 
 def test_theta_c_cache_is_bounded(monkeypatch):
@@ -751,6 +754,7 @@ def test_mesh_rows_rotation_chart_and_sampler_share_theta_c(monkeypatch):
     patch.jet2(np.zeros(4), v)
     assert len(calls) == 2 * 20 + 2 * 3
     calls.clear()
-    sample_generating_curve(profile, -0.5, 0.5, 1e-6)
+    monkeypatch.setattr(rotsurf, "CHORD_E3_RATIO", 1e-6)
+    sample_generating_curve(profile, -0.5, 0.5)
     patch.jet2(np.ones(4), v)
     assert calls == []
