@@ -316,13 +316,14 @@ def _region_from_config(cfg: dict, patch) -> ParamRegion:
     if "u" not in cfg or "v" not in cfg:
         raise ConfigError("region needs 'u' and 'v' interval fields")
     (u0, u1), (v0, v1) = (checked(cfg[key], "a pair of numbers", f"region.{key}") for key in "uv")
+    given = {"orientation": _int_value(cfg["orientation"], "region orientation")} if "orientation" in cfg else {}
     return ParamRegion(
         float(u0),
         float(u1),
         float(v0),
         float(v1),
         closed_u=checked(cfg.get("closed_u", patch.closed_u), "true or false", "region.closed_u"),
-        orientation=_int_value(cfg.get("orientation", 1), "region orientation"),
+        **given,
     )
 
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["fmt", "config_hash", "write_obj", "write_csv", "write_json_report"]
+__all__ = ["config_hash", "write_obj", "write_csv", "write_json_report"]
 
 TOOL = "h1geom"
 
@@ -25,20 +24,6 @@ def _version() -> str:
     from . import __version__
 
     return __version__
-
-
-def fmt(x) -> str:
-    """17-significant-digit decimal rendering of one CSV cell."""
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int,)):
-        return str(x)
-    if x is None:
-        return "nan"
-    value = float(x)
-    if math.isnan(value):
-        return "nan"
-    return f"{value:.17g}"
 
 
 def config_hash(config: dict) -> str:
@@ -238,7 +223,7 @@ def write_obj(path, mesh, config: dict) -> None:
 def write_csv(path, columns, rows, config: dict, footer_comments=()) -> None:
     """CSV of numeric rows (a 2-d array or a list of rows), formatted in one block.
 
-    Cells print as fmt prints floats; None prints nan, and integer cells
+    Cells print as '%.17g' prints floats; None prints nan, and integer cells
     (flags) print as their float value, so 0 and 1 read 0 and 1.
     """
     table = np.array(rows, dtype=float).reshape(len(rows), len(columns))

@@ -35,9 +35,7 @@ __all__ = [
     "ExprDomainError",
     "parse",
     "pretty",
-    "evaluate",
     "eval_hyperdual",
-    "eval_dual_t",
     "FUNCTIONS",
     "MAX_DEPTH",
     "VARIABLES",
@@ -630,12 +628,6 @@ def _eval(e: Expr, bindings: dict, const=Dual2):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def evaluate(e: Expr, bindings: dict[str, float]) -> float:
-    """IEEE double evaluation with all free variables bound."""
-    duals = {name: Dual2(float(val)) for name, val in bindings.items()}
-    return _eval(e, duals).value
-
-
 def eval_hyperdual(e: Expr, u: float, v: float) -> Dual2:
     """Value, first and second partials in u and v as a nested Dual2.
 
@@ -654,6 +646,6 @@ def as_coordinate(x):
     return np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
 
 
-def eval_dual_t(e: Expr, t: float) -> Dual2:
+def _eval_dual_t(e: Expr, t: float) -> Dual2:
     """Value and d/dt (in the d_u slot) for a single-variable expression in t."""
     return _eval(e, {"t": Dual2(float(t), 1.0, 0.0)})

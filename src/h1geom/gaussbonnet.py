@@ -44,8 +44,8 @@ TRANSVERSALITY_TOL = 1e-10
 AREA_TOL = 1e-9  # cubature tolerance of gb_residual's area side
 BOUNDARY_TOL = 1e-10  # and of its boundary side
 REGION_TOL = 1e-7  # cubature tolerance of each side of _region_convergence
-REGION_SCAN = 21  # the region prescan tests a REGION_SCAN^2 grid
-BOUNDARY_SCAN = 33  # the winding and boundary prescans test this many points per boundary piece
+REGION_SCAN = 21  # _check_region tests a REGION_SCAN^2 grid of the region
+BOUNDARY_SCAN = 33  # and this many points per boundary piece
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class ParamRegion:
 
     For closed_u regions u spans a full period and the boundary reduces to
     the two v = const circles with opposite orientations; the chart must be
-    closed in u and the region span its u_range (_check_period).
+    closed in u and the region span its u_range (_check_region).
     orientation is 1 or -1; -1 integrates over the oppositely oriented chain.
     """
 
@@ -98,96 +98,81 @@ def _segments(R: ParamRegion):
     return [piece for piece in pieces if piece[2] > 0.0]
 
 
-def _check_period(S: SurfacePatch, R: ParamRegion) -> None:
-    """ValueError unless a region closed in u spans a full period of a chart closed in u."""
-    if not R.closed_u:
-        return
-    if not S.closed_u:
-        raise ValueError(f"region is closed in u but the chart {S.name!r} is not")
-    period = S.u_range[1] - S.u_range[0]
-    if not math.isclose(R.u1 - R.u0, period, rel_tol=1e-12):
-        raise ValueError(
-            f"region closed in u spans u in [{R.u0!r}, {R.u1!r}], not the period "
-            f"{period!r} of the chart's u range {S.u_range!r}"
-        )
+def _check_region(S: SurfacePatch, R: ParamRegion) -> None:
+    """Refuse a region that the chart cannot integrate; run once, before either side.
 
-
-def _region_prescan(S: SurfacePatch, R: ParamRegion):
-    """Refuse a characteristic point on the REGION_SCAN^2 grid of the region (u outer, v inner)."""
-    u = np.repeat(np.linspace(R.u0, R.u1, REGION_SCAN), REGION_SCAN)
-    v = np.tile(np.linspace(R.v0, R.v1, REGION_SCAN), REGION_SCAN)
-
-    def scan(lo, hi):
-        hits = np.flatnonzero(characteristic_test(*pushforward_frame(S, u[lo:hi], v[lo:hi])))
-        if hits.size:
-            k = lo + hits[0]
-            raise CharacteristicPointError(
-                f"characteristic point inside the region at ({u[k]!r}, {v[k]!r})"
+    A region closed in u must span the period of a chart closed in u, and
+    both corners must lie in the chart (ValueError).  One pushforward_frame
+    batch then takes the REGION_SCAN^2 grid of the region (u outer, v
+    inner) and BOUNDARY_SCAN points per boundary piece; the first failing
+    point in that order raises, a characteristic grid point included.  On
+    the boundary points it refuses a winding around a characteristic point,
+    which the grid misses between its nodes: characteristic points are the
+    zeros of (e^3(f_u), e^3(f_v)), and the turning of that field summed
+    within each piece (a piece closed in u is a loop of its own) is 2 pi
+    times their total index.  Last it refuses a boundary tangent without an
+    f3 component.
+    """
+    if R.closed_u:
+        if not S.closed_u:
+            raise ValueError(f"region is closed in u but the chart {S.name!r} is not")
+        period = S.u_range[1] - S.u_range[0]
+        if not math.isclose(R.u1 - R.u0, period, rel_tol=1e-12):
+            raise ValueError(
+                f"region closed in u spans u in [{R.u0!r}, {R.u1!r}], not the period "
+                f"{period!r} of the chart's u range {S.u_range!r}"
             )
-
-    first_failure(scan, len(u))
-
-
-def _boundary_samples(R: ParamRegion):
-    """BOUNDARY_SCAN points per boundary piece, piece by piece: arrays u, v and the piece directions d0, d1."""
+    if not (S.contains(R.u0, R.v0) and S.contains(R.u1, R.v1)):
+        raise ValueError(
+            f"region u in [{R.u0!r}, {R.u1!r}], v in [{R.v0!r}, {R.v1!r}] leaves the chart "
+            f"u in {S.u_range!r}, v in {S.v_range!r}"
+        )
+    if R.is_empty():
+        return
+    grid = REGION_SCAN * REGION_SCAN
     start, d, length = map(np.array, zip(*_segments(R)))
     t = np.linspace(0.0, length, BOUNDARY_SCAN, axis=1)
-    u, v = ((start[:, k, None] + d[:, k, None] * t).ravel() for k in (0, 1))
-    return u, v, np.repeat(d[:, 0], BOUNDARY_SCAN), np.repeat(d[:, 1], BOUNDARY_SCAN)
+    u = np.append(np.repeat(np.linspace(R.u0, R.u1, REGION_SCAN), REGION_SCAN), start[:, 0, None] + d[:, 0, None] * t)
+    v = np.append(np.tile(np.linspace(R.v0, R.v1, REGION_SCAN), REGION_SCAN), start[:, 1, None] + d[:, 1, None] * t)
 
+    def scan(lo, hi):
+        f_u, f_v = pushforward_frame(S, u[lo:hi], v[lo:hi])
+        # a chart constant in (u, v) gives one bool for the whole batch
+        mask = np.broadcast_to(characteristic_test(f_u, f_v), (hi - lo,))
+        hits = np.flatnonzero(mask[: max(grid - lo, 0)])
+        if hits.size:
+            k = lo + hits[0]
+            raise CharacteristicPointError(f"characteristic point inside the region at ({u[k]!r}, {v[k]!r})")
+        return f_u, f_v
 
-def _winding_prescan(S: SurfacePatch, R: ParamRegion):
-    """Refuse a region whose boundary winds around a characteristic point, which
-    the grid of _region_prescan misses between its nodes.
-
-    Characteristic points are the zeros of (e^3(f_u), e^3(f_v)).  The turning
-    of that field over the boundary samples, summed within each piece (a
-    piece closed in u is a loop of its own), is 2 pi times their total index.
-    """
-    f_u, f_v = pushforward_frame(S, *_boundary_samples(R)[:2])
-    steps = np.diff(np.arctan2(f_v.c3, f_u.c3).reshape(-1, BOUNDARY_SCAN), axis=1)
+    # the boundary rows of the coefficients, some of which a chart may give as one float for all points
+    f_u, f_v = ([np.broadcast_to(c, u.shape)[grid:] for c in (f.c1, f.c2, f.c3)] for f in first_failure(scan, len(u)))
+    steps = np.diff(np.arctan2(f_v[2], f_u[2]).reshape(-1, BOUNDARY_SCAN), axis=1)
     winding = round(np.sum((steps + math.pi) % (2.0 * math.pi) - math.pi) / (2.0 * math.pi))
     if winding != 0:
         raise CharacteristicPointError(
             f"characteristic point inside the region: its boundary has winding number {winding} around it"
         )
-
-
-def _boundary_prescan(S: SurfacePatch, R: ParamRegion):
-    """Refuse a boundary tangent without an f3 component, at BOUNDARY_SCAN points per piece."""
-    if not _segments(R):
-        return
-    u, v, d0, d1 = _boundary_samples(R)
-
-    def scan(lo, hi):
-        f_u, f_v = pushforward_frame(S, u[lo:hi], v[lo:hi])
-        a, b = d0[lo:hi], d1[lo:hi]
-        with np.errstate(all="ignore"):
-            tangent = [a * f_u.c1 + b * f_v.c1, a * f_u.c2 + b * f_v.c2, a * f_u.c3 + b * f_v.c3]
-            speed = elementwise(math.hypot, *tangent)
-            # Python's max(speed, 1e-300), NaN included
-            floor = TRANSVERSALITY_TOL * np.where(1e-300 > speed, 1e-300, speed)
-        hits = np.flatnonzero(abs(tangent[2]) < floor)
-        if hits.size:
-            k = lo + hits[0]
-            raise NonTransverseError(
-                f"boundary tangent loses its f3 component at ({float(u[k])!r}, {float(v[k])!r})"
-            )
-
-    first_failure(scan, len(u))
+    a, b = np.repeat(d[:, 0], BOUNDARY_SCAN), np.repeat(d[:, 1], BOUNDARY_SCAN)
+    with np.errstate(all="ignore"):
+        tangent = [a * x + b * y for x, y in zip(f_u, f_v)]
+        speed = elementwise(math.hypot, *tangent)
+        # Python's max(speed, 1e-300), NaN included
+        floor = TRANSVERSALITY_TOL * np.where(1e-300 > speed, 1e-300, speed)
+    hits = np.flatnonzero(abs(tangent[2]) < floor)
+    if hits.size:
+        k = grid + hits[0]
+        raise NonTransverseError(f"boundary tangent loses its f3 component at ({float(u[k])!r}, {float(v[k])!r})")
 
 
 def _area(S: SurfacePatch, R: ParamRegion, density, tol: float):
     """int_R density over the oriented region: (values, summed error estimate).
 
     density(sample, derivatives) maps frame_data arrays over the nodes to a
-    value, or a row of values, per node.  The region is prescanned first.
+    value, or a row of values, per node.  The caller runs _check_region first.
     """
-    _check_period(S, R)
     if R.is_empty():
         return np.zeros(1), 0.0
-    _region_prescan(S, R)
-    _winding_prescan(S, R)
 
     def f(x):
         sample, fd, _ = frame_tangents(S, x[:, 0], x[:, 1])
@@ -204,11 +189,10 @@ def _boundary(S: SurfacePatch, R: ParamRegion, density, tol: float):
     arrays over the nodes and each node's unit piece direction (du, dv) to
     a value, or a row of values, per node.  One cubature over t in [0, 1]
     takes every piece at once, scaled by its length, to tol / pieces each.
+    The caller runs _check_region first.
     """
-    _check_period(S, R)
     if R.is_empty():
         return np.zeros(1), 0.0
-    _boundary_prescan(S, R)
     start, d, length = map(np.array, zip(*_segments(R)))
 
     def f(x):
@@ -249,6 +233,7 @@ class GBReport:
 def gb_residual(S: SurfacePatch, R: ParamRegion) -> GBReport:
     """int_R K_inf dsigma (integrand K_inf * rho in the chart) to AREA_TOL, and
     oint_gamma k_n ds = oint A f^3(gamma') over the oriented boundary to BOUNDARY_TOL."""
+    _check_region(S, R)
     area, area_err = _area(S, R, _gb_area_density, AREA_TOL)
     boundary, boundary_err = _boundary(S, R, _gb_boundary_density, BOUNDARY_TOL)
     area, boundary = float(area[0]), float(boundary[0])
@@ -388,6 +373,7 @@ def _region_convergence(S: SurfacePatch, region: ParamRegion, L_values: Sequence
     which tends to 0.
     """
     L_values = sorted(_as_L(L) for L in L_values)
+    _check_region(S, region)
 
     def area_density(sample, fd):
         A = sample.A

@@ -14,8 +14,8 @@ L > 0, g_L is the metric making (e1, e2, e3/sqrt(L)) orthonormal.
 
 Index convention: in the connection and curvature tables the index 3
 always denotes the normalized vector e3^L = e3/sqrt(L), matching the
-orthonormal g_L frame.  ``frame_to_gl_basis`` converts coefficients on
-the raw frame (e1, e2, e3) into this basis.
+orthonormal g_L frame: a vector's coefficients on it are those on the
+raw frame (e1, e2, e3) with the third multiplied by sqrt(L).
 
 Curvature sign convention: ``riemann_component(L, i, j, k, l)`` returns
 <R(e_i, e_j) e_k, e_l>_L with R(X,Y)Z = D_X D_Y Z - D_Y D_X Z - D_[X,Y] Z.
@@ -42,7 +42,6 @@ __all__ = [
     "e3_coefficient",
     "volume_form",
     "gl_inner",
-    "frame_to_gl_basis",
     "connection_coeff",
     "riemann_component",
 ]
@@ -152,11 +151,6 @@ def gl_inner(u: FrameVec, v: FrameVec, L) -> float:
     if not np.array_equal(u.base.as_array(), v.base.as_array()):
         raise ValueError("frame vectors based at different points")
     return u.c1 * v.c1 + u.c2 * v.c2 + _as_L(L) * u.c3 * v.c3
-
-
-def frame_to_gl_basis(v: FrameVec, L) -> np.ndarray:
-    """Coefficients of v on the g_L-orthonormal basis (e1, e2, e3^L)."""
-    return np.array(np.broadcast_arrays(v.c1, v.c2, math.sqrt(_as_L(L)) * v.c3, v.base.x)[:3])
 
 
 def _check_index(i: int):

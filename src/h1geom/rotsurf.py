@@ -273,8 +273,8 @@ def horizontal_lift(a, b, t: float) -> float:
     b_tree = _expr.parse(b) if isinstance(b, str) else b
 
     def integrand(s: float) -> float:
-        da = _expr.eval_dual_t(a_tree, s)
-        db = _expr.eval_dual_t(b_tree, s)
+        da = _expr._eval_dual_t(a_tree, s)
+        db = _expr._eval_dual_t(b_tree, s)
         return 0.5 * (da.value * db.d_u - db.value * da.d_u)
 
     return integrate(integrand, 0.0, t, THETA_C_TOL)
@@ -406,10 +406,7 @@ def sample_generating_curve(profile: Profile, v0: float, v1: float) -> np.ndarra
     Gauss rule (plus the boundary substitution), keeping consecutive points
     consistent to far below the chord tolerance.
     """
-    if not (v0 < v1):
-        raise ValueError("need v0 < v1")
-    _check_domain(v0, profile.domain, profile.name)
-    _check_domain(v1, profile.domain, profile.name)
+    _check_band(profile, (v0, v1))
     theta0, c0 = profile.theta_c(v0)
 
     span = v1 - v0

@@ -4,8 +4,8 @@ partials, frame derivatives and transverse curve derivatives) and the scalar
 reference implementations of the fixed 12-point Gauss rule, the rotation
 profile's kernels (the closed forms of r and A = 2 r'/r) and theta/c
 integrands, the generating-curve sampler, the OBJ and CSV writers, the
-curvature and frames grids, the Gauss-Bonnet prescans and the Gauss-Bonnet
-integrals."""
+curvature and frames grids, the scans of the Gauss-Bonnet region gate and the
+Gauss-Bonnet integrals."""
 
 import math
 import warnings
@@ -24,13 +24,13 @@ from h1geom.errors import (
     NonTransverseError,
     QuadratureError,
 )
-from h1geom.export import _stamp, fmt
+from h1geom.export import _stamp
 from h1geom.gaussbonnet import TRANSVERSALITY_TOL, _segments
 from h1geom.quadrature import BOUNDARY_WINDOW
 from h1geom import rotsurf
 from h1geom.batch import power
 from h1geom.rotsurf import CLAMP, e3_chord_ratio
-from h1geom.hgroup import FrameVec, Point, frame_at
+from h1geom.hgroup import FrameVec, Point, _as_L, frame_at
 from h1geom.surface import (
     CHARACTERISTIC_TOL,
     FrameDerivatives,
@@ -91,14 +91,25 @@ def to_coordinates(f):
     return f.c1 * e1 + f.c2 * e2 + f.c3 * e3
 
 
+def evaluate(e, bindings):
+    """IEEE double evaluation of an expression with all free variables bound."""
+    duals = {name: ex.Dual2(float(val)) for name, val in bindings.items()}
+    return ex._eval(e, duals).value
+
+
+def frame_to_gl_basis(v, L):
+    """Coefficients of v on the g_L-orthonormal basis (e1, e2, e3^L)."""
+    return np.array(np.broadcast_arrays(v.c1, v.c2, math.sqrt(_as_L(L)) * v.c3, v.base.x)[:3])
+
+
 def central_partials(tree, u, v, h_scale=1e-6):
     """Finite-difference oracle for both partials (the spec's step rule)."""
     hu = h_scale * max(1.0, abs(u))
     hv = h_scale * max(1.0, abs(v))
-    fu_p = ex.evaluate(tree, {"u": u + hu, "v": v})
-    fu_m = ex.evaluate(tree, {"u": u - hu, "v": v})
-    fv_p = ex.evaluate(tree, {"u": u, "v": v + hv})
-    fv_m = ex.evaluate(tree, {"u": u, "v": v - hv})
+    fu_p = evaluate(tree, {"u": u + hu, "v": v})
+    fu_m = evaluate(tree, {"u": u - hu, "v": v})
+    fv_p = evaluate(tree, {"u": u, "v": v + hv})
+    fv_m = evaluate(tree, {"u": u, "v": v - hv})
     return (fu_p - fu_m) / (2.0 * hu), (fv_p - fv_m) / (2.0 * hv)
 
 
@@ -113,7 +124,7 @@ def corpus_case(rng):
     u = float(rng.uniform(-2.0, 2.0))
     v = float(rng.uniform(-2.0, 2.0))
     try:
-        center = ex.evaluate(tree, {"u": u, "v": v})
+        center = evaluate(tree, {"u": u, "v": v})
         fd = central_partials(tree, u, v)
         fd_half = central_partials(tree, u, v, h_scale=5e-7)
     except ex.EvalError:
@@ -405,6 +416,20 @@ def reference_sample_generating_curve(profile, v0, v1, max_ratio=1e-8, max_point
     return out
 
 
+def fmt(x):
+    """17-significant-digit decimal rendering of one CSV cell."""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, (int,)):
+        return str(x)
+    if x is None:
+        return "nan"
+    value = float(x)
+    if math.isnan(value):
+        return "nan"
+    return f"{value:.17g}"
+
+
 def reference_write_obj(path, mesh, config):
     """OBJ writer formatting one float with fmt and one line at a time."""
     lines = [f"# {_stamp(config)}"]
@@ -436,7 +461,7 @@ def reference_write_csv(path, columns, rows, config, footer_comments=()):
 
 
 # ---------------------------------------------------------------------------
-# The curvature and frames grids and the Gauss-Bonnet prescans, one point
+# The curvature and frames grids and the Gauss-Bonnet region scans, one point
 # at a time.  The batched code must reproduce their rows and their errors.
 
 
@@ -501,6 +526,31 @@ def reference_region_prescan(S, R, n=21, tol=1e-10):
                 raise CharacteristicPointError(
                     f"characteristic point inside the region at ({u!r}, {v!r})"
                 )
+
+
+def reference_winding(S, R, n=33):
+    """Refuse a boundary whose field (e^3(f_u), e^3(f_v)) turns a nonzero number of times, piece by piece."""
+    turning = 0.0
+    for start, d, length in _segments(R):
+        angles = []
+        for t in np.linspace(0.0, length, n):
+            f_u, f_v = pushforward_frame(S, start[0] + d[0] * float(t), start[1] + d[1] * float(t))
+            angles.append(math.atan2(f_v.c3, f_u.c3))
+        turning += sum((b - a + math.pi) % (2.0 * math.pi) - math.pi for a, b in zip(angles, angles[1:]))
+    winding = round(turning / (2.0 * math.pi))
+    if winding != 0:
+        raise CharacteristicPointError(
+            f"characteristic point inside the region: its boundary has winding number {winding} around it"
+        )
+
+
+def reference_check_region(S, R):
+    """The scans of the Gauss-Bonnet region gate, one point at a time, on a region inside its chart."""
+    if R.is_empty():
+        return
+    reference_region_prescan(S, R)
+    reference_winding(S, R)
+    reference_boundary_prescan(S, R)
 
 
 def reference_boundary_prescan(S, R, n=33):

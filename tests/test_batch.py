@@ -1,6 +1,6 @@
 """Batched evaluation against the per-point code it replaces.
 
-The curvature and frames grids and the Gauss-Bonnet prescans evaluate all
+The curvature and frames grids and the Gauss-Bonnet region gate evaluate all
 their points in one call over numpy arrays.  Each must give the per-point
 loops of tests/helpers.py back bit for bit: the same CSV bytes (%.17g
 prints every double apart, -0 and nan included, so equal bytes mean equal
@@ -28,8 +28,8 @@ from h1geom.batch import POINT_FAILURES, elementwise, first_failure, power
 from h1geom.cli import main
 from h1geom.errors import CharacteristicPointError, NonTransverseError
 from h1geom.expr import Dual2
-from h1geom.gaussbonnet import AREA_TOL, BOUNDARY_TOL, ParamRegion, _boundary_prescan, _region_prescan, gb_residual
-from h1geom.hgroup import frame_to_gl_basis, gl_inner
+from h1geom.gaussbonnet import AREA_TOL, BOUNDARY_TOL, ParamRegion, _check_region, gb_residual
+from h1geom.hgroup import gl_inner
 from h1geom.rotsurf import default_v_range
 from h1geom.surface import frame_data, graph_patch, parametric_patch, xl_basis
 
@@ -199,8 +199,7 @@ def _outcome(scan, *args):
 @example((catalog.plane(), ParamRegion(0.0, 1.0, 1.0, 2.0)))
 def test_prescans_match_point_by_point(case):
     patch, region = case
-    assert _outcome(_region_prescan, patch, region) == _outcome(helpers.reference_region_prescan, patch, region)
-    assert _outcome(_boundary_prescan, patch, region) == _outcome(helpers.reference_boundary_prescan, patch, region)
+    assert _outcome(_check_region, patch, region) == _outcome(helpers.reference_check_region, patch, region)
 
 
 def test_prescans_raise_at_the_first_point_in_scan_order():
@@ -208,15 +207,15 @@ def test_prescans_raise_at_the_first_point_in_scan_order():
     # inner; the batch meets the domain error of ln (u >= 0.5) first
     patch = graph_patch("u*v/2 + 0*ln(0.5 - u)", (-1.0, 1.0), (-1.0, 1.0))
     region = ParamRegion(-1.0, 1.0, -1.0, 1.0)
-    expected = _outcome(helpers.reference_region_prescan, patch, region)
+    expected = _outcome(helpers.reference_check_region, patch, region)
     assert expected == (CharacteristicPointError, "characteristic point inside the region at (np.float64(-1.0), np.float64(0.0))")
-    assert _outcome(_region_prescan, patch, region) == expected
+    assert _outcome(_check_region, patch, region) == expected
     # radial edges of the polar plane lose f3 on both side pieces
     polar = catalog.plane()
     wedge = ParamRegion(0.0, 1.0, 1.0, 2.0)
-    expected = _outcome(helpers.reference_boundary_prescan, polar, wedge)
+    expected = _outcome(helpers.reference_check_region, polar, wedge)
     assert expected == (NonTransverseError, "boundary tangent loses its f3 component at (1.0, 1.0)")
-    assert _outcome(_boundary_prescan, polar, wedge) == expected
+    assert _outcome(_check_region, polar, wedge) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +293,7 @@ def test_frame_record_methods_on_a_batch_are_the_point_results(patch, u, v):
     def results(s, xs):
         vectors = (s.f1, s.f2, s.f3, *xs)
         return [
-            *(frame_to_gl_basis(f, 4.0) for f in vectors),
+            *(helpers.frame_to_gl_basis(f, 4.0) for f in vectors),
             *(np.asarray(gl_inner(f, g, 4.0)) for f in vectors for g in vectors),
         ]
 

@@ -1,10 +1,12 @@
 import contextlib
 import hashlib
+import importlib
 import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -540,11 +542,41 @@ def test_gauss_bonnet_refuses_a_boundary_winding_around_a_characteristic_point(t
 
 
 def test_gauss_bonnet_singular_cubature_node_exits_2(tmp_path, capsys):
-    # f_u vanishes on u = 0, a line of cubature nodes the prescans do not test
-    surface = {"kind": "parametric", "x": "u^3", "y": "v", "z": "v + u^3", "u_range": [-1, 1], "v_range": [0, 1]}
-    code, err = _gauss_bonnet_exit(tmp_path, capsys, surface, [-1.0, 1.0], [0.2, 1.0])
+    # f_v vanishes at the origin alone, a cubature node that the region gate does not test for degeneracy
+    surface = {"kind": "parametric", "x": "u^2 - v^2", "y": "2*u*v", "z": "u", "u_range": [-1, 1], "v_range": [-1, 1]}
+    code, err = _gauss_bonnet_exit(tmp_path, capsys, surface, [-0.5, 0.5], [-0.5, 0.5])
     assert code == 2
-    assert "dependent coordinate tangents" in err
+    assert "dependent coordinate tangents" in err and "(0.0, 0.0)" in err
+
+
+@pytest.mark.parametrize(
+    "argv, region, chart",
+    [
+        (["--surface", "paraboloid", "--region", "1,2,3,4"], "u in [1.0, 2.0], v in [3.0, 4.0]", "u in (-2.0, 2.0), v in (-2.0, 2.0)"),
+        (
+            ["--surface", "cylinder", "--region", "0,6.283185307179586,-9,-5", "--closed-u"],
+            "u in [0.0, 6.283185307179586], v in [-9.0, -5.0]",
+            "u in (0.0, 6.283185307179586), v in (-4.0, 4.0)",
+        ),
+        (  # across the polar chart's singular radius v = 0
+            ["--surface", "plane", "--region", "0,6.283185307179586,-1,2", "--closed-u"],
+            "u in [0.0, 6.283185307179586], v in [-1.0, 2.0]",
+            "u in (0.0, 6.283185307179586), v in (0.05, 8.0)",
+        ),
+        (  # v = -0.5 lies outside the K = 0 family's domain, where the jet would take sqrt of a negative number
+            ["--surface", "rotation", "--kinf", "0", "--region", "0,6.283185307179586,-0.5,0.8", "--closed-u"],
+            "u in [0.0, 6.283185307179586], v in [-0.5, 0.8]",
+            "u in (0.0, 6.283185307179586), v in ",
+        ),
+    ],
+    ids=["paraboloid", "cylinder", "plane", "band-k0"],
+)
+def test_gauss_bonnet_region_outside_the_chart_exits_1(tmp_path, capsys, argv, region, chart):
+    out = tmp_path / "gb.json"
+    assert main(["gauss-bonnet", *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"config error: region {region} leaves the chart {chart}")
+    assert len(err.splitlines()) == 1 and not out.exists()
 
 
 def test_gauss_bonnet_unconverged_cubature_exits_2(tmp_path, capsys, monkeypatch):
@@ -1184,6 +1216,9 @@ def test_every_public_function_is_run_by_the_cli_or_is_a_paper_formula(tmp_path,
         "u_range": [0.0, 2.0 * math.pi], "v_range": [-0.4, 0.4], "closed_u": True,
     }
     (tmp_path / "parametric.json").write_text(json.dumps({"surface": parametric}))
+    # a graph chart built without a name labels itself with its pretty-printed height
+    graph = {"kind": "graph", "h": "u*v/2 + sin(u)", "u_range": [0.5, 1.5], "v_range": [0.5, 1.5]}
+    (tmp_path / "graph.json").write_text(json.dumps({"surface": graph}))
     grid = ["--nu", "4", "--nv", "4"]
     runs = [
         ["check"],
@@ -1192,6 +1227,7 @@ def test_every_public_function_is_run_by_the_cli_or_is_a_paper_formula(tmp_path,
         ["curvature", "--surface", "paraboloid", *grid, "--kn-directions", "1,0;0.5,1", "--out", str(tmp_path / "k.csv")],
         ["frames", "--kinf", "1", *grid, "--out", str(tmp_path / "f.csv")],
         ["curvature", "--config", str(tmp_path / "parametric.json"), *grid, "--out", str(tmp_path / "p.csv")],
+        ["frames", "--config", str(tmp_path / "graph.json"), *grid, "--out", str(tmp_path / "g.csv")],
         ["converge", "--kinf", "1", "--point", "0.3,0.2", "--direction", "1,0.5", "--out", str(tmp_path / "c.csv")],
         ["rotsurf", "--kinf", "-1", "--samples-u", "8", "--samples-v", "8", "--n-curves", "2", "--out-prefix", str(tmp_path / "m")],
     ]
@@ -1208,6 +1244,10 @@ def test_every_public_function_is_run_by_the_cli_or_is_a_paper_formula(tmp_path,
         sys.setprofile(None)
     assert codes == [0] * len(runs), capsys.readouterr().err
     public = _public_functions(h1geom)
+    for module in (importlib.import_module(f"h1geom.{m.name}") for m in pkgutil.iter_modules(h1geom.__path__)):
+        # and the functions each submodule lists in __all__, which the package need not re-export
+        listed = {name: getattr(module, name) for name in getattr(module, "__all__", ())}
+        public.update((name, f) for name, f in listed.items() if inspect.isfunction(f))
     assert {"FrameVec.from_coordinates", "SurfacePatch.contains", "RotationSurfaceSpec.validate"} <= set(public)
     assert set(PAPER_FORMULAS) <= set(public)
     assert [name for name, f in sorted(public.items()) if f.__code__ not in ran and name not in PAPER_FORMULAS] == []

@@ -19,7 +19,7 @@ from h1geom.curvature import (
 )
 from h1geom.errors import NonTransverseError
 from h1geom.gaussbonnet import ParamRegion, _region_convergence, convergence_study
-from h1geom.hgroup import connection_coeff, frame_to_gl_basis
+from h1geom.hgroup import connection_coeff
 from h1geom.surface import (
     FrameDerivatives,
     beta,
@@ -224,8 +224,8 @@ def _covariant_k_n_L_oracle(patch, path, t, direction, L, h=1e-4, h_vel=1e-6):
     m = L + s.A**2
     q = math.sqrt(c.a**2 + c.b**2 * m)
     a_L, b_L = c.a / q, c.b * math.sqrt(m) / q
-    x2 = frame_to_gl_basis(s.f2, L)
-    x3 = frame_to_gl_basis(s.f3, L) / math.sqrt(m)
+    x2 = helpers.frame_to_gl_basis(s.f2, L)
+    x3 = helpers.frame_to_gl_basis(s.f3, L) / math.sqrt(m)
     normal = -b_L * x2 + a_L * x3
     return float(np.dot(nabla_T_T, normal))
 

@@ -333,8 +333,6 @@ CLOSED_BAND = parametric_patch(
 def test_closed_region_must_span_a_period_of_a_closed_chart(patch, region):
     with pytest.raises(ValueError, match="closed in u"):
         gb_residual(patch, region)
-    with pytest.raises(ValueError, match="closed in u"):  # the boundary side checks on its own
-        _boundary(patch, region, _gb_boundary_density, 1e-10)
     with pytest.raises(ValueError, match="closed in u"):
         _region_convergence(patch, region, (1e2, 1e3))
 
@@ -355,17 +353,27 @@ WINDING = ParamRegion(-0.3, 1.0, -0.2, 0.9)  # holds the paraboloid's characteri
 
 @pytest.mark.parametrize("orientation, winding", [(1, 1), (-1, -1)])
 def test_region_winding_around_a_characteristic_point_is_refused(orientation, winding):
-    from h1geom.gaussbonnet import _region_prescan
-
     patch = catalog.paraboloid()
     region = ParamRegion(WINDING.u0, WINDING.u1, WINDING.v0, WINDING.v1, orientation=orientation)
-    _region_prescan(patch, region)  # the origin lies between the grid nodes
+    helpers.reference_region_prescan(patch, region)  # the origin lies between the grid nodes
     with pytest.raises(CharacteristicPointError, match=f"winding number {winding} "):
         gb_residual(patch, region)
     with pytest.raises(CharacteristicPointError, match="winding number"):
         _region_convergence(patch, region, (1e2, 1e3))
     # the boundary integral itself is well defined
     assert math.isfinite(_boundary(patch, region, _gb_boundary_density, 1e-10)[0][0])
+
+
+def test_each_report_makes_one_frame_batch(monkeypatch):
+    # the region gate takes its grid and its boundary samples in one pushforward_frame call, before either side
+    from h1geom import gaussbonnet
+
+    real, sizes = gaussbonnet.pushforward_frame, []
+    monkeypatch.setattr(gaussbonnet, "pushforward_frame", lambda S, u, v: sizes.append(len(u)) or real(S, u, v))
+    gb_residual(catalog.paraboloid(), ParamRegion(1.0, 2.0, -1.0, -0.5))
+    _region_convergence(catalog.constant_curvature(1.0), ParamRegion(0.0, TWO_PI, -0.5, 0.8, closed_u=True), (1e2, 1e3))
+    grid, piece = gaussbonnet.REGION_SCAN**2, gaussbonnet.BOUNDARY_SCAN
+    assert sizes == [grid + 4 * piece, grid + 2 * piece]
 
 
 def test_regions_beside_a_characteristic_point_wind_zero():
@@ -381,9 +389,14 @@ def test_regions_beside_a_characteristic_point_wind_zero():
 def test_singular_cubature_node_raises_the_point_error():
     from h1geom.errors import DegenerateParametrizationError
 
-    # f_u vanishes on u = 0, the middle line of the cubature's nodes; no prescan tests degeneracy
+    # f_v vanishes at the origin alone, the centre node of the cubature's first box; the region gate tests
+    # characteristic points and transversality but not degeneracy, and the boundary keeps an f3 component
+    patch = parametric_patch("u^2 - v^2", "2*u*v", "u", (-1.0, 1.0), (-1.0, 1.0))
+    with pytest.raises(DegenerateParametrizationError, match=r"dependent coordinate tangents .* at \(u, v\) = \(0\.0, 0\.0\)"):
+        gb_residual(patch, ParamRegion(-0.5, 0.5, -0.5, 0.5))
+    # the line u = 0 of f_u = 0 crosses the edges v = const, so the gate refuses that region first
     patch = parametric_patch("u^3", "v", "v + u^3", (-1.0, 1.0), (0.0, 1.0))
-    with pytest.raises(DegenerateParametrizationError, match=r"dependent coordinate tangents .* at \(u, v\) = \(0\.0, "):
+    with pytest.raises(NonTransverseError, match=r"at \(0\.0, 0\.2\)"):
         gb_residual(patch, ParamRegion(-1.0, 1.0, 0.2, 1.0))
 
 

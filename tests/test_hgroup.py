@@ -10,7 +10,6 @@ from h1geom.hgroup import (
     coframe_eval,
     connection_coeff,
     frame_at,
-    frame_to_gl_basis,
     gl_inner,
     group_inv,
     group_mul,
@@ -100,7 +99,7 @@ def test_gl_inner_base_mismatch():
 
 def test_frame_to_gl_basis():
     v = FrameVec(Point(0, 0, 0), 1.0, 2.0, 3.0)
-    assert np.allclose(frame_to_gl_basis(v, 4.0), [1.0, 2.0, 6.0])
+    assert np.allclose(helpers.frame_to_gl_basis(v, 4.0), [1.0, 2.0, 6.0])
 
 
 def test_connection_table_entries():

@@ -267,8 +267,8 @@ def test_horizontal_lift_is_horizontal():
         cp = (
             horizontal_lift(a_tree, b_tree, t + h) - horizontal_lift(a_tree, b_tree, t - h)
         ) / (2 * h)
-        da = ex.eval_dual_t(a_tree, t)
-        db = ex.eval_dual_t(b_tree, t)
+        da = ex._eval_dual_t(a_tree, t)
+        db = ex._eval_dual_t(b_tree, t)
         residual = cp + 0.5 * (db.value * da.d_u - da.value * db.d_u)
         assert abs(residual) <= 1e-10
 
