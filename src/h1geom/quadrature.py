@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 
 import numpy as np
 
@@ -35,7 +34,7 @@ __all__ = [
 
 BOUNDARY_WINDOW = 1e-4  # switch to the sqrt substitution within this distance of a bound
 
-MAX_SUBDIVISIONS = 200  # as QUADPACK's limit in integrate
+MAX_SUBDIVISIONS = 200  # QUADPACK's interval limit in integrate, cubature's box limit
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
@@ -46,13 +45,19 @@ def _in_window(distance, bound):
 
 
 def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """Adaptive integral of f over [a, b] to absolute tolerance tol."""
+    """Adaptive integral of f over [a, b] to absolute tolerance tol, or to 1e-13 relative.
+
+    One QUADPACK call, with full_output so that an unconverged status comes
+    back as a message, not as an IntegrationWarning, and the process-wide
+    warning filters are left alone.  QuadratureError if the value is not
+    finite or the error estimate exceeds max(100 tol, 1e-8 |value|), as at
+    QUADPACK's limit of MAX_SUBDIVISIONS intervals; an exception raised by f
+    propagates unchanged.
+    """
     if a == b:
         return 0.0
     _load_scipy()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _si.IntegrationWarning)
-        value, err = _si.quad(f, a, b, epsabs=tol, epsrel=max(tol, 1e-13), limit=200)
+    value, err = _si.quad(f, a, b, epsabs=tol, epsrel=max(tol, 1e-13), limit=MAX_SUBDIVISIONS, full_output=1)[:2]
     if not math.isfinite(value) or err > max(100.0 * tol, 1e-8 * abs(value)):
         raise QuadratureError(
             f"integral over [{a!r}, {b!r}] did not converge (estimate {err:.3e})"

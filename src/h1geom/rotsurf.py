@@ -167,8 +167,12 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
 
     The closures r, dr, A and kappa do not check the existence domain:
     callers check their interval endpoints once (sample_generating_curve,
-    validate).  theta_c checks its v and integrates from the anchor with
-    QUADPACK, memoizing the last THETA_C_CACHE_SIZE values.
+    validate); they evaluate the family through _kernels.  theta_c checks
+    its v and integrates from the anchor with QUADPACK, memoizing the last
+    THETA_C_CACHE_SIZE values.  QUADPACK calls its integrand once per node,
+    so theta' and c' are one float function body per family, with the
+    operations of _kernels and _sqrt1m written inline in the same order:
+    the same bits as _integrands, one Python call a node.
     """
     lo, hi = domain_bound(K_inf, r0)
     if not math.isfinite(c1_shift):
@@ -202,14 +206,47 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
     name = f"constant-curvature({K_inf}, r0={r0}{shift})"
     domain = (lo_s, hi_s)
 
-    def rate(k):
-        """theta' (k = 0) or c' (k = 1) at a float t: _integrands fused into one call for QUADPACK."""
+    root = math.sqrt(abs(K_inf))
+    sqrt, cos, tan, cosh, tanh = math.sqrt, math.cos, math.tan, math.cosh, math.tanh
 
-        def f(t):
-            x = t + c1_shift
-            rt = r_t(x)
-            s = _sqrt1m(1.0 - (0.5 * rt * A_t(x)) ** 2, t)
-            return 0.5 * rt * s if k else s / rt
+    def rate(k):
+        """theta' (k = 0) or c' (k = 1) at a float t, r_t, A_t and _sqrt1m inlined.
+
+        A steep point still raises through _sqrt1m, which owns the message;
+        max keeps a NaN, as in _sqrt1m.
+        """
+        if K_inf > 0.0:
+
+            def f(t):
+                x = root * (t + c1_shift)
+                rt = r0 * sqrt(max(cos(x), 0.0))
+                w = 1.0 - (0.5 * rt * (-root * tan(x))) ** 2
+                if w < -CLAMP:
+                    _sqrt1m(w, t)
+                s = sqrt(max(w, 0.0))
+                return 0.5 * rt * s if k else s / rt
+
+        elif K_inf < 0.0:
+
+            def f(t):
+                x = root * (t + c1_shift)
+                rt = r0 * sqrt(cosh(x))
+                w = 1.0 - (0.5 * rt * (root * tanh(x))) ** 2
+                if w < -CLAMP:
+                    _sqrt1m(w, t)
+                s = sqrt(max(w, 0.0))
+                return 0.5 * rt * s if k else s / rt
+
+        else:
+
+            def f(t):
+                x = t + c1_shift
+                rt = r0 * sqrt(x)
+                w = 1.0 - (0.5 * rt * (1.0 / x)) ** 2
+                if w < -CLAMP:
+                    _sqrt1m(w, t)
+                s = sqrt(max(w, 0.0))
+                return 0.5 * rt * s if k else s / rt
 
         return f
 

@@ -1,10 +1,14 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from h1geom.quadrature import BOUNDARY_WINDOW, gauss_segments
+from h1geom.errors import DomainViolationError, QuadratureError
+from h1geom.quadrature import BOUNDARY_WINDOW, MAX_SUBDIVISIONS, gauss_segments, integrate
 
 KINDS = ("interior", "lower", "upper", "both")
 
@@ -146,3 +150,46 @@ def test_cubature_rule_refuses_an_error_without_its_estimate():
     rule.estimate_error(_kinked_1d, a, b)
     with pytest.raises(RuntimeError):
         rule.estimate_error(_kinked_1d, a, b)  # the stash is spent
+
+
+# ---------------------------------------------------------------------------
+# integrate: one QUADPACK call, its status read without a warning
+
+
+def test_integrate_at_the_subdivision_limit_raises_naming_its_interval():
+    from scipy.integrate import quad
+
+    def f(t):
+        return math.cos(1e5 * t)
+
+    *_, message = quad(f, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=MAX_SUBDIVISIONS, full_output=1)
+    assert message.startswith(f"The maximum number of subdivisions ({MAX_SUBDIVISIONS}) has been achieved")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(QuadratureError, match=r"^integral over \[0\.0, 1\.0\] did not converge \(estimate "):
+            integrate(f, 0.0, 1.0, 1e-10)
+    assert caught == []
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 2.0), (2.0, -1.5)])
+def test_integrate_is_scipy_quad_bit_for_bit(a, b):
+    from scipy.integrate import quad
+
+    def f(t):
+        return math.exp(-t * t) * math.cos(3.0 * t)
+
+    expected = quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=MAX_SUBDIVISIONS)[0]
+    assert integrate(f, a, b, 1e-10).hex() == expected.hex()
+
+
+def test_integrate_passes_on_an_integrand_error_unchanged():
+    error = DomainViolationError("(r')^2 exceeds 1 at v=0.75")
+
+    def f(t):
+        if t > 0.5:
+            raise error
+        return t
+
+    with pytest.raises(DomainViolationError) as info:
+        integrate(f, 0.0, 1.0, 1e-10)
+    assert info.value is error

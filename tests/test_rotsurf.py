@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import sys
 
 import helpers
 import numpy as np
@@ -438,6 +439,23 @@ def test_profile_kernels_are_the_scalar_reference_bit_for_bit(point):
     assert list(zip(map(repr, theta.tolist()), map(repr, c.tolist()))) == expected
     for on_array, on_float in ((profile.r, r), (profile.A, A), (profile.dr, dr)):
         assert list(map(repr, on_array(np.array(ts)).tolist())) == [repr(on_float(t)) for t in ts]
+
+
+@pytest.mark.parametrize("K", [1.0, 0.0, -1.0])
+def test_quadpack_integrands_are_one_python_call_per_node(K):
+    # QUADPACK calls the integrand once per node from C; an integrand that calls
+    # r_t, A_t or _sqrt1m on an in-domain node pays three more Python calls a node
+    profile = family_profile(K, 1.0, 0.25)
+    lo, hi = profile.domain
+    t = 0.5 * (lo + hi) if math.isfinite(hi) else lo + 1.0
+    for f in _quadpack_integrands(profile):
+        calls = []
+        sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code) if event == "call" else None)
+        try:
+            f(t)
+        finally:
+            sys.setprofile(None)
+        assert calls == [f.__code__]
 
 
 @settings(max_examples=100, deadline=None)
