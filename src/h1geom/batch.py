@@ -6,9 +6,12 @@ through the same code that evaluates one point as Python floats.  IEEE
 functions, ``**``, ``math.hypot`` and ``math.atan2`` do not: numpy's cosh,
 tanh, tan, hypot and arctan2 differ from libm in the last bit on part of
 their inputs (numpy 2.4, AVX-512), and numpy's array ``** 2`` is d*d where
-a Python float's is libm pow (3 in 10k values differ).  On arrays these go
-through ``elementwise``, which maps the scalar call over the elements, so
-every output is independent of how its points are batched.
+a Python float's is libm pow (they differ on about 1,720 of 2 million
+random doubles, uniform or log-uniform).  On arrays these go through
+``elementwise``, which maps the scalar call over the elements, so every
+output is independent of how its points are batched.  Only exponents
+other than 0 and 1 reach libm: at those two ``power`` and the expression
+power give pow's values exactly without a call per element.
 
 The rule is to map only the transcendental call.  A formula such as
 ``r0 * sqrt(max(cos(k * t), 0))`` maps ``cos`` alone and keeps ``*``,
@@ -52,8 +55,16 @@ def elementwise(f, x, *rest):
 
 
 def power(x, p):
-    """x ** p, with Python's float power (libm pow) element by element on arrays."""
-    return x ** p if type(x) is not np.ndarray else elementwise(pow, x, p)
+    """x ** p, with Python's float power (libm pow) element by element on arrays.
+
+    On arrays, exponents 0 and 1 skip libm and give pow's values exactly:
+    pow(x, 0) is 1, NaN included, and pow(x, 1) is x, -0.0 included.
+    """
+    if type(x) is not np.ndarray:
+        return x ** p
+    if p == 0 or p == 1:
+        return np.ones(x.shape) if p == 0 else x.astype(float)
+    return elementwise(pow, x, p)
 
 
 def first_failure(evaluate, n: int):

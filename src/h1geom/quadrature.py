@@ -85,11 +85,19 @@ def _load_scipy() -> None:
         wrapper that keeps f's values, feeds their Kronrod head to the
         estimate, and leaves the error for estimate_error on the same box.
         Every weighted sum runs over the same values in the same order as
-        scipy's own rule="gk21".  One instance serves one cubature call.
+        scipy's own rule="gk21".  One instance serves one cubature call and
+        holds that call's stash; the product nodes and weights of each
+        dimension are built once, by its first instance, and shared.
         """
+
+        _built = {}  # ndim -> (nodes_and_weights, lower_nodes_and_weights, xp)
 
         def __init__(self, ndim: int):
             super().__init__([GaussKronrodQuadrature(21)] * ndim)
+            if ndim not in self._built:
+                self._built[ndim] = (self.nodes_and_weights, self.lower_nodes_and_weights, self.xp)
+            # instance attributes shadow scipy's cached properties
+            self.nodes_and_weights, self.lower_nodes_and_weights, self.xp = self._built[ndim]
             self._stash = None
 
         def estimate(self, f, a, b, args=()):

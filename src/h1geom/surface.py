@@ -16,7 +16,7 @@ orientation, 1 or -1, flips this globally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -53,6 +53,11 @@ class SurfacePatch:
     three 3-tuples of first-order duals in (u, v); jet(u, v) their values.
     Both also take one-dimensional arrays of u and v, a batch of points;
     parts that do not vary over the batch may stay floats.
+
+    _jet1 is internal to graph_patch and parametric_patch: a first-order
+    pass that gives the values of jet2, and refuses the points jet2
+    refuses, at a fraction of its cost.  They set it only where that holds
+    bit for bit (see expr.eval_dual).
     """
 
     jet2: Callable[[float, float], tuple]
@@ -61,6 +66,7 @@ class SurfacePatch:
     orientation: int = 1
     closed_u: bool = False
     name: str = "patch"
+    _jet1: Callable[[float, float], list] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if isinstance(self.orientation, bool) or self.orientation not in (1, -1):
@@ -68,6 +74,8 @@ class SurfacePatch:
 
     def jet(self, u: float, v: float) -> list[tuple[float, float, float]]:
         """Position and coordinate partials as three float triples."""
+        if self._jet1 is not None:
+            return self._jet1(u, v)
         return [(x.value, y.value, z.value) for x, y, z in self.jet2(u, v)]
 
     def contains(self, u: float, v: float) -> bool:
@@ -356,8 +364,13 @@ def graph_patch(h, u_range=(-2.0, 2.0), v_range=(-2.0, 2.0), name=None, orientat
         pos = (Dual2(_expr.as_coordinate(u), 1.0, 0.0), Dual2(_expr.as_coordinate(v), 0.0, 1.0), z)
         return pos, (Dual2(1.0), Dual2(0.0), z_u), (Dual2(0.0), Dual2(1.0), z_v)
 
+    def jet1(u, v):
+        z = _expr.eval_dual(tree, u, v)
+        return [(_expr.as_coordinate(u), _expr.as_coordinate(v), z.value), (1.0, 0.0, z.d_u), (0.0, 1.0, z.d_v)]
+
     label = name or f"graph({_expr.pretty(tree)})"
-    return SurfacePatch(jet2, tuple(u_range), tuple(v_range), orientation, False, label)
+    jet1 = jet1 if _expr.literal_exponents(tree) else None
+    return SurfacePatch(jet2, tuple(u_range), tuple(v_range), orientation, False, label, jet1)
 
 
 def parametric_patch(x, y, z, u_range, v_range, name=None, orientation=1, closed_u=False):
@@ -368,5 +381,10 @@ def parametric_patch(x, y, z, u_range, v_range, name=None, orientation=1, closed
         parts = [_split(_expr.eval_hyperdual(t, u, v)) for t in trees]
         return tuple(zip(*parts))
 
+    def jet1(u, v):
+        x, y, z = (_expr.eval_dual(t, u, v) for t in trees)
+        return [(x.value, y.value, z.value), (x.d_u, y.d_u, z.d_u), (x.d_v, y.d_v, z.d_v)]
+
     label = name or "parametric"
-    return SurfacePatch(jet2, tuple(u_range), tuple(v_range), orientation, closed_u, label)
+    jet1 = jet1 if all(map(_expr.literal_exponents, trees)) else None
+    return SurfacePatch(jet2, tuple(u_range), tuple(v_range), orientation, closed_u, label, jet1)

@@ -171,14 +171,15 @@ def regions(draw):
         v0, v1 = patch.v_range
         t0 = draw(st.floats(0.0, 0.9))
         t1 = draw(st.floats(t0, 1.0))
-        region = ParamRegion(*patch.u_range, v0 + t0 * (v1 - v0), v0 + t1 * (v1 - v0), closed_u=True)
+        # min: v0 + 1.0 * (v1 - v0) can round past v1, out of the chart that the reference assumes
+        region = ParamRegion(*patch.u_range, v0 + t0 * (v1 - v0), min(v0 + t1 * (v1 - v0), v1), closed_u=True)
     else:
         u0, u1 = patch.u_range
         v0, v1 = patch.v_range
         s = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
         t = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
         region = ParamRegion(
-            u0 + s[0] * (u1 - u0), u0 + s[1] * (u1 - u0), v0 + t[0] * (v1 - v0), v0 + t[1] * (v1 - v0),
+            u0 + s[0] * (u1 - u0), min(u0 + s[1] * (u1 - u0), u1), v0 + t[0] * (v1 - v0), min(v0 + t[1] * (v1 - v0), v1),
             orientation=draw(st.sampled_from([1, -1])),
         )
     return patch, region
@@ -264,6 +265,78 @@ def test_elementwise_and_power_are_the_scalar_calls():
     y = np.array([0.1, -2.5, 3.0, -0.0, 1e-200, math.inf, math.nan])
     assert [repr(z) for z in power(y, 2).tolist()] == [repr(z**2) for z in y.tolist()]
     assert power(3.0, 2) == 9.0 and elementwise(math.hypot, 3.0, 4.0) == 5.0
+
+
+# -0.0, 0.0, NaN, +-inf, subnormals, +-1e308 and plain values
+POWER_INPUTS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e308, -1e308, 0.5, -2.5, 3.0]
+
+
+def _power_outcome(f, *args):
+    """f(*args), or the type of the ArithmeticError it raises."""
+    try:
+        return f(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def _assert_power_is_the_reference(f, reference, p):
+    """f on an array of POWER_INPUTS and on each input alone gives the reference's bits, or its error."""
+    expected = [_power_outcome(reference, x, p) for x in POWER_INPUTS]
+    got = _power_outcome(f, np.array(POWER_INPUTS), p)
+    errors = [y for y in expected if isinstance(y, type)]
+    if errors:
+        assert got is errors[0]
+    else:
+        assert got.dtype == float and got.tobytes() == np.array(expected).tobytes()
+    for x, y in zip(POWER_INPUTS, expected):
+        assert repr(_power_outcome(f, x, p)) == repr(y)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 0.0, 1.0, 2.0])
+def test_power_is_libm_pow_bit_for_bit_at_every_exponent(p):
+    # exponents 0 and 1 skip libm: pow(x, 0) is 1, NaN included, and pow(x, 1) keeps -0.0
+    _assert_power_is_the_reference(power, pow, p)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, 2.0])
+def test_expression_power_is_safe_pow_bit_for_bit_at_every_exponent(p):
+    # _pow's array shortcuts give _safe_pow's values, which are +0.0 for -0.0 at p = 1
+    node = ex.parse("u^2")
+    _assert_power_is_the_reference(lambda b, p: ex._pow(b, p, node), ex._safe_pow, p)
+
+
+def _jet_parts(jet):
+    """Type, shape and element reprs of each part of a jet's three triples.
+
+    A repr keeps the sign of zero but not that of a NaN, which numpy's loops
+    do not fix from one call to the next.
+    """
+    return [(type(x), np.shape(x), [repr(y) for y in np.ravel(x).tolist()]) for triple in jet for x in triple]
+
+
+@SETTINGS
+@given(st.integers(0, 10**6), st.sampled_from(["graph", "parametric"]), _range(), _range(), st.integers(1, 6), st.integers(1, 6))
+def test_first_order_jet_is_the_value_of_jet2(seed, kind, u_range, v_range, nu, nv):
+    # the region gate reads jet, which expression charts take from a first-order pass
+    rng = np.random.default_rng(seed)
+    if kind == "graph":
+        patch = graph_patch(helpers.random_expression(rng))
+    else:
+        patch = parametric_patch(*(helpers.random_expression(rng) for _ in range(3)), (-3.0, 3.0), (-3.0, 3.0))
+    assert patch._jet1 is not None  # random exponents are numbers
+    u = np.tile(np.linspace(*u_range, nu), nv)
+    v = np.repeat(np.linspace(*v_range, nv), nu)
+    for point in [(u, v)] + list(zip(u.tolist(), v.tolist())):
+        with np.errstate(all="ignore"):
+            try:
+                expected = _jet_parts([[x.value for x in triple] for triple in patch.jet2(*point)])
+            except ex.EvalError:
+                expected = None
+            try:
+                got = _jet_parts(patch.jet(*point))
+            except ex.EvalError:
+                got = None
+        assert got == expected
 
 
 def test_frame_data_batch_marks_singular_points():

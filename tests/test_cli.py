@@ -550,6 +550,37 @@ def test_gauss_bonnet_singular_cubature_node_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "surface, u, v, message",
+    [
+        # at the corner (1, 1) the base is 0 and the exponent's gradient 0, its Hessian not; no cubature node is a corner
+        ({"kind": "graph", "h": "((u-1)^2+(v-1)^2)^(2+(u-1)^2+(v-1)^2)"}, [0, 1], [0, 1],
+         "non-positive base 0.0 with varying exponent in '((u-1)^2+(v-1)^2)^(2+(u-1)^2+(v-1)^2)'"),
+        # the exponent is 2 in floating point, and its v-partial underflows to 0 at the gate's nodes v = k pi
+        ({"kind": "parametric", "x": "(3 + sin(v/40))*cos(u)", "y": "(3 + sin(v/40))*sin(u)",
+          "z": "v + (-1)^(2 + 1e-310*cos(v))", "u_range": [0, 2 * math.pi], "v_range": [0, 20 * math.pi], "closed_u": True},
+         [0, 2 * math.pi], [0, 20 * math.pi],
+         "non-positive base -1.0 with varying exponent in '(-1)^(2+9.9999999999999694e-311*cos(v))'"),
+        # a constant exponent whose second partials are NaN: 1e+308 squared overflows in the quotient rule
+        ({"kind": "graph", "h": "u^(1e-320*710/1e308 + 2)"}, [-1, 1], [0, 1],
+         "non-positive base -1.0 with varying exponent in 'u^(9.9998886718268301e-321*710/1e+308+2)'"),
+    ],
+)
+def test_gauss_bonnet_exponent_only_the_second_order_jet_refuses_exits_2(tmp_path, capsys, surface, u, v, message):
+    # A first-order pass takes an exponent whose gradient is 0 at a point for a constant; the hyper-dual pass reads
+    # its second partials too and refuses a non-positive base.  The region gate reads first-order jets only on charts
+    # whose exponents are literals, so on these it refuses the point itself, with the hyper-dual pass's line.
+    from h1geom import catalog, expr
+    from h1geom.gaussbonnet import ParamRegion, _check_region
+
+    patch = catalog.surface_from_config(surface)
+    with pytest.raises(expr.ExprDomainError, match="varying exponent"):
+        _check_region(patch, ParamRegion(*u, *v, closed_u=surface.get("closed_u", False)))
+    code, err = _gauss_bonnet_exit(tmp_path, capsys, surface, u, v)
+    assert code == 2
+    assert err == f"evaluation error: {message}"
+
+
+@pytest.mark.parametrize(
     "argv, region, chart",
     [
         (["--surface", "paraboloid", "--region", "1,2,3,4"], "u in [1.0, 2.0], v in [3.0, 4.0]", "u in (-2.0, 2.0), v in (-2.0, 2.0)"),

@@ -147,6 +147,16 @@ def test_hyperdual_value_part_is_the_first_order_dual():
         assert hyper.d_v.value == pytest.approx(first.d_v, rel=1e-14, abs=1e-300)
 
 
+@pytest.mark.parametrize(
+    "text, literal",
+    [("u^2 + v^-1.5", True), ("sin(u^pi)^--e", True), ("(u^(2))^0", True), ("u*v", True),
+     ("u^(1+1)", False), ("2^u", False), ("u^(v-v+2)", False), ("u^2 + v^exp(1000)", False)],
+)
+def test_literal_exponents(text, literal):
+    # only there is a first-order pass the value part of the hyper-dual one (see eval_dual)
+    assert ex.literal_exponents(ex.parse(text)) is literal
+
+
 def test_hyperdual_second_partials_against_fd():
     cases = helpers.build_corpus(120, seed=11)
     checked = 0

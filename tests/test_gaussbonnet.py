@@ -376,6 +376,42 @@ def test_each_report_makes_one_frame_batch(monkeypatch):
     assert sizes == [grid + 4 * piece, grid + 2 * piece]
 
 
+def test_region_gate_evaluates_no_second_order_jet(monkeypatch):
+    # the gate reads positions and tangents alone, so graph and parametric charts serve it from a first-order pass
+    from h1geom import expr
+    from h1geom.gaussbonnet import _check_region
+
+    calls, real = [], expr.eval_hyperdual
+    monkeypatch.setattr(expr, "eval_hyperdual", lambda *args: calls.append(args) or real(*args))
+    charts = [
+        (catalog.paraboloid(), ParamRegion(1.0, 2.0, -1.0, -0.5)),
+        (graph_patch("sin(u) + v^2"), ParamRegion(1.0, 2.0, -1.0, -0.5)),
+        (catalog.surface_from_config({"kind": "parametric", "x": "u + v/4", "y": "v", "z": "sin(u)*v", "u_range": [0, 3],
+                                       "v_range": [0, 3]}), ParamRegion(1.0, 2.0, 0.5, 1.0)),
+    ]
+    for patch, region in charts:
+        _check_region(patch, region)
+    assert calls == []
+    frame_data(charts[0][0], 1.5, -0.75)  # the patch reaches the charts' second-order jets
+    assert len(calls) == 1
+
+
+def test_cubature_rule_is_built_once_per_dimension(monkeypatch):
+    # two reports, each a 2-D area and a 1-D boundary cubature: one Legendre root computation per dimension
+    import scipy.integrate._rules._gauss_legendre as gauss_legendre
+
+    from h1geom import quadrature
+
+    quadrature._load_scipy()
+    monkeypatch.setattr(quadrature._GK21, "_built", {})
+    calls, real = [], gauss_legendre.roots_legendre
+    monkeypatch.setattr(gauss_legendre, "roots_legendre", lambda n: calls.append(n) or real(n))
+    patch = catalog.paraboloid()
+    for region in (ParamRegion(1.0, 2.0, -1.0, -0.5), ParamRegion(0.02, 1.0, 0.02, 1.0)):
+        gb_residual(patch, region)
+    assert calls == [10, 10] and sorted(quadrature._GK21._built) == [1, 2]
+
+
 def test_regions_beside_a_characteristic_point_wind_zero():
     # the origin on the far side of an edge, and closed bands of the rotation families
     patch = catalog.paraboloid()
