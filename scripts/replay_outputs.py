@@ -1,6 +1,6 @@
 """Replay the benchmark job lists and the figure meshes against two source trees.
 
-    python scripts/replay_outputs.py OLD_SRC NEW_SRC [--seeds 1 2 3]
+    python scripts/replay_outputs.py OLD_SRC NEW_SRC [--seeds 1 2 3] [--time N]
 
 OLD_SRC and NEW_SRC are h1geom checkouts (or their ``src`` directories),
 for example a ``git archive`` copy of a parent commit and the working tree.
@@ -15,6 +15,20 @@ with the same relative paths, so their messages compare as text.
 Every run whose record differs between the trees is listed, and the exit
 status is 1 if any does.  The job lists are this checkout's ``bench/``,
 imported and never written.
+
+With ``--time N`` the byte check is followed by a lockstep timing.  Two
+long-lived interpreters, one per tree, each hold a ``bench/worker.Runner``
+per workload over the jobs of the seeds.  After one untimed warm-up pass
+in each, every job runs in one tree and then in the other, the tree that
+goes first alternating from job to job and, for each job, from pass to
+pass, for N passes.  Per workload it
+prints how many passes the new tree took less time on, the median ratio
+of pass times (new over old) and each tree's ``job_p90_s`` (bench's
+nearest-rank 90th percentile over every job execution).  Both trees see
+the same machine state at almost the same moment, so drifts of the
+machine's speed, which can move separate runs of one tree by more than
+the change under test, fall on both sides alike.  The exit status is the
+byte check's.
 """
 
 from __future__ import annotations
@@ -25,6 +39,7 @@ import hashlib
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -46,23 +61,26 @@ def source_dir(tree: str) -> Path:
     raise SystemExit(f"error: no h1geom package under {path}")
 
 
-def runs(seeds):
-    """(key, argv, output paths) of every run, with paths relative to the scratch directory."""
-    sys.path.insert(0, str(ROOT / "bench"))
-    import checks
+def workload_jobs(workload: str, seeds) -> list[dict]:
     import gen
 
+    return [job for seed in seeds for job in gen.make_jobs(workload, seed)]
+
+
+def runs(seeds):
+    """(key, argv, output paths) of every run, with paths relative to the scratch directory."""
+    import checks
+
     for workload in WORKLOADS:
-        for seed in seeds:
-            for job in gen.make_jobs(workload, seed):
-                config = Path("cfg") / f"{job['id']}.json"
-                config.parent.mkdir(exist_ok=True)
-                config.write_text(json.dumps(job["config"], sort_keys=True))
-                stem = Path("out") / job["id"]
-                paths = checks.output_paths(job, stem)
-                argv = [job["cmd"], "--config", str(config)]
-                argv += ["--out-prefix", str(stem)] if job["cmd"] == "rotsurf" else ["--out", str(paths[0])]
-                yield job["id"], argv, paths
+        for job in workload_jobs(workload, seeds):
+            config = Path("cfg") / f"{job['id']}.json"
+            config.parent.mkdir(exist_ok=True)
+            config.write_text(json.dumps(job["config"], sort_keys=True))
+            stem = Path("out") / job["id"]
+            paths = checks.output_paths(job, stem)
+            argv = [job["cmd"], "--config", str(config)]
+            argv += ["--out-prefix", str(stem)] if job["cmd"] == "rotsurf" else ["--out", str(paths[0])]
+            yield job["id"], argv, paths
     for figure in FIGURES:
         stem = Path("out") / f"figure-{figure}"
         argv = ["rotsurf", "--figure", str(figure), "--out-prefix", str(stem)]
@@ -89,21 +107,82 @@ def record(seeds) -> dict:
     return records
 
 
-def replay(tree: str, seeds, scratch: Path) -> subprocess.Popen:
+def replay(tree: str, seeds, scratch: Path, mode: str = "--record") -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(source_dir(tree)), PYTHONHASHSEED="0")
     env.update({name: "1" for name in SINGLE_THREAD})
-    argv = [sys.executable, str(Path(__file__).resolve()), "--record", "--seeds", *map(str, seeds)]
-    return subprocess.Popen(argv, cwd=scratch, env=env, stdout=subprocess.PIPE, text=True)
+    argv = [sys.executable, str(Path(__file__).resolve()), mode, "--seeds", *map(str, seeds)]
+    stdin = subprocess.PIPE if mode == "--serve" else None
+    return subprocess.Popen(argv, cwd=scratch, env=env, stdin=stdin, stdout=subprocess.PIPE, text=True)
+
+
+def serve(seeds) -> None:
+    """Hold one bench Runner per workload; run each "WORKLOAD INDEX" line of stdin, answer its wall time."""
+    import worker
+    from h1geom import cli
+
+    runners = {workload: worker.Runner(cli, workload_jobs(workload, seeds), Path("timing") / workload) for workload in WORKLOADS}
+    for line in sys.stdin:
+        workload, index = line.split()
+        runner = runners[workload]
+        code, wall, _ = runner.execute(runner.argv[int(index)])
+        print(json.dumps([code, wall]), flush=True)
+
+
+def lockstep(trees, seeds, passes: int, dirs) -> None:
+    """Time every job of each workload in both trees in lockstep and print one line per workload."""
+    import measure
+
+    procs = [replay(tree, seeds, work, "--serve") for tree, work in zip(trees, dirs)]
+
+    def run(side: int, workload: str, index: int) -> float:
+        procs[side].stdin.write(f"{workload} {index}\n")
+        procs[side].stdin.flush()
+        return json.loads(procs[side].stdout.readline())[1]
+
+    try:
+        for workload in WORKLOADS:
+            jobs = range(len(workload_jobs(workload, seeds)))
+            for side in (0, 1):  # warm-up: lazy imports and first-call caches
+                for index in jobs:
+                    run(side, workload, index)
+            pass_times, walls = ([], []), ([], [])
+            for number in range(passes):
+                totals = [0.0, 0.0]
+                for index in jobs:
+                    first = (number + index) % 2  # alternates from job to job and, for each job, from pass to pass
+                    for side in (first, 1 - first):
+                        wall = run(side, workload, index)
+                        totals[side] += wall
+                        walls[side].append(wall)
+                for side in (0, 1):
+                    pass_times[side].append(totals[side])
+            won = sum(new < old for old, new in zip(*pass_times))
+            ratio = statistics.median(new / old for old, new in zip(*pass_times))
+            p90 = [measure.percentile(w, measure.TAIL_PERCENTILE) for w in walls]
+            print(
+                f"{workload}: new faster in {won} of {passes} passes, median pass time ratio new/old {ratio:.3f}, "
+                f"job_p90_s old {p90[0]:.5f} new {p90[1]:.5f}"
+            )
+    finally:
+        for proc in procs:
+            proc.stdin.close()
+            proc.wait()
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("trees", nargs="*", metavar="SRC", help="the old and the new source tree")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--time", type=int, default=0, metavar="N", help="then time every job in lockstep for N passes")
     parser.add_argument("--record", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "bench"))  # gen, checks, measure and worker, imported and never written
     if args.record:
         json.dump(record(args.seeds), sys.stdout)
+        return 0
+    if args.serve:
+        serve(args.seeds)
         return 0
     if len(args.trees) != 2:
         parser.error("give two source trees, OLD_SRC and NEW_SRC")
@@ -118,16 +197,18 @@ def main(argv=None) -> int:
         if any(proc.returncode != 0 for proc in procs):
             print("error: a replay process failed", file=sys.stderr)
             return 2
-    old, new = (json.loads(text) for text in outputs)
+        old, new = (json.loads(text) for text in outputs)
 
-    differ = 0
-    for key in sorted(old.keys() | new.keys()):
-        fields = [name for name in ("exit", "stdout", "stderr", "sha256") if old.get(key, {}).get(name) != new.get(key, {}).get(name)]
-        if fields:
-            differ += 1
-            print(f"DIFFERS {key}: {', '.join(fields)}")
-    files = sum(len(entry["sha256"]) for entry in new.values())
-    print(f"{len(new)} runs, {files} output files: {differ} differ")
+        differ = 0
+        for key in sorted(old.keys() | new.keys()):
+            fields = [name for name in ("exit", "stdout", "stderr", "sha256") if old.get(key, {}).get(name) != new.get(key, {}).get(name)]
+            if fields:
+                differ += 1
+                print(f"DIFFERS {key}: {', '.join(fields)}")
+        files = sum(len(entry["sha256"]) for entry in new.values())
+        print(f"{len(new)} runs, {files} output files: {differ} differ", flush=True)
+        if args.time > 0:
+            lockstep(args.trees, args.seeds, args.time, dirs)
     return 1 if differ else 0
 
 

@@ -486,6 +486,8 @@ def _pow(b, p: float, node: Expr):
             return np.ones(b.shape) if p == 0.0 else b + 0.0
         return elementwise(_safe_pow, b, p)
     bv = _innermost(b)
+    if not math.isfinite(p):
+        raise ExprDomainError(f"non-finite exponent {p!r}", node)
     if p == float(int(p)) and abs(p) < 1e15:
         if p == 0.0:
             return _const_like(b, 1.0)

@@ -7,6 +7,14 @@ the form g(t)*sqrt(h(t)), with h vanishing simply at a domain endpoint,
 lose accuracy for the plain rule; substituting t = b0 +/- s^2 near that
 endpoint makes the integrand smooth again.
 
+QUADPACK's first step, one 21-point Gauss-Kronrod rule over the whole
+interval and the test that ends the integral there, also runs in numpy
+over many intervals at once (kronrod_first_step).  It reproduces quad's
+value, error estimate and decision bit for bit, so a caller with a batch
+of integrals calls quad only for those the step does not settle; every
+later step stays QUADPACK's.  Its rule is QUADPACK's own literals and
+needs no scipy.
+
 scipy.integrate is imported by _load_scipy when the first integral is
 taken, not with this module: its import (which pulls in scipy.optimize,
 sparse, spatial, special, linalg and fft) costs about 0.4 s, two thirds of
@@ -20,13 +28,16 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
+from .batch import elementwise
 from .errors import QuadratureError
 
 __all__ = [
     "integrate",
+    "kronrod_first_step",
     "cubature",
     "integrate_with_boundary",
     "gauss_segments",
@@ -37,6 +48,33 @@ BOUNDARY_WINDOW = 1e-4  # switch to the sqrt substitution within this distance o
 MAX_SUBDIVISIONS = 200  # QUADPACK's interval limit in integrate, cubature's box limit
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+# QUADPACK dqk21's data statements: Kronrod abscissae xgk(1..10) (xgk(11) is 0),
+# Kronrod weights wgk(1..11) and the weights wg(1..5) of the embedded 10-point Gauss rule
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_KRONROD_ORDER = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]  # qk21 sums the Gauss nodes xgk(2), xgk(4), ... first
+_WGK_ORDERED = _WGK[_KRONROD_ORDER]
+_OFFSETS = np.concatenate([[0.0], -_XGK, _XGK])  # of the 21 nodes from the centre, in half-lengths
+_EPMACH, _UFLOW = sys.float_info.epsilon, sys.float_info.min  # d1mach(4), d1mach(1)
 
 
 def _in_window(distance, bound):
@@ -63,6 +101,63 @@ def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
             f"integral over [{a!r}, {b!r}] did not converge (estimate {err:.3e})"
         )
     return value
+
+
+def kronrod_first_step(f, a, b, tol: float = 1e-10):
+    """The first QUADPACK step of :func:`integrate` over every [a_i, b_i] at once, in numpy.
+
+    integrate's qagse starts with one 21-point Gauss-Kronrod rule (qk21)
+    over the whole interval and returns when its error estimate meets the
+    tolerance.  This runs that step for the arrays a and b (either
+    orientation) with qk21's operations in qk21's order, libm pow included,
+    so that each result and error estimate is quad's bit for bit: every
+    weighted sum is a running sum (np.add.accumulate, never numpy's
+    pairwise reduction) over its terms in the order of qk21's loops.
+    f maps an (n, 21) array of nodes to a tuple of (n, 21) value arrays,
+    one per integrand: column 0 is the centre, columns 1-10 centre -
+    hlgth xgk(j) and 11-20 centre + hlgth xgk(j).  Returns one (results,
+    errors, accepted) triple of arrays per integrand; accepted is True
+    exactly where quad would stop after this step without a message, with
+    the same result.  Run it under np.errstate(all="ignore") where values
+    may overflow.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    epsabs, epsrel = tol, max(tol, 1e-13)  # integrate's tolerances
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    nodes = centr[:, None] + hlgth[:, None] * _OFFSETS  # c + h (-x) is c - h x exactly
+    nodes[:, 0] = centr  # and c + h 0 would turn a centre of -0.0 into 0.0
+    parts = f(nodes)
+    values = np.concatenate(parts)  # the integrands one below the other
+    hlgth = np.concatenate([hlgth] * len(parts))
+    fc, fv1, fv2 = values[:, :1], values[:, 1:11], values[:, 11:]
+
+    def running_sum(first, terms):
+        return np.add.accumulate(np.concatenate([first, terms], axis=1), axis=1)[:, -1]
+
+    fsum = (fv1 + fv2)[:, _KRONROD_ORDER]
+    resg = running_sum(np.zeros_like(fc), _WG * fsum[:, :5])
+    resk0 = _WGK[10] * fc
+    resk = running_sum(resk0, _WGK_ORDERED * fsum)
+    resabs = running_sum(np.abs(resk0), _WGK_ORDERED * (np.abs(fv1) + np.abs(fv2))[:, _KRONROD_ORDER])
+    reskh = (resk * 0.5)[:, None]
+    resasc = running_sum(_WGK[10] * np.abs(fc - reskh), _WGK[:10] * (np.abs(fv1 - reskh) + np.abs(fv2 - reskh)))
+    dhlgth = np.abs(hlgth)
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = np.abs((resk - resg) * hlgth)
+    scaled = (resasc != 0.0) & (abserr != 0.0)
+    ratio = elementwise(math.pow, 200.0 * abserr[scaled] / resasc[scaled], 1.5)
+    abserr[scaled] = resasc[scaled] * np.minimum(1.0, ratio)
+    floor = resabs > _UFLOW / (50.0 * _EPMACH)
+    abserr[floor] = np.maximum((_EPMACH * 50.0) * resabs[floor], abserr[floor])
+    # qagse's test, where its "resabs" is qk21's resasc; its ier = 2 test
+    # needs abserr > errbnd and so never refuses what this accepts
+    errbnd = np.maximum(epsabs, epsrel * np.abs(result))
+    accepted = ((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0.0)
+    shape = (len(parts), len(a))
+    return list(zip(result.reshape(shape), abserr.reshape(shape), accepted.reshape(shape)))
 
 
 @functools.cache

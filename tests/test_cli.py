@@ -581,6 +581,21 @@ def test_gauss_bonnet_exponent_only_the_second_order_jet_refuses_exits_2(tmp_pat
 
 
 @pytest.mark.parametrize(
+    "h, message",
+    [
+        ("u^1e400", "non-finite exponent inf in 'u^inf'"),
+        ("(u+2)^1e400", "non-finite exponent inf in '(u+2)^inf'"),
+        ("u^-1e400", "non-finite exponent -inf in 'u^-inf'"),
+    ],
+)
+def test_gauss_bonnet_infinite_exponent_exits_2(tmp_path, capsys, h, message):
+    # an exponent literal that overflows to inf is refused by name, not by an OverflowError from int(inf)
+    code, err = _gauss_bonnet_exit(tmp_path, capsys, {"kind": "graph", "h": h}, [1, 2], [0, 1])
+    assert code == 2
+    assert err == f"evaluation error: {message}"
+
+
+@pytest.mark.parametrize(
     "argv, region, chart",
     [
         (["--surface", "paraboloid", "--region", "1,2,3,4"], "u in [1.0, 2.0], v in [3.0, 4.0]", "u in (-2.0, 2.0), v in (-2.0, 2.0)"),

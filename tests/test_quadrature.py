@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import helpers
 from h1geom.errors import DomainViolationError, QuadratureError
-from h1geom.quadrature import BOUNDARY_WINDOW, MAX_SUBDIVISIONS, gauss_segments, integrate
+from h1geom.batch import elementwise
+from h1geom.quadrature import BOUNDARY_WINDOW, MAX_SUBDIVISIONS, gauss_segments, integrate, kronrod_first_step
 
 KINDS = ("interior", "lower", "upper", "both")
 
@@ -193,3 +194,113 @@ def test_integrate_passes_on_an_integrand_error_unchanged():
     with pytest.raises(DomainViolationError) as info:
         integrate(f, 0.0, 1.0, 1e-10)
     assert info.value is error
+
+
+# ---------------------------------------------------------------------------
+# kronrod_first_step: QUADPACK's first qk21 step, for many intervals at once
+
+# (float integrand for quad, array integrand for the step, half-width of the t range): the same
+# operations on floats and on arrays.  Far from 0 a width of 1e-12 spans a few ulps of t, where qk21's
+# error estimate is rounding noise and can equal its resasc, a case qagse refuses.
+SIMPLE_INTEGRANDS = {
+    "zero": (lambda t: 0.0, lambda t: np.zeros(t.shape), 1e3),
+    "constant": (lambda t: 3.7, lambda t: np.full(t.shape, 3.7), 1e3),
+    "2t": (lambda t: 2.0 * t, lambda t: 2.0 * t, 1e3),
+    "sqrt|t|": (lambda t: math.sqrt(abs(t)), lambda t: np.sqrt(np.abs(t)), 1e3),
+    "sin 50t": (lambda t: math.sin(50.0 * t), lambda t: elementwise(math.sin, 50.0 * t), 1e3),
+    "1e-300 t": (lambda t: 1e-300 * t, lambda t: 1e-300 * t, 1e3),
+    "1e300": (lambda t: 1e300, lambda t: np.full(t.shape, 1e300), 1e3),
+    "e^t": (math.exp, lambda t: elementwise(math.exp, t), 5.0),
+}
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+@st.composite
+def _intervals(draw, lo, hi):
+    """1-20 intervals inside [lo, hi], of widths 1e-12 to 10 (or the room there is), in either orientation."""
+    paths = []
+    for _ in range(draw(st.integers(1, 20))):
+        width = min(10.0 ** draw(st.floats(-12.0, 1.0)), hi - lo)
+        a = lo + draw(st.floats(0.0, 1.0)) * (hi - lo - width)
+        b = min(a + width, hi)
+        paths.append((b, a) if draw(st.booleans()) else (a, b))
+    return paths
+
+
+@st.composite
+def _step_cases(draw):
+    """(float f, array f, intervals): a simple integrand, or theta' or c' of a random family
+    in t, or in s with t = lo + s^2 or t = hi - s^2 and the values times 2 s, as integrate_with_boundary has it."""
+    from h1geom.rotsurf import _integrands, family_profile
+
+    kind = draw(st.sampled_from([*SIMPLE_INTEGRANDS, "family"]))
+    if kind != "family":
+        scalar, array, reach = SIMPLE_INTEGRANDS[kind]
+        return scalar, array, draw(_intervals(-reach, reach))
+    K = draw(st.one_of(st.just(0.0), st.floats(0.25, 4.0), st.floats(-4.0, -0.25)))
+    profile = family_profile(K, draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 1.0)))
+    lo, hi = profile.domain
+    hi = min(hi, lo + 3.0)  # K = 0 has no upper end
+    k = draw(st.sampled_from([0, 1]))  # theta' or c'
+
+    def f(t):
+        return _integrands(profile.r, profile.A, t)[k]
+
+    where = draw(st.sampled_from(["t", "lo", "hi"] if K else ["t", "lo"]))
+    if where == "t":
+        return f, f, draw(_intervals(lo, hi))
+    bound, sign = (lo, 1.0) if where == "lo" else (profile.domain[1], -1.0)
+
+    def g(s):
+        return 2.0 * s * f(bound + sign * (s * s))  # lo + s*s, or hi - s*s
+
+    return g, g, draw(_intervals(0.0, math.sqrt(hi - lo)))
+
+
+def _assert_first_step_is_quads(scalar, array, a, b, tol):
+    """The step's value and error estimate are quad's, and it accepts exactly where quad stops after
+    one step without a message."""
+    from scipy.integrate import quad
+
+    with np.errstate(all="ignore"):
+        ((result, error, accepted),) = kronrod_first_step(lambda x: (array(x),), a, b, tol)
+    for i, (x0, x1) in enumerate(zip(a.tolist(), b.tolist())):
+        value, estimate, info, *message = quad(scalar, x0, x1, epsabs=tol, epsrel=max(tol, 1e-13), limit=MAX_SUBDIVISIONS, full_output=1)
+        assert bool(accepted[i]) == (info["last"] == 1 and not message), (x0, x1)
+        if info["last"] == 1:
+            assert (_bits(result[i]), _bits(error[i])) == (_bits(value), _bits(estimate)), (x0, x1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_cases(), st.sampled_from([1e-10, 1e-12, 1e-14]))
+def test_kronrod_first_step_is_quads_first_step_bit_for_bit(case, tol):
+    # this also guards against a scipy whose QUADPACK differs
+    scalar, array, paths = case
+    _assert_first_step_is_quads(scalar, array, *(np.array(ends) for ends in zip(*paths)), tol)
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLE_INTEGRANDS))
+def test_kronrod_first_step_is_quads_first_step_on_a_fixed_sample(name):
+    # 500 seeded intervals per integrand: on these, a swapped weight, qk21's resabs in place of its
+    # resasc in qagse's test, and numpy's ** 1.5 in place of libm pow each fail somewhere
+    scalar, array, reach = SIMPLE_INTEGRANDS[name]
+    rng = np.random.default_rng(sorted(SIMPLE_INTEGRANDS).index(name))
+    start, width, flip = rng.uniform(-reach, reach, 500), 10.0 ** rng.uniform(-12.0, 1.0, 500), rng.random(500) < 0.5
+    a, b = np.where(flip, start + width, start), np.where(flip, start, start + width)
+    _assert_first_step_is_quads(scalar, array, a, b, 1e-10)
+
+
+def test_kronrod_first_step_runs_every_integrand_over_one_node_array():
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return np.ones(x.shape), x
+
+    steps = kronrod_first_step(f, np.array([0.0, 3.0]), np.array([2.0, 1.0]))
+    assert len(calls) == 1 and calls[0].shape == (2, 21)
+    assert calls[0][:, 0].tolist() == [1.0, 2.0]
+    assert [result.tolist() for result, _, _ in steps] == [[2.0, -2.0], [2.0, -4.0]]

@@ -484,6 +484,87 @@ def test_profile_kernels_reject_a_steep_point_alike_on_a_float_and_an_array(fami
         assert str(info.value) == message
 
 
+# theta_c on an array: QUADPACK's first step in numpy for every v, QUADPACK where it does not settle;
+# the values, and the error of a failing v, are those of the float path v by v.
+
+
+def _theta_c_bits(values):
+    return [(float(theta).hex(), float(c).hex()) for theta, c in values]
+
+
+def _assert_theta_c_array_is_floats(make_profile, vs):
+    theta, c = make_profile().theta_c(np.array(vs))
+    assert theta.shape == c.shape == (len(vs),)
+    floats = make_profile()
+    assert _theta_c_bits(zip(theta.tolist(), c.tolist())) == _theta_c_bits(floats.theta_c(v) for v in vs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_domain_points())
+def test_theta_c_on_an_array_is_the_float_path_bit_for_bit(point):
+    # points in either boundary window, away from both, and the anchor of K != 0 (repeated, too)
+    (K, r0, c1_shift), vs = point
+    if K:
+        vs += [-c1_shift, -c1_shift]
+    _assert_theta_c_array_is_floats(functools.partial(family_profile, K, r0, c1_shift), vs)
+
+
+@pytest.mark.parametrize("K", [1.0, -1.0])
+def test_theta_c_on_an_array_on_a_domain_narrower_than_the_boundary_window(K):
+    # every path from the anchor 0 lies in both windows: split at the domain's midpoint or not
+    lo, hi = family_profile(K, 1e5).domain
+    vs = [1e-5, 0.95 * hi, -0.75 * hi, 0.999 * lo, 0.0, hi, lo, 0.25 * hi]
+    _assert_theta_c_array_is_floats(functools.partial(family_profile, K, 1e5), vs)
+
+
+def test_theta_c_on_an_array_in_chunks_and_a_band_edge(monkeypatch):
+    # more v than one batch holds; a band up to the domain end, rows in the window and near it
+    monkeypatch.setattr(rotsurf, "_THETA_C_CHUNK", 7)
+    lo, hi = family_profile(1.0, 1.0, 0.3).domain
+    vs = np.linspace(0.5 * hi, hi, 40).tolist() + np.linspace(lo, 0.0, 9).tolist()
+    _assert_theta_c_array_is_floats(functools.partial(family_profile, 1.0, 1.0, 0.3), vs)
+
+
+@pytest.mark.parametrize(
+    "K, values",
+    [
+        (1.0, lambda lo, hi: [0.3, 1.4, -1.5, 0.2]),  # outside the domain: the first one is named
+        (-1.0, lambda lo, hi: [0.1, -0.2, math.nan, 5.0]),
+        (0.0, lambda lo, hi: [0.5, 0.3, 0.1]),  # below the K = 0 domain (1/4, inf)
+        # hi + 1e-12 passes the domain check, and its substitution takes sqrt(hi - v) < 0 (a ValueError)
+        # before the array's domain check reaches 1.5
+        (1.0, lambda lo, hi: [0.3, hi + 1e-12, 1.5]),
+    ],
+    ids=["K=1", "K=-1-nan", "K=0", "K=1-edge"],
+)
+def test_theta_c_on_an_array_fails_as_a_scan_of_its_floats(K, values):
+    vs = values(*family_profile(K, 1.0).domain)
+    with pytest.raises(Exception) as scan:
+        profile = family_profile(K, 1.0)
+        for v in vs:
+            profile.theta_c(v)
+    with pytest.raises(Exception) as batch:
+        family_profile(K, 1.0).theta_c(np.array(vs))
+    assert (type(batch.value), str(batch.value)) == (type(scan.value), str(scan.value))
+
+
+def test_rotation_chart_on_an_array_fails_as_its_scalar_loop():
+    # at v = -0.5 the K = 0 chart's r takes sqrt of a negative number before theta_c refuses v;
+    # a failed theta_c batch must leave the error to the per-v loop
+    patch = rotation_patch(family_profile(0.0, 1.0), (0.5, 1.0))
+    with pytest.raises(ValueError) as scalar:
+        patch.jet2(0.0, -0.5)
+    with pytest.raises(ValueError) as batch:
+        patch.jet2(np.zeros(2), np.array([0.5, -0.5]))
+    assert (type(batch.value), str(batch.value)) == (type(scalar.value), str(scalar.value)) == (ValueError, "math domain error")
+
+
+def test_plane_and_cylinder_theta_c_take_arrays():
+    vs = np.array([0.5, 1.4, 2.0])
+    assert [part.tolist() for part in line_profile().theta_c(vs)] == [[0.0] * 3, [0.0] * 3]
+    assert [part.tolist() for part in circle_profile().theta_c(vs)] == [[0.5, 1.4, 2.0], [0.25, 0.7, 1.0]]
+
+
 # ---------------------------------------------------------------------------
 # meshes
 
@@ -758,21 +839,34 @@ def test_theta_c_cache_is_bounded(monkeypatch):
 
 
 def test_mesh_rows_rotation_chart_and_sampler_share_theta_c(monkeypatch):
-    calls = []
-    integrate = rotsurf.integrate_with_boundary
-    monkeypatch.setattr(rotsurf, "integrate_with_boundary", lambda *args: calls.append(args[2]) or integrate(*args))
+    # each distinct v is integrated once per profile: one row of the numpy first step, and
+    # QUADPACK at most once per integral; the sampler's start and a second jet2 integrate nothing
+    profiles, step_rows, calls = [], [], []
+    make, step, integrate = rotsurf.family_profile, rotsurf.kronrod_first_step, rotsurf.integrate_with_boundary
+    monkeypatch.setattr(rotsurf, "family_profile", lambda *args: profiles.append(make(*args)) or profiles[-1])
+    monkeypatch.setattr(rotsurf, "kronrod_first_step", lambda f, a, b, tol: step_rows.extend(a.tolist()) or step(f, a, b, tol))
+    monkeypatch.setattr(rotsurf, "integrate_with_boundary", lambda *args: calls.append(args[:3:2]) or integrate(*args))
+
+    def integrated(profile, hits, misses):
+        info = profile.theta_c.cache_info()
+        assert (info.hits, info.misses) == (hits, misses)
+        assert len(step_rows) <= misses and len(set(calls)) == len(calls)
+        assert len({v for _, v in calls}) <= misses
+
     build_mesh(RotationSurfaceSpec(K_inf=-1.0, samples_u=8, samples_v=20, n_curves=0))
-    assert len(calls) == 2 * 20
-    calls.clear()
+    integrated(profiles[-1], 0, 20)
+    step_rows.clear(), calls.clear()
     build_mesh(RotationSurfaceSpec(K_inf=-1.0, samples_u=8, samples_v=20, n_curves=3))
-    assert len(calls) == 2 * 20  # the sampler starts from the first row's theta and c
-    profile = family_profile(1.0, 1.0)
+    integrated(profiles[-1], 1, 20)  # the sampler starts from the first row's theta and c
+    step_rows.clear(), calls.clear()
+    profile = rotsurf.family_profile(1.0, 1.0)
     patch = rotation_patch(profile, (-0.5, 0.5))
     v = np.array([-0.5, 0.1, 0.1, 0.5])
     patch.jet2(np.zeros(4), v)
-    assert len(calls) == 2 * 20 + 2 * 3
-    calls.clear()
+    integrated(profile, 0, 3)
+    rows, taken = len(step_rows), len(calls)
     monkeypatch.setattr(rotsurf, "CHORD_E3_RATIO", 1e-6)
     sample_generating_curve(profile, -0.5, 0.5)
     patch.jet2(np.ones(4), v)
-    assert calls == []
+    integrated(profile, 1 + 3, 3)
+    assert (len(step_rows), len(calls)) == (rows, taken)
