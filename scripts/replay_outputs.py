@@ -7,9 +7,11 @@ for example a ``git archive`` copy of a parent commit and the working tree.
 For each tree one fresh interpreter imports h1geom from that tree and runs,
 in-process through ``h1geom.cli.main``, every job that ``bench/gen.py``
 lists for the ``mesh``, ``grid`` and ``gb`` workloads of each seed, then
-``rotsurf --figure 1/2/3``.  Each run records its exit code, stdout,
-stderr and the sha256 of every file it writes (the files ``bench/checks.py``
-names).  The two trees run side by side, each in its own scratch directory
+``rotsurf --figure 1/2/3``, ``gauss-bonnet --preset`` for each of the four
+presets and ``check``, whose identities and presets no benchmark job runs.
+Each run records its exit code, stdout, stderr and the sha256 of every
+file it writes (the files ``bench/checks.py`` names, and each preset's
+report).  The two trees run side by side, each in its own scratch directory
 with the same relative paths, so their messages compare as text.
 
 Every run whose record differs between the trees is listed, and the exit
@@ -49,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("mesh", "grid", "gb")
 FIGURES = (1, 2, 3)
+GB_PRESETS = ("plane-annulus", "band-k1", "band-k0", "band-km1")
 SINGLE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
@@ -85,6 +88,10 @@ def runs(seeds):
         stem = Path("out") / f"figure-{figure}"
         argv = ["rotsurf", "--figure", str(figure), "--out-prefix", str(stem)]
         yield f"figure-{figure}", argv, [stem.with_suffix(".obj"), stem.parent / (stem.name + "_profile.csv")]
+    for preset in GB_PRESETS:
+        report = Path("out") / f"preset-{preset}.json"
+        yield f"preset-{preset}", ["gauss-bonnet", "--preset", preset, "--out", str(report)], [report]
+    yield "check", ["check"], []
 
 
 def record(seeds) -> dict:

@@ -467,13 +467,10 @@ def _merge(n: int, pieces):
     return out
 
 
-def _split(groups, f, *args):
-    """f(*args) evaluated apart on each group of points of a batch (an integer label per point)."""
-    pieces = []
-    for label in np.unique(groups).tolist():
-        idx = np.flatnonzero(groups == label)
-        pieces.append((idx, f(*(_take(a, idx) for a in args))))
-    return _merge(len(groups), pieces)
+def _split(mask, f, *args):
+    """f(*args) evaluated apart where the mask of a batch fails, then where it holds."""
+    pieces = [(idx, f(*(_take(a, idx) for a in args))) for idx in (np.flatnonzero(~mask), np.flatnonzero(mask))]
+    return _merge(len(mask), pieces)
 
 
 def _pow(b, p: float, node: Expr):
@@ -504,28 +501,23 @@ def _pow(b, p: float, node: Expr):
     return b.chain(_pow(b.value, p, node), slope)
 
 
-def _is_zero(d):
-    if type(d) is Dual2:
-        return _is_zero(d.value) & _is_zero(d.d_u) & _is_zero(d.d_v)
-    return d == 0.0
+def _constant(e: Expr) -> bool:
+    """True iff no variable occurs in e; the walk keeps its own stack, as _check_height does."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            return False
+        stack.extend(getattr(node, name) for name in ("left", "right", "operand", "arg") if hasattr(node, name))
+    return True
 
 
 def _dual_pow(base: Dual2, expo: Dual2, node: Expr) -> Dual2:
     b, p = base.value, expo.value
-    # a constant exponent only if every partial, at every nesting level, is zero:
-    # 2^(v^2) at v = 0 has a zero gradient but a nonzero second partial
-    constant = _is_zero(expo.d_u) & _is_zero(expo.d_v)
-    if type(constant) is not bool:  # a batch
-        if _uniform(constant) is None:
-            return _split(constant, lambda base, expo: _dual_pow(base, expo, node), base, expo)
-        constant = _uniform(constant)
-    if constant:
-        p = _innermost(p)
-        if type(p) is not float:
-            # a varying exponent whose partials vanish at these points: one constant each
-            values, group = np.unique(p, return_inverse=True)
-            return _split(group, lambda base, k: _pow(base, values[k[0]].item(), node), base, group)
-        return _pow(base, p, node)
+    # constant iff no variable occurs in the exponent, whatever values its partials take at a point,
+    # so the first-order and hyper-dual passes take the same branch at every point
+    if _constant(node.right):
+        return _pow(base, _innermost(p), node)
     bv = _innermost(b)
     if _any(bv <= 0.0):
         raise ExprDomainError(f"non-positive base {_first(bv, bv <= 0.0)!r} with varying exponent", node)
@@ -639,37 +631,14 @@ def _eval(e: Expr, bindings: dict, const=Dual2):
 def eval_dual(e: Expr, u: float, v: float) -> Dual2:
     """Value and first partials in u and v as a first-order Dual2.
 
-    On a tree whose exponents are all literals (see literal_exponents) it
-    equals the value part of eval_hyperdual bit for bit (see Dual2) and
-    refuses the same points, at a fraction of the cost.  Other exponents
-    can part the passes: where an exponent's gradient is 0 but its second
-    partials are not (nonzero, or NaN from an overflow inside a constant
-    exponent), this pass takes the exponent as constant and the hyper-dual
-    pass as varying.  u and v may be arrays over a batch of points; a
-    domain error at any point raises.
+    It equals the value part of eval_hyperdual bit for bit (see Dual2) and
+    refuses the same points, at a fraction of the cost: both passes take
+    an exponent as constant iff no variable occurs in it, so they take the
+    same branch of every power.  u and v may be arrays over a batch of
+    points; a domain error at any point raises.
     """
     u, v = as_coordinate(u), as_coordinate(v)
     return _eval(e, {"u": Dual2(u, 1.0, 0.0), "v": Dual2(v, 0.0, 1.0)})
-
-
-def literal_exponents(tree: Expr) -> bool:
-    """True iff the exponent of every power in tree is a number or a constant name, or its negation."""
-    return all(_literal(node.right) for node in _nodes(tree) if isinstance(node, Bin) and node.op == "^")
-
-
-def _literal(e: Expr) -> bool:
-    while isinstance(e, Unary):
-        e = e.operand
-    return isinstance(e, (Num, Const))
-
-
-def _nodes(tree: Expr):
-    """Every node of tree; the walk keeps its own stack, as _check_height does."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(getattr(node, name) for name in ("left", "right", "operand", "arg") if hasattr(node, name))
 
 
 def eval_hyperdual(e: Expr, u: float, v: float) -> Dual2:

@@ -142,7 +142,7 @@ def _check_region(S: SurfacePatch, R: ParamRegion) -> None:
         hits = np.flatnonzero(mask[: max(grid - lo, 0)])
         if hits.size:
             k = lo + hits[0]
-            raise CharacteristicPointError(f"characteristic point inside the region at ({u[k]!r}, {v[k]!r})")
+            raise CharacteristicPointError(f"characteristic point inside the region at ({float(u[k])!r}, {float(v[k])!r})")
         return f_u, f_v
 
     # the boundary rows of the coefficients, some of which a chart may give as one float for all points

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -66,6 +65,10 @@ _THETA_C_CHUNK = 512  # values of v integrated per numpy batch, so temporaries s
 # families no first step settled a path ending nearer than 0.02 of its length, and in 99% of the
 # integrals none nearer than 0.07.
 _FIRST_STEP_EDGE = 0.05
+# Distinct v from which rotation_patch evaluates its generating curve on one array rather than one float
+# at a time: numpy's fixed cost of about 0.1 ms a call pays from about 7 rows whose theta_c is still to
+# integrate, and from about 22 memoized ones.
+_CURVE_BATCH = 8
 CHORD_E3_RATIO = 1e-8  # bound on |e^3(chord)| / |chord| of every generating-curve chord
 MAX_CURVE_POINTS = 500_000  # point budget of one generating-curve sampling
 
@@ -192,11 +195,12 @@ class _Memo:
 class Profile:
     """Unit-speed generating-curve data for a surface of revolution.
 
-    r, dr, A and theta_c take a float or an array of v; kappa, the planar
-    curvature a'b'' - a''b' of the generating curve, takes a float.  kappa
-    gives the chart's second partials and picks chord lengths for exported
-    polylines.  theta_c(v) is the polar angle and height (theta, c) at v, a
-    pair of arrays of v's shape on an array.
+    r, dr, A, kappa and theta_c take a float or an array of v; on an array
+    a profile constant in v may return one float.  kappa, the planar
+    curvature a'b'' - a''b' of the generating curve, gives the chart's
+    second partials and picks chord lengths for exported polylines.
+    theta_c(v) is the polar angle and height (theta, c) at v, a pair of
+    arrays of v's shape on an array.
     """
 
     name: str
@@ -249,6 +253,13 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
 
     def kappa(v):
         rv = r(v)
+        if isinstance(v, np.ndarray):
+            with np.errstate(all="ignore"):
+                s = _sqrt1m(1.0 - power(0.5 * rv * A(v), 2), v)
+                # the float division raises where rv * rv underflows to 0
+                if np.any((rv * rv == 0.0) & (s != 0.0)):
+                    raise ZeroDivisionError("float division by zero")
+                return np.where(s == 0.0, math.inf, (K_inf + 2.0 / (rv * rv)) * rv / (2.0 * s))
         s = _sqrt1m(1.0 - (0.5 * rv * A(v)) ** 2, v)
         if s == 0.0:
             return math.inf
@@ -457,13 +468,13 @@ def rotation_patch(
     """Surface of revolution as a patch over [0, 2*pi] x v_range."""
     _check_band(profile, v_range)
 
-    def curve(v: float, angles=None):
-        """The generating curve (a, b, c)(v) and its first two derivatives; angles is theta_c(v) if known."""
+    def curve(v):
+        """The generating curve (a, b, c)(v) and its first two derivatives, at a float or an array of v."""
         r = profile.r(v)
         rp = profile.dr(v)
-        theta, c = profile.theta_c(v) if angles is None else angles
+        theta, c = profile.theta_c(v)
         s = _sqrt1m(1.0 - rp * rp, v)
-        ct, st = math.cos(theta), math.sin(theta)
+        ct, st = elementwise(math.cos, theta), elementwise(math.sin, theta)
         a, b = r * ct, r * st
         ap = rp * ct - s * st  # r*theta' = sqrt(1 - r'^2) for unit speed
         bp = rp * st + s * ct
@@ -471,20 +482,24 @@ def rotation_patch(
         # unit speed: (a'', b'') = kappa (-b', a'), so c' = (a b' - b a')/2
         # gives c'' = kappa (a a' + b b')/2 = kappa r r'/2
         k = profile.kappa(v)
-        return a, b, float(c), ap, bp, cp, -k * bp, k * ap, 0.5 * k * r * rp
+        return a, b, c, ap, bp, cp, -k * bp, k * ap, 0.5 * k * r * rp
 
     def jet2(u, v):
         if isinstance(v, np.ndarray):
-            # theta_c takes the distinct v at once; the rest of the profile stays scalar, once per distinct v
+            # the distinct v in one call; below _CURVE_BATCH of them, or where that call fails, one at a time
+            # in order, which fails as the scalar loop fails
             distinct, at = np.unique(v, return_inverse=True)
-            try:
-                thetas, cs = profile.theta_c(distinct)
-                angles = zip(thetas.tolist(), cs.tolist())
-            except POINT_FAILURES:
-                # each curve(x) takes theta_c(x) itself and fails where the scalar loop always failed
-                angles = itertools.repeat(None)
-            rows = [curve(x, pair) for x, pair in zip(distinct.tolist(), angles)]
-            a, b, c, ap, bp, cp, app, bpp, cpp = np.array(rows).T[:, at]
+            rows = None
+            if distinct.size >= _CURVE_BATCH:
+                try:
+                    with np.errstate(all="ignore"):
+                        rows = curve(distinct)
+                except POINT_FAILURES:
+                    pass
+            if rows is None:
+                rows = np.array([curve(x) for x in distinct.tolist()]).T
+            # a profile constant in v may give one float
+            a, b, c, ap, bp, cp, app, bpp, cpp = (x[at] if isinstance(x, np.ndarray) else np.full(at.shape, x) for x in rows)
             cu, su = elementwise(math.cos, u), elementwise(math.sin, u)
         else:
             a, b, c, ap, bp, cp, app, bpp, cpp = curve(v)

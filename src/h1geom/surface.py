@@ -54,10 +54,10 @@ class SurfacePatch:
     Both also take one-dimensional arrays of u and v, a batch of points;
     parts that do not vary over the batch may stay floats.
 
-    _jet1 is internal to graph_patch and parametric_patch: a first-order
-    pass that gives the values of jet2, and refuses the points jet2
-    refuses, at a fraction of its cost.  They set it only where that holds
-    bit for bit (see expr.eval_dual).
+    _jet1 is internal to graph_patch and parametric_patch, which always
+    set it: a first-order pass that gives the values of jet2 bit for bit,
+    and refuses the points jet2 refuses, at a fraction of its cost (see
+    expr.eval_dual).  Rotation charts leave it None.
     """
 
     jet2: Callable[[float, float], tuple]
@@ -369,7 +369,6 @@ def graph_patch(h, u_range=(-2.0, 2.0), v_range=(-2.0, 2.0), name=None, orientat
         return [(_expr.as_coordinate(u), _expr.as_coordinate(v), z.value), (1.0, 0.0, z.d_u), (0.0, 1.0, z.d_v)]
 
     label = name or f"graph({_expr.pretty(tree)})"
-    jet1 = jet1 if _expr.literal_exponents(tree) else None
     return SurfacePatch(jet2, tuple(u_range), tuple(v_range), orientation, False, label, jet1)
 
 
@@ -386,5 +385,4 @@ def parametric_patch(x, y, z, u_range, v_range, name=None, orientation=1, closed
         return [(x.value, y.value, z.value), (x.d_u, y.d_u, z.d_u), (x.d_v, y.d_v, z.d_v)]
 
     label = name or "parametric"
-    jet1 = jet1 if all(map(_expr.literal_exponents, trees)) else None
     return SurfacePatch(jet2, tuple(u_range), tuple(v_range), orientation, closed_u, label, jet1)

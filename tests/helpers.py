@@ -524,7 +524,7 @@ def reference_region_prescan(S, R, n=21, tol=1e-10):
             f_u, f_v = pushforward_frame(S, float(u), float(v))
             if characteristic_test(f_u, f_v, tol):
                 raise CharacteristicPointError(
-                    f"characteristic point inside the region at ({u!r}, {v!r})"
+                    f"characteristic point inside the region at ({float(u)!r}, {float(v)!r})"
                 )
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import helpers
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from h1geom import expr as ex
@@ -560,15 +560,11 @@ def test_gauss_bonnet_singular_cubature_node_exits_2(tmp_path, capsys):
           "z": "v + (-1)^(2 + 1e-310*cos(v))", "u_range": [0, 2 * math.pi], "v_range": [0, 20 * math.pi], "closed_u": True},
          [0, 2 * math.pi], [0, 20 * math.pi],
          "non-positive base -1.0 with varying exponent in '(-1)^(2+9.9999999999999694e-311*cos(v))'"),
-        # a constant exponent whose second partials are NaN: 1e+308 squared overflows in the quotient rule
-        ({"kind": "graph", "h": "u^(1e-320*710/1e308 + 2)"}, [-1, 1], [0, 1],
-         "non-positive base -1.0 with varying exponent in 'u^(9.9998886718268301e-321*710/1e+308+2)'"),
     ],
 )
-def test_gauss_bonnet_exponent_only_the_second_order_jet_refuses_exits_2(tmp_path, capsys, surface, u, v, message):
-    # A first-order pass takes an exponent whose gradient is 0 at a point for a constant; the hyper-dual pass reads
-    # its second partials too and refuses a non-positive base.  The region gate reads first-order jets only on charts
-    # whose exponents are literals, so on these it refuses the point itself, with the hyper-dual pass's line.
+def test_gauss_bonnet_varying_exponent_with_a_vanishing_gradient_exits_2(tmp_path, capsys, surface, u, v, message):
+    # An exponent in which a variable occurs varies, even where its gradient is 0, and needs a positive base in both
+    # passes; the region gate's first-order pass refuses the point with the hyper-dual pass's line.
     from h1geom import catalog, expr
     from h1geom.gaussbonnet import ParamRegion, _check_region
 
@@ -578,6 +574,24 @@ def test_gauss_bonnet_exponent_only_the_second_order_jet_refuses_exits_2(tmp_pat
     code, err = _gauss_bonnet_exit(tmp_path, capsys, surface, u, v)
     assert code == 2
     assert err == f"evaluation error: {message}"
+
+
+def test_gauss_bonnet_exponent_without_a_variable_is_constant(tmp_path, capsys):
+    # 1e-320*710/1e308 underflows to 0, so the exponent is 2, though its second partials are NaN (1e+308 squared
+    # overflows in the quotient rule); an exponent is constant iff no variable occurs in it, so the base may be negative
+    def report(h):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"surface": {"kind": "graph", "h": h}, "region": {"u": [-2, -1], "v": [0.5, 1]}}))
+        out = tmp_path / "gb.json"
+        assert main(["gauss-bonnet", "--config", str(config), "--out", str(out)]) == 0
+        return {key: value for key, value in json.loads(out.read_text()).items() if key in ("area_integral", "boundary_integral", "residual")}
+
+    square = report("u^2")
+    assert len(square) == 3 and report("u^(1e-320*710/1e308 + 2)") == square
+    (tmp_path / "gb.json").unlink()
+    code, err = _gauss_bonnet_exit(tmp_path, capsys, {"kind": "graph", "h": "u^(v-v+2)"}, [-2, -1], [0.5, 1])
+    assert code == 2
+    assert err == "evaluation error: non-positive base -2.0 with varying exponent in 'u^(v-v+2)'"
 
 
 @pytest.mark.parametrize(
@@ -1192,6 +1206,8 @@ def _fuzz_run(draw):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_fuzz_run())
+# the gate meets the paraboloid's characteristic origin at a grid node, whose coordinates the line names
+@example(("gauss-bonnet", {"surface": {"kind": "paraboloid"}, "region": {"u": [-1, 1], "v": [-1, 1]}}))
 def test_every_run_ends_in_an_exit_code_and_one_line(run):
     command, config = run
     with tempfile.TemporaryDirectory() as tmp:
@@ -1203,6 +1219,8 @@ def test_every_run_ends_in_an_exit_code_and_one_line(run):
     assert code in (0, 1, 2, 3)
     if code != 0:
         assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+        # numbers print as Python floats, never as numpy reprs
+        assert "np." not in err.getvalue() and "array(" not in err.getvalue(), err.getvalue()
 
 
 _IMPORT_PROBE = """

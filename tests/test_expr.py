@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 from h1geom import expr as ex
+from h1geom.batch import POINT_FAILURES
 
 
 def test_precedence():
@@ -147,14 +148,58 @@ def test_hyperdual_value_part_is_the_first_order_dual():
         assert hyper.d_v.value == pytest.approx(first.d_v, rel=1e-14, abs=1e-300)
 
 
+def _bits(d):
+    """The parts of a first-order dual as reprs, which tell -0.0 from 0.0 and match NaN with NaN."""
+    return [repr(y) for x in _parts(d) for y in np.ravel(x).tolist()]
+
+
+def _outcome(evaluate, tree, u, v):
+    with np.errstate(all="ignore"):
+        try:
+            return _bits(evaluate(tree, u, v))
+        except POINT_FAILURES as exc:
+            return type(exc), str(exc)
+
+
+# exponents with and without a variable, whose partials vanish or overflow at some of POINTS
+EXPONENT_CASES = [
+    "u^(1+1)", "u^(1e-320*710/1e308 + 2)", "u^(v-v+2)", "(u-1)^(v^2)", "2^(v^2)+u*v", "v^exp(1000)",
+    "(u+2)^(u^2+v^2)", "u^-v", "sqrt(u*0)", "abs(u-1)^(0*u+pi)", "(-1)^(2 + 1e-310*cos(v))", "(u^(2))^0",
+]
+POINTS = [(-1.0, 0.5), (0.5, 0.0), (1.0, 0.5), (0.0, 0.0), (2.0, -1.0)]
+
+
+def test_first_order_pass_is_the_value_part_of_the_hyperdual_one_or_fails_alike():
+    # both passes take an exponent as constant iff no variable occurs in it, so they branch alike at every point
+    trees = [case[0] for seed in (7, 11, 42) for case in helpers.build_corpus(200, seed=seed)]
+    trees += [ex.parse(text) for text in EXPONENT_CASES]
+    u, v = (np.array(axis) for axis in zip(*POINTS))
+    for tree in trees:
+        for point in POINTS + [(u, v)]:
+            first = _outcome(ex.eval_dual, tree, *point)
+            assert first == _outcome(lambda *args: ex.eval_hyperdual(*args).value, tree, *point), ex.pretty(tree)
+
+
+@pytest.mark.parametrize("text", ["u^(1+1)", "u^(1e-320*710/1e308 + 2)"])
+def test_exponent_without_a_variable_is_its_value(text):
+    # 1e-320*710/1e308 underflows to 0, and its second partials are NaN: 1e+308 squared overflows in the quotient rule
+    tree, square = ex.parse(text), ex.parse("u^2")
+    assert _bits(ex.eval_dual(tree, -1.0, 0.5)) == _bits(ex.eval_dual(square, -1.0, 0.5))
+    got, want = ex.eval_hyperdual(tree, -1.0, 0.5), ex.eval_hyperdual(square, -1.0, 0.5)
+    assert [_bits(x) for x in (got.value, got.d_u, got.d_v)] == [_bits(x) for x in (want.value, want.d_u, want.d_v)]
+
+
 @pytest.mark.parametrize(
-    "text, literal",
-    [("u^2 + v^-1.5", True), ("sin(u^pi)^--e", True), ("(u^(2))^0", True), ("u*v", True),
-     ("u^(1+1)", False), ("2^u", False), ("u^(v-v+2)", False), ("u^2 + v^exp(1000)", False)],
+    "text, u, v, message",
+    [("u^(v-v+2)", -1.0, 0.5, "non-positive base -1.0 with varying exponent in 'u^(v-v+2)'"),
+     ("(u-1)^(v^2)", 0.5, 0.0, "non-positive base -0.5 with varying exponent in '(u-1)^v^2'")],
 )
-def test_literal_exponents(text, literal):
-    # only there is a first-order pass the value part of the hyper-dual one (see eval_dual)
-    assert ex.literal_exponents(ex.parse(text)) is literal
+def test_exponent_with_a_variable_varies_where_its_partials_vanish(text, u, v, message):
+    tree = ex.parse(text)
+    for evaluate in (ex.eval_dual, ex.eval_hyperdual):
+        with pytest.raises(ex.ExprDomainError) as info:
+            evaluate(tree, u, v)
+        assert str(info.value) == message
 
 
 def test_hyperdual_second_partials_against_fd():

@@ -559,6 +559,46 @@ def test_rotation_chart_on_an_array_fails_as_its_scalar_loop():
     assert (type(batch.value), str(batch.value)) == (type(scalar.value), str(scalar.value)) == (ValueError, "math domain error")
 
 
+def test_rotation_chart_on_an_array_fails_where_kappa_divides_by_zero():
+    # r * r underflows to 0 near v = 1e-150 on this K = 0 chart: the float kappa raises in its division,
+    # where numpy's would give inf without a word; enough distinct v that the curve takes them as one array
+    patch = rotation_patch(family_profile(0.0, 1e-100), (1e-150, 1.0))
+    with pytest.raises(ZeroDivisionError) as scalar:
+        patch.jet2(0.0, 1e-150)
+    v = np.append(np.linspace(0.5, 1.0, rotsurf._CURVE_BATCH), 1e-150)
+    with pytest.raises(ZeroDivisionError) as batch:
+        patch.jet2(np.zeros(v.size), v)
+    assert str(batch.value) == str(scalar.value) == "float division by zero"
+
+
+@pytest.mark.parametrize(
+    "profile, v_range",
+    [(family_profile(1.0, 1.0), (-0.9, 0.9)), (family_profile(-1.0, 0.7, 0.3), (-1.0, 1.0)), (family_profile(0.0, 1.0), (0.26, 2.0)),
+     (line_profile(), (0.0, 2.0)), (circle_profile(), (-1.0, 1.0))],
+    ids=["K=1", "K=-1-shifted", "K=0", "plane", "cylinder"],
+)
+def test_rotation_chart_on_an_array_is_its_scalar_loop_bit_for_bit(profile, v_range):
+    # enough distinct v that the generating curve takes them as one array; the plane's and the cylinder's
+    # profiles give some parts as one float
+    patch = rotation_patch(profile, v_range)
+    u = np.tile(np.linspace(0.0, 2.0 * np.pi, 3), rotsurf._CURVE_BATCH + 1)
+    v = np.repeat(np.linspace(*v_range, rotsurf._CURVE_BATCH + 1), 3)
+    with np.errstate(all="ignore"):
+        batch = [[(x.value, x.d_u, x.d_v) for x in triple] for triple in patch.jet2(u, v)]
+    for k, (uk, vk) in enumerate(zip(u.tolist(), v.tolist())):
+        point = [[(x.value, x.d_u, x.d_v) for x in triple] for triple in patch.jet2(uk, vk)]
+        assert repr(point) == repr([[tuple(np.broadcast_to(part, u.shape)[k].item() for part in x) for x in triple] for triple in batch])
+
+
+@pytest.mark.parametrize("K_inf, r0", [(1.0, 1.0), (-1.0, 0.7), (0.0, 1.0), (2.5, 0.3)])
+def test_kappa_on_an_array_is_the_float_kappa_bit_for_bit(K_inf, r0):
+    # (r A / 2)^2 is libm pow on both paths: numpy's x ** 2 differs from it on about 1 double in 1,000
+    profile = family_profile(K_inf, r0)
+    lo, hi = profile.domain
+    v = np.linspace(lo, min(hi, lo + 10.0), 4001)
+    assert list(map(repr, profile.kappa(v).tolist())) == [repr(profile.kappa(x)) for x in v.tolist()]
+
+
 def test_plane_and_cylinder_theta_c_take_arrays():
     vs = np.array([0.5, 1.4, 2.0])
     assert [part.tolist() for part in line_profile().theta_c(vs)] == [[0.0] * 3, [0.0] * 3]
