@@ -12,7 +12,8 @@ and a fixed hash seed:
 - ``import``: ``import h1geom, h1geom.cli`` (the set-up probe of bench/run.py);
 - ``curvature`` and ``frames`` on ``--surface paraboloid``;
 - ``config-error``: ``curvature --surface paraboloid --nu 0`` (exit 1);
-- ``gauss-bonnet --preset band-k1``;
+- ``gauss-bonnet --preset band-k1`` (a rotation band);
+- ``gauss-bonnet-graph``: ``gauss-bonnet --surface paraboloid --region 1,2,-1,-0.5`` (a graph chart);
 - ``rotsurf --figure 2``.
 
 Every case first runs once per tree untimed (it may compile bytecode).
@@ -47,6 +48,7 @@ CASES = (
     ("frames", ["-c", MAIN, "frames", "--surface", "paraboloid"], 0),
     ("config-error", ["-c", MAIN, "curvature", "--surface", "paraboloid", "--nu", "0"], 1),
     ("gauss-bonnet", ["-c", MAIN, "gauss-bonnet", "--preset", "band-k1"], 0),
+    ("gauss-bonnet-graph", ["-c", MAIN, "gauss-bonnet", "--surface", "paraboloid", "--region", "1,2,-1,-0.5"], 0),
     ("rotsurf", ["-c", MAIN, "rotsurf", "--figure", "2"], 0),
 )
 
@@ -103,7 +105,7 @@ def main(argv=None) -> int:
         "repeats": REPEATS,
         "cases": {},
     }
-    print(f"{'case':14s} {'old':>14s} {'new':>14s}  ratio (medians)")
+    print(f"{'case':18s} {'old':>14s} {'new':>14s}  ratio (medians)")
     for name, case_args, expected in CASES:
         old, new = (summary(side) for side in times[name])
         record["cases"][name] = {
@@ -113,7 +115,7 @@ def main(argv=None) -> int:
             "new": new,
             "ratio": round(new["median"] / old["median"], 3),
         }
-        print(f"{name:14s} {old['median']:>13.3f}s {new['median']:>13.3f}s  {new['median'] / old['median']:.2f}")
+        print(f"{name:18s} {old['median']:>13.3f}s {new['median']:>13.3f}s  {new['median'] / old['median']:.2f}")
     if args.out:
         args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0

@@ -1,32 +1,32 @@
 """Adaptive quadrature wrappers with square-root boundary substitution.
 
 Profile integrals use scipy's QUADPACK Gauss-Kronrod rule, surface
-integrals its vectorized Gauss-Kronrod cubature, each behind a small
-wrapper that checks the reported error estimate.  Profile integrands of
-the form g(t)*sqrt(h(t)), with h vanishing simply at a domain endpoint,
-lose accuracy for the plain rule; substituting t = b0 +/- s^2 near that
-endpoint makes the integrand smooth again.
+integrals an adaptive product Gauss-Kronrod cubature of this module's own
+(cubature), each behind a small wrapper that checks the reported error
+estimate.  Profile integrands of the form g(t)*sqrt(h(t)), with h
+vanishing simply at a domain endpoint, lose accuracy for the plain rule;
+substituting t = b0 +/- s^2 near that endpoint makes the integrand smooth
+again.
 
 QUADPACK's first step, one 21-point Gauss-Kronrod rule over the whole
 interval and the test that ends the integral there, also runs in numpy
 over many intervals at once (kronrod_first_step).  It reproduces quad's
 value, error estimate and decision bit for bit, so a caller with a batch
 of integrals calls quad only for those the step does not settle; every
-later step stays QUADPACK's.  Its rule is QUADPACK's own literals and
-needs no scipy.
+later step stays QUADPACK's.  Its rule is QUADPACK's own literals, and so
+is cubature's Kronrod rule: neither needs scipy.
 
-scipy.integrate is imported by _load_scipy when the first integral is
-taken, not with this module: its import (which pulls in scipy.optimize,
-sparse, spatial, special, linalg and fft) costs about 0.4 s, two thirds of
-a fresh `import h1geom.cli`, and the curvature formulas, the grid commands
-on graph and parametric charts and a configuration error need no
-integral.  A PEP 562 module __getattr__ runs the same loader when _si or
-_GK21 is first read from outside; after that both are plain globals.
+scipy.integrate is imported inside integrate, when quad is first needed,
+not with this module: its import (which pulls in scipy.optimize, sparse,
+spatial, special, linalg and fft) costs about 0.4 s, two thirds of a fresh
+`import h1geom.cli`, and the curvature formulas, the grid commands, the
+Gauss-Bonnet cubatures and a configuration error need no quad.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import sys
 
@@ -71,6 +71,15 @@ _WG = np.array([
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 ])
+# cubature's embedded 10-point Gauss rule is scipy's roots_legendre(10), as in scipy's gk21, not
+# xgk(2j) and wg(j): two of the five node pairs and all five weights differ in the last bits.
+# Its non-negative nodes and their weights, exactly:
+_GL10_NODES = np.array([float.fromhex(h) for h in (
+    "0x1.30e507891e278p-3", "0x1.bbcc009016adcp-2", "0x1.5bdb9228de198p-1", "0x1.bae995e9cb2f2p-1", "0x1.f2a3e062af2d8p-1",
+)])
+_GL10_WEIGHTS = np.array([float.fromhex(h) for h in (
+    "0x1.2e9de7014d6f7p-2", "0x1.13baa7a559c05p-2", "0x1.c0b059d00bc38p-3", "0x1.32138c878efe3p-3", "0x1.1115f8b62dbd7p-4",
+)])
 _KRONROD_ORDER = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]  # qk21 sums the Gauss nodes xgk(2), xgk(4), ... first
 _WGK_ORDERED = _WGK[_KRONROD_ORDER]
 _OFFSETS = np.concatenate([[0.0], -_XGK, _XGK])  # of the 21 nodes from the centre, in half-lengths
@@ -94,8 +103,9 @@ def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
     """
     if a == b:
         return 0.0
-    _load_scipy()
-    value, err = _si.quad(f, a, b, epsabs=tol, epsrel=max(tol, 1e-13), limit=MAX_SUBDIVISIONS, full_output=1)[:2]
+    from scipy.integrate import quad
+
+    value, err = quad(f, a, b, epsabs=tol, epsrel=max(tol, 1e-13), limit=MAX_SUBDIVISIONS, full_output=1)[:2]
     if not math.isfinite(value) or err > max(100.0 * tol, 1e-8 * abs(value)):
         raise QuadratureError(
             f"integral over [{a!r}, {b!r}] did not converge (estimate {err:.3e})"
@@ -161,92 +171,68 @@ def kronrod_first_step(f, a, b, tol: float = 1e-10):
 
 
 @functools.cache
-def _load_scipy() -> None:
-    """Import scipy.integrate and build the cubature rule on the first integral; bind them as _si and _GK21.
+def _gk21(ndim: int):
+    """The product rule gk21 on [-1, 1]^ndim: (nodes, weights), 21^ndim Kronrod rows then 10^ndim Gauss rows.
 
-    Runs once per process: later calls return at once and leave both
-    globals as they are, so a patched _GK21 is the rule cubature passes on.
+    Built as scipy's ProductNestedFixed of GaussKronrodQuadrature(21) builds
+    it: each table is the Cartesian product of the 1-D rule (last axis
+    fastest), each weight the product of its factors.  The Gauss weights are
+    negated, so the weighted sum over every row is Kronrod minus Gauss.
     """
-    global _si, _GK21  # so the import and the class statement below bind module globals
-    from scipy import integrate as _si
-    from scipy.integrate._rules import GaussKronrodQuadrature, ProductNestedFixed
-
-    class _GK21(ProductNestedFixed):
-        """scipy's product Gauss-Kronrod rule gk21, calling the integrand once per box.
-
-        scipy's cubature asks every box for estimate, over the 21^d Kronrod
-        nodes, and then for estimate_error, over those nodes followed by the
-        embedded 10^d Gauss nodes.  Here estimate runs the error rule on a
-        wrapper that keeps f's values, feeds their Kronrod head to the
-        estimate, and leaves the error for estimate_error on the same box.
-        Every weighted sum runs over the same values in the same order as
-        scipy's own rule="gk21".  One instance serves one cubature call and
-        holds that call's stash; the product nodes and weights of each
-        dimension are built once, by its first instance, and shared.
-        """
-
-        _built = {}  # ndim -> (nodes_and_weights, lower_nodes_and_weights, xp)
-
-        def __init__(self, ndim: int):
-            super().__init__([GaussKronrodQuadrature(21)] * ndim)
-            if ndim not in self._built:
-                self._built[ndim] = (self.nodes_and_weights, self.lower_nodes_and_weights, self.xp)
-            # instance attributes shadow scipy's cached properties
-            self.nodes_and_weights, self.lower_nodes_and_weights, self.xp = self._built[ndim]
-            self._stash = None
-
-        def estimate(self, f, a, b, args=()):
-            kept = []
-
-            def keep(x, *args):
-                values = f(x, *args)
-                kept.append((x, values))
-                return values
-
-            error = super().estimate_error(keep, a, b, args)
-            (x_all, values), = kept
-            n = len(self.nodes_and_weights[0])
-
-            def head(x, *args):
-                if not np.array_equal(x, x_all[:n]):
-                    raise RuntimeError("gk21 estimate nodes differ from the head of the error nodes")
-                return values[:n]
-
-            estimate = super().estimate(head, a, b, args)
-            self._stash = (f, a, b, error)
-            return estimate
-
-        def estimate_error(self, f, a, b, args=()):
-            stash, self._stash = self._stash, None
-            if stash is None or stash[0] is not f or stash[1] is not a or stash[2] is not b:
-                raise RuntimeError("gk21 estimate_error called without estimate on the same box")
-            return stash[3]
+    kronrod = np.concatenate([_XGK, [0.0], -_XGK[::-1]]), np.concatenate([_WGK, _WGK[9::-1]])
+    gauss = np.concatenate([-_GL10_NODES[::-1], _GL10_NODES]), np.concatenate([_GL10_WEIGHTS[::-1], _GL10_WEIGHTS])
+    (xk, wk), (xg, wg) = ((_product([x] * ndim), np.prod(_product([w] * ndim), axis=-1)) for x, w in (kronrod, gauss))
+    return np.concatenate([xk, xg]), np.concatenate([wk, -wg])
 
 
-def __getattr__(name):
-    # PEP 562: the first read of _si or _GK21 from outside loads them
-    if name in ("_si", "_GK21"):
-        _load_scipy()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _product(arrays):
+    """The Cartesian product of 1-D arrays as rows, the last array fastest."""
+    return np.stack(np.meshgrid(*arrays, indexing="ij"), axis=-1).reshape(-1, len(arrays))
+
+
+class _Box(tuple):
+    """(max |error|, a, b, estimate, error) of a box; heapq pops the largest max |error| first, as scipy does."""
+
+    def __lt__(self, other):
+        return self[0] > other[0]
 
 
 def cubature(f, a, b, tol: float):
-    """Adaptive cubature of a vectorized f over the box [a, b]: (values, error estimates).
+    """Adaptive cubature of a vectorized f over the finite box [a, b] (a <= b): (values, error estimates).
 
     f maps an (n, ndim) array of nodes to an (n, ...) array of values, each
     component integrated to the absolute tolerance tol or to 1e-13 relative.
-    scipy's adaptive loop runs the product 21-point Gauss-Kronrod rule,
-    with results bit for bit those of rule="gk21", but f is called once per
-    box: over its 21^ndim Kronrod nodes followed by the 10^ndim embedded
-    Gauss nodes, 1 + 2^ndim * subdivisions calls in all.
-    QuadratureError if that takes more than MAX_SUBDIVISIONS or a result is
-    not finite.
+    This is scipy's cubature(f, a, b, rule="gk21", rtol=1e-13, atol=tol,
+    max_subdivisions=MAX_SUBDIVISIONS) bit for bit: the product 21-point
+    Gauss-Kronrod rule with the embedded 10-point Gauss rule as error
+    estimate, the box of largest error split into 2^ndim halves next, with
+    scipy's operations in scipy's order.  f is called once per box, over
+    its 21^ndim Kronrod nodes followed by the 10^ndim Gauss nodes:
+    1 + 2^ndim * subdivisions calls in all.  QuadratureError if the
+    MAX_SUBDIVISIONS-th subdivision is reached or a result is not finite.
     """
-    _load_scipy()
-    result = _si.cubature(f, a, b, rule=_GK21(len(a)), rtol=1e-13, atol=tol, max_subdivisions=MAX_SUBDIVISIONS)
-    value, error = result.estimate, result.error
-    if result.status != "converged" or not (np.isfinite(value).all() and np.isfinite(error).all()):
+    ndim = len(a)
+    nodes, weights = _gk21(ndim)
+
+    def box(a_k, b_k):
+        lengths = b_k - a_k
+        values = f((nodes + 1) * (lengths * 0.5) + a_k)
+        terms = (weights * (np.prod(lengths) / 2**ndim)).reshape(-1, *[1] * (values.ndim - 1)) * values
+        est, err = np.sum(terms[: 21**ndim], axis=0), np.abs(np.sum(terms, axis=0))
+        return _Box((np.max(err), a_k, b_k, est, err))
+
+    heap = [box(np.asarray(a, dtype=float), np.asarray(b, dtype=float))]
+    value, error = 0.0 + heap[0][3], 0.0 + heap[0][4]  # scipy's totals start from 0.0, so -0.0 becomes 0.0
+    subdivisions = 0
+    while subdivisions < MAX_SUBDIVISIONS and np.any(error > tol + 1e-13 * np.abs(value)):
+        _, a_k, b_k, est, err = heapq.heappop(heap)
+        value, error = value - est, error - err
+        mid = (a_k + b_k) / 2
+        for corners in zip(_product(np.stack([a_k, mid], axis=1)), _product(np.stack([mid, b_k], axis=1))):
+            heapq.heappush(heap, child := box(*corners))
+            value, error = value + child[3], error + child[4]
+        subdivisions += 1
+    if subdivisions == MAX_SUBDIVISIONS or not (np.isfinite(value).all() and np.isfinite(error).all()):
         raise QuadratureError(
             f"cubature over the box {list(a)!r} to {list(b)!r} did not converge (estimate {np.max(error):.3e})"
         )

@@ -251,19 +251,15 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
         # r' = r*A/2 since A = (ln r^2)' = 2 r'/r
         return 0.5 * r(v) * A(v)
 
+    def curvature(rv, s):
+        # a float division: it raises where rv * rv underflows to 0, on an array too
+        return math.inf if s == 0.0 else (K_inf + 2.0 / (rv * rv)) * rv / (2.0 * s)
+
     def kappa(v):
         rv = r(v)
-        if isinstance(v, np.ndarray):
-            with np.errstate(all="ignore"):
-                s = _sqrt1m(1.0 - power(0.5 * rv * A(v), 2), v)
-                # the float division raises where rv * rv underflows to 0
-                if np.any((rv * rv == 0.0) & (s != 0.0)):
-                    raise ZeroDivisionError("float division by zero")
-                return np.where(s == 0.0, math.inf, (K_inf + 2.0 / (rv * rv)) * rv / (2.0 * s))
-        s = _sqrt1m(1.0 - (0.5 * rv * A(v)) ** 2, v)
-        if s == 0.0:
-            return math.inf
-        return (K_inf + 2.0 / (rv * rv)) * rv / (2.0 * s)
+        s = _sqrt1m(1.0 - power(0.5 * rv * A(v), 2), v)
+        # the sampler's walk calls kappa on a float every step, so a float skips elementwise's dispatch
+        return elementwise(curvature, rv, s) if isinstance(v, np.ndarray) else curvature(rv, s)
 
     shift = f", c1_shift={c1_shift}" if c1_shift else ""
     name = f"constant-curvature({K_inf}, r0={r0}{shift})"

@@ -397,19 +397,15 @@ def test_region_gate_evaluates_no_second_order_jet(monkeypatch):
 
 
 def test_cubature_rule_is_built_once_per_dimension(monkeypatch):
-    # two reports, each a 2-D area and a 1-D boundary cubature: one Legendre root computation per dimension
-    import scipy.integrate._rules._gauss_legendre as gauss_legendre
-
+    # two reports, each a 2-D area and a 1-D boundary cubature: the product rule of each dimension is built once
     from h1geom import quadrature
 
-    quadrature._load_scipy()
-    monkeypatch.setattr(quadrature._GK21, "_built", {})
-    calls, real = [], gauss_legendre.roots_legendre
-    monkeypatch.setattr(gauss_legendre, "roots_legendre", lambda n: calls.append(n) or real(n))
+    quadrature._gk21.cache_clear()
     patch = catalog.paraboloid()
     for region in (ParamRegion(1.0, 2.0, -1.0, -0.5), ParamRegion(0.02, 1.0, 0.02, 1.0)):
         gb_residual(patch, region)
-    assert calls == [10, 10] and sorted(quadrature._GK21._built) == [1, 2]
+    info = quadrature._gk21.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
 
 
 def test_regions_beside_a_characteristic_point_wind_zero():
@@ -453,20 +449,22 @@ def test_cubature_refuses_unconverged_and_non_finite_results(monkeypatch):
         gb_residual(catalog.paraboloid(), ParamRegion(0.02, 1.0, 0.02, 1.0))
 
 
-def _record_subdivisions(monkeypatch):
-    """Wrap scipy's cubature as quadrature calls it; returns the lists of each call's subdivisions and rule."""
-    from h1geom import quadrature
+def _scipy_cubature(monkeypatch):
+    """Run gaussbonnet's cubatures through scipy's public rule="gk21" cubature; returns the list of their subdivisions."""
+    from scipy.integrate import cubature as scipy_cubature
 
-    subdivisions, rules, scipy_cubature = [], [], quadrature._si.cubature
+    from h1geom import gaussbonnet, quadrature
 
-    def recorded(*args, **kwargs):
-        rules.append(kwargs["rule"])
-        result = scipy_cubature(*args, **kwargs)
+    subdivisions = []
+
+    def scipy_gk21(f, a, b, tol):
+        result = scipy_cubature(f, a, b, rule="gk21", rtol=1e-13, atol=tol, max_subdivisions=quadrature.MAX_SUBDIVISIONS)
+        assert result.status == "converged"
         subdivisions.append(result.subdivisions)
-        return result
+        return result.estimate, result.error
 
-    monkeypatch.setattr(quadrature._si, "cubature", recorded)
-    return subdivisions, rules
+    monkeypatch.setattr(gaussbonnet, "cubature", scipy_gk21)
+    return subdivisions
 
 
 @pytest.mark.parametrize("region", [ParamRegion(1.0, 2.0, -1.0, -0.5), ParamRegion(0.02, 1.0, 0.02, 1.0)])
@@ -482,28 +480,24 @@ def test_each_cubature_box_is_one_frame_call(monkeypatch, region):
         return frame_tangents(S, u, v, *args)
 
     monkeypatch.setattr(gaussbonnet, "frame_tangents", counted)
-    subdivisions, _ = _record_subdivisions(monkeypatch)
+    gb_residual(catalog.paraboloid(), region)
+    ours, subdivisions = rows[:], _scipy_cubature(monkeypatch)
     gb_residual(catalog.paraboloid(), region)
     area, boundary = subdivisions
     # 21^2 Kronrod and 10^2 Gauss nodes per area box, 21 + 10 per boundary box and piece
-    assert rows == [541] * (1 + 4 * area) + [31 * 4] * (1 + 2 * boundary)
+    assert ours == [541] * (1 + 4 * area) + [31 * 4] * (1 + 2 * boundary)
 
 
 def test_gauss_bonnet_report_is_that_of_scipys_gk21_rule(monkeypatch):
     from dataclasses import astuple
 
-    from h1geom import quadrature
-
     patch, region = catalog.paraboloid(), ParamRegion(0.02, 1.0, 0.02, 1.0)
-    subdivisions, rules = _record_subdivisions(monkeypatch)
     report = gb_residual(patch, region)
-    ours, calls = quadrature._GK21, len(rules)
-    monkeypatch.setattr(quadrature, "_GK21", lambda ndim: "gk21")
+    subdivisions = _scipy_cubature(monkeypatch)
     scipy_report = gb_residual(patch, region)
     assert list(map(float.hex, astuple(scipy_report))) == list(map(float.hex, astuple(report)))
-    # the patch must reach scipy, or the two reports are one rule's twice
-    assert calls == 2 and all(isinstance(rule, ours) for rule in rules[:calls]) and rules[calls:] == ["gk21"] * calls
-    assert subdivisions[calls] >= 3 and subdivisions[calls:] == subdivisions[:calls]
+    # the patch must reach scipy, or the two reports are one rule's twice; and the area side subdivides
+    assert len(subdivisions) == 2 and subdivisions[0] >= 3
 
 
 def test_finite_l_region_sum_is_the_gauss_bonnet_corner_term():

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -90,7 +90,18 @@ def _kinked_1d(x):
     return np.stack([np.sqrt(abs(t - 0.37)), np.cos(40.0 * t)], axis=-1)
 
 
-CUBATURE_CASES = [(_peaked_2d, (0.0, 0.0), (1.0, 1.0), 1e-9), (_kinked_1d, (0.0,), (1.0,), 1e-10)]
+def _square_1d(x):
+    # steps at the dyadic box edges k/8: boxes of one level tie in the heap, whose order then sets the sums' order
+    t = x[:, 0]
+    return np.stack([np.floor(8.0 * t) % 2.0, np.cos(3.0 * t)], axis=-1)
+
+
+CUBATURE_CASES = [
+    (_peaked_2d, (0.0, 0.0), (1.0, 1.0), 1e-9),
+    (_kinked_1d, (0.0,), (1.0,), 1e-10),
+    (_square_1d, (0.0,), (1.0,), 1e-10),
+    (_kinked_1d, (0.1,), (0.7,), 1e-10),  # midpoints where (a + b) / 2 is not a + (b - a) / 2
+]
 
 
 @pytest.mark.parametrize("f, a, b, tol", CUBATURE_CASES)
@@ -114,43 +125,108 @@ def test_cubature_is_scipy_gk21_bit_for_bit_with_one_call_per_box(f, a, b, tol):
     assert calls == [21**d + 10**d] * (1 + 2**d * reference.subdivisions)
 
 
+def test_cubature_refuses_what_converges_at_its_last_subdivision(monkeypatch):
+    # scipy checks the limit after each subdivision, so a result that converges at the last one is refused
+    from scipy.integrate import cubature as scipy_cubature
+
+    from h1geom import quadrature
+
+    a, b, tol = (0.0,), (1.0,), 1e-10
+    n = scipy_cubature(_square_1d, a, b, rule="gk21", rtol=1e-13, atol=tol, max_subdivisions=200).subdivisions
+    assert scipy_cubature(_square_1d, a, b, rule="gk21", rtol=1e-13, atol=tol, max_subdivisions=n).status == "not_converged"
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", n)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        quadrature.cubature(_square_1d, a, b, tol)
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", n + 1)
+    quadrature.cubature(_square_1d, a, b, tol)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_cubature_rule_has_the_nodes_and_weights_of_scipy_gk21(monkeypatch, d):
     # scipy builds its rule="gk21" from ProductNestedFixed; a release that moves or
     # rebuilds it fails here before results drift
     import scipy.integrate._cubature as scipy_cubature_module
     from scipy.integrate import cubature as scipy_cubature
+    from scipy.integrate._rules import GaussKronrodQuadrature, ProductNestedFixed
 
-    from h1geom.quadrature import _GK21
+    from h1geom.quadrature import _gk21
 
     built = []
 
     class Recorded(scipy_cubature_module.ProductNestedFixed):
         def __init__(self, base_rules):
             super().__init__(base_rules)
-            built.append(self)
+            built.append(base_rules)
 
     monkeypatch.setattr(scipy_cubature_module, "ProductNestedFixed", Recorded)
     scipy_cubature(lambda x: np.ones(len(x)), (0.0,) * d, (1.0,) * d, rule="gk21")
-    assert len(built) == 1, "scipy no longer builds rule='gk21' as a ProductNestedFixed"
-    ours = _GK21(d)
-    for attribute in ("nodes_and_weights", "lower_nodes_and_weights"):
-        for mine, theirs in zip(getattr(ours, attribute), getattr(built[0], attribute)):
-            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    assert len(built) == 1 and [(type(rule), rule.npoints) for rule in built[0]] == [(GaussKronrodQuadrature, 21)] * d, (
+        "scipy no longer builds rule='gk21' as a ProductNestedFixed of 21-point Gauss-Kronrod rules"
+    )
+    theirs = ProductNestedFixed([GaussKronrodQuadrature(21)] * d)
+    (kronrod_nodes, kronrod_weights), (gauss_nodes, gauss_weights) = theirs.nodes_and_weights, theirs.lower_nodes_and_weights
+    nodes, weights = _gk21(d)
+    n = 21**d
+    assert nodes.dtype == weights.dtype == kronrod_nodes.dtype == gauss_weights.dtype == np.float64
+    assert np.array_equal(nodes[:n], kronrod_nodes) and np.array_equal(nodes[n:], gauss_nodes)
+    assert np.array_equal(weights[:n], kronrod_weights) and np.array_equal(-weights[n:], gauss_weights)
 
 
-def test_cubature_rule_refuses_an_error_without_its_estimate():
-    from h1geom.quadrature import _GK21
+def _smooth(x, c, s):
+    return np.cos(s * (x - c).sum(axis=1))
 
-    rule = _GK21(1)
-    a, b = np.array([0.0]), np.array([1.0])
-    rule.estimate(_kinked_1d, a, b)
-    with pytest.raises(RuntimeError):
-        rule.estimate_error(_kinked_1d, a.copy(), b)  # another box
-    rule.estimate(_kinked_1d, a, b)
-    rule.estimate_error(_kinked_1d, a, b)
-    with pytest.raises(RuntimeError):
-        rule.estimate_error(_kinked_1d, a, b)  # the stash is spent
+
+def _peaked(x, c, s):
+    return np.exp(-s * ((x - c) ** 2).sum(axis=1))
+
+
+def _kinked(x, c, s):
+    return np.sqrt(s * abs(x - c).sum(axis=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d),
+            st.lists(st.floats(1e-3, 3.0), min_size=d, max_size=d),
+            st.lists(
+                st.tuples(
+                    st.sampled_from([_smooth, _peaked, _kinked]),
+                    st.lists(st.floats(-2.0, 3.0), min_size=d, max_size=d),
+                    st.floats(0.5, 300.0),
+                ),
+                min_size=2,
+                max_size=3,
+            ),
+        )
+    ),
+    st.floats(-12.0, -6.0),
+)
+def test_cubature_is_scipys_public_gk21_cubature(case, log_tol):
+    # equal estimate and error bits, and QuadratureError exactly where scipy does not converge or is not finite
+    from scipy.integrate import cubature as scipy_cubature
+
+    from h1geom import quadrature
+
+    a, lengths, components = case
+    a = np.array(a)
+    b, tol = a + lengths, 10.0**log_tol
+
+    def f(x):
+        return np.stack([g(x, np.array(c), s) for g, c, s in components], axis=-1)
+
+    reference = scipy_cubature(f, a, b, rule="gk21", rtol=1e-13, atol=tol, max_subdivisions=MAX_SUBDIVISIONS)
+    refused = reference.status == "not_converged" or not (
+        np.isfinite(reference.estimate).all() and np.isfinite(reference.error).all()
+    )
+    event("refused" if refused else "subdivided" if reference.subdivisions else "one box")
+    if refused:
+        with pytest.raises(QuadratureError, match="did not converge"):
+            quadrature.cubature(f, a, b, tol)
+    else:
+        value, error = quadrature.cubature(f, a, b, tol)
+        assert value.tobytes() == reference.estimate.tobytes() and error.tobytes() == reference.error.tobytes()
 
 
 # ---------------------------------------------------------------------------
