@@ -14,7 +14,9 @@ and a fixed hash seed:
 - ``config-error``: ``curvature --surface paraboloid --nu 0`` (exit 1);
 - ``gauss-bonnet --preset band-k1`` (a rotation band);
 - ``gauss-bonnet-graph``: ``gauss-bonnet --surface paraboloid --region 1,2,-1,-0.5`` (a graph chart);
-- ``rotsurf --figure 2``.
+- ``rotsurf --figure 2``;
+- ``check`` (the self-check suite);
+- ``converge-rotation``: ``converge --kinf 1 --point 0.3,0.2 --direction 1,0.5`` (a rotation chart).
 
 Every case first runs once per tree untimed (it may compile bytecode).
 Then each of REPEATS rounds times both trees, the old one first in even
@@ -50,6 +52,8 @@ CASES = (
     ("gauss-bonnet", ["-c", MAIN, "gauss-bonnet", "--preset", "band-k1"], 0),
     ("gauss-bonnet-graph", ["-c", MAIN, "gauss-bonnet", "--surface", "paraboloid", "--region", "1,2,-1,-0.5"], 0),
     ("rotsurf", ["-c", MAIN, "rotsurf", "--figure", "2"], 0),
+    ("check", ["-c", MAIN, "check"], 0),
+    ("converge-rotation", ["-c", MAIN, "converge", "--kinf", "1", "--point", "0.3,0.2", "--direction", "1,0.5"], 0),
 )
 
 

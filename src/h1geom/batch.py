@@ -42,7 +42,10 @@ def elementwise(f, x, *rest):
             return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
         return f(x)
     args = (x, *rest)
-    if not any(isinstance(a, np.ndarray) for a in args):
+    for a in args:  # a loop, not any() over a generator: floats are the hot case
+        if isinstance(a, np.ndarray):
+            break
+    else:
         return f(*args)
     shape = np.broadcast(*args).shape
     columns = [

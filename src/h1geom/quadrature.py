@@ -1,26 +1,24 @@
-"""Adaptive quadrature wrappers with square-root boundary substitution.
+"""Adaptive quadrature with square-root boundary substitution, all of it this module's own.
 
-Profile integrals use scipy's QUADPACK Gauss-Kronrod rule, surface
-integrals an adaptive product Gauss-Kronrod cubature of this module's own
-(cubature), each behind a small wrapper that checks the reported error
-estimate.  Profile integrands of the form g(t)*sqrt(h(t)), with h
+Profile integrals use QUADPACK's adaptive 21-point Gauss-Kronrod routine
+dqagse (integrate), surface integrals an adaptive product Gauss-Kronrod
+cubature (cubature), each behind a small wrapper that checks the reported
+error estimate.  Profile integrands of the form g(t)*sqrt(h(t)), with h
 vanishing simply at a domain endpoint, lose accuracy for the plain rule;
 substituting t = b0 +/- s^2 near that endpoint makes the integrand smooth
 again.
 
-QUADPACK's first step, one 21-point Gauss-Kronrod rule over the whole
-interval and the test that ends the integral there, also runs in numpy
-over many intervals at once (kronrod_first_step).  It reproduces quad's
-value, error estimate and decision bit for bit, so a caller with a batch
-of integrals calls quad only for those the step does not settle; every
-later step stays QUADPACK's.  Its rule is QUADPACK's own literals, and so
-is cubature's Kronrod rule: neither needs scipy.
-
-scipy.integrate is imported inside integrate, when quad is first needed,
-not with this module: its import (which pulls in scipy.optimize, sparse,
-spatial, special, linalg and fft) costs about 0.4 s, two thirds of a fresh
-`import h1geom.cli`, and the curvature formulas, the grid commands, the
-Gauss-Bonnet cubatures and a configuration error need no quad.
+dqagse is ported from the published algorithm (Piessens, de
+Doncker-Kapenga, Ueberhuber and Kahaner, QUADPACK, Springer 1983), with
+QUADPACK's own literals and its operations in its order, so that every
+value, error estimate and interval count is scipy.integrate.quad's bit for
+bit (tests/test_quadrature.py pins this against the installed scipy).  It
+runs one integral over a float integrand, called once per node in
+QUADPACK's order (integrate), or many integrals at once (integrate_batch):
+there each round evaluates the qk21 rule in numpy over the intervals that
+every unsettled integral bisects, and each integral keeps QUADPACK's
+bookkeeping in Python floats.  So no run-time path imports scipy, whose
+scipy.integrate alone costs about 0.4 s to import.
 """
 
 from __future__ import annotations
@@ -37,7 +35,8 @@ from .errors import QuadratureError
 
 __all__ = [
     "integrate",
-    "kronrod_first_step",
+    "integrate_batch",
+    "converged",
     "cubature",
     "integrate_with_boundary",
     "gauss_segments",
@@ -83,7 +82,9 @@ _GL10_WEIGHTS = np.array([float.fromhex(h) for h in (
 _KRONROD_ORDER = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]  # qk21 sums the Gauss nodes xgk(2), xgk(4), ... first
 _WGK_ORDERED = _WGK[_KRONROD_ORDER]
 _OFFSETS = np.concatenate([[0.0], -_XGK, _XGK])  # of the 21 nodes from the centre, in half-lengths
-_EPMACH, _UFLOW = sys.float_info.epsilon, sys.float_info.min  # d1mach(4), d1mach(1)
+_EPMACH, _UFLOW, _OFLOW = sys.float_info.epsilon, sys.float_info.min, sys.float_info.max  # d1mach(4), (1), (2)
+_RESABS_FLOOR = _UFLOW / (50.0 * _EPMACH)  # qk21 raises its error estimate to 50 eps resabs above this
+_XGK_LIST, _WGK_LIST, _WG_LIST = _XGK.tolist(), _WGK.tolist(), _WG.tolist()  # the float qk21's copies
 
 
 def _in_window(distance, bound):
@@ -94,52 +95,73 @@ def _in_window(distance, bound):
 def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive integral of f over [a, b] to absolute tolerance tol, or to 1e-13 relative.
 
-    One QUADPACK call, with full_output so that an unconverged status comes
-    back as a message, not as an IntegrationWarning, and the process-wide
-    warning filters are left alone.  QuadratureError if the value is not
-    finite or the error estimate exceeds max(100 tol, 1e-8 |value|), as at
-    QUADPACK's limit of MAX_SUBDIVISIONS intervals; an exception raised by f
+    QUADPACK's dqagse (:func:`_dqagse`), with f called once per node in
+    QUADPACK's order.  QuadratureError if the value is not finite or the
+    error estimate exceeds max(100 tol, 1e-8 |value|), as at QUADPACK's
+    limit of MAX_SUBDIVISIONS intervals; an exception raised by f
     propagates unchanged.
     """
     if a == b:
         return 0.0
-    from scipy.integrate import quad
-
-    value, err = quad(f, a, b, epsabs=tol, epsrel=max(tol, 1e-13), limit=MAX_SUBDIVISIONS, full_output=1)[:2]
-    if not math.isfinite(value) or err > max(100.0 * tol, 1e-8 * abs(value)):
+    value, err, _ = _dqagse(f, a, b, tol)
+    if not converged(value, err, tol):
         raise QuadratureError(
             f"integral over [{a!r}, {b!r}] did not converge (estimate {err:.3e})"
         )
     return value
 
 
-def kronrod_first_step(f, a, b, tol: float = 1e-10):
-    """The first QUADPACK step of :func:`integrate` over every [a_i, b_i] at once, in numpy.
+def converged(value, err, tol: float):
+    """Whether integrate returns a value with this error estimate rather than raise, elementwise on arrays."""
+    return np.isfinite(value) & ~(err > np.maximum(100.0 * tol, 1e-8 * np.abs(value)))
 
-    integrate's qagse starts with one 21-point Gauss-Kronrod rule (qk21)
-    over the whole interval and returns when its error estimate meets the
-    tolerance.  This runs that step for the arrays a and b (either
-    orientation) with qk21's operations in qk21's order, libm pow included,
-    so that each result and error estimate is quad's bit for bit: every
-    weighted sum is a running sum (np.add.accumulate, never numpy's
-    pairwise reduction) over its terms in the order of qk21's loops.
-    f maps an (n, 21) array of nodes to a tuple of (n, 21) value arrays,
-    one per integrand: column 0 is the centre, columns 1-10 centre -
-    hlgth xgk(j) and 11-20 centre + hlgth xgk(j).  Returns one (results,
-    errors, accepted) triple of arrays per integrand; accepted is True
-    exactly where quad would stop after this step without a message, with
-    the same result.  Run it under np.errstate(all="ignore") where values
-    may overflow.
-    """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    epsabs, epsrel = tol, max(tol, 1e-13)  # integrate's tolerances
+
+def _qk21(f, a: float, b: float):
+    """dqk21 over [a, b]: (result, abserr, resabs, resasc), f called at the centre, then at
+    centre -/+ hlgth xgk(j) for j = 2, 4, ..., 10, then for j = 1, 3, ..., 9."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    nodes = centr[:, None] + hlgth[:, None] * _OFFSETS  # c + h (-x) is c - h x exactly
-    nodes[:, 0] = centr  # and c + h 0 would turn a centre of -0.0 into 0.0
-    parts = f(nodes)
-    values = np.concatenate(parts)  # the integrands one below the other
-    hlgth = np.concatenate([hlgth] * len(parts))
+    fc = f(centr)
+    resg = 0.0
+    resk = _WGK_LIST[10] * fc
+    resabs = abs(resk)
+    fv1, fv2 = [0.0] * 10, [0.0] * 10
+    for j in _KRONROD_ORDER:
+        absc = hlgth * _XGK_LIST[j]
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv1[j], fv2[j] = fval1, fval2
+        fsum = fval1 + fval2
+        if j % 2:
+            resg = resg + _WG_LIST[j // 2] * fsum
+        resk = resk + _WGK_LIST[j] * fsum
+        resabs = resabs + _WGK_LIST[j] * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK_LIST[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK_LIST[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    dhlgth = abs(hlgth)
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        # min(1, ratio^1.5) as pow(min(1, ratio), 1.5): the same value, and no OverflowError; min(1.0, NaN) is 1.0
+        abserr = resasc * math.pow(min(1.0, 200.0 * abserr / resasc), 1.5)
+    if resabs > _RESABS_FLOOR:
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return result, abserr, resabs, resasc
+
+
+def _qk21_rows(values, hlgth):
+    """dqk21 for many intervals at once: (result, abserr, resabs, resasc) arrays.
+
+    values is the (n, 21) array of an integrand at each interval's nodes
+    (_nodes), hlgth the n half-lengths.  Every weighted sum is a running sum
+    (np.add.accumulate, never numpy's pairwise reduction) over its terms in
+    the order of dqk21's loops, and the power is libm's, so that each row is
+    _qk21's bit for bit.
+    """
     fc, fv1, fv2 = values[:, :1], values[:, 1:11], values[:, 11:]
 
     def running_sum(first, terms):
@@ -158,16 +180,376 @@ def kronrod_first_step(f, a, b, tol: float = 1e-10):
     resasc = resasc * dhlgth
     abserr = np.abs((resk - resg) * hlgth)
     scaled = (resasc != 0.0) & (abserr != 0.0)
-    ratio = elementwise(math.pow, 200.0 * abserr[scaled] / resasc[scaled], 1.5)
-    abserr[scaled] = resasc[scaled] * np.minimum(1.0, ratio)
-    floor = resabs > _UFLOW / (50.0 * _EPMACH)
-    abserr[floor] = np.maximum((_EPMACH * 50.0) * resabs[floor], abserr[floor])
-    # qagse's test, where its "resabs" is qk21's resasc; its ier = 2 test
-    # needs abserr > errbnd and so never refuses what this accepts
-    errbnd = np.maximum(epsabs, epsrel * np.abs(result))
-    accepted = ((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0.0)
-    shape = (len(parts), len(a))
-    return list(zip(result.reshape(shape), abserr.reshape(shape), accepted.reshape(shape)))
+    ratio = np.fmin(1.0, 200.0 * abserr[scaled] / resasc[scaled])  # as _qk21's min(1.0, ratio)
+    abserr[scaled] = resasc[scaled] * elementwise(math.pow, ratio, 1.5)
+    floor = resabs > _RESABS_FLOOR
+    abserr[floor] = np.fmax((_EPMACH * 50.0) * resabs[floor], abserr[floor])  # max() keeps the first of (x, NaN)
+    return result, abserr, resabs, resasc
+
+
+def _nodes(a, b):
+    """dqk21's 21 nodes of every interval [a_i, b_i]: an (n, 21) array, the centre first, then
+    centre - hlgth xgk(j) and centre + hlgth xgk(j) for j = 1..10, as _qk21 forms them."""
+    centr = 0.5 * (a + b)
+    nodes = centr[:, None] + (0.5 * (b - a))[:, None] * _OFFSETS  # c + h (-x) is c - h x exactly
+    nodes[:, 0] = centr  # and c + h 0 would turn a centre of -0.0 into 0.0
+    return nodes
+
+
+def _first_round_stops(result, abserr, defabs, resabs, epsabs, epsrel, limit):
+    """Whether dqagse returns after its first qk21 (floats or arrays): the tolerance met, a
+    roundoff flag (ier = 2) or a limit of one interval.  Its resabs is qk21's resasc."""
+    errbnd = np.fmax(epsabs, epsrel * np.abs(result))  # epsabs where result is NaN, as max() gives
+    roundoff = (abserr <= (100.0 * _EPMACH) * defabs) & (abserr > errbnd)
+    return roundoff | (limit == 1) | ((abserr <= errbnd) & (abserr != resabs)) | (abserr == 0.0)
+
+
+def _dqagse(f, a: float, b: float, tol: float):
+    """quad(f, a, b, epsabs=tol, epsrel=max(tol, 1e-13), limit=MAX_SUBDIVISIONS): (value, error, last).
+
+    As quad, a reversed interval is integrated from min(a, b) to max(a, b) and the value negated.
+    """
+    if b < a:
+        value, err, last = _dqagse(f, b, a, tol)
+        return -value, err, last
+    epsabs, epsrel, limit = tol, max(tol, 1e-13), MAX_SUBDIVISIONS
+    result, abserr, defabs, resabs = _qk21(f, a, b)
+    if _first_round_stops(result, abserr, defabs, resabs, epsabs, epsrel, limit):
+        return result, abserr, 1
+    state = _Subdivision(a, b, result, abserr, epsabs, epsrel, limit)
+    done = False
+    while not done:
+        area1, error1, _, defab1 = _qk21(f, state.a1, state.b1)
+        area2, error2, _, defab2 = _qk21(f, state.b1, state.b2)
+        done = state.step(area1, error1, defab1, area2, error2, defab2)
+    return state.result, state.abserr, state.last
+
+
+class _Subdivision:
+    """dqagse's bookkeeping for one integral after a first qk21 that did not settle it.
+
+    Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner, QUADPACK (Springer,
+    1983), in Python floats, with the lists 1-based as there: a1, b1 and b2
+    are the halves of the interval to bisect next; step takes the qk21
+    results of the two halves, runs one pass of dqagse's main loop (dqpsrt
+    keeps the order of the error estimates, dqelg extrapolates) and says
+    whether the integral is done, with its result, abserr and last.
+    """
+
+    __slots__ = (
+        "a", "b", "epsabs", "epsrel", "limit", "alist", "blist", "rlist", "elist", "iord", "maxerr", "errmax",
+        "nrmax", "area", "errsum", "result", "abserr", "last", "rlist2", "numrl2", "res3la", "nres", "ktmin",
+        "extrap", "noext", "iroff1", "iroff2", "iroff3", "ierro", "ier", "small", "erlarg", "ertest", "correc",
+        "a1", "b1", "b2",
+    )
+
+    def __init__(self, a: float, b: float, result: float, abserr: float, epsabs: float, epsrel: float, limit: int):
+        self.a, self.b, self.epsabs, self.epsrel, self.limit = a, b, epsabs, epsrel, limit
+        self.alist, self.blist, self.rlist, self.elist = [0.0, a], [0.0, b], [0.0, result], [0.0, abserr]
+        self.iord = [0] * (limit + 1)
+        self.iord[1] = self.maxerr = self.nrmax = self.last = 1
+        self.errmax = self.errsum = abserr
+        self.area = self.result = result
+        self.abserr = _OFLOW
+        self.rlist2, self.numrl2 = [0.0, result] + [0.0] * 51, 2
+        self.res3la, self.nres = [0.0] * 4, 0
+        self.ktmin = self.iroff1 = self.iroff2 = self.iroff3 = self.ierro = self.ier = 0
+        self.extrap = self.noext = False
+        self.small = self.erlarg = self.ertest = self.correc = 0.0
+        self.a1, self.b1, self.b2 = a, 0.5 * (a + b), b
+
+    def step(self, area1, error1, defab1, area2, error2, defab2) -> bool:
+        """One pass of dqagse's main loop, given qk21 on [a1, b1] and [b1, b2]; True once done."""
+        alist, blist, rlist, elist, iord, limit = self.alist, self.blist, self.rlist, self.elist, self.iord, self.limit
+        self.last = last = self.last + 1
+        maxerr, errmax, a1, a2, b1, b2 = self.maxerr, self.errmax, self.a1, self.b1, self.b1, self.b2
+        erlast = errmax
+        area12 = area1 + area2
+        erro12 = error1 + error2
+        self.errsum = errsum = self.errsum + erro12 - errmax
+        self.area = area = self.area + area12 - rlist[maxerr]
+        if defab1 != error1 and defab2 != error2:
+            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12) or erro12 < 0.99 * errmax):
+                if self.extrap:
+                    self.iroff2 += 1
+                else:
+                    self.iroff1 += 1
+            if last > 10 and erro12 > errmax:
+                self.iroff3 += 1
+        rlist[maxerr] = area1
+        rlist.append(area2)
+        errbnd = max(self.epsabs, self.epsrel * abs(area))
+        if self.iroff1 + self.iroff2 >= 10 or self.iroff3 >= 20:
+            self.ier = 2
+        if self.iroff2 >= 5:
+            self.ierro = 3
+        if last == limit:
+            self.ier = 1
+        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
+            self.ier = 4  # bad integrand behaviour at a point of the range
+        if error2 > error1:
+            alist[maxerr] = a2
+            alist.append(a1)
+            blist.append(b1)
+            rlist[maxerr] = area2
+            rlist[last] = area1
+            elist[maxerr] = error2
+            elist.append(error1)
+        else:
+            alist.append(a2)
+            blist[maxerr] = b1
+            blist.append(b2)
+            elist[maxerr] = error1
+            elist.append(error2)
+        maxerr, errmax = self._dqpsrt(last, maxerr)
+        if errsum <= errbnd:
+            return self._sum()
+        if self.ier:
+            return self._finish()
+        if self._extrapolate(last, maxerr, errmax, a1, b1, erlast, erro12, errbnd):
+            return True
+        self.a1, self.b2 = alist[self.maxerr], blist[self.maxerr]
+        self.b1 = 0.5 * (self.a1 + self.b2)
+        return False
+
+    def _extrapolate(self, last, maxerr, errmax, a1, b1, erlast, erro12, errbnd) -> bool:
+        """The rest of the main loop's pass: the extrapolation test, after the error bound was not met."""
+        alist, blist, elist, iord = self.alist, self.blist, self.elist, self.iord
+        self.maxerr, self.errmax = maxerr, errmax
+        if last == 2:
+            self.small = abs(self.b - self.a) * 0.375
+            self.erlarg = self.errsum
+            self.ertest = errbnd
+            self.rlist2[2] = self.area
+            return False
+        if self.noext:
+            return False
+        self.erlarg -= erlast
+        if abs(b1 - a1) > self.small:
+            self.erlarg += erro12
+        small = self.small
+        if not self.extrap:
+            # extrapolate only once the interval to bisect next is the smallest
+            if abs(blist[maxerr] - alist[maxerr]) > small:
+                return False
+            self.extrap = True
+            self.nrmax = 2
+        if not (self.ierro == 3 or self.erlarg <= self.ertest):
+            # the smallest interval has the largest error: first bisect the larger intervals
+            jupbnd = last if last <= 2 + self.limit // 2 else self.limit + 3 - last
+            for _ in range(self.nrmax, jupbnd + 1):
+                self.maxerr = maxerr = iord[self.nrmax]
+                self.errmax = elist[maxerr]
+                if abs(blist[maxerr] - alist[maxerr]) > small:
+                    return False
+                self.nrmax += 1
+        self.numrl2 += 1
+        self.rlist2[self.numrl2] = self.area
+        reseps, abseps = self._dqelg()
+        self.ktmin += 1
+        if self.ktmin > 5 and self.abserr < 1e-3 * self.errsum:
+            self.ier = 5
+        if not abseps >= self.abserr:  # so a NaN abseps is taken, as QUADPACK's goto has it
+            self.ktmin = 0
+            self.abserr = abseps
+            self.result = reseps
+            self.correc = self.erlarg
+            self.ertest = max(self.epsabs, self.epsrel * abs(reseps))
+            if self.abserr <= self.ertest:
+                return self._finish()
+        # prepare the bisection of the smallest interval
+        if self.numrl2 == 1:
+            self.noext = True
+        if self.ier == 5:
+            return self._finish()
+        self.maxerr = iord[1]
+        self.errmax = elist[self.maxerr]
+        self.nrmax = 1
+        self.extrap = False
+        self.small *= 0.5
+        self.erlarg = self.errsum
+        return False
+
+    def _finish(self) -> bool:
+        """dqagse's label 100: keep the extrapolated result, or take the sum of the intervals."""
+        if self.abserr == _OFLOW:
+            return self._sum()
+        if self.ier + self.ierro:
+            if self.ierro == 3:
+                self.abserr += self.correc
+            result, area = self.result, self.area
+            if result != 0.0 and area != 0.0:
+                if self.abserr / abs(result) > self.errsum / abs(area):
+                    return self._sum()
+            elif self.abserr > self.errsum:
+                return self._sum()
+        return True  # the divergence test that follows sets only ier
+
+    def _sum(self) -> bool:
+        """dqagse's label 115: the result is the sum of the intervals' results in storage order."""
+        result = 0.0
+        for k in range(1, self.last + 1):
+            result = result + self.rlist[k]
+        self.result, self.abserr = result, self.errsum
+        return True
+
+    def _dqpsrt(self, last: int, maxerr: int):
+        """dqpsrt: keep iord descending in the error estimates; (maxerr, errmax) of the nrmax-th largest."""
+        elist, iord, nrmax = self.elist, self.iord, self.nrmax
+        if last <= 2:
+            iord[1], iord[2] = 1, 2
+        else:
+            errmax = elist[maxerr]
+            # a subdivision that increased the error: move up from the nrmax-th place
+            for _ in range(nrmax - 1):
+                isucc = iord[nrmax - 1]
+                if errmax <= elist[isucc]:
+                    break
+                iord[nrmax] = isucc
+                nrmax -= 1
+            # keep only as many in order as subdivisions remain
+            jupbn = last if last <= self.limit // 2 + 2 else self.limit + 3 - last
+            errmin = elist[last]
+            jbnd = jupbn - 1
+            for i in range(nrmax + 1, jbnd + 1):
+                isucc = iord[i]
+                if errmax >= elist[isucc]:
+                    iord[i - 1] = maxerr  # insert errmax top-down, then errmin bottom-up
+                    k = jbnd
+                    for _ in range(i, jbnd + 1):
+                        isucc = iord[k]
+                        if errmin < elist[isucc]:
+                            iord[k + 1] = last
+                            break
+                        iord[k + 1] = isucc
+                        k -= 1
+                    else:
+                        iord[i] = last
+                    break
+                iord[i - 1] = isucc
+            else:
+                iord[jbnd] = maxerr
+                iord[jupbn] = last
+        self.nrmax = nrmax
+        maxerr = iord[nrmax]
+        return maxerr, elist[maxerr]
+
+    def _dqelg(self):
+        """dqelg: Wynn's epsilon algorithm on rlist2[1..numrl2]; (result, abserr), numrl2 updated."""
+        epstab, res3la, n = self.rlist2, self.res3la, self.numrl2
+        self.nres = nres = self.nres + 1
+        abserr = _OFLOW
+        result = epstab[n]
+        if n >= 3:
+            epstab[n + 2] = epstab[n]
+            newelm = (n - 1) // 2
+            epstab[n] = _OFLOW
+            num = k1 = n
+            for i in range(1, newelm + 1):
+                k2, k3 = k1 - 1, k1 - 2
+                res = epstab[k1 + 2]
+                e0, e1, e2 = epstab[k3], epstab[k2], res
+                e1abs = abs(e1)
+                delta2 = e2 - e1
+                err2 = abs(delta2)
+                tol2 = max(abs(e2), e1abs) * _EPMACH
+                delta3 = e1 - e0
+                err3 = abs(delta3)
+                tol3 = max(e1abs, abs(e0)) * _EPMACH
+                if not (err2 > tol2 or err3 > tol3):
+                    # e0, e1 and e2 equal to machine accuracy: convergence
+                    self.numrl2 = n
+                    return res, max(err2 + err3, 5.0 * _EPMACH * abs(res))
+                e3 = epstab[k1]
+                epstab[k1] = e1
+                delta1 = e1 - e3
+                err1 = abs(delta1)
+                tol1 = max(e1abs, abs(e3)) * _EPMACH
+                if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+                    n = i + i - 1  # two elements very close: omit part of the table
+                    break
+                ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+                epsinf = abs(ss * e1)
+                if not epsinf > 1e-4:
+                    n = i + i - 1  # irregular behaviour in the table
+                    break
+                res = e1 + 1.0 / ss
+                epstab[k1] = res
+                k1 -= 2
+                error = err2 + abs(res - e2) + err3
+                if not error > abserr:
+                    abserr = error
+                    result = res
+            if n == 50:  # limexp
+                n = 49
+            ib = 2 if num % 2 == 0 else 1
+            for _ in range(newelm + 1):  # shift the table
+                epstab[ib] = epstab[ib + 2]
+                ib += 2
+            if num != n:
+                indx = num - n + 1
+                for i in range(1, n + 1):
+                    epstab[i] = epstab[indx]
+                    indx += 1
+            if nres < 4:
+                res3la[nres] = result
+                abserr = _OFLOW
+            else:
+                abserr = abs(result - res3la[3]) + abs(result - res3la[2]) + abs(result - res3la[1])
+                res3la[1], res3la[2], res3la[3] = res3la[2], res3la[3], result
+        self.numrl2 = n
+        return result, max(abserr, 5.0 * _EPMACH * abs(result))
+
+
+def integrate_batch(f, a, b, tol: float = 1e-10):
+    """:func:`integrate`'s QUADPACK run for several integrands over every [a_i, b_i] at once.
+
+    f(nodes, paths) maps an (n, 21) array of qk21 nodes, row j on the
+    interval paths[j], to a tuple of (n, 21) value arrays, one per
+    integrand.  Each round evaluates f once: over the whole intervals
+    first, then over both halves of the interval that each unsettled
+    integral bisects next, a half shared by two integrands of one interval
+    once.  qk21 runs in numpy (_qk21_rows), the first round's test over
+    the whole batch, and each integral that subdivides keeps dqagse's
+    bookkeeping in Python floats (_Subdivision).  Returns one (values,
+    errors, lasts) triple of arrays per integrand: quad's value, error
+    estimate and infodict["last"] bit for bit; :func:`converged` tells
+    where integrate would raise.  Run it under np.errstate(all="ignore")
+    where values may overflow.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    flip = b < a  # integrated over [b, a] and negated, as quad does
+    a, b = np.where(flip, b, a), np.where(b > a, b, a)
+    epsabs, epsrel, limit = tol, max(tol, 1e-13), MAX_SUBDIVISIONS
+    n = len(a)
+    parts = f(_nodes(a, b), np.arange(n))
+    result, abserr, defabs, resabs = _qk21_rows(np.concatenate(parts), np.concatenate([0.5 * (b - a)] * len(parts)))
+    lasts = np.ones(len(result), dtype=int)
+    pending = np.flatnonzero(~_first_round_stops(result, abserr, defabs, resabs, epsabs, epsrel, limit))
+    states = []  # (row of the integral, its bookkeeping), only for the integrals that subdivide
+    if pending.size:
+        firsts = zip(a[pending % n].tolist(), b[pending % n].tolist(), result[pending].tolist(), abserr[pending].tolist())
+        states = [(k, _Subdivision(*first, epsabs, epsrel, limit)) for k, first in zip(pending.tolist(), firsts)]
+    while states:
+        halves = {}  # (path, a1, b2) of each interval bisected this round, in order
+        slots = [(k // n, 2 * halves.setdefault((k % n, state.a1, state.b2), len(halves))) for k, state in states]
+        paths, a1, b2 = (np.array(column) for column in zip(*halves))
+        b1 = 0.5 * (a1 + b2)
+        lo, hi = np.stack([a1, b1], axis=1).ravel(), np.stack([b1, b2], axis=1).ravel()
+        values = np.concatenate(f(_nodes(lo, hi), paths.repeat(2)))
+        rows = np.array([2 * len(halves) * integrand + first for integrand, first in slots]).repeat(2)
+        rows[1::2] += 1  # each integral's two halves, one after the other
+        area, error, _, defab = (x.tolist() for x in _qk21_rows(values[rows], 0.5 * (hi - lo)[rows % len(lo)]))
+        unsettled = []
+        for j, (k, state) in enumerate(states):
+            if state.step(area[2 * j], error[2 * j], defab[2 * j], area[2 * j + 1], error[2 * j + 1], defab[2 * j + 1]):
+                result[k], abserr[k], lasts[k] = state.result, state.abserr, state.last
+            else:
+                unsettled.append((k, state))
+        states = unsettled
+    shape = (len(parts), n)
+    values = result.reshape(shape)
+    return list(zip(np.where(flip, -values, values), abserr.reshape(shape), lasts.reshape(shape)))
 
 
 @functools.cache

@@ -34,7 +34,7 @@ import numpy as np
 from . import expr as _expr
 from .errors import DomainViolationError, GeometryError
 from .batch import POINT_FAILURES, elementwise, power
-from .quadrature import _in_window, gauss_segments, integrate, integrate_with_boundary, kronrod_first_step
+from .quadrature import _in_window, converged, gauss_segments, integrate, integrate_batch, integrate_with_boundary
 from .expr import Dual2
 from .hgroup import e3_coefficient
 from .surface import SurfacePatch
@@ -60,11 +60,6 @@ ANCHOR_EPS = 1e-9
 THETA_C_TOL = 1e-10  # absolute QUADPACK tolerance of theta(v) and c(v), and of horizontal_lift's c(t)
 THETA_C_CACHE_SIZE = 4096  # theta/c values memoized per family profile
 _THETA_C_CHUNK = 512  # values of v integrated per numpy batch, so temporaries stay small
-# A path outside both boundary windows that ends nearer a domain bound than this fraction of its
-# length goes to QUADPACK without the numpy first step, which would not settle it: in 1,500 random
-# families no first step settled a path ending nearer than 0.02 of its length, and in 99% of the
-# integrals none nearer than 0.07.
-_FIRST_STEP_EDGE = 0.05
 # Distinct v from which rotation_patch evaluates its generating curve on one array rather than one float
 # at a time: numpy's fixed cost of about 0.1 ms a call pays from about 7 rows whose theta_c is still to
 # integrate, and from about 22 memoized ones.
@@ -134,19 +129,21 @@ def domain_bound(K_inf: float, r0: float) -> tuple[float, float]:
 
 
 def _check_domain(v, bounds: tuple[float, float], what: str):
-    """DomainViolationError unless v lies in the closed domain, to a relative 1e-12; on an array,
-    the first element outside it is named."""
+    """v on the closed domain: DomainViolationError unless v lies in it to a relative 1e-12, and a v
+    within that fuzz past a bound moved onto the bound, where its integrals end; on an array, the
+    first element outside it is named."""
     lo, hi = bounds
     fuzz = 1e-12 * max(1.0, abs(lo) if math.isfinite(lo) else 0.0, abs(hi) if math.isfinite(hi) else 0.0)
     if isinstance(v, np.ndarray):
         bad = np.flatnonzero((v < lo - fuzz) | (v > hi + fuzz))
         if bad.size:
             _check_domain(float(v[bad[0]]), bounds, what)
-        return
+        return np.where(v < lo, lo, np.where(v > hi, hi, v))
     if v < lo - fuzz or v > hi + fuzz:
         raise DomainViolationError(
             f"{what}: v = {v!r} outside the existence domain ({lo!r}, {hi!r})"
         )
+    return lo if v < lo else hi if v > hi else v
 
 
 def _check_band(profile: Profile, v_range) -> None:
@@ -218,17 +215,20 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
     The closures r, dr, A and kappa do not check the existence domain:
     callers check their interval endpoints once (sample_generating_curve,
     validate); they evaluate the family through _kernels.  theta_c checks
-    its v and integrates from the anchor with QUADPACK, memoizing the last
-    THETA_C_CACHE_SIZE values (theta_c.cache_info() counts as lru_cache's).
-    QUADPACK calls its integrand once per node, so theta' and c' are one
-    float function body per family, with the operations of _kernels and
-    _sqrt1m written inline in the same order: the same bits as _integrands,
-    one Python call a node.  On an array, theta_c takes QUADPACK's first
-    step for every v it has not memoized at once, _THETA_C_CHUNK at a time,
-    over _integrands (quadrature.kronrod_first_step), and calls QUADPACK
-    only for the integrals that step does not settle: the values of the
-    float path bit for bit.  Where any v of a batch fails, the float path
-    runs over the array in order and raises what a scan of it raises.
+    its v and integrates from the anchor with QUADPACK's dqagse
+    (quadrature), memoizing the last THETA_C_CACHE_SIZE values
+    (theta_c.cache_info() counts as lru_cache's).  On a float, dqagse calls
+    its integrand once per node, so theta' and c' are one float function
+    body per family, with the operations of _kernels and _sqrt1m written
+    inline in the same order: the same bits as _integrands, one Python call
+    a node.  On an array, theta_c integrates every v it has not memoized at
+    once, _THETA_C_CHUNK at a time, with quadrature.integrate_batch over
+    _integrands, theta' and c' evaluated together at the nodes of an
+    interval both integrals bisect: the values of the float path bit for
+    bit.  A path split between two boundary windows, the anchor and an
+    integral that does not converge take the float path; where any v of a
+    batch fails, the float path runs over the array in order and raises
+    what a scan of it raises.
     """
     lo, hi = domain_bound(K_inf, r0)
     if not math.isfinite(c1_shift):
@@ -314,17 +314,16 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
     def integrals(v):
         """theta and c at a float v: one QUADPACK call each."""
         # square-root substitution where 1 - r'^2 vanishes at a domain end
-        _check_domain(v, domain, name)
+        v = _check_domain(v, domain, name)
         theta = integrate_with_boundary(theta_rate, anchor, v, domain, THETA_C_TOL)
         c = integrate_with_boundary(c_rate, anchor, v, domain, THETA_C_TOL)
         return theta, c
 
     def batch_integrals(vs):
-        """integrals(v) at each float of the list vs, as two arrays: QUADPACK's first step for all of
-        them in numpy, then QUADPACK itself where that step does not settle, on a split path and at
-        the anchor."""
-        v = np.array(vs)
-        _check_domain(v, domain, name)
+        """integrals(v) at each float of the list vs, as two arrays: QUADPACK for all of them at once
+        (quadrature.integrate_batch), and the float path where that does not converge, on a split
+        path and at the anchor."""
+        v = _check_domain(np.array(vs), domain, name)
         a, b = np.minimum(v, anchor), np.maximum(v, anchor)  # the path, as integrate_with_boundary orders it
         near_lo = np.zeros(len(v), dtype=bool) | _in_window(a - lo_s, lo_s)
         near_hi = np.zeros(len(v), dtype=bool) | _in_window(hi_s - b, hi_s)
@@ -332,16 +331,16 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
         x0, x1 = a.copy(), b.copy()
         x0[lower], x1[lower] = np.sqrt(a[lower] - lo_s), np.sqrt(b[lower] - lo_s)
         x0[upper], x1[upper] = np.sqrt(hi_s - b[upper]), np.sqrt(hi_s - a[upper])
-        clear = np.minimum(a - lo_s, hi_s - b) >= _FIRST_STEP_EDGE * (b - a)
-        rows = np.flatnonzero((lower | upper | clear) & ~(near_lo & near_hi) & (x0 < x1) & np.isfinite(x1))
+        rows = np.flatnonzero(~(near_lo & near_hi) & (x0 < x1) & np.isfinite(x1))
         lower, upper = lower[rows], upper[rows]
-        window = lower | upper
 
-        def rates(s):
-            """theta' and c' at the nodes s, in s = sqrt(t - lo) or sqrt(hi - t) on a window's rows."""
+        def rates(s, paths):
+            """theta' and c' at the nodes s of the paths, in s = sqrt(t - lo) or sqrt(hi - t) on a window's rows."""
+            low, up = lower[paths], upper[paths]
+            window = low | up
             t = s.copy()
-            t[lower] = lo_s + s[lower] * s[lower]
-            t[upper] = hi_s - s[upper] * s[upper]
+            t[low] = lo_s + s[low] * s[low]
+            t[up] = hi_s - s[up] * s[up]
             pair = _integrands(r, A, t)
             for derivative in pair:
                 derivative[window] *= 2.0 * s[window]
@@ -351,12 +350,13 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
         settled = np.zeros((2, len(v)), dtype=bool)
         if rows.size:
             flip = v[rows] < anchor
-            for k, (result, _, accepted) in enumerate(kronrod_first_step(rates, x0[rows], x1[rows], THETA_C_TOL)):
+            for k, (result, error, _) in enumerate(integrate_batch(rates, x0[rows], x1[rows], THETA_C_TOL)):
                 values[k, rows] = np.where(flip, -result, result)
-                settled[k, rows] = accepted & np.isfinite(result)
+                settled[k, rows] = converged(result, error, THETA_C_TOL)
+        ends = v.tolist()
         for out, done, f in zip(values, settled, (theta_rate, c_rate)):
             for i in np.flatnonzero(~done).tolist():
-                out[i] = integrate_with_boundary(f, anchor, vs[i], domain, THETA_C_TOL)
+                out[i] = integrate_with_boundary(f, anchor, ends[i], domain, THETA_C_TOL)
         return values
 
     memo = _Memo()

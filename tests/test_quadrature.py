@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import helpers
 from h1geom.errors import DomainViolationError, QuadratureError
 from h1geom.batch import elementwise
-from h1geom.quadrature import BOUNDARY_WINDOW, MAX_SUBDIVISIONS, gauss_segments, integrate, kronrod_first_step
+from h1geom import quadrature
+from h1geom.quadrature import BOUNDARY_WINDOW, MAX_SUBDIVISIONS, converged, gauss_segments, integrate, integrate_batch
 
 KINDS = ("interior", "lower", "upper", "both")
 
@@ -230,16 +231,23 @@ def test_cubature_is_scipys_public_gk21_cubature(case, log_tol):
 
 
 # ---------------------------------------------------------------------------
-# integrate: one QUADPACK call, its status read without a warning
+# integrate: QUADPACK's dqagse, its status read from the error estimate
+
+
+def _quad(f, a, b, tol):
+    """scipy's quad as integrate runs dqagse: (value, error estimate, last, message or None)."""
+    from scipy.integrate import quad
+
+    value, estimate, info, *message = quad(f, a, b, epsabs=tol, epsrel=max(tol, 1e-13), limit=MAX_SUBDIVISIONS, full_output=1)
+    return value, estimate, info["last"], (message or [None])[0]
 
 
 def test_integrate_at_the_subdivision_limit_raises_naming_its_interval():
-    from scipy.integrate import quad
-
     def f(t):
         return math.cos(1e5 * t)
 
-    *_, message = quad(f, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=MAX_SUBDIVISIONS, full_output=1)
+    *_, last, message = _quad(f, 0.0, 1.0, 1e-10)
+    assert last == MAX_SUBDIVISIONS
     assert message.startswith(f"The maximum number of subdivisions ({MAX_SUBDIVISIONS}) has been achieved")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -250,12 +258,10 @@ def test_integrate_at_the_subdivision_limit_raises_naming_its_interval():
 
 @pytest.mark.parametrize("a, b", [(0.0, 2.0), (2.0, -1.5)])
 def test_integrate_is_scipy_quad_bit_for_bit(a, b):
-    from scipy.integrate import quad
-
     def f(t):
         return math.exp(-t * t) * math.cos(3.0 * t)
 
-    expected = quad(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=MAX_SUBDIVISIONS)[0]
+    expected = _quad(f, a, b, 1e-10)[0]
     assert integrate(f, a, b, 1e-10).hex() == expected.hex()
 
 
@@ -272,12 +278,35 @@ def test_integrate_passes_on_an_integrand_error_unchanged():
     assert info.value is error
 
 
-# ---------------------------------------------------------------------------
-# kronrod_first_step: QUADPACK's first qk21 step, for many intervals at once
+@pytest.mark.parametrize("fails_at", [1, 2, 12, 21, 22, 60, 107])
+def test_integrate_calls_its_integrand_at_quads_nodes_and_fails_at_the_same_one(fails_at):
+    # QUADPACK's node order: each qk21 takes the centre, then -/+ hlgth xgk(j) for j = 2, 4, ..., 10 and
+    # j = 1, 3, ..., 9, and a bisection takes the left half first; the integrand's exception ends both runs
+    def run(integral):
+        nodes = []
 
-# (float integrand for quad, array integrand for the step, half-width of the t range): the same
+        def f(t):
+            nodes.append(t)
+            if len(nodes) == fails_at:
+                raise DomainViolationError(f"node {len(nodes)}")
+            return math.sqrt(abs(t - 0.3))
+
+        with pytest.raises(DomainViolationError) as info:
+            integral(f)
+        return nodes, str(info.value)
+
+    theirs = run(lambda f: _quad(f, 0.0, 1.0, 1e-10))
+    assert len(theirs[0]) == fails_at and theirs[1] == f"node {fails_at}"
+    ours = run(lambda f: integrate(f, 0.0, 1.0, 1e-10))
+    assert list(map(_bits, ours[0])) == list(map(_bits, theirs[0])) and ours[1] == theirs[1]
+
+
+# ---------------------------------------------------------------------------
+# integrate_batch: dqagse for many integrals at once, and the first round, QUADPACK's first qk21 step
+
+# (float integrand for quad, array integrand for the batch, half-width of the t range): the same
 # operations on floats and on arrays.  Far from 0 a width of 1e-12 spans a few ulps of t, where qk21's
-# error estimate is rounding noise and can equal its resasc, a case qagse refuses.
+# error estimate is rounding noise and can equal its resasc, a case dqagse does not accept at once.
 SIMPLE_INTEGRANDS = {
     "zero": (lambda t: 0.0, lambda t: np.zeros(t.shape), 1e3),
     "constant": (lambda t: 3.7, lambda t: np.full(t.shape, 3.7), 1e3),
@@ -336,47 +365,194 @@ def _step_cases(draw):
     return g, g, draw(_intervals(0.0, math.sqrt(hi - lo)))
 
 
-def _assert_first_step_is_quads(scalar, array, a, b, tol):
-    """The step's value and error estimate are quad's, and it accepts exactly where quad stops after
-    one step without a message."""
-    from scipy.integrate import quad
-
+def _batch(array, a, b, tol):
+    """integrate_batch over one integrand, and the integrand twice: the copy must not change a bit."""
     with np.errstate(all="ignore"):
-        ((result, error, accepted),) = kronrod_first_step(lambda x: (array(x),), a, b, tol)
+        ((values, errors, lasts),) = integrate_batch(lambda x, paths: (array(x),), a, b, tol)
+        for again in integrate_batch(lambda x, paths: (array(x), array(x)), a, b, tol):
+            assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(again, (values, errors, lasts)))
+    return values, errors, lasts
+
+
+def _assert_integrals_are_quads(scalar, array, a, b, tol):
+    """integrate_batch's and the float dqagse's value, error estimate and last are quad's bit for bit,
+    and integrate raises QuadratureError exactly where integrate's check refuses quad's result."""
+    values, errors, lasts = _batch(array, a, b, tol)
     for i, (x0, x1) in enumerate(zip(a.tolist(), b.tolist())):
-        value, estimate, info, *message = quad(scalar, x0, x1, epsabs=tol, epsrel=max(tol, 1e-13), limit=MAX_SUBDIVISIONS, full_output=1)
-        assert bool(accepted[i]) == (info["last"] == 1 and not message), (x0, x1)
-        if info["last"] == 1:
-            assert (_bits(result[i]), _bits(error[i])) == (_bits(value), _bits(estimate)), (x0, x1)
+        value, estimate, last, _ = _quad(scalar, x0, x1, tol)
+        expected = (_bits(value), _bits(estimate), last)
+        assert (_bits(values[i]), _bits(errors[i]), int(lasts[i])) == expected, (x0, x1)
+        ours = quadrature._dqagse(scalar, x0, x1, tol)
+        assert (_bits(ours[0]), _bits(ours[1]), ours[2]) == expected, (x0, x1)
+        refused = not math.isfinite(value) or estimate > max(100.0 * tol, 1e-8 * abs(value))
+        assert bool(converged(values[i], errors[i], tol)) is not refused
+        if refused:
+            with pytest.raises(QuadratureError, match="did not converge"):
+                integrate(scalar, x0, x1, tol)
+        elif x0 != x1:
+            assert _bits(integrate(scalar, x0, x1, tol)) == _bits(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_cases(), st.sampled_from([1e-10, 1e-12, 1e-14]))
+def test_integrals_are_quads_bit_for_bit(case, tol):
+    # this also guards against a scipy whose QUADPACK differs
+    scalar, array, paths = case
+    _assert_integrals_are_quads(scalar, array, *(np.array(ends) for ends in zip(*paths)), tol)
+
+
+def _seeded_intervals(name, reach, count):
+    rng = np.random.default_rng(sorted(SIMPLE_INTEGRANDS).index(name))
+    start, width, flip = rng.uniform(-reach, reach, count), 10.0 ** rng.uniform(-12.0, 1.0, count), rng.random(count) < 0.5
+    return np.where(flip, start + width, start), np.where(flip, start, start + width)
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLE_INTEGRANDS))
+def test_integrals_are_quads_on_a_fixed_sample(name):
+    scalar, array, reach = SIMPLE_INTEGRANDS[name]
+    _assert_integrals_are_quads(scalar, array, *_seeded_intervals(name, reach, 500), 1e-10)
+
+
+def _power_or_zero(c, p):
+    return lambda t: abs(t - c) ** p if t != c else 0.0
+
+
+def _hard(name, rng):
+    """One seeded (f, a, b) of a kind that subdivides far: singular integrands reach dqelg's
+    extrapolation, oscillatory ones on wide intervals QUADPACK's roundoff exit (ier = 2) and its limit of
+    MAX_SUBDIVISIONS intervals, steps give error estimates that tie in dqpsrt's order, and an odd
+    singularity on a nearly symmetric interval a value near 0 where dqelg's irregularity test decides.
+    A NaN or an infinity at one node takes QUADPACK's comparisons where they are false both ways."""
+    c, w, h = rng.uniform(-1.0, 1.0), rng.uniform(1.0, 60.0), 10.0 ** rng.uniform(-1.0, 1.0)
+    a = rng.uniform(-2.0, 0.0)
+    b = a + 10.0 ** rng.uniform(-1.0, 0.6)
+    near = c + h * (1.0 + 10.0 ** rng.uniform(-8.0, -1.0) * rng.choice([-1.0, 1.0]))
+    if name == "x^-0.9":
+        return _power_or_zero(c, -0.9), a, b
+    if name == "log|x-c|":
+        return (lambda t: math.log(abs(t - c)) if t != c else 0.0), a, b
+    if name == "|x-c|^0.3 + sin wx":
+        return (lambda t: _power_or_zero(c, 0.3)(t) + math.sin(w * t)), a, b
+    if name == "sin 50t":
+        return (lambda t: math.sin(50.0 * t)), -60.0 * abs(c), 60.0 * h
+    if name == "floor(kt) mod 2":
+        k = float(rng.integers(2, 12))
+        return (lambda t: math.floor(k * t) % 2.0), 0.0, h
+    if name == "sign(t-c)":
+        return (lambda t: 1.0 if t > c else -1.0), c - h, near
+    if name == "NaN or inf at a node":
+        bad = (math.nan, math.inf, -math.inf)[int(rng.integers(3))]
+        level = int(rng.integers(0, 6))
+        point = (int(rng.integers(0, 2**level)) + 0.5) / 2**level  # the centre of a dyadic interval of [0, 1]
+        return (lambda t: bad if t == point else math.sqrt(abs(t - c))), 0.0, 1.0
+    p = rng.uniform(-0.95, 0.5)  # "odd |t-c|^p"
+    return (lambda t: math.copysign(abs(t - c) ** p, t - c) if t != c else 0.0), c - h, near
+
+
+# kind: seeded cases; on these, dqpsrt's <= and < and >= each made strict or loose, dqelg's
+# irregularity bound 1e-4 as 1e-3, the final sum over rlist in reverse order, dqagse's extrapolation
+# test written as abseps < abserr (false on NaN) and numpy's NaN-propagating maximum each fail somewhere
+HARD_INTEGRANDS = {
+    "x^-0.9": 25, "log|x-c|": 25, "|x-c|^0.3 + sin wx": 25, "sin 50t": 25,
+    "floor(kt) mod 2": 100, "sign(t-c)": 60, "odd |t-c|^p": 120, "NaN or inf at a node": 40,
+}
+
+
+def _hard_cases(name):
+    rng = np.random.default_rng(list(HARD_INTEGRANDS).index(name))
+    for _ in range(HARD_INTEGRANDS[name]):
+        f, a, b = _hard(name, rng)
+        yield f, a, b, 10.0 ** rng.uniform(-14.0, -6.0)
+
+
+@pytest.mark.parametrize("name", list(HARD_INTEGRANDS))
+def test_integrals_that_subdivide_are_quads(name):
+    # in both orientations: quad integrates a reversed interval forwards and negates the value
+    for f, a, b, tol in _hard_cases(name):
+        _assert_integrals_are_quads(f, lambda t: elementwise(f, t), np.array([a, b]), np.array([b, a]), tol)
+
+
+def test_opposite_infinities_in_the_first_step_stop_it_as_quad_does():
+    # qk21's result is inf - inf = NaN with an infinite error, and dqagse's error bound max(epsabs, epsrel |NaN|)
+    # is epsabs, so its roundoff test stops after one step (ier = 2); a NaN bound would subdivide
+    def f(t):
+        return math.inf if t > 0.9 else -math.inf if t < 0.1 else t
+
+    _assert_integrals_are_quads(f, lambda t: elementwise(f, t), np.array([0.0, 1.0]), np.array([1.0, 0.0]), 1e-10)
+    assert _quad(f, 0.0, 1.0, 1e-10)[2] == 1
+
+
+def test_the_hard_sample_reaches_extrapolation_roundoff_and_the_limit():
+    # the sample above is only as strong as the exits it reaches: dqelg, ier = 2 and MAX_SUBDIVISIONS
+    calls, messages, lasts = [], [], []
+    original = quadrature._Subdivision._dqelg
+
+    def counted(self):
+        calls.append(self.numrl2)
+        return original(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature._Subdivision, "_dqelg", counted)
+        for name in HARD_INTEGRANDS:
+            for f, a, b, tol in _hard_cases(name):
+                quadrature._dqagse(f, a, b, tol)
+                *_, last, message = _quad(f, a, b, tol)
+                messages.append(message or "")
+                lasts.append(last)
+    assert len(calls) > 100 and max(calls) >= 5
+    assert any(m.startswith("The occurrence of roundoff error") for m in messages), set(messages)
+    assert MAX_SUBDIVISIONS in lasts and max(x for x in lasts if x < MAX_SUBDIVISIONS) > 30
+
+
+def _assert_first_round_is_quads(scalar, array, a, b, tol):
+    """integrate_batch's first round settles an integral (last = 1) exactly where quad stops after its
+    first qk21 step, and with quad's value and error estimate."""
+    values, errors, lasts = _batch(array, a, b, tol)
+    for i, (x0, x1) in enumerate(zip(a.tolist(), b.tolist())):
+        value, estimate, last, _ = _quad(scalar, x0, x1, tol)
+        assert (lasts[i] == 1) == (last == 1), (x0, x1)
+        if last == 1:
+            assert (_bits(values[i]), _bits(errors[i])) == (_bits(value), _bits(estimate)), (x0, x1)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_step_cases(), st.sampled_from([1e-10, 1e-12, 1e-14]))
 def test_kronrod_first_step_is_quads_first_step_bit_for_bit(case, tol):
-    # this also guards against a scipy whose QUADPACK differs
     scalar, array, paths = case
-    _assert_first_step_is_quads(scalar, array, *(np.array(ends) for ends in zip(*paths)), tol)
+    _assert_first_round_is_quads(scalar, array, *(np.array(ends) for ends in zip(*paths)), tol)
 
 
 @pytest.mark.parametrize("name", sorted(SIMPLE_INTEGRANDS))
 def test_kronrod_first_step_is_quads_first_step_on_a_fixed_sample(name):
     # 500 seeded intervals per integrand: on these, a swapped weight, qk21's resabs in place of its
-    # resasc in qagse's test, and numpy's ** 1.5 in place of libm pow each fail somewhere
+    # resasc in dqagse's test, and numpy's ** 1.5 in place of libm pow each fail somewhere
     scalar, array, reach = SIMPLE_INTEGRANDS[name]
-    rng = np.random.default_rng(sorted(SIMPLE_INTEGRANDS).index(name))
-    start, width, flip = rng.uniform(-reach, reach, 500), 10.0 ** rng.uniform(-12.0, 1.0, 500), rng.random(500) < 0.5
-    a, b = np.where(flip, start + width, start), np.where(flip, start, start + width)
-    _assert_first_step_is_quads(scalar, array, a, b, 1e-10)
+    _assert_first_round_is_quads(scalar, array, *_seeded_intervals(name, reach, 500), 1e-10)
 
 
 def test_kronrod_first_step_runs_every_integrand_over_one_node_array():
     calls = []
 
-    def f(x):
-        calls.append(x.copy())
+    def f(x, paths):
+        calls.append((x.copy(), paths.tolist()))
         return np.ones(x.shape), x
 
-    steps = kronrod_first_step(f, np.array([0.0, 3.0]), np.array([2.0, 1.0]))
-    assert len(calls) == 1 and calls[0].shape == (2, 21)
-    assert calls[0][:, 0].tolist() == [1.0, 2.0]
-    assert [result.tolist() for result, _, _ in steps] == [[2.0, -2.0], [2.0, -4.0]]
+    integrals = integrate_batch(f, np.array([0.0, 3.0]), np.array([2.0, 1.0]))
+    assert len(calls) == 1 and calls[0][0].shape == (2, 21) and calls[0][1] == [0, 1]
+    assert calls[0][0][:, 0].tolist() == [1.0, 2.0]
+    assert [values.tolist() for values, _, _ in integrals] == [[2.0, -2.0], [2.0, -4.0]]
+    assert [lasts.tolist() for _, _, lasts in integrals] == [[1, 1], [1, 1]]
+
+
+def test_integrate_batch_bisects_an_interval_two_integrands_share_once():
+    # theta' and c' of one path bisect the same intervals until their error estimates part
+    calls = []
+
+    def f(x, paths):
+        calls.append(paths.tolist())
+        return np.sqrt(np.abs(x - 0.3)), 2.0 * np.sqrt(np.abs(x - 0.3))
+
+    (values, _, lasts), (doubled, _, doubled_lasts) = integrate_batch(f, np.array([0.0]), np.array([1.0]))
+    assert lasts.tolist() == doubled_lasts.tolist() and lasts[0] > 2
+    assert [len(paths) for paths in calls] == [1] + [2] * (lasts[0] - 1)
+    assert _bits(values[0]) == _bits(_quad(lambda t: math.sqrt(abs(t - 0.3)), 0.0, 1.0, 1e-10)[0])

@@ -509,6 +509,21 @@ def test_theta_c_on_an_array_is_the_float_path_bit_for_bit(point):
     _assert_theta_c_array_is_floats(functools.partial(family_profile, K, r0, c1_shift), vs)
 
 
+@pytest.mark.parametrize("K, r0, c1_shift", [(1.531504941224636, 1.90625, 1.0), (-1.0, 1.0, 0.0), (0.0, 1.0, 0.0)])
+def test_theta_c_just_past_a_bound_is_theta_c_at_the_bound(K, r0, c1_shift):
+    # the domain check admits v up to 1e-12 relative past a bound, where sqrt(hi - v) of the
+    # square-root substitution would take a negative argument: such a v integrates to the bound
+    lo, hi = family_profile(K, r0, c1_shift).domain
+    for bound, step in ((lo, -math.inf), (hi, math.inf)):
+        if not math.isfinite(bound):
+            continue
+        past = math.nextafter(math.nextafter(bound, step), step)
+        expected = _theta_c_bits([family_profile(K, r0, c1_shift).theta_c(bound)])
+        assert _theta_c_bits([family_profile(K, r0, c1_shift).theta_c(past)]) == expected
+        theta, c = family_profile(K, r0, c1_shift).theta_c(np.array([past]))
+        assert _theta_c_bits(zip(theta.tolist(), c.tolist())) == expected
+
+
 @pytest.mark.parametrize("K", [1.0, -1.0])
 def test_theta_c_on_an_array_on_a_domain_narrower_than_the_boundary_window(K):
     # every path from the anchor 0 lies in both windows: split at the domain's midpoint or not
@@ -879,34 +894,34 @@ def test_theta_c_cache_is_bounded(monkeypatch):
 
 
 def test_mesh_rows_rotation_chart_and_sampler_share_theta_c(monkeypatch):
-    # each distinct v is integrated once per profile: one row of the numpy first step, and
-    # QUADPACK at most once per integral; the sampler's start and a second jet2 integrate nothing
-    profiles, step_rows, calls = [], [], []
-    make, step, integrate = rotsurf.family_profile, rotsurf.kronrod_first_step, rotsurf.integrate_with_boundary
+    # each distinct v is integrated once per profile: one path of the batched QUADPACK, and the
+    # float path at most once per integral; the sampler's start and a second jet2 integrate nothing
+    profiles, batch_paths, calls = [], [], []
+    make, batch, integrate = rotsurf.family_profile, rotsurf.integrate_batch, rotsurf.integrate_with_boundary
     monkeypatch.setattr(rotsurf, "family_profile", lambda *args: profiles.append(make(*args)) or profiles[-1])
-    monkeypatch.setattr(rotsurf, "kronrod_first_step", lambda f, a, b, tol: step_rows.extend(a.tolist()) or step(f, a, b, tol))
+    monkeypatch.setattr(rotsurf, "integrate_batch", lambda f, a, b, tol: batch_paths.extend(a.tolist()) or batch(f, a, b, tol))
     monkeypatch.setattr(rotsurf, "integrate_with_boundary", lambda *args: calls.append(args[:3:2]) or integrate(*args))
 
     def integrated(profile, hits, misses):
         info = profile.theta_c.cache_info()
         assert (info.hits, info.misses) == (hits, misses)
-        assert len(step_rows) <= misses and len(set(calls)) == len(calls)
+        assert len(batch_paths) <= misses and len(set(calls)) == len(calls)
         assert len({v for _, v in calls}) <= misses
 
     build_mesh(RotationSurfaceSpec(K_inf=-1.0, samples_u=8, samples_v=20, n_curves=0))
     integrated(profiles[-1], 0, 20)
-    step_rows.clear(), calls.clear()
+    batch_paths.clear(), calls.clear()
     build_mesh(RotationSurfaceSpec(K_inf=-1.0, samples_u=8, samples_v=20, n_curves=3))
     integrated(profiles[-1], 1, 20)  # the sampler starts from the first row's theta and c
-    step_rows.clear(), calls.clear()
+    batch_paths.clear(), calls.clear()
     profile = rotsurf.family_profile(1.0, 1.0)
     patch = rotation_patch(profile, (-0.5, 0.5))
     v = np.array([-0.5, 0.1, 0.1, 0.5])
     patch.jet2(np.zeros(4), v)
     integrated(profile, 0, 3)
-    rows, taken = len(step_rows), len(calls)
+    rows, taken = len(batch_paths), len(calls)
     monkeypatch.setattr(rotsurf, "CHORD_E3_RATIO", 1e-6)
     sample_generating_curve(profile, -0.5, 0.5)
     patch.jet2(np.ones(4), v)
     integrated(profile, 1 + 3, 3)
-    assert (len(step_rows), len(calls)) == (rows, taken)
+    assert (len(batch_paths), len(calls)) == (rows, taken)
