@@ -25,7 +25,9 @@ in each, every job runs in one tree and then in the other, the tree that
 goes first alternating from job to job and, for each job, from pass to
 pass, for N passes.  Per workload it
 prints how many passes the new tree took less time on, the median ratio
-of pass times (new over old) and each tree's ``job_p90_s`` (bench's
+of pass times (new over old), each tree's pass-time quartiles (first,
+median, third: a gain claimed from the medians should exceed the old
+tree's interquartile range) and each tree's ``job_p90_s`` (bench's
 nearest-rank 90th percentile over every job execution).  Both trees see
 the same machine state at almost the same moment, so drifts of the
 machine's speed, which can move separate runs of one tree by more than
@@ -135,6 +137,12 @@ def serve(seeds) -> None:
         print(json.dumps([code, wall]), flush=True)
 
 
+def _quartiles(values) -> list[float]:
+    """First quartile, median and third quartile, interpolated between the sorted values."""
+    values = list(values)
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+
+
 def lockstep(trees, seeds, passes: int, dirs) -> None:
     """Time every job of each workload in both trees in lockstep and print one line per workload."""
     import measure
@@ -165,9 +173,11 @@ def lockstep(trees, seeds, passes: int, dirs) -> None:
                     pass_times[side].append(totals[side])
             won = sum(new < old for old, new in zip(*pass_times))
             ratio = statistics.median(new / old for old, new in zip(*pass_times))
+            quartiles = ["/".join(f"{q:.4f}" for q in _quartiles(times)) for times in pass_times]
             p90 = [measure.percentile(w, measure.TAIL_PERCENTILE) for w in walls]
             print(
                 f"{workload}: new faster in {won} of {passes} passes, median pass time ratio new/old {ratio:.3f}, "
+                f"pass time s q1/median/q3 old {quartiles[0]} new {quartiles[1]}, "
                 f"job_p90_s old {p90[0]:.5f} new {p90[1]:.5f}"
             )
     finally:

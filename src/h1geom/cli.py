@@ -64,6 +64,14 @@ def _load_config(path) -> dict:
     return cfg
 
 
+def _write(writer, path, *args, **kwargs) -> None:
+    """writer(path, *args, **kwargs); a path that cannot be written is a config error."""
+    try:
+        writer(path, *args, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
+
+
 def _parse_floats(text, n, what):
     parts = [p for p in str(text).replace(";", ",").split(",") if p.strip()]
     if n is not None and len(parts) != n:
@@ -191,16 +199,11 @@ def cmd_rotsurf(args) -> int:
     mesh = build_mesh(spec)
     effective = {"command": "rotsurf", **dataclasses.asdict(spec), "v_range": list(spec.resolved_v_range())}
     prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+    _write(Path.mkdir, prefix.parent, parents=True, exist_ok=True)
     obj_path = prefix.with_suffix(".obj")
-    write_obj(obj_path, mesh, effective)
+    _write(write_obj, obj_path, mesh, effective)
     csv_path = prefix.parent / (prefix.name + "_profile.csv")
-    write_csv(
-        csv_path,
-        ["t", "r", "r_prime", "theta", "c", "A"],
-        mesh.profile_rows,
-        effective,
-    )
+    _write(write_csv, csv_path, ["t", "r", "r_prime", "theta", "c", "A"], mesh.profile_rows, effective)
     print(f"wrote {obj_path} and {csv_path}")
     return EXIT_OK
 
@@ -275,7 +278,7 @@ def cmd_curvature(args) -> int:
 
     rows = _grid_rows(patch, *grid, values)
     flagged = int(rows[:, -1].sum())
-    write_csv(args.out, columns, rows, effective)
+    _write(write_csv, args.out, columns, rows, effective)
     print(f"wrote {args.out} ({len(rows)} rows, {flagged} characteristic)")
     return EXIT_OK
 
@@ -295,7 +298,7 @@ def cmd_frames(args) -> int:
         ]
 
     rows = _grid_rows(patch, *grid, values)
-    write_csv(args.out, columns, rows, effective)
+    _write(write_csv, args.out, columns, rows, effective)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -367,7 +370,7 @@ def cmd_gauss_bonnet(args) -> int:
     report = gb_residual(patch, region)
     payload = dataclasses.asdict(report)
     payload.update(threshold=threshold, within_threshold=abs(report.residual) <= threshold)
-    write_json_report(args.out, payload, effective)
+    _write(write_json_report, args.out, payload, effective)
     print(
         f"area {report.area_integral:.12g}  boundary {report.boundary_integral:.12g}  "
         f"residual {report.residual:.3e} (threshold {threshold:g})"
@@ -428,7 +431,7 @@ def cmd_converge(args) -> int:
         f"slope_sigma_L {result.slope_sigma}",
         f"slope_K_L_sigma_L {result.slope_K_L_sigma}",
     ]
-    write_csv(args.out, columns, rows, effective, footer_comments=footer)
+    _write(write_csv, args.out, columns, rows, effective, footer_comments=footer)
     print(f"wrote {args.out}")
     return EXIT_OK
 

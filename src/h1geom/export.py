@@ -4,12 +4,19 @@ Every file carries the tool version and a hash of the effective
 configuration in its header, and floats print with 17 significant
 digits so doubles round-trip losslessly.  Identical configurations
 produce byte-identical files.
+
+Both cell kinds are rendered in numpy, a chunk of cells at a time, into
+fixed slots that one compaction packs: floats ('%.17g', the CSV cells and
+OBJ vertices) by a double-double rounding, integers ('%d', the OBJ face
+and polyline indices) from a table of 4-digit groups.  Either gives the
+bytes of Python's '%' and leaves a line it cannot render to '%' itself.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -171,17 +178,41 @@ def _render(cells: np.ndarray):
 
 
 def _percent(line: str, rows) -> bytes:
-    """One line per row formatted by '%', the exact reference of _block."""
+    """One line per row formatted by '%', the exact reference of _lines."""
     return ((line * len(rows)) % tuple(rows.ravel().tolist())).encode()
+
+
+def _lines(line: str, rows: np.ndarray, slots_of) -> list:
+    """line % row for each row of a 2-d array, as pieces of bytes.
+
+    slots_of(chunk) gives the text of a chunk of rows as words, NUL in every
+    byte a row does not use, and the list of rows it cannot render.
+    Chunks of _CHUNK_CELLS cells (at least one row) are rendered at a time,
+    so temporaries stay small; one compaction per run of rendered rows drops
+    the NULs, and each row left over is formatted by _percent.  No piece is
+    empty.
+    """
+    step = max(1, _CHUNK_CELLS // max(rows.shape[1], 1))
+    out = []
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        slots, left = slots_of(chunk)
+        text = slots.view(np.uint8).reshape(len(chunk), -1)
+        for begin, end in zip([0] + [row + 1 for row in left], left + [len(chunk)]):
+            if begin < end:
+                run = text[begin:end]
+                out.append(run[run != 0].tobytes())
+            if end < len(chunk):
+                out.append(_percent(line, chunk[end : end + 1]))
+    return out
 
 
 def _block(line: str, rows: np.ndarray) -> bytes:
     """line % row for each row of a float array; line's conversions are all %.17g.
 
-    Cells are rendered by _render, _CHUNK_CELLS at a time, each slot
-    carrying the literal text before it (and the last one the text after
-    it); one compaction drops the NUL padding.  A line with a cell _render
-    cannot decide is formatted by _percent.
+    Each cell's slot (layout above) carries the literal text before it, and
+    the last one the text after it.  A line with a cell _render cannot
+    decide is formatted by _percent.
     """
     pieces = [piece.encode() for piece in line.split("%.17g")]
     ncols = len(pieces) - 1
@@ -190,21 +221,77 @@ def _block(line: str, rows: np.ndarray) -> bytes:
     before = np.array([_word(piece) for piece in pieces[:-1]], np.uint64)
     after = np.zeros(ncols, np.uint64)
     after[-1] = _word(pieces[-1], 7)
-    step = max(1, _CHUNK_CELLS // ncols)
-    out = []
-    for start in range(0, len(rows), step):
-        chunk = rows[start : start + step]
+
+    def slots_of(chunk):
         slots, undecided = _render(chunk.ravel())
         slots = slots.reshape(len(chunk), ncols, 4)
         slots[:, :, 0] |= before
         slots[:, :, 3] |= after
-        text = slots.view(np.uint8).reshape(len(chunk), -1)
-        left = np.flatnonzero(undecided.reshape(len(chunk), ncols).any(axis=1)).tolist()
-        for begin, end in zip([0] + [row + 1 for row in left], left + [len(chunk)]):
-            run = text[begin:end]
-            out.append(run[run != 0].tobytes())
-            if end < len(chunk):
-                out.append(_percent(line, chunk[end : end + 1]))
+        return slots, np.flatnonzero(undecided.reshape(len(chunk), ncols).any(axis=1)).tolist()
+
+    return b"".join(_lines(line, rows, slots_of))
+
+
+# --- The %d renderer ----------------------------------------------------
+#
+# A cell n in [0, 10**7) is laid out in one word: byte 0 the ' ' before
+# it, bytes 1-7 '%7d' % n with NUL for the blanks.  With hi = n // 10**4,
+# high[hi] holds the ' ' and bytes 1-3, and low the last four digits in bytes
+# 4-7: '%4d' % n at low[n] if hi = 0, '%04d' % (n % 10**4) at
+# low[10**4 + n % 10**4] otherwise, that is at n - offset[hi].  A row with a
+# cell outside [0, 10**7) is left to '%'.
+
+_INT_LIMIT = 10**7
+
+
+@functools.cache
+def _int_tables():
+    """(high, offset, low) of the %d renderer, built on first use."""
+    g = np.arange(10**4, dtype=np.uint64)
+
+    def digits(width, least):
+        """The last `width` digits of g, digit j from the right in byte 7 - j; NUL for the leading
+        zeros, except in the last `least` bytes."""
+        return sum(
+            np.where((g >= 10**j) | (j < least), (g // 10**j % 10 + ord("0")) << 8 * (7 - j), 0) for j in range(width)
+        )
+
+    high = _word(b" ") | digits(3, 0)[:1000] >> 32  # no digit for hi = 0
+    low = np.concatenate([digits(4, 1), digits(4, 4)])
+    return high, np.maximum(np.arange(1000) - 1, 0) * 10**4, low
+
+
+def _int_lines(head: str, rows: np.ndarray) -> bytes:
+    """head + ' '.join('%d' % cell) + '\\n' for each row of an integer array.
+
+    A row is laid out as the word '\\n' + head, then one word per cell, the
+    first without its ' '; the text of all rows, less its first byte, is
+    followed by the last '\\n'.  So an empty row is head + '\\n', and no
+    rows are no text.
+    """
+    high, offset, low = _int_tables()
+    ncols = rows.shape[1]
+    lead = _word(("\n" + head).encode())
+
+    def slots_of(chunk):
+        n = chunk.astype(np.int64, copy=False)
+        big = n.view(np.uint64) >= _INT_LIMIT  # True on a negative cell
+        left = np.flatnonzero(big.any(axis=1)).tolist() if big.any() else []
+        if left:
+            n = np.where(big, 0, n)
+        hi = n // 10**4
+        slots = np.empty((len(chunk), ncols + 1), np.uint64)
+        slots[:, 0] = lead
+        np.bitwise_or(high.take(hi), low.take(n - offset.take(hi)), out=slots[:, 1:])
+        if ncols:
+            slots[:, 1] &= ~np.uint64(0xFF)
+        return slots, left
+
+    out = _lines("\n" + head + " ".join(["%d"] * ncols), rows, slots_of)
+    if not out:
+        return b""
+    out[0] = out[0][1:]
+    out.append(b"\n")
     return b"".join(out)
 
 
@@ -212,12 +299,14 @@ def write_obj(path, mesh, config: dict) -> None:
     """OBJ with v vertices, f triangles, and l polylines for embedded curves."""
     points = np.concatenate([mesh.vertices, *mesh.polylines], dtype=float)
     parts = [f"# {_stamp(config)}\n".encode(), _block("v %.17g %.17g %.17g\n", points)]
-    parts.append(_percent("f %d %d %d\n", mesh.faces + 1))
-    offset = len(mesh.vertices)
-    for curve in mesh.polylines:
-        parts.append(("l " + " ".join(map(str, range(offset + 1, offset + 1 + len(curve)))) + "\n").encode())
-        offset += len(curve)
-    Path(path).write_bytes(b"".join(parts))
+    parts.append(_int_lines("f ", np.reshape(mesh.faces, (-1, 3)) + 1))
+    offset = len(mesh.vertices) + 1
+    for length, curves in itertools.groupby(map(len, mesh.polylines)):
+        count = len(list(curves))  # consecutive polylines of one length are one block
+        parts.append(_int_lines("l ", np.arange(offset, offset + count * length).reshape(count, length)))
+        offset += count * length
+    with open(path, "wb") as handle:
+        handle.writelines(parts)
 
 
 def write_csv(path, columns, rows, config: dict, footer_comments=()) -> None:

@@ -1325,3 +1325,23 @@ def test_every_public_function_is_run_by_the_cli_or_is_a_paper_formula(tmp_path,
     assert [name for name, f in sorted(public.items()) if f.__code__ not in ran and name not in PAPER_FORMULAS] == []
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert [name for name in PAPER_FORMULAS if not re.search(rf"`{name}\b", readme)] == []
+
+
+@pytest.mark.parametrize(
+    "argv, target, reason",
+    [
+        (["curvature", "--surface", "paraboloid", "--nu", "3", "--nv", "3", "--out"], "missing/x.csv", "No such file or directory"),
+        (["curvature", "--surface", "paraboloid", "--nu", "3", "--nv", "3", "--out"], "taken", "Is a directory"),
+        (["gauss-bonnet", "--preset", "band-k1", "--out"], "taken", "Is a directory"),
+        (["rotsurf", "--figure", "2", "--samples-u", "4", "--samples-v", "4", "--n-curves", "1", "--out-prefix"], "taken", "Is a directory"),
+    ],
+)
+def test_an_unwritable_output_path_is_a_config_error(tmp_path, capsys, argv, target, reason):
+    # `taken` is a directory, and so is `taken.obj`, the mesh file of the prefix `taken`
+    for name in ("taken", "taken.obj"):
+        (tmp_path / name).mkdir()
+    path = tmp_path / target
+    assert main(argv + [str(path)]) == 1
+    written = path.with_suffix(".obj") if argv[0] == "rotsurf" else path
+    assert capsys.readouterr().err == f"config error: cannot write {str(written)!r}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken", "taken.obj"]

@@ -3,9 +3,15 @@
 export._block renders float cells in numpy and leaves a line to '%' only
 when it cannot decide the rounding.  Its output must be the bytes of
 tests/helpers.py's writers, which format one cell at a time with fmt.
+export._int_lines renders the OBJ writer's '%d' cells, the face and
+polyline indices, from a digit table and is held to the same reference.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import helpers
@@ -117,3 +123,86 @@ def test_a_log10_one_ulp_off_still_gives_the_reference(tmp_path, direction, misj
     with mock.patch.object(np, "log10", lambda x: np.nextafter(log10(x), direction)):
         assert export._render(np.array(misjudged))[1].all()
         _assert_csv_matches(tmp_path, table)
+
+
+# --- OBJ faces and polylines: the %d renderer ---------------------------
+
+# each digit count's first and last index, and the rows it leaves to '%': 10**7 and -1
+INDICES = [0, *(n for d in range(1, 8) for n in (10**d - 1, 10**d) if n < 10**7)]
+LEFT = [10**7, -1]
+
+
+def _assert_mesh_matches(tmp_path, mesh):
+    write_obj(tmp_path / "block.obj", mesh, {"k": 1})
+    helpers.reference_write_obj(tmp_path / "lines.obj", mesh, {"k": 1})
+    written = (tmp_path / "block.obj").read_bytes()
+    assert written == (tmp_path / "lines.obj").read_bytes()
+    return written
+
+
+def _faces(indices, dtype=np.int64):
+    """Faces that print the given indices, three to a line."""
+    return (np.array(indices, dtype=dtype) - 1).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+@pytest.mark.parametrize("values", [INDICES, INDICES + LEFT], ids=["table", "table-and-left"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_face_indices_at_every_digit_count_boundary(tmp_path, seed, values, dtype):
+    rng = np.random.default_rng(seed)
+    indices = np.concatenate([rng.permutation(np.resize(values, 3 * len(values))), rng.choice(values, 300)])
+    mesh = Mesh(vertices=rng.standard_normal((4, 3)), faces=_faces(indices, dtype), polylines=[rng.standard_normal((2, 3))])
+    text = _assert_mesh_matches(tmp_path, mesh)
+    printed = [int(cell) for line in text.splitlines() if line.startswith(b"f ") for cell in line.split()[1:]]
+    assert printed == indices.tolist()
+
+
+def test_a_face_block_straddling_a_chunk_with_rows_left_first_last_and_alone(tmp_path):
+    step = export._CHUNK_CELLS // 3
+    indices = np.resize(INDICES, 3 * (step + 1)).reshape(-1, 3)
+    # first and last line of the first chunk, and the only line of the second
+    indices[0, 0], indices[step - 1, 1], indices[step, 2] = 10**7, -1, 10**7
+    mesh = Mesh(vertices=np.ones((3, 3)), faces=_faces(indices), polylines=[])
+    with mock.patch.object(export, "_percent", wraps=export._percent) as percent:
+        _assert_mesh_matches(tmp_path, mesh)
+    # '%' formats those three rows alone, every index below 10**7 included
+    assert [call.args[1].tolist() for call in percent.call_args_list] == [indices[[row]].tolist() for row in (0, step - 1, step)]
+
+
+def test_zero_faces_write_no_f_line(tmp_path):
+    mesh = Mesh(vertices=np.ones((3, 3)), faces=np.zeros((0, 3), np.int64), polylines=[np.ones((2, 3))])
+    assert b"\nf " not in _assert_mesh_matches(tmp_path, mesh)
+
+
+def test_empty_and_one_point_polylines(tmp_path):
+    rng = np.random.default_rng(3)
+    curves = [rng.standard_normal((n, 3)) for n in (0, 1, 0, 0, 3, 1, 1, 0)]
+    mesh = Mesh(vertices=rng.standard_normal((9, 3)), faces=_faces([1, 2, 3]), polylines=curves)
+    text = _assert_mesh_matches(tmp_path, mesh)
+    assert text.endswith(b"\nl \nl 10\nl \nl \nl 11 12 13\nl 14\nl 15\nl \n")
+
+
+def test_polylines_across_digit_counts_and_longer_than_a_chunk(tmp_path):
+    # 96..98, 99..108, 109..1008 and 1009..(10**4 + 8): one curve longer than _CHUNK_CELLS
+    rng = np.random.default_rng(4)
+    curves = [rng.standard_normal((n, 3)) for n in (3, 10, 900, 9000)]
+    assert 9000 > export._CHUNK_CELLS
+    mesh = Mesh(vertices=rng.standard_normal((95, 3)), faces=_faces([95, 1, 10]), polylines=curves)
+    _assert_mesh_matches(tmp_path, mesh)
+
+
+@pytest.mark.parametrize("start", [1, 999_990, 9_999_990, 2**31 - 10])
+def test_polyline_lines_are_percent_d_at_high_indices(start):
+    # the l lines' indices count on from the vertex count, too far here for a mesh in a test
+    rows = np.arange(start, start + 20).reshape(2, 10)
+    assert export._int_lines("l ", rows) == "".join("l " + " ".join(map(str, row)) + "\n" for row in rows.tolist()).encode()
+
+
+def test_a_fresh_import_builds_no_writer_table(tmp_path):
+    probe = "import h1geom.cli\nfrom h1geom import export\nprint(export._tables.cache_info().misses, export._int_tables.cache_info().misses)"
+    src = str(Path(export.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert run.stdout.split() == ["0", "0"], run.stderr
