@@ -27,8 +27,10 @@ pass, for N passes.  Per workload it
 prints how many passes the new tree took less time on, the median ratio
 of pass times (new over old), each tree's pass-time quartiles (first,
 median, third: a gain claimed from the medians should exceed the old
-tree's interquartile range) and each tree's ``job_p90_s`` (bench's
-nearest-rank 90th percentile over every job execution).  Both trees see
+tree's interquartile range), each tree's median CPU seconds per pass
+(``time.process_time``, so CPU spent in the kernel, such as a file
+system's work on a write, counts too) and each tree's ``job_p90_s``
+(bench's nearest-rank 90th percentile over every job execution).  Both trees see
 the same machine state at almost the same moment, so drifts of the
 machine's speed, which can move separate runs of one tree by more than
 the change under test, fall on both sides alike.  The exit status is the
@@ -125,7 +127,7 @@ def replay(tree: str, seeds, scratch: Path, mode: str = "--record") -> subproces
 
 
 def serve(seeds) -> None:
-    """Hold one bench Runner per workload; run each "WORKLOAD INDEX" line of stdin, answer its wall time."""
+    """Hold one bench Runner per workload; run each "WORKLOAD INDEX" line of stdin, answer its wall and CPU time."""
     import worker
     from h1geom import cli
 
@@ -133,8 +135,8 @@ def serve(seeds) -> None:
     for line in sys.stdin:
         workload, index = line.split()
         runner = runners[workload]
-        code, wall, _ = runner.execute(runner.argv[int(index)])
-        print(json.dumps([code, wall]), flush=True)
+        code, wall, cpu = runner.execute(runner.argv[int(index)])
+        print(json.dumps([code, wall, cpu]), flush=True)
 
 
 def _quartiles(values) -> list[float]:
@@ -149,10 +151,11 @@ def lockstep(trees, seeds, passes: int, dirs) -> None:
 
     procs = [replay(tree, seeds, work, "--serve") for tree, work in zip(trees, dirs)]
 
-    def run(side: int, workload: str, index: int) -> float:
+    def run(side: int, workload: str, index: int) -> list[float]:
+        """The job's wall and CPU seconds in one tree."""
         procs[side].stdin.write(f"{workload} {index}\n")
         procs[side].stdin.flush()
-        return json.loads(procs[side].stdout.readline())[1]
+        return json.loads(procs[side].stdout.readline())[1:]
 
     try:
         for workload in WORKLOADS:
@@ -160,17 +163,19 @@ def lockstep(trees, seeds, passes: int, dirs) -> None:
             for side in (0, 1):  # warm-up: lazy imports and first-call caches
                 for index in jobs:
                     run(side, workload, index)
-            pass_times, walls = ([], []), ([], [])
+            pass_times, pass_cpus, walls = ([], []), ([], []), ([], [])
             for number in range(passes):
-                totals = [0.0, 0.0]
+                totals, cpus = [0.0, 0.0], [0.0, 0.0]
                 for index in jobs:
                     first = (number + index) % 2  # alternates from job to job and, for each job, from pass to pass
                     for side in (first, 1 - first):
-                        wall = run(side, workload, index)
+                        wall, cpu = run(side, workload, index)
                         totals[side] += wall
+                        cpus[side] += cpu
                         walls[side].append(wall)
                 for side in (0, 1):
                     pass_times[side].append(totals[side])
+                    pass_cpus[side].append(cpus[side])
             won = sum(new < old for old, new in zip(*pass_times))
             ratio = statistics.median(new / old for old, new in zip(*pass_times))
             quartiles = ["/".join(f"{q:.4f}" for q in _quartiles(times)) for times in pass_times]
@@ -178,6 +183,7 @@ def lockstep(trees, seeds, passes: int, dirs) -> None:
             print(
                 f"{workload}: new faster in {won} of {passes} passes, median pass time ratio new/old {ratio:.3f}, "
                 f"pass time s q1/median/q3 old {quartiles[0]} new {quartiles[1]}, "
+                f"cpu s per pass median old {statistics.median(pass_cpus[0]):.4f} new {statistics.median(pass_cpus[1]):.4f}, "
                 f"job_p90_s old {p90[0]:.5f} new {p90[1]:.5f}"
             )
     finally:

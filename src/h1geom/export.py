@@ -10,6 +10,10 @@ fixed slots that one compaction packs: floats ('%.17g', the CSV cells and
 OBJ vertices) by a double-double rounding, integers ('%d', the OBJ face
 and polyline indices) from a table of 4-digit groups.  Either gives the
 bytes of Python's '%' and leaves a line it cannot render to '%' itself.
+
+Every writer hands its pieces to _save, which writes them in place and
+cuts the file at their end, so rewriting an output never truncates it
+first.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import functools
 import hashlib
 import itertools
 import json
-from pathlib import Path
+import os
+import stat
 
 import numpy as np
 
@@ -200,15 +205,14 @@ def _lines(line: str, rows: np.ndarray, slots_of) -> list:
         text = slots.view(np.uint8).reshape(len(chunk), -1)
         for begin, end in zip([0] + [row + 1 for row in left], left + [len(chunk)]):
             if begin < end:
-                run = text[begin:end]
-                out.append(run[run != 0].tobytes())
+                out.append(text[begin:end].tobytes().translate(None, b"\0"))
             if end < len(chunk):
                 out.append(_percent(line, chunk[end : end + 1]))
     return out
 
 
-def _block(line: str, rows: np.ndarray) -> bytes:
-    """line % row for each row of a float array; line's conversions are all %.17g.
+def _block(line: str, rows: np.ndarray) -> list:
+    """line % row for each row of a float array, as pieces of bytes; line's conversions are all %.17g.
 
     Each cell's slot (layout above) carries the literal text before it, and
     the last one the text after it.  A line with a cell _render cannot
@@ -227,9 +231,10 @@ def _block(line: str, rows: np.ndarray) -> bytes:
         slots = slots.reshape(len(chunk), ncols, 4)
         slots[:, :, 0] |= before
         slots[:, :, 3] |= after
-        return slots, np.flatnonzero(undecided.reshape(len(chunk), ncols).any(axis=1)).tolist()
+        left = np.flatnonzero(undecided.reshape(len(chunk), ncols).any(axis=1)).tolist() if undecided.any() else []
+        return slots, left
 
-    return b"".join(_lines(line, rows, slots_of))
+    return _lines(line, rows, slots_of)
 
 
 # --- The %d renderer ----------------------------------------------------
@@ -295,18 +300,35 @@ def _int_lines(head: str, rows: np.ndarray) -> bytes:
     return b"".join(out)
 
 
+def _save(path, parts) -> None:
+    """Write the byte strings of parts to path in place, and cut the file where they end.
+
+    Without O_TRUNC a rewrite writes over the old bytes and cuts the tail,
+    which costs far less than truncating to zero first.  A symlink at the
+    path is followed and a hard link sees the new bytes, as with "wb".  The
+    cut is made even when a part fails to come, so no stale tail is left;
+    a file that is not regular (/dev/null, a pipe) takes no truncate.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as handle:
+        try:
+            handle.writelines(parts)
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                handle.truncate()
+
+
 def write_obj(path, mesh, config: dict) -> None:
     """OBJ with v vertices, f triangles, and l polylines for embedded curves."""
     points = np.concatenate([mesh.vertices, *mesh.polylines], dtype=float)
-    parts = [f"# {_stamp(config)}\n".encode(), _block("v %.17g %.17g %.17g\n", points)]
+    parts = [f"# {_stamp(config)}\n".encode(), *_block("v %.17g %.17g %.17g\n", points)]
     parts.append(_int_lines("f ", np.reshape(mesh.faces, (-1, 3)) + 1))
     offset = len(mesh.vertices) + 1
     for length, curves in itertools.groupby(map(len, mesh.polylines)):
         count = len(list(curves))  # consecutive polylines of one length are one block
         parts.append(_int_lines("l ", np.arange(offset, offset + count * length).reshape(count, length)))
         offset += count * length
-    with open(path, "wb") as handle:
-        handle.writelines(parts)
+    _save(path, parts)
 
 
 def write_csv(path, columns, rows, config: dict, footer_comments=()) -> None:
@@ -318,10 +340,10 @@ def write_csv(path, columns, rows, config: dict, footer_comments=()) -> None:
     table = np.array(rows, dtype=float).reshape(len(rows), len(columns))
     head = f"# {_stamp(config)}\n" + ",".join(columns) + "\n"
     tail = "".join(f"# {comment}\n" for comment in footer_comments)
-    Path(path).write_bytes(head.encode() + _block(",".join(["%.17g"] * len(columns)) + "\n", table) + tail.encode())
+    _save(path, [head.encode(), *_block(",".join(["%.17g"] * len(columns)) + "\n", table), tail.encode()])
 
 
 def write_json_report(path, payload: dict, config: dict) -> None:
     body = {"tool": TOOL, "version": _version(), "config_sha256": config_hash(config)}
     body.update(payload)
-    Path(path).write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+    _save(path, [(json.dumps(body, indent=2, sort_keys=True) + "\n").encode()])

@@ -5,6 +5,9 @@ when it cannot decide the rounding.  Its output must be the bytes of
 tests/helpers.py's writers, which format one cell at a time with fmt.
 export._int_lines renders the OBJ writer's '%d' cells, the face and
 polyline indices, from a digit table and is held to the same reference.
+Every writer saves through export._save, which writes a file in place
+and cuts it where the new bytes end; the last tests pin what a rewrite
+leaves at the path.
 """
 
 import math
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from h1geom import export
-from h1geom.export import write_csv, write_obj
+from h1geom.export import write_csv, write_json_report, write_obj
 from h1geom.rotsurf import Mesh
 
 SETTINGS = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -206,3 +209,73 @@ def test_a_fresh_import_builds_no_writer_table(tmp_path):
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
     assert run.stdout.split() == ["0", "0"], run.stderr
+
+
+# --- Rewrites: export._save writes in place and cuts the file ------------
+
+
+def _mesh(n):
+    rng = np.random.default_rng(n)
+    faces = np.arange(n - n % 3).reshape(-1, 3)
+    return Mesh(vertices=rng.standard_normal((n, 3)), faces=faces, polylines=[rng.standard_normal((n, 3))])
+
+
+# each writer, given a path and a size n; a larger n writes a longer file
+WRITERS = {
+    "obj": lambda path, n: write_obj(path, _mesh(n), {"n": n}),
+    "csv": lambda path, n: write_csv(path, ["a", "b"], np.arange(2.0 * n).reshape(n, 2) / 7, {"n": n}, footer_comments=("end",)),
+    "json": lambda path, n: write_json_report(path, {"values": list(range(n))}, {"n": n}),
+}
+LONG, SHORT = 400, 4
+
+
+def _fresh(tmp_path, write):
+    write(tmp_path / "fresh", SHORT)
+    return (tmp_path / "fresh").read_bytes()
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+def test_a_shorter_rewrite_leaves_the_bytes_of_a_fresh_write(tmp_path, write):
+    path = tmp_path / "out"
+    write(path, LONG)
+    long = path.stat().st_size
+    write(path, SHORT)
+    assert path.read_bytes() == _fresh(tmp_path, write)
+    assert path.stat().st_size < long
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+def test_a_symlink_at_the_path_is_written_through_to_its_target(tmp_path, write):
+    target, link = tmp_path / "target", tmp_path / "link"
+    write(target, LONG)
+    link.symlink_to(target)
+    write(link, SHORT)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == _fresh(tmp_path, write)
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+def test_a_hard_link_to_the_path_sees_the_new_bytes(tmp_path, write):
+    path, other = tmp_path / "out", tmp_path / "other"
+    write(path, LONG)
+    os.link(path, other)
+    write(path, SHORT)
+    assert os.path.samefile(path, other)
+    assert other.read_bytes() == path.read_bytes() == _fresh(tmp_path, write)
+
+
+def test_saving_to_the_null_device_takes_no_truncate():
+    export._save(os.devnull, [b"text\n", b"more\n"])
+
+
+def test_a_write_that_fails_midway_leaves_the_bytes_written_and_no_stale_tail(tmp_path):
+    path = tmp_path / "out"
+    path.write_bytes(b"old line\n" * 1000)
+
+    def parts():
+        yield b"first part\n"
+        raise RuntimeError("the second part fails")
+
+    with pytest.raises(RuntimeError, match="second part"):
+        export._save(path, parts())
+    assert path.read_bytes() == b"first part\n"
