@@ -304,18 +304,25 @@ def _save(path, parts) -> None:
     """Write the byte strings of parts to path in place, and cut the file where they end.
 
     Without O_TRUNC a rewrite writes over the old bytes and cuts the tail,
-    which costs far less than truncating to zero first.  A symlink at the
-    path is followed and a hard link sees the new bytes, as with "wb".  The
-    cut is made even when a part fails to come, so no stale tail is left;
-    a file that is not regular (/dev/null, a pipe) takes no truncate.
+    which where truncating is dear (ext4 mounted with discard) costs far
+    less than truncating to zero first.  A symlink at the path is followed
+    and a hard link sees the new bytes, as with "wb".  The cut is made at
+    the bytes the descriptor reached, after the buffer is flushed or
+    dropped, so a part that fails to come or a write the system refuses
+    (a full disk, EFBIG) leaves no stale tail; a file that is not regular
+    (/dev/null, a pipe) takes no truncate.  A process killed midway makes
+    no cut, and the file keeps the old tail after the new bytes.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "wb") as handle:
-        try:
+    try:
+        with open(fd, "wb", closefd=False) as handle:
             handle.writelines(parts)
-        finally:
+    finally:
+        try:
             if stat.S_ISREG(os.fstat(fd).st_mode):
-                handle.truncate()
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        finally:
+            os.close(fd)
 
 
 def write_obj(path, mesh, config: dict) -> None:

@@ -10,6 +10,7 @@ and cuts it where the new bytes end; the last tests pin what a rewrite
 leaves at the path.
 """
 
+import errno
 import math
 import os
 import subprocess
@@ -279,3 +280,31 @@ def test_a_write_that_fails_midway_leaves_the_bytes_written_and_no_stale_tail(tm
     with pytest.raises(RuntimeError, match="second part"):
         export._save(path, parts())
     assert path.read_bytes() == b"first part\n"
+
+
+def test_a_write_the_system_refuses_leaves_the_bytes_written_and_no_stale_tail(tmp_path):
+    # RLIMIT_FSIZE under the old file's size makes write(2) fail with EFBIG
+    # partway (SIGXFSZ ignored), while small parts still sit in the buffer,
+    # so flushing them fails again; the limit holds in the child process only.
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "out"
+    path.write_bytes(b"old line\n" * 20_000)
+    code = (
+        "import resource, signal\n"
+        "from h1geom import export\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, (65536, {resource.getrlimit(resource.RLIMIT_FSIZE)[1]}))\n"
+        "try:\n"
+        "    export._save('out', [b'new line\\n'] * 40_000)\n"
+        "except OSError as exc:\n"
+        "    print(exc.errno)\n"
+    )
+    src = str(Path(export.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert run.stdout.split() == [str(errno.EFBIG)], run.stderr
+    data = path.read_bytes()
+    assert 0 < len(data) <= 65536
+    assert data == (b"new line\n" * 40_000)[: len(data)]
