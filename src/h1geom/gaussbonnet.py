@@ -9,15 +9,16 @@ which is Stokes applied to d(A f^3) = (dA(f2) + A^2) f^2 ^ f^3 together
 with k_n ds = A f^3 and K_inf dsigma = -d(A f^3).  Both sides pull back
 through the chart: dsigma(f_u, f_v) is the adapted-frame change-of-basis
 determinant rho, and f^3(gamma') is the b-component of the boundary
-tangent.  Each side is one batched Gauss-Kronrod cubature (_area and
-_boundary) of a density over the frame data at all its nodes at once.
+tangent.  Each side is a Gauss-Kronrod cubature of a density over the
+frame data at its nodes, and one lockstep cubature (_sides) runs both:
+each round evaluates the frame once over the nodes of both sides.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from .batch import elementwise, first_failure
 from .curvature import _transverse, _turn, ds_L_density, k_L, k_inf, k_n, k_n_L
 from .errors import CharacteristicPointError, NonTransverseError
+from .expr import Dual2, _take
 from .hgroup import _as_L
 from .quadrature import cubature, gauss_segments
 from .surface import SurfacePatch, characteristic_test, frame_tangents, pushforward_frame
@@ -165,49 +167,66 @@ def _check_region(S: SurfacePatch, R: ParamRegion) -> None:
         raise NonTransverseError(f"boundary tangent loses its f3 component at ({float(u[k])!r}, {float(v[k])!r})")
 
 
-def _area(S: SurfacePatch, R: ParamRegion, density, tol: float):
-    """int_R density over the oriented region: (values, summed error estimate).
+def _sides(S: SurfacePatch, R: ParamRegion, area_density, boundary_density, area_tol: float, boundary_tol: float):
+    """int_R area_density over the oriented region and the sum over its oriented boundary pieces of int
+    boundary_density: two (values, summed error estimate) pairs, from one lockstep cubature of both.
 
-    density(sample, derivatives) maps frame_data arrays over the nodes to a
-    value, or a row of values, per node.  The caller runs _check_region first.
+    area_density(sample, derivatives) maps frame_tangents arrays over the
+    area nodes to a value, or a row of values, per node, and
+    boundary_density(sample, derivatives, tangents, direction) those over
+    the boundary nodes with each node's unit piece direction (du, dv).  The
+    area is a cubature over the region to area_tol; the boundary one
+    cubature over t in [0, 1] that takes every piece at once, scaled by its
+    length, to boundary_tol / pieces each.  Each round maps the nodes of
+    both sides to chart points and evaluates the frame once over all of
+    them; each density then takes only its own side's rows.  The caller
+    runs _check_region first.
     """
     if R.is_empty():
-        return np.zeros(1), 0.0
-
-    def f(x):
-        sample, fd, _ = frame_tangents(S, x[:, 0], x[:, 1])
-        return density(sample, fd).reshape(len(x), -1)
-
-    value, err = cubature(f, (R.u0, R.v0), (R.u1, R.v1), tol)
-    return R.orientation * value, float(np.sum(err))
-
-
-def _boundary(S: SurfacePatch, R: ParamRegion, density, tol: float):
-    """Sum over the oriented boundary pieces of int density: (values, summed error estimate).
-
-    density(sample, derivatives, tangents, direction) maps frame_tangents
-    arrays over the nodes and each node's unit piece direction (du, dv) to
-    a value, or a row of values, per node.  One cubature over t in [0, 1]
-    takes every piece at once, scaled by its length, to tol / pieces each.
-    The caller runs _check_region first.
-    """
-    if R.is_empty():
-        return np.zeros(1), 0.0
+        return (np.zeros(1), 0.0), (np.zeros(1), 0.0)
     start, d, length = map(np.array, zip(*_segments(R)))
 
-    def f(x):
-        values = density(*_boundary_nodes(S, start, d, x[:, :1] * length))
-        return values.reshape(len(x), len(length), -1) * length[:, None]
+    def f(nodes):
+        # a side that takes no box this round has no rows
+        x, t = (np.empty((0, ndim)) if y is None else y for ndim, y in zip((2, 1), nodes))
+        u, v, direction = _along(start, d, t * length)
+        frame = frame_tangents(S, np.concatenate([x[:, 0], u]), np.concatenate([x[:, 1], v]))
+        n = len(x)
+        area = None if nodes[0] is None else area_density(*_rows(frame[:2], slice(0, n))).reshape(n, -1)
+        if nodes[1] is None:
+            return [area, None]
+        boundary = boundary_density(*_rows(frame, slice(n, None)), direction)
+        return [area, boundary.reshape(len(t), len(length), -1) * length[:, None]]
 
-    value, err = cubature(f, (0.0,), (1.0,), tol / len(length))
-    return value.sum(axis=0), float(np.sum(err))
+    (area, area_err), (boundary, boundary_err) = cubature(
+        f, [((R.u0, R.v0), (R.u1, R.v1), area_tol), ((0.0,), (1.0,), boundary_tol / len(length))]
+    )
+    return (R.orientation * area, float(np.sum(area_err))), (boundary.sum(axis=0), float(np.sum(boundary_err)))
 
 
-def _boundary_nodes(S: SurfacePatch, start, d, t):
-    """frame_tangents and directions at distances t, a (nodes, pieces) array, along the pieces."""
+def _along(start, d, t):
+    """Chart points and unit directions at distances t, a (nodes, pieces) array, along the pieces: (u, v, (du, dv)),
+    each flat, the pieces of a node together."""
     u, v = (start[:, k] + d[:, k] * t for k in (0, 1))
     du, dv = (np.broadcast_to(d[:, k], u.shape).ravel() for k in (0, 1))
-    return (*frame_tangents(S, u.ravel(), v.ravel()), (du, dv))
+    return u.ravel(), v.ravel(), (du, dv)
+
+
+def _rows(x, rows: slice):
+    """The rows of a frame_tangents batch, as views: its records and tuples part by part, a Dual2 by expr._take.
+
+    The records are built without their finiteness check, which the whole
+    batch passed; checking again would cost more than the slicing.
+    """
+    if isinstance(x, np.ndarray):
+        return x[rows]
+    if type(x) is tuple:
+        return tuple([_rows(part, rows) for part in x])
+    if type(x) is Dual2 or not is_dataclass(x):
+        return _take(x, rows)
+    part = object.__new__(type(x))
+    part.__dict__.update({name: _rows(value, rows) for name, value in vars(x).items()})
+    return part
 
 
 def _gb_area_density(sample, fd):
@@ -234,8 +253,9 @@ def gb_residual(S: SurfacePatch, R: ParamRegion) -> GBReport:
     """int_R K_inf dsigma (integrand K_inf * rho in the chart) to AREA_TOL, and
     oint_gamma k_n ds = oint A f^3(gamma') over the oriented boundary to BOUNDARY_TOL."""
     _check_region(S, R)
-    area, area_err = _area(S, R, _gb_area_density, AREA_TOL)
-    boundary, boundary_err = _boundary(S, R, _gb_boundary_density, BOUNDARY_TOL)
+    (area, area_err), (boundary, boundary_err) = _sides(
+        S, R, _gb_area_density, _gb_boundary_density, AREA_TOL, BOUNDARY_TOL
+    )
     area, boundary = float(area[0]), float(boundary[0])
     return GBReport(area, boundary, area + boundary, area_err, boundary_err)
 
@@ -251,7 +271,8 @@ def stokes_density_check(S: SurfacePatch, u: float, v: float, h: float) -> tuple
     start, d, _ = map(np.array, zip(*_segments(ParamRegion(u, u + h, v, v + h))))
 
     def loop(t):  # A f^3 summed over the four edges at the distances t along each
-        density = _gb_boundary_density(*_boundary_nodes(S, start, d, t.reshape(-1, 1)))
+        u, v, direction = _along(start, d, t.reshape(-1, 1))
+        density = _gb_boundary_density(*frame_tangents(S, u, v), direction)
         return (density.reshape(t.shape + (len(d),)).sum(axis=-1),)
 
     lhs = float(gauss_segments(loop, np.zeros(1), np.full(1, h), (-math.inf, math.inf))[0][0])
@@ -389,7 +410,7 @@ def _region_convergence(S: SurfacePatch, region: ParamRegion, L_values: Sequence
             [(_turn(c, L) * (1.0 - s) + k_n_L(c, L) * s) / math.sqrt(L) for L, s in zip(L_values, speed)], axis=-1
         )
 
-    area = np.broadcast_to(_area(S, region, area_density, REGION_TOL)[0], len(L_values))
-    boundary = np.broadcast_to(_boundary(S, region, boundary_density, REGION_TOL)[0], len(L_values))
+    (area, _), (boundary, _) = _sides(S, region, area_density, boundary_density, REGION_TOL, REGION_TOL)
+    area, boundary = (np.broadcast_to(side, len(L_values)) for side in (area, boundary))
     rows = tuple((L, float(a), float(b), float(a + b)) for L, a, b in zip(L_values, area, boundary))
     return RegionConvergence(rows, fit_loglog_slope(L_values, [r[3] for r in rows]))

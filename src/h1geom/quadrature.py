@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .batch import elementwise
+from .batch import POINT_FAILURES, elementwise
 from .errors import QuadratureError
 
 __all__ = [
@@ -46,7 +46,18 @@ BOUNDARY_WINDOW = 1e-4  # switch to the sqrt substitution within this distance o
 
 MAX_SUBDIVISIONS = 200  # QUADPACK's interval limit in integrate, cubature's box limit
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# gauss_segments' 12-point Gauss-Legendre rule is numpy's leggauss(12) bit for bit, whose nodes are antisymmetric
+# and weights symmetric exactly.  Its non-negative nodes and their weights:
+_GL12_NODES = np.array([float.fromhex(h) for h in (
+    "0x1.007a5f8f630e4p-3", "0x1.78a8d20a8b19dp-2", "0x1.2cb4f05c077f9p-1",
+    "0x1.8a30aeed88f36p-1", "0x1.cee874ffb88b3p-1", "0x1.f68f1d8e42e81p-1",
+)])
+_GL12_WEIGHTS = np.array([float.fromhex(h) for h in (
+    "0x1.fe40ce6d4f022p-3", "0x1.de3155c256aaep-3", "0x1.a0163e6b1ab6bp-3",
+    "0x1.47d7258f22d96p-3", "0x1.b60602bce61afp-4", "0x1.8275d9dea6d53p-5",
+)])
+_GL_NODES = np.concatenate([-_GL12_NODES[::-1], _GL12_NODES])
+_GL_WEIGHTS = np.concatenate([_GL12_WEIGHTS[::-1], _GL12_WEIGHTS])
 
 # QUADPACK dqk21's data statements: Kronrod abscissae xgk(1..10) (xgk(11) is 0),
 # Kronrod weights wgk(1..11) and the weights wg(1..5) of the embedded 10-point Gauss rule
@@ -579,46 +590,74 @@ class _Box(tuple):
         return self[0] > other[0]
 
 
-def cubature(f, a, b, tol: float):
-    """Adaptive cubature of a vectorized f over the finite box [a, b] (a <= b): (values, error estimates).
+def _box(weights, a_k, b_k, values):
+    """The gk21 estimate and error of f over the box [a_k, b_k], from f's values at its nodes, as a heap entry."""
+    ndim = len(a_k)
+    terms = (weights * (np.prod(b_k - a_k) / 2**ndim)).reshape(-1, *[1] * (values.ndim - 1)) * values
+    est, err = np.sum(terms[: 21**ndim], axis=0), np.abs(np.sum(terms, axis=0))
+    return _Box((np.max(err), a_k, b_k, est, err))
 
-    f maps an (n, ndim) array of nodes to an (n, ...) array of values, each
-    component integrated to the absolute tolerance tol or to 1e-13 relative.
-    This is scipy's cubature(f, a, b, rule="gk21", rtol=1e-13, atol=tol,
-    max_subdivisions=MAX_SUBDIVISIONS) bit for bit: the product 21-point
-    Gauss-Kronrod rule with the embedded 10-point Gauss rule as error
-    estimate, the box of largest error split into 2^ndim halves next, with
-    scipy's operations in scipy's order.  f is called once per box, over
-    its 21^ndim Kronrod nodes followed by the 10^ndim Gauss nodes:
-    1 + 2^ndim * subdivisions calls in all.  QuadratureError if the
-    MAX_SUBDIVISIONS-th subdivision is reached or a result is not finite.
+
+def cubature(f, problems):
+    """Adaptive cubatures of vectorized integrands over finite boxes in lockstep: a (values, errors) pair per problem.
+
+    Each problem is a triple (a, b, tol), the box [a, b] (a <= b) of any
+    dimension and the absolute tolerance tol, met by each component of the
+    integrand or else 1e-13 relative.  Each problem is scipy's cubature(f_k,
+    a, b, rule="gk21", rtol=1e-13, atol=tol, max_subdivisions=MAX_SUBDIVISIONS)
+    bit for bit: the product 21-point Gauss-Kronrod rule with the embedded
+    10-point Gauss rule as error estimate, the box of largest error split
+    into 2^ndim halves next, with scipy's operations in scipy's order.
+
+    f maps a list of node arrays, one (n, ndim) array per problem or None
+    for a problem that takes no box this round, to a list of (n, ...) value
+    arrays, None likewise.  Each round it is called once: first over every
+    problem's box, then over the halves of the box that each unconverged
+    problem splits, each box's 21^ndim Kronrod nodes followed by its
+    10^ndim Gauss nodes.  A problem alone thus costs 1 + subdivisions
+    calls.  QuadratureError if a problem reaches its MAX_SUBDIVISIONS-th
+    subdivision or a result that is not finite, the first such problem's in
+    order.  Where f raises a point failure (batch.POINT_FAILURES) in a call
+    of several problems, each problem runs again alone, in order, so that
+    the error raised is the one that running them one after another raises.
     """
-    ndim = len(a)
-    nodes, weights = _gk21(ndim)
-
-    def box(a_k, b_k):
-        lengths = b_k - a_k
-        values = f((nodes + 1) * (lengths * 0.5) + a_k)
-        terms = (weights * (np.prod(lengths) / 2**ndim)).reshape(-1, *[1] * (values.ndim - 1)) * values
-        est, err = np.sum(terms[: 21**ndim], axis=0), np.abs(np.sum(terms, axis=0))
-        return _Box((np.max(err), a_k, b_k, est, err))
-
-    heap = [box(np.asarray(a, dtype=float), np.asarray(b, dtype=float))]
-    value, error = 0.0 + heap[0][3], 0.0 + heap[0][4]  # scipy's totals start from 0.0, so -0.0 becomes 0.0
-    subdivisions = 0
-    while subdivisions < MAX_SUBDIVISIONS and np.any(error > tol + 1e-13 * np.abs(value)):
-        _, a_k, b_k, est, err = heapq.heappop(heap)
-        value, error = value - est, error - err
-        mid = (a_k + b_k) / 2
-        for corners in zip(_product(np.stack([a_k, mid], axis=1)), _product(np.stack([mid, b_k], axis=1))):
-            heapq.heappush(heap, child := box(*corners))
-            value, error = value + child[3], error + child[4]
-        subdivisions += 1
-    if subdivisions == MAX_SUBDIVISIONS or not (np.isfinite(value).all() and np.isfinite(error).all()):
-        raise QuadratureError(
-            f"cubature over the box {list(a)!r} to {list(b)!r} did not converge (estimate {np.max(error):.3e})"
-        )
-    return value, error
+    rules = [_gk21(len(a)) for a, _, _ in problems]
+    # scipy's totals start from 0.0, so a first estimate of -0.0 becomes 0.0
+    heaps, totals, subdivisions = [[] for _ in problems], [(0.0, 0.0)] * len(problems), [0] * len(problems)
+    split = [[(np.asarray(a, dtype=float), np.asarray(b, dtype=float))] for a, b, _ in problems]  # this round's boxes
+    while any(split):
+        nodes = [
+            np.concatenate([(x + 1) * ((b_k - a_k) * 0.5) + a_k for a_k, b_k in boxes]) if boxes else None
+            for (x, _), boxes in zip(rules, split)
+        ]
+        try:
+            values = f(nodes)
+        except POINT_FAILURES:
+            if len(problems) > 1:  # each problem alone, in order, raises what running them in turn raises
+                for k, problem in enumerate(problems):
+                    cubature(lambda x, k=k: f([None] * k + x + [None] * (len(problems) - k - 1))[k : k + 1], [problem])
+            raise
+        for k, boxes in enumerate(split):
+            if not boxes:
+                continue
+            value, error = totals[k]
+            for (a_k, b_k), part in zip(boxes, np.split(values[k], len(boxes))):
+                heapq.heappush(heaps[k], child := _box(rules[k][1], a_k, b_k, part))
+                value, error = value + child[3], error + child[4]
+            split[k] = []
+            if subdivisions[k] < MAX_SUBDIVISIONS and np.any(error > problems[k][2] + 1e-13 * np.abs(value)):
+                _, a_k, b_k, est, err = heapq.heappop(heaps[k])
+                value, error = value - est, error - err
+                mid = (a_k + b_k) / 2
+                split[k] = list(zip(_product(np.stack([a_k, mid], axis=1)), _product(np.stack([mid, b_k], axis=1))))
+                subdivisions[k] += 1
+            totals[k] = value, error
+    for (a, b, _), (value, error), n in zip(problems, totals, subdivisions):
+        if n == MAX_SUBDIVISIONS or not (np.isfinite(value).all() and np.isfinite(error).all()):
+            raise QuadratureError(
+                f"cubature over the box {list(a)!r} to {list(b)!r} did not converge (estimate {np.max(error):.3e})"
+            )
+    return totals
 
 
 def integrate_with_boundary(f, a: float, b: float, bounds, tol: float = 1e-10) -> float:

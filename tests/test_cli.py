@@ -1262,6 +1262,19 @@ def test_scipy_integrate_is_imported_at_the_first_integral(tmp_path, argv, code)
     assert run.stdout.splitlines()[-1:] == [f"{code} False"], run.stderr
 
 
+def test_importing_the_cli_loads_no_numpy_polynomial(tmp_path):
+    # gauss_segments' 12-point rule is literals, not leggauss(12) at import: numpy.polynomial costs about 4 ms
+    import h1geom
+
+    src = str(Path(h1geom.__file__).resolve().parent.parent)
+    probe = "import sys, h1geom, h1geom.cli; print('numpy' in sys.modules, 'numpy.polynomial' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert run.stdout.split() == ["True", "False"], run.stderr
+
+
 # The paper's formulas that no command evaluates; README lists each with what it computes.
 PAPER_FORMULAS = ("area_form_coeffs", "length_form_limit", "beta", "horizontal_lift")
 

@@ -6,10 +6,13 @@ import pytest
 from h1geom import catalog
 from h1geom.errors import CharacteristicPointError, NonTransverseError
 from h1geom.gaussbonnet import (
+    AREA_TOL,
+    BOUNDARY_TOL,
     ParamRegion,
-    _boundary,
+    _gb_area_density,
     _gb_boundary_density,
     _region_convergence,
+    _sides,
     convergence_study,
     fit_loglog_slope,
     gb_residual,
@@ -361,7 +364,7 @@ def test_region_winding_around_a_characteristic_point_is_refused(orientation, wi
     with pytest.raises(CharacteristicPointError, match="winding number"):
         _region_convergence(patch, region, (1e2, 1e3))
     # the boundary integral itself is well defined
-    assert math.isfinite(_boundary(patch, region, _gb_boundary_density, 1e-10)[0][0])
+    assert math.isfinite(_sides(patch, region, _gb_area_density, _gb_boundary_density, AREA_TOL, BOUNDARY_TOL)[1][0][0])
 
 
 def test_each_report_makes_one_frame_batch(monkeypatch):
@@ -439,10 +442,12 @@ def test_cubature_refuses_unconverged_and_non_finite_results(monkeypatch):
     from h1geom.errors import QuadratureError
 
     with pytest.raises(QuadratureError, match="did not converge"):
-        quadrature.cubature(lambda x: np.full(len(x), math.nan), (0.0,), (1.0,), 1e-9)
+        quadrature.cubature(lambda x: [np.full(len(x[0]), math.nan)], [((0.0,), (1.0,), 1e-9)])
     with pytest.raises(QuadratureError, match="did not converge"):
-        quadrature.cubature(lambda x: 1.0 / x[:, 0], (-1.0,), (2.0,), 1e-9)  # pole inside
-    value, error = quadrature.cubature(lambda x: np.stack([np.cos(x[:, 0]), x[:, 0] ** 2], axis=-1), (0.0,), (1.0,), 1e-12)
+        quadrature.cubature(lambda x: [1.0 / x[0][:, 0]], [((-1.0,), (2.0,), 1e-9)])  # pole inside
+    [(value, error)] = quadrature.cubature(
+        lambda x: [np.stack([np.cos(x[0][:, 0]), x[0][:, 0] ** 2], axis=-1)], [((0.0,), (1.0,), 1e-12)]
+    )
     assert value == pytest.approx([math.sin(1.0), 1.0 / 3.0], abs=1e-12) and (error <= 1e-12).all()
     monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 1)
     with pytest.raises(QuadratureError, match="did not converge"):
@@ -457,11 +462,17 @@ def _scipy_cubature(monkeypatch):
 
     subdivisions = []
 
-    def scipy_gk21(f, a, b, tol):
-        result = scipy_cubature(f, a, b, rule="gk21", rtol=1e-13, atol=tol, max_subdivisions=quadrature.MAX_SUBDIVISIONS)
-        assert result.status == "converged"
-        subdivisions.append(result.subdivisions)
-        return result.estimate, result.error
+    def scipy_gk21(f, problems):  # each problem alone, in order
+        results = []
+        for k, (a, b, tol) in enumerate(problems):
+            def f_k(x, k=k):
+                return f([None] * k + [x] + [None] * (len(problems) - k - 1))[k]
+
+            result = scipy_cubature(f_k, a, b, rule="gk21", rtol=1e-13, atol=tol, max_subdivisions=quadrature.MAX_SUBDIVISIONS)
+            assert result.status == "converged"
+            subdivisions.append(result.subdivisions)
+            results.append((result.estimate, result.error))
+        return results
 
     monkeypatch.setattr(gaussbonnet, "cubature", scipy_gk21)
     return subdivisions
@@ -484,8 +495,34 @@ def test_each_cubature_box_is_one_frame_call(monkeypatch, region):
     ours, subdivisions = rows[:], _scipy_cubature(monkeypatch)
     gb_residual(catalog.paraboloid(), region)
     area, boundary = subdivisions
-    # 21^2 Kronrod and 10^2 Gauss nodes per area box, 21 + 10 per boundary box and piece
-    assert ours == [541] * (1 + 4 * area) + [31 * 4] * (1 + 2 * boundary)
+    # 21^2 Kronrod and 10^2 Gauss nodes per area box, 21 + 10 per boundary box and piece: one call per round takes
+    # the first box of both sides, then the halves of each side's worst box while that side is open
+    later = [4 * 541 * (r <= area) + 2 * 31 * 4 * (r <= boundary) for r in range(1, max(subdivisions) + 1)]
+    assert ours == [541 + 31 * 4] + later
+
+
+def test_each_density_takes_only_its_own_sides_rows():
+    # one frame batch a round holds both sides' nodes, and each density gets its own side's rows alone: the finite-L
+    # boundary density divides by a^2 + b^2 (L + A^2), which has no meaning at an area node
+    seen = []
+
+    def area(sample, fd):
+        seen.append(("area", len(sample.A), len(fd.dA_f2)))
+        return _gb_area_density(sample, fd)
+
+    def boundary(sample, fd, tangents, direction):
+        seen.append(("boundary", len(sample.A), len(tangents[0][0].value), len(direction[0])))
+        return _gb_boundary_density(sample, fd, tangents, direction)
+
+    patch, region = catalog.paraboloid(), ParamRegion(0.02, 1.0, 0.02, 1.0)
+    (area_value, area_err), (boundary_value, boundary_err) = _sides(patch, region, area, boundary, AREA_TOL, BOUNDARY_TOL)
+    report = gb_residual(patch, region)
+    assert [area_value[0], boundary_value[0], area_err, boundary_err] == [
+        report.area_integral, report.boundary_integral, report.area_error_est, report.boundary_error_est
+    ]
+    assert seen[:2] == [("area", 541, 541), ("boundary", 31 * 4, 31 * 4, 31 * 4)]
+    assert {entry[1] for entry in seen[2:] if entry[0] == "area"} == {4 * 541}
+    assert {entry[1:] for entry in seen[2:] if entry[0] == "boundary"} <= {(2 * 31 * 4,) * 3}
 
 
 def test_gauss_bonnet_report_is_that_of_scipys_gk21_rule(monkeypatch):

@@ -68,6 +68,12 @@ def test_gauss_segments_is_the_scalar_rule_bit_for_bit(kind, data):
         assert list(map(float.hex, values.tolist())) == list(map(float.hex, map(float, expected)))
 
 
+def test_gauss_segments_rule_is_numpys_leggauss_12_bit_for_bit():
+    # written as literals, so that no command imports numpy.polynomial for it
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    assert quadrature._GL_NODES.tobytes() == nodes.tobytes() and quadrature._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def test_gauss_segments_integrate_square_root_ends_exactly():
     # in s the window integrands 2 s sqrt(t - lo) = 2 s^2 and 2 s sqrt(hi - t) = 2 s^2 are polynomials
     lo, hi = 0.0, 1.0
@@ -78,7 +84,13 @@ def test_gauss_segments_integrate_square_root_ends_exactly():
 
 
 # ---------------------------------------------------------------------------
-# cubature: scipy's rule="gk21" bit for bit, one integrand call per box
+# cubature: scipy's rule="gk21" bit for bit, one integrand call per round
+
+
+def _cubature(f, a, b, tol):
+    """quadrature.cubature of the one problem (a, b, tol): (values, errors)."""
+    [result] = quadrature.cubature(lambda nodes: [f(nodes[0])], [(a, b, tol)])
+    return result
 
 
 def _peaked_2d(x):
@@ -117,13 +129,14 @@ def test_cubature_is_scipy_gk21_bit_for_bit_with_one_call_per_box(f, a, b, tol):
         calls.append(len(x))
         return f(x)
 
-    value, error = quadrature.cubature(counted, a, b, tol)
+    value, error = _cubature(counted, a, b, tol)
     reference = scipy_cubature(f, a, b, rule="gk21", rtol=1e-13, atol=tol, max_subdivisions=200)
     assert reference.subdivisions >= 3
     assert np.array_equal(value, reference.estimate) and np.array_equal(error, reference.error)
     d = len(a)
-    # each call takes the box's Kronrod nodes followed by its embedded Gauss nodes
-    assert calls == [21**d + 10**d] * (1 + 2**d * reference.subdivisions)
+    # each box gives its Kronrod nodes followed by its embedded Gauss nodes: the first call takes the first box,
+    # each later one the 2^d halves of the box split in that round
+    assert calls == [21**d + 10**d] + [2**d * (21**d + 10**d)] * reference.subdivisions
 
 
 def test_cubature_refuses_what_converges_at_its_last_subdivision(monkeypatch):
@@ -137,9 +150,9 @@ def test_cubature_refuses_what_converges_at_its_last_subdivision(monkeypatch):
     assert scipy_cubature(_square_1d, a, b, rule="gk21", rtol=1e-13, atol=tol, max_subdivisions=n).status == "not_converged"
     monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", n)
     with pytest.raises(QuadratureError, match="did not converge"):
-        quadrature.cubature(_square_1d, a, b, tol)
+        _cubature(_square_1d, a, b, tol)
     monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", n + 1)
-    quadrature.cubature(_square_1d, a, b, tol)
+    _cubature(_square_1d, a, b, tol)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -224,10 +237,91 @@ def test_cubature_is_scipys_public_gk21_cubature(case, log_tol):
     event("refused" if refused else "subdivided" if reference.subdivisions else "one box")
     if refused:
         with pytest.raises(QuadratureError, match="did not converge"):
-            quadrature.cubature(f, a, b, tol)
+            _cubature(f, a, b, tol)
     else:
-        value, error = quadrature.cubature(f, a, b, tol)
+        value, error = _cubature(f, a, b, tol)
         assert value.tobytes() == reference.estimate.tobytes() and error.tobytes() == reference.error.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# cubature in lockstep: several problems, each as it runs alone
+
+
+def _rounds_alone(f, a, b, tol):
+    """The number of integrand calls of a problem's cubature alone, one per round."""
+    calls = []
+    _cubature(lambda x: calls.append(len(x)) or f(x), a, b, tol)
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        [CUBATURE_CASES[0], CUBATURE_CASES[1]],  # a 2-D and a 1-D problem
+        [CUBATURE_CASES[2], CUBATURE_CASES[0]],  # the 1-D one first
+        [CUBATURE_CASES[1], CUBATURE_CASES[3]],
+        CUBATURE_CASES,
+    ],
+)
+def test_lockstep_cubature_gives_each_problem_its_result_alone(cases):
+    calls = []
+
+    def f(nodes):
+        calls.append([None if x is None else len(x) for x in nodes])
+        return [None if x is None else g(x) for (g, _, _, _), x in zip(cases, nodes)]
+
+    results = quadrature.cubature(f, [(a, b, tol) for _, a, b, tol in cases])
+    for (g, a, b, tol), (value, error) in zip(cases, results):
+        alone_value, alone_error = _cubature(g, a, b, tol)
+        assert value.tobytes() == alone_value.tobytes() and error.tobytes() == alone_error.tobytes()
+    # one call per round; a problem takes part in as many rounds as it runs alone, the first ones
+    rounds = [_rounds_alone(*case) for case in cases]
+    assert len(set(rounds)) > 1 and len(calls) == max(rounds)
+    for k, (_, a, _, _) in enumerate(cases):
+        box = 21 ** len(a) + 10 ** len(a)
+        closed = [None] * (len(calls) - rounds[k])
+        assert [call[k] for call in calls] == [box] + [2 ** len(a) * box] * (rounds[k] - 1) + closed
+
+
+def _failing(f, message, span):
+    """f, raising ValueError(message) on nodes that span less than span along the first axis: a rule on the
+    nodes alone, so that a problem fails in the same round whether it runs alone or in lockstep."""
+
+    def g(x):
+        if np.ptp(x[:, 0]) < span:
+            raise ValueError(message)
+        return f(x)
+
+    return g
+
+
+def test_lockstep_cubature_raises_what_its_problems_raise_in_turn():
+    # the first problem fails in its third round, the second in its first: run in turn, the first one's error is
+    # raised, although the lockstep meets the second one's first
+    first = (_kinked_1d, (0.0,), (1.0,), 1e-10)
+    second = (_peaked_2d, (0.0, 0.0), (1.0, 1.0), 1e-9)
+    assert _rounds_alone(*first) > 3
+    # the nodes of [0, 1] and of its two halves span nearly 1, those of the halves of a half nearly 0.5
+    g1, g2 = _failing(first[0], "first problem, third round", 0.75), _failing(second[0], "second problem", 2.0)
+    problems = [first[1:], second[1:]]
+    for g, (a, b, tol), message in ((g1, problems[0], "first problem, third round"), (g2, problems[1], "second problem")):
+        with pytest.raises(ValueError, match=message):
+            _cubature(g, a, b, tol)
+    seen = []
+
+    def f(nodes):
+        seen.append([x is not None for x in nodes])
+        return [None if x is None else g(x) for g, x in zip((g1, g2), nodes)]
+
+    with pytest.raises(ValueError, match="first problem, third round"):
+        quadrature.cubature(f, problems)
+    # the lockstep's first round, then the first problem alone up to its third round
+    assert seen == [[True, True], [True, False], [True, False], [True, False]]
+    # a problem that does not converge raises before a later one's point failure, as run in turn
+    unconverged = (lambda x: np.full(len(x), math.nan), (0.0,), (1.0,), 1e-9)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        quadrature.cubature(lambda nodes: [None if x is None else g(x) for g, x in zip((unconverged[0], g2), nodes)],
+                            [unconverged[1:], second[1:]])
 
 
 # ---------------------------------------------------------------------------
