@@ -67,7 +67,7 @@ def power(x, p):
         return x ** p
     if p == 0 or p == 1:
         return np.ones(x.shape) if p == 0 else x.astype(float)
-    return elementwise(pow, x, p)
+    return elementwise(pow, x, float(p))  # float ** int converts the int on every element: the same bits, slower
 
 
 def first_failure(evaluate, n: int):

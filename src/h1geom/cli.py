@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -43,6 +44,11 @@ class ConfigError(ValueError):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern reads "-1e-3" and "-1,0" as flags; no h1geom flag starts with a digit or ".digit"
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

@@ -6,7 +6,10 @@ cubature (cubature), each behind a small wrapper that checks the reported
 error estimate.  Profile integrands of the form g(t)*sqrt(h(t)), with h
 vanishing simply at a domain endpoint, lose accuracy for the plain rule;
 substituting t = b0 +/- s^2 near that endpoint makes the integrand smooth
-again.
+again.  This module alone decides where: integrate_with_boundary on a
+float, and on arrays of paths integrate_with_boundary_batch (QUADPACK,
+the float path's values) and gauss_segments (a fixed rule) through one
+helper, _substitution.
 
 dqagse is ported from the published algorithm (Piessens, de
 Doncker-Kapenga, Ueberhuber and Kahaner, QUADPACK, Springer 1983), with
@@ -39,6 +42,7 @@ __all__ = [
     "converged",
     "cubature",
     "integrate_with_boundary",
+    "integrate_with_boundary_batch",
     "gauss_segments",
 ]
 
@@ -691,6 +695,55 @@ def integrate_with_boundary(f, a: float, b: float, bounds, tol: float = 1e-10) -
     return integrate(f, a, b, tol)
 
 
+def _substitution(a, b, bounds, both_lower: bool):
+    """The boundary-window substitution of the paths [a_i, b_i] in bounds = (lo, hi): (both, x0, x1, in_s).
+
+    A path in the window of lo runs in s = sqrt(t - lo), one in that of hi in s = sqrt(hi - t), one in both
+    (both) in lo's if both_lower and in t otherwise; x0 and x1 are its ends in its variable.  in_s(f, s, paths)
+    gives f's arrays at the nodes s, row j on paths[j], mapped back to t and times dt/ds = 2 s in a window.
+    """
+    lo, hi = bounds
+    none = np.zeros(len(a), dtype=bool)
+    near_lo, near_hi = none | _in_window(np.minimum(a, b) - lo, lo), none | _in_window(hi - np.maximum(a, b), hi)
+    lower, upper = near_lo if both_lower else near_lo & ~near_hi, near_hi & ~near_lo
+    x0, x1 = a.copy(), b.copy()
+    x0[lower], x1[lower] = np.sqrt(a[lower] - lo), np.sqrt(b[lower] - lo)
+    x0[upper], x1[upper] = np.sqrt(hi - b[upper]), np.sqrt(hi - a[upper])  # a reversed path stays reversed in s
+
+    def in_s(f, s, paths):
+        low, up = lower[paths], upper[paths]
+        t = s.copy()
+        t[low], t[up] = lo + s[low] * s[low], hi - s[up] * s[up]
+        ds = 2.0 * np.where((low | up)[:, None], s, 0.5)  # dt = +/- 2 s ds, the sign that of the path in s
+        return [x * ds for x in f(t)]
+
+    return near_lo & near_hi, x0, x1, in_s
+
+
+def integrate_with_boundary_batch(f, floats, a, b, bounds, tol: float = 1e-10) -> np.ndarray:
+    """:func:`integrate_with_boundary` of each float integrand floats[k] over every path [a_i, b_i], as row k.
+
+    f(t) gives every integrand at an array of t with the bits of floats[k].  One :func:`integrate_batch` run takes
+    every path in its own variable (a reversed one negated); the float path itself, integrand by integrand in order,
+    takes paths in both windows, empty or non-finite paths and integrals that :func:`converged` rejects.  A point
+    failure raised by f propagates.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    values = np.full((len(floats), len(a)), math.nan)  # NaN until settled: a converged value is finite
+    with np.errstate(all="ignore"):
+        both, x0, x1, in_s = _substitution(a, b, bounds, False)
+        rows = np.flatnonzero(~both & (x0 != x1) & np.isfinite(x0) & np.isfinite(x1))
+        if rows.size:
+            batch = integrate_batch(lambda s, paths: in_s(f, s, rows[paths]), x0[rows], x1[rows], tol)
+            for k, (result, error, _) in enumerate(batch):
+                values[k, rows] = np.where(converged(result, error, tol), result, math.nan)
+        starts, ends = a.tolist(), b.tolist()
+        for out, g in zip(values, floats):
+            for i in np.flatnonzero(np.isnan(out)).tolist():
+                out[i] = integrate_with_boundary(g, starts[i], ends[i], bounds, tol)
+    return values
+
+
 def gauss_segments(f, a: np.ndarray, b: np.ndarray, bounds) -> list[np.ndarray]:
     """Fixed 12-point Gauss-Legendre integrals over the segments [a_i, b_i] (a_i <= b_i) at once.
 
@@ -703,25 +756,12 @@ def gauss_segments(f, a: np.ndarray, b: np.ndarray, bounds) -> list[np.ndarray]:
     the values times 2 s.  Each weighted sum runs over the nodes in order
     from 0.0, so a segment's integral does not depend on the batch.
     """
-    lo, hi = bounds
-    lower = np.zeros(len(a), dtype=bool) | _in_window(a - lo, lo)
-    upper = ~lower & _in_window(hi - b, hi)
-    x0, x1 = a.copy(), b.copy()
-    x0[lower], x1[lower] = np.sqrt(a[lower] - lo), np.sqrt(b[lower] - lo)
-    x0[upper], x1[upper] = np.sqrt(hi - b[upper]), np.sqrt(hi - a[upper])
+    _, x0, x1, in_s = _substitution(a, b, bounds, True)
     half = 0.5 * (x1 - x0)
     mid = 0.5 * (x0 + x1)
     nodes = mid[:, None] + half[:, None] * _GL_NODES
-    window = np.flatnonzero(lower | upper)
-    ds = 2.0 * nodes[window]  # dt = +/- 2 s ds; the s limits are ordered, so the sign is +
-    nodes[lower] = lo + nodes[lower] ** 2  # numpy's ** 2 on an array is s * s
-    nodes[upper] = hi - nodes[upper] ** 2
     results = []
-    for values in f(nodes):
-        values = np.broadcast_to(values, nodes.shape)
-        if window.size:
-            values = values.copy()
-            values[window] *= ds
+    for values in in_s(f, nodes, slice(None)):
         total = np.zeros(len(nodes))
         for k, w in enumerate(_GL_WEIGHTS):
             total = total + w * values[:, k]

@@ -34,7 +34,7 @@ import numpy as np
 from . import expr as _expr
 from .errors import DomainViolationError, GeometryError
 from .batch import POINT_FAILURES, elementwise, power
-from .quadrature import _in_window, converged, gauss_segments, integrate, integrate_batch, integrate_with_boundary
+from .quadrature import gauss_segments, integrate, integrate_with_boundary, integrate_with_boundary_batch
 from .expr import Dual2
 from .hgroup import e3_coefficient
 from .surface import SurfacePatch
@@ -111,21 +111,27 @@ def domain_bound(K_inf: float, r0: float) -> tuple[float, float]:
     and root = sqrt(a^2 + 1) the end is at cos(sqrt(K) v) = root - a for
     K > 0 and at cosh(sqrt(-K) v) = root + a for K < 0; both are read
     through x = root + a - 1, formed without cancellation at any scale.
+    ValueError where the interval is not finite and non-empty in floats.
     """
     if not (math.isfinite(r0) and r0 > 0.0):
         raise ValueError(f"profile radius r0 must be positive, got {r0!r}")
     if not math.isfinite(K_inf):
         raise ValueError("curvature must be finite")
     if K_inf == 0.0:
-        return r0 * r0 / 4.0, math.inf
-    a = 2.0 / (r0 * r0 * abs(K_inf))
-    root = math.sqrt(a * a + 1.0)
-    x = a + a * a / (root + 1.0)
-    if K_inf > 0.0:  # acos(s) = 2 asin(sqrt((1 - s)/2)), with 1 - s = x/(a + root)
-        vmax = 2.0 * math.asin(math.sqrt(x / (a + root) / 2.0)) / math.sqrt(K_inf)
-    else:  # acosh(1 + x)
-        vmax = math.log1p(x + math.sqrt(x * (2.0 + x))) / math.sqrt(-K_inf)
-    return -vmax, vmax
+        lo, hi = r0 * r0 / 4.0, math.inf
+    else:
+        a = 2.0 / (r0 * r0 * abs(K_inf))
+        root = math.sqrt(a * a + 1.0)
+        x = a + a * a / (root + 1.0)
+        if K_inf > 0.0:  # acos(s) = 2 asin(sqrt((1 - s)/2)), with 1 - s = x/(a + root)
+            hi = 2.0 * math.asin(math.sqrt(x / (a + root) / 2.0)) / math.sqrt(K_inf)
+        else:  # acosh(1 + x)
+            hi = math.log1p(x + math.sqrt(x * (2.0 + x))) / math.sqrt(-K_inf)
+        lo = -hi
+    if not (math.isfinite(lo) and lo < hi):  # a, a^2 or r0^2 past the range of floats
+        scale = r0 * (r0 * abs(K_inf))
+        raise ValueError(f"no existence domain in floats for K_inf={K_inf!r}, r0={r0!r} (r0^2 |K_inf| = {scale!r})")
+    return lo, hi
 
 
 def _check_domain(v, bounds: tuple[float, float], what: str):
@@ -219,16 +225,13 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
     (quadrature), memoizing the last THETA_C_CACHE_SIZE values
     (theta_c.cache_info() counts as lru_cache's).  On a float, dqagse calls
     its integrand once per node, so theta' and c' are one float function
-    body per family, with the operations of _kernels and _sqrt1m written
-    inline in the same order: the same bits as _integrands, one Python call
-    a node.  On an array, theta_c integrates every v it has not memoized at
-    once, _THETA_C_CHUNK at a time, with quadrature.integrate_batch over
-    _integrands, theta' and c' evaluated together at the nodes of an
-    interval both integrals bisect: the values of the float path bit for
-    bit.  A path split between two boundary windows, the anchor and an
-    integral that does not converge take the float path; where any v of a
-    batch fails, the float path runs over the array in order and raises
-    what a scan of it raises.
+    body, with the operations of _kernels and _sqrt1m written inline in the
+    same order: the same bits as _integrands, one Python call a node.  On an
+    array, theta_c integrates every v it has not memoized at once,
+    _THETA_C_CHUNK at a time, in one quadrature.integrate_with_boundary_batch
+    call over _integrands: the values of the float path bit for bit.  Where
+    any v of a batch fails, the float path runs over the array in order and
+    raises what a scan of it raises.
     """
     lo, hi = domain_bound(K_inf, r0)
     if not math.isfinite(c1_shift):
@@ -274,42 +277,26 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
         A steep point still raises through _sqrt1m, which owns the message;
         max keeps a NaN, as in _sqrt1m.
         """
-        if K_inf > 0.0:
-
-            def f(t):
-                x = root * (t + c1_shift)
-                rt = r0 * sqrt(max(cos(x), 0.0))
-                w = 1.0 - (0.5 * rt * (-root * tan(x))) ** 2
-                if w < -CLAMP:
-                    _sqrt1m(w, t)
-                s = sqrt(max(w, 0.0))
-                return 0.5 * rt * s if k else s / rt
-
-        elif K_inf < 0.0:
-
-            def f(t):
-                x = root * (t + c1_shift)
-                rt = r0 * sqrt(cosh(x))
-                w = 1.0 - (0.5 * rt * (root * tanh(x))) ** 2
-                if w < -CLAMP:
-                    _sqrt1m(w, t)
-                s = sqrt(max(w, 0.0))
-                return 0.5 * rt * s if k else s / rt
-
-        else:
-
-            def f(t):
-                x = t + c1_shift
-                rt = r0 * sqrt(x)
-                w = 1.0 - (0.5 * rt * (1.0 / x)) ** 2
-                if w < -CLAMP:
-                    _sqrt1m(w, t)
-                s = sqrt(max(w, 0.0))
-                return 0.5 * rt * s if k else s / rt
+        def f(t):
+            x = t + c1_shift
+            if K_inf > 0.0:
+                x = root * x
+                rt, a = r0 * sqrt(max(cos(x), 0.0)), -root * tan(x)
+            elif K_inf < 0.0:
+                x = root * x
+                rt, a = r0 * sqrt(cosh(x)), root * tanh(x)
+            else:
+                rt, a = r0 * sqrt(x), 1.0 / x
+            w = 1.0 - (0.5 * rt * a) ** 2
+            if w < -CLAMP:
+                _sqrt1m(w, t)
+            s = sqrt(max(w, 0.0))
+            return 0.5 * rt * s if k else s / rt
 
         return f
 
     theta_rate, c_rate = rate(0), rate(1)
+    rates = functools.partial(_integrands, r, A)  # theta' and c' at an array of t
 
     def integrals(v):
         """theta and c at a float v: one QUADPACK call each."""
@@ -318,46 +305,6 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
         theta = integrate_with_boundary(theta_rate, anchor, v, domain, THETA_C_TOL)
         c = integrate_with_boundary(c_rate, anchor, v, domain, THETA_C_TOL)
         return theta, c
-
-    def batch_integrals(vs):
-        """integrals(v) at each float of the list vs, as two arrays: QUADPACK for all of them at once
-        (quadrature.integrate_batch), and the float path where that does not converge, on a split
-        path and at the anchor."""
-        v = _check_domain(np.array(vs), domain, name)
-        a, b = np.minimum(v, anchor), np.maximum(v, anchor)  # the path, as integrate_with_boundary orders it
-        near_lo = np.zeros(len(v), dtype=bool) | _in_window(a - lo_s, lo_s)
-        near_hi = np.zeros(len(v), dtype=bool) | _in_window(hi_s - b, hi_s)
-        lower, upper = near_lo & ~near_hi, near_hi & ~near_lo
-        x0, x1 = a.copy(), b.copy()
-        x0[lower], x1[lower] = np.sqrt(a[lower] - lo_s), np.sqrt(b[lower] - lo_s)
-        x0[upper], x1[upper] = np.sqrt(hi_s - b[upper]), np.sqrt(hi_s - a[upper])
-        rows = np.flatnonzero(~(near_lo & near_hi) & (x0 < x1) & np.isfinite(x1))
-        lower, upper = lower[rows], upper[rows]
-
-        def rates(s, paths):
-            """theta' and c' at the nodes s of the paths, in s = sqrt(t - lo) or sqrt(hi - t) on a window's rows."""
-            low, up = lower[paths], upper[paths]
-            window = low | up
-            t = s.copy()
-            t[low] = lo_s + s[low] * s[low]
-            t[up] = hi_s - s[up] * s[up]
-            pair = _integrands(r, A, t)
-            for derivative in pair:
-                derivative[window] *= 2.0 * s[window]
-            return pair
-
-        values = np.empty((2, len(v)))  # theta, c
-        settled = np.zeros((2, len(v)), dtype=bool)
-        if rows.size:
-            flip = v[rows] < anchor
-            for k, (result, error, _) in enumerate(integrate_batch(rates, x0[rows], x1[rows], THETA_C_TOL)):
-                values[k, rows] = np.where(flip, -result, result)
-                settled[k, rows] = converged(result, error, THETA_C_TOL)
-        ends = v.tolist()
-        for out, done, f in zip(values, settled, (theta_rate, c_rate)):
-            for i in np.flatnonzero(~done).tolist():
-                out[i] = integrate_with_boundary(f, anchor, ends[i], domain, THETA_C_TOL)
-        return values
 
     memo = _Memo()
 
@@ -375,12 +322,13 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
         found = {x: memo.get(x) for x in dict.fromkeys(flat)}
         pending = [x for x, value in found.items() if value is None]
         try:
-            with np.errstate(all="ignore"):
-                for start in range(0, len(pending), _THETA_C_CHUNK):
-                    chunk = pending[start : start + _THETA_C_CHUNK]
-                    for x, value in zip(chunk, zip(*batch_integrals(chunk).tolist())):
-                        found[x] = value
-                        memo.put(x, value)
+            for start in range(0, len(pending), _THETA_C_CHUNK):
+                chunk = pending[start : start + _THETA_C_CHUNK]
+                ends = _check_domain(np.array(chunk), domain, name)
+                pair = integrate_with_boundary_batch(rates, (theta_rate, c_rate), anchor, ends, domain, THETA_C_TOL)
+                for x, value in zip(chunk, zip(*pair.tolist())):
+                    found[x] = value
+                    memo.put(x, value)
         except POINT_FAILURES:
             # the float path over v in order raises the error that a scan of v raises
             found = {x: memoized(x) for x in flat}

@@ -305,6 +305,36 @@ def test_expression_power_is_safe_pow_bit_for_bit_at_every_exponent(p):
     _assert_power_is_the_reference(lambda b, p: ex._pow(b, p, node), ex._safe_pow, p)
 
 
+def _power_call(f):
+    """f(), or the type and message of the ArithmeticError it raises."""
+    try:
+        return f()
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("p", [2, 3, -1, -2])
+@pytest.mark.parametrize("kind", ["random", "subnormal", "near overflow"])
+def test_power_of_an_array_is_float_power_at_an_int_exponent_bit_for_bit(kind, p):
+    # power hands libm the exponent as a float: each value alone, and each run of 16, gives the bits of x ** p at
+    # the int p, or the first error
+    rng = np.random.default_rng([p + 2, len(kind)])
+    sign = rng.choice([-1.0, 1.0], 4096)
+    if kind == "random":  # any bit pattern, NaN and inf among them
+        x = rng.integers(0, 2**63, 4096, dtype=np.int64).view(float) * sign
+    elif kind == "subnormal":
+        x = rng.uniform(0.0, 1.0, 4096) * 2.2250738585072014e-308 * sign
+    else:  # around the x whose |x| ** p is the largest double
+        x = 2.0 ** (1024 / p) * rng.uniform(0.9, 1.1, 4096) * sign
+    for chunk in [*np.split(x, 256), *np.split(x, 4096)]:
+        expected = _power_call(lambda: [xi**p for xi in chunk.tolist()])
+        got = _power_call(lambda: power(chunk, p))
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert got.dtype == float and got.tobytes() == np.array(expected).tobytes()
+
+
 def _jet_parts(jet):
     """Type, shape and element reprs of each part of a jet's three triples.
 

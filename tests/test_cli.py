@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from h1geom import expr as ex
-from h1geom.cli import main
+from h1geom.cli import build_parser, main
 from h1geom.export import write_csv
 from h1geom.rotsurf import e3_chord_ratio, family_profile
 
@@ -677,6 +677,29 @@ def test_char_tol_is_a_usage_error_where_it_is_not_honoured(tmp_path, capsys, ar
     assert "--char-tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, dest, value",
+    [
+        (["gauss-bonnet", "--surface", "paraboloid", "--region", "-2,-1,0.5,1"], "region", "-2,-1,0.5,1"),
+        (["converge", "--surface", "paraboloid", "--point", "-0.5,1.2"], "point", "-0.5,1.2"),
+        (["converge", "--kinf", "1", "--point", "0.3,0.2", "--direction", "-1,0.5"], "direction", "-1,0.5"),
+        (["curvature", "--surface", "paraboloid", "--nu", "3", "--nv", "3", "--kn-directions", "-1,0"], "kn_directions", "-1,0"),
+        (["rotsurf", "--kinf", "-1e-3"], "kinf", -1e-3),
+        (["rotsurf", "--kinf", "1", "--vmin", "-5e-1", "--vmax", "0.5"], "vmin", -0.5),
+        (["rotsurf", "--kinf", "1", "--vmin", "-.5", "--vmax", "0.5"], "vmin", -0.5),
+    ],
+)
+def test_a_negative_number_is_a_value_not_a_flag(argv, dest, value):
+    # argparse alone reads a comma list that starts with a negative number, and a negative exponent form, as a flag
+    assert getattr(build_parser().parse_args(argv), dest) == value
+
+
+def test_an_unknown_flag_is_still_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rotsurf", "-x", "1"])
+    assert exc.value.code == 1 and "unrecognized arguments: -x 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["gauss-bonnet", "converge"])
 def test_characteristic_tolerance_is_a_config_error_where_it_is_not_honoured(tmp_path, capsys, command):
     config = {"surface": {"kind": "paraboloid"}, "region": {"u": [1.0, 2.0], "v": [-1.0, -0.5]}, "point": [1.0, -0.5]}
@@ -784,6 +807,16 @@ def test_rotsurf_on_a_large_r0_takes_its_default_band(tmp_path, kinf):
     assert main(argv + ["--out-prefix", str(tmp_path / "wide")]) == 0
     _, _, rows, _ = read_csv(tmp_path / "wide_profile.csv")
     assert all(math.isfinite(x) for row in rows for x in row)
+
+
+@pytest.mark.parametrize("command, r0", [("rotsurf", "1e-80"), ("gauss-bonnet", "1e200")])
+def test_a_radius_whose_domain_floats_cannot_hold_is_one_config_error(tmp_path, capsys, command, r0):
+    # not the band check's "v_range (nan, nan) must have v0 < v1", of a band the user never gave
+    out = ["--out-prefix", str(tmp_path / "mesh")] if command == "rotsurf" else ["--out", str(tmp_path / "gb.json")]
+    assert main([command, "--kinf", "1", "--r0", r0] + out) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("config error: no existence domain") and f"r0={float(r0)!r}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rotsurf_domain_error_is_one_line_naming_the_shifted_domain(tmp_path, capsys):

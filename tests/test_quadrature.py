@@ -650,3 +650,96 @@ def test_integrate_batch_bisects_an_interval_two_integrands_share_once():
     assert lasts.tolist() == doubled_lasts.tolist() and lasts[0] > 2
     assert [len(paths) for paths in calls] == [1] + [2] * (lasts[0] - 1)
     assert _bits(values[0]) == _bits(_quad(lambda t: math.sqrt(abs(t - 0.3)), 0.0, 1.0, 1e-10)[0])
+
+
+# ---------------------------------------------------------------------------
+# integrate_with_boundary_batch: integrate_with_boundary for every integrand and path at once
+
+
+def _boundary_integrands(lo, hi, pole):
+    """(name, array f, float f) triples that give the same bits on a float and on an array: a square
+    root vanishing at each finite bound, a smooth bell, a constant (a scalar on arrays) and a double
+    pole at the point pole, which does not settle on a path across it."""
+    def distances(t):
+        return (t - lo) if math.isfinite(lo) else 1.0, (hi - t) if math.isfinite(hi) else 1.0
+
+    def root(t):
+        d_lo, d_hi = distances(t)
+        return np.sqrt(np.maximum(d_lo * d_hi, 0.0)) / (1.0 + t * t)
+
+    def root_float(t):
+        d_lo, d_hi = distances(t)
+        return math.sqrt(max(d_lo * d_hi, 0.0)) / (1.0 + t * t)
+
+    def bell(t):
+        return 1.0 / (1.0 + t * t)
+
+    def double_pole(t):
+        return 1.0 / ((t - pole) * (t - pole))  # a ZeroDivisionError on a float node at the pole
+
+    return [("root", root, root_float), ("bell", bell, bell), ("constant", lambda t: 3.0, lambda t: 3.0),
+            ("pole", double_pole, double_pole)]
+
+
+@st.composite
+def _boundary_cases(draw):
+    """(bounds, paths, integrands): a domain wide, narrower than the boundary window (its paths in both
+    windows), or with one or two infinite bounds; 1-12 paths whose ends lie in the window of lo or of
+    hi, inside, on a bound (infinite too), or equal to the start (an empty path), in either direction;
+    1-3 of _boundary_integrands."""
+    kind = draw(st.sampled_from(["wide", "narrow", "upper infinite", "both infinite"]))
+    lo = -math.inf if kind == "both infinite" else draw(st.floats(-10.0, 10.0))
+    hi = {
+        "wide": lambda: lo + draw(st.floats(0.5, 10.0)),
+        "narrow": lambda: lo + draw(st.floats(1e-6, 5e-5)),
+    }.get(kind, lambda: math.inf)()
+    base = lo if math.isfinite(lo) else -5.0
+    top = hi if math.isfinite(hi) else base + 10.0
+
+    def end(where, frac):
+        x = {
+            "lo": lo + frac * BOUNDARY_WINDOW * max(1.0, abs(lo)),
+            "hi": hi - frac * BOUNDARY_WINDOW * max(1.0, abs(hi)),
+            "inside": base + frac * (top - base),
+            "bound": lo if frac < 0.5 else hi,
+        }[where]
+        return min(max(x, lo), hi)
+
+    ends = st.tuples(st.sampled_from(["lo", "hi", "inside", "inside", "bound"]), st.floats(0.0, 1.0))
+    paths = []
+    for _ in range(draw(st.integers(1, 12))):
+        a = end(*draw(ends))
+        b = a if draw(st.integers(0, 7)) == 0 else end(*draw(ends))
+        paths.append((b, a) if draw(st.booleans()) else (a, b))
+    integrands = _boundary_integrands(lo, hi, base + 0.37 * (top - base))
+    chosen = draw(st.lists(st.sampled_from(integrands), min_size=1, max_size=3, unique_by=lambda x: x[0]))
+    event(kind)
+    return (lo, hi), paths, chosen
+
+
+@settings(max_examples=300, deadline=None)
+@given(_boundary_cases(), st.sampled_from([1e-10, 1e-12]))
+def test_boundary_batch_is_integrate_with_boundary_bit_for_bit(case, tol):
+    # the value bytes of every integrand on every path, or the error that the float calls in order raise first
+    bounds, paths, integrands = case
+    a, b = (np.array(ends) for ends in zip(*paths))
+    expected = error = None
+    try:
+        expected = [
+            [_bits(quadrature.integrate_with_boundary(g, x, y, bounds, tol)) for x, y in paths] for _, _, g in integrands
+        ]
+    except (QuadratureError, ZeroDivisionError) as exc:
+        error = exc
+    event("raises" if error else "values")
+
+    def f(t):
+        return tuple(array(t) for _, array, _ in integrands)
+
+    if error is not None:
+        with pytest.raises(type(error)) as raised:
+            quadrature.integrate_with_boundary_batch(f, [g for _, _, g in integrands], a, b, bounds, tol)
+        assert str(raised.value) == str(error)
+    else:
+        got = quadrature.integrate_with_boundary_batch(f, [g for _, _, g in integrands], a, b, bounds, tol)
+        assert got.shape == (len(integrands), len(paths))
+        assert [list(map(_bits, row)) for row in got.tolist()] == expected

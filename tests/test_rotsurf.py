@@ -126,6 +126,13 @@ def test_domain_bound_against_bisection():
     assert hi2 == pytest.approx(_bisect_domain_edge(2.0, 0.8), abs=1e-9)
 
 
+@pytest.mark.parametrize("K, r0", [(1.0, 1e-77), (1e-300, 1.0), (1.0, 1e155), (0.0, 1e160)])
+def test_domain_bound_refuses_a_domain_floats_cannot_hold(K, r0):
+    # (2/(r0^2 |K|))^2 overflows to a NaN domain, 2/(r0^2 |K|) underflows to (-0.0, 0.0), r0^2/4 overflows to inf
+    with pytest.raises(ValueError, match=r"K_inf=.*r0=.*r0\^2 \|K_inf\| = "):
+        domain_bound(K, r0)
+
+
 DOMAIN_R0 = (1e-3, 0.5, 1.0, 2.0, 1e2, 1e4, 1e5, 1e8)
 # the end of the existence domain for r0 in DOMAIN_R0, from the closed forms
 # acos(-2/q + sqrt(4/q^2 + 1))/sqrt(K) and acosh(2/q + sqrt(1 + 4/q^2))/sqrt(-K),
@@ -897,10 +904,10 @@ def test_mesh_rows_rotation_chart_and_sampler_share_theta_c(monkeypatch):
     # each distinct v is integrated once per profile: one path of the batched QUADPACK, and the
     # float path at most once per integral; the sampler's start and a second jet2 integrate nothing
     profiles, batch_paths, calls = [], [], []
-    make, batch, integrate = rotsurf.family_profile, rotsurf.integrate_batch, rotsurf.integrate_with_boundary
+    make, batch, integrate = rotsurf.family_profile, quadrature.integrate_batch, quadrature.integrate_with_boundary
     monkeypatch.setattr(rotsurf, "family_profile", lambda *args: profiles.append(make(*args)) or profiles[-1])
-    monkeypatch.setattr(rotsurf, "integrate_batch", lambda f, a, b, tol: batch_paths.extend(a.tolist()) or batch(f, a, b, tol))
-    monkeypatch.setattr(rotsurf, "integrate_with_boundary", lambda *args: calls.append(args[:3:2]) or integrate(*args))
+    monkeypatch.setattr(quadrature, "integrate_batch", lambda f, a, b, tol: batch_paths.extend(a.tolist()) or batch(f, a, b, tol))
+    monkeypatch.setattr(quadrature, "integrate_with_boundary", lambda *args: calls.append(args[:3:2]) or integrate(*args))
 
     def integrated(profile, hits, misses):
         info = profile.theta_c.cache_info()
