@@ -112,14 +112,12 @@ def main(argv=None) -> int:
                     times[name][side].append(timed_run(case_args, expected, dirs[side], envs[side]))
 
     import numpy
-    import scipy
 
     record = {
         "what": "fresh-process wall time from interpreter start to exit, seconds",
         "environment": {
             "python": platform.python_version(),
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
             "cpus": os.cpu_count(),
         },
         "bytecode_cached": {"old": cached[0], "new": cached[1]},

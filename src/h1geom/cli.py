@@ -558,6 +558,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:  # an allocation the system refuses, such as a grid of 1e16 points
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:
         # bad user-supplied values that slipped past explicit validation
         print(f"config error: {exc}", file=sys.stderr)

@@ -60,10 +60,6 @@ ANCHOR_EPS = 1e-9
 THETA_C_TOL = 1e-10  # absolute QUADPACK tolerance of theta(v) and c(v), and of horizontal_lift's c(t)
 THETA_C_CACHE_SIZE = 4096  # theta/c values memoized per family profile
 _THETA_C_CHUNK = 512  # values of v integrated per numpy batch, so temporaries stay small
-# Distinct v from which rotation_patch evaluates its generating curve on one array rather than one float
-# at a time: numpy's fixed cost of about 0.1 ms a call pays from about 7 rows whose theta_c is still to
-# integrate, and from about 22 memoized ones.
-_CURVE_BATCH = 8
 CHORD_E3_RATIO = 1e-8  # bound on |e^3(chord)| / |chord| of every generating-curve chord
 MAX_CURVE_POINTS = 500_000  # point budget of one generating-curve sampling
 
@@ -83,11 +79,13 @@ def _sqrt1m(rp2_complement, v):
 def _kernels(K_inf: float, r0: float):
     """r(t) and A(t) of the family at the unshifted parameter t: a pair on floats, a pair on arrays.
 
-    Each formula is written once over (libm, sqrt, max).  On arrays only the
-    transcendental goes through libm, mapped over the elements
-    (batch.elementwise); *, /, sqrt and max are numpy's, which round
-    correctly.  So an array evaluation equals the float one bit for bit, and
-    every output file is independent of how the evaluation is batched.
+    Each formula is written once over (libm, sqrt, max), and every float and
+    array evaluation of the family (r, A, dr, kappa, theta' and c') reads it.
+    On arrays only the transcendental goes through libm, mapped over the
+    elements (batch.elementwise); *, /, sqrt and max are numpy's, which
+    round correctly.  So an array evaluation equals the float one bit for
+    bit, and every output file is independent of how the evaluation is
+    batched.
     """
     root = math.sqrt(abs(K_inf))
 
@@ -223,13 +221,11 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
     validate); they evaluate the family through _kernels.  theta_c checks
     its v and integrates from the anchor with QUADPACK's dqagse
     (quadrature), memoizing the last THETA_C_CACHE_SIZE values
-    (theta_c.cache_info() counts as lru_cache's).  On a float, dqagse calls
-    its integrand once per node, so theta' and c' are one float function
-    body, with the operations of _kernels and _sqrt1m written inline in the
-    same order: the same bits as _integrands, one Python call a node.  On an
-    array, theta_c integrates every v it has not memoized at once,
-    _THETA_C_CHUNK at a time, in one quadrature.integrate_with_boundary_batch
-    call over _integrands: the values of the float path bit for bit.  Where
+    (theta_c.cache_info() counts as lru_cache's).  theta' and c' are
+    _integrands, on a float at each dqagse node of a float v.  On an array,
+    theta_c integrates every v it has not memoized at once, _THETA_C_CHUNK
+    at a time, in one quadrature.integrate_with_boundary_batch call over
+    _integrands on arrays: the values of the float path bit for bit.  Where
     any v of a batch fails, the float path runs over the array in order and
     raises what a scan of it raises.
     """
@@ -268,35 +264,8 @@ def family_profile(K_inf: float, r0: float, c1_shift: float = 0.0) -> Profile:
     name = f"constant-curvature({K_inf}, r0={r0}{shift})"
     domain = (lo_s, hi_s)
 
-    root = math.sqrt(abs(K_inf))
-    sqrt, cos, tan, cosh, tanh = math.sqrt, math.cos, math.tan, math.cosh, math.tanh
-
-    def rate(k):
-        """theta' (k = 0) or c' (k = 1) at a float t, r_t, A_t and _sqrt1m inlined.
-
-        A steep point still raises through _sqrt1m, which owns the message;
-        max keeps a NaN, as in _sqrt1m.
-        """
-        def f(t):
-            x = t + c1_shift
-            if K_inf > 0.0:
-                x = root * x
-                rt, a = r0 * sqrt(max(cos(x), 0.0)), -root * tan(x)
-            elif K_inf < 0.0:
-                x = root * x
-                rt, a = r0 * sqrt(cosh(x)), root * tanh(x)
-            else:
-                rt, a = r0 * sqrt(x), 1.0 / x
-            w = 1.0 - (0.5 * rt * a) ** 2
-            if w < -CLAMP:
-                _sqrt1m(w, t)
-            s = sqrt(max(w, 0.0))
-            return 0.5 * rt * s if k else s / rt
-
-        return f
-
-    theta_rate, c_rate = rate(0), rate(1)
-    rates = functools.partial(_integrands, r, A)  # theta' and c' at an array of t
+    rates = functools.partial(_integrands, r, A)  # theta' and c' at a float or an array of t
+    theta_rate, c_rate = lambda t: rates(t)[0], lambda t: rates(t)[1]
 
     def integrals(v):
         """theta and c at a float v: one QUADPACK call each."""
@@ -430,17 +399,12 @@ def rotation_patch(
 
     def jet2(u, v):
         if isinstance(v, np.ndarray):
-            # the distinct v in one call; below _CURVE_BATCH of them, or where that call fails, one at a time
-            # in order, which fails as the scalar loop fails
+            # the distinct v in one call; where it fails, one at a time in order, which fails as the scalar loop fails
             distinct, at = np.unique(v, return_inverse=True)
-            rows = None
-            if distinct.size >= _CURVE_BATCH:
-                try:
-                    with np.errstate(all="ignore"):
-                        rows = curve(distinct)
-                except POINT_FAILURES:
-                    pass
-            if rows is None:
+            try:
+                with np.errstate(all="ignore"):
+                    rows = curve(distinct)
+            except POINT_FAILURES:
                 rows = np.array([curve(x) for x in distinct.tolist()]).T
             # a profile constant in v may give one float
             a, b, c, ap, bp, cp, app, bpp, cpp = (x[at] if isinstance(x, np.ndarray) else np.full(at.shape, x) for x in rows)

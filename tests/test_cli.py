@@ -819,6 +819,35 @@ def test_a_radius_whose_domain_floats_cannot_hold_is_one_config_error(tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["rotsurf", "--kinf", "1", "--samples-u", "10000000000000000", "--samples-v", "2", "--n-curves", "0", "--out-prefix", "mesh"],
+     ["curvature", "--surface", "paraboloid", "--nu", "10000000000000000", "--nv", "2"]],
+    ids=["rotsurf", "curvature"],
+)
+def test_an_allocation_numpy_refuses_is_one_numerical_error(tmp_path, argv):
+    # 1e16 doubles (71 PiB) fit in no address space, so numpy refuses them without allocating; the child
+    # caps its own address space at 4 GiB after its imports all the same
+    resource = pytest.importorskip("resource")
+    import h1geom
+
+    code = (
+        "import resource, sys\n"
+        "from h1geom import cli\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, (4 << 30, {resource.getrlimit(resource.RLIMIT_AS)[1]}))\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    src = str(Path(h1geom.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 2, run.stderr
+    err = run.stderr.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error: out of memory: "), err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rotsurf_domain_error_is_one_line_naming_the_shifted_domain(tmp_path, capsys):
     argv = ["rotsurf", "--kinf", "1", "--c1-shift", "0.5", "--vmin", "-1.9", "--vmax", "0"]
     prefix = tmp_path / "mesh"
